@@ -9,6 +9,7 @@ repairs tampered blocks from the majority.
 
 from .errors import (
     AccessDenied,
+    CommandError,
     CorruptChain,
     DuplicateCatalogCode,
     DuplicateIdentity,
@@ -34,6 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessDenied",
     "Command",
+    "CommandError",
     "CorruptChain",
     "Credential",
     "DuplicateCatalogCode",

@@ -556,6 +556,14 @@ def _parse_value(current, text: str):
     raise ValueError(f"cannot parse a value for field of type {type(current).__name__}")
 
 
+def _encodable(block: Block) -> Block:
+    try:
+        canonical_bytes(block) + _digest(block.self_hash)
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"the block encoding cannot hold this value: {exc}") from None
+    return block
+
+
 def mutate_block(block: Block, field_path: str, value) -> Block:
     """Return a copy of the block with one field replaced, self_hash untouched.
 
@@ -563,14 +571,21 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
     injection. Paths: a top-level field name, ``info.<key>``,
     ``entry.<i>.payload`` / ``entry.<i>.record_type`` /
     ``entry.<i>.prev_same_type``. String values are parsed to the field's
-    type; already-typed values pass through.
+    type; already-typed values pass through. A value the block encoding
+    cannot hold (a negative timestamp, a string that is not UTF-8) raises
+    ValueError, so every tampered block still hashes.
     """
     parts = field_path.split(".")
     if parts[0] == "info" and isinstance(block, IdentityBlock) and len(parts) == 2:
         info = dict(block.personal_info)
         info[parts[1]] = value
-        return replace(block, personal_info=info)
-    if parts[0] == "entry" and isinstance(block, MedicalBlock) and len(parts) == 3:
+        return _encodable(replace(block, personal_info=info))
+    if (
+        parts[0] == "entry"
+        and isinstance(block, MedicalBlock)
+        and len(parts) == 3
+        and parts[2] in ("payload", "record_type", "prev_same_type")
+    ):
         idx = int(parts[1])
         if not 0 <= idx < len(block.entries):
             raise NoSuchBlock(f"no entry {idx} in block {block.coord.label()}")
@@ -580,10 +595,10 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
             value = _parse_value(current if current is not None else ZERO_DIGEST, value)
         entries = list(block.entries)
         entries[idx] = replace(entry, **{parts[2]: value})
-        return replace(block, entries=tuple(entries))
+        return _encodable(replace(block, entries=tuple(entries)))
     if len(parts) == 1 and hasattr(block, parts[0]):
         current = getattr(block, parts[0])
         if isinstance(value, str) and not isinstance(current, str):
             value = _parse_value(current, value)
-        return replace(block, **{parts[0]: value})
+        return _encodable(replace(block, **{parts[0]: value}))
     raise ValueError(f"unknown field path {field_path!r} for {type(block).__name__}")

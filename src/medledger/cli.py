@@ -14,10 +14,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import store
-from .errors import LedgerError, ScriptError, StorageError
-from .ledger import Credential, Ledger, Role, verify_tree
-from .network import SimConfig, repair_replicas, run_scenario
-from .blocks import mutate_block
+from .errors import CommandError, LedgerError, NoSuchBlock, ScriptError, StorageError
+from .ledger import Ledger, Role, verify_tree
+from .network import Command, SimConfig, repair_replicas, run_scenario, split_token
 
 
 @contextmanager
@@ -39,28 +38,8 @@ def _locked(directory: Path):
             pass
 
 
-def _cred(args) -> Credential:
-    return Credential(args.actor, Role(args.role), args.valid)
-
-
-def _parse_catalog(tokens: list[str]) -> list[tuple[str, str]]:
-    out = []
-    for token in tokens:
-        if ":" not in token:
-            raise StorageError(f"catalog entry {token!r} is not CODE:LABEL")
-        code, label = token.split(":", 1)
-        out.append((code, label))
-    return out
-
-
-def _parse_entries(tokens: list[str]) -> list[tuple[str, bytes]]:
-    out = []
-    for token in tokens:
-        if ":" not in token:
-            raise StorageError(f"entry {token!r} is not TYPE:PAYLOAD")
-        record_type, payload = token.split(":", 1)
-        out.append((record_type, payload.encode("utf-8")))
-    return out
+def _catalog(tokens: list[str]) -> list[tuple[str, str]]:
+    return [split_token(token, ":", "CODE:LABEL") for token in tokens]
 
 
 def _emit(args, human: str, porcelain_fields: list[str]) -> None:
@@ -77,117 +56,80 @@ def _cmd_init(args) -> int:
     directory = Path(args.dir)
     if (directory / store.META_NAME).exists():
         raise StorageError(f"{directory} already holds a ledger")
+    catalog = _catalog(args.catalog)
     with _locked(directory):
-        ledger = Ledger.genesis(_parse_catalog(args.catalog))
-        store.persist(ledger, directory)
+        store.persist(Ledger.genesis(catalog), directory)
     _emit(args, f"initialized ledger at {directory}", ["initialized", str(directory)])
     return 0
 
 
-def _with_ledger(args, fn) -> int:
-    """Load, run one mutating operation, persist, even when the operation
-    raised a domain error (failed attempts must reach the audit chain)."""
+def _render_read(args, result) -> None:
+    matches, log = result
+    for coord, entry in matches:
+        _emit(
+            args,
+            f"{coord.label()} {entry.record_type}: {_show_payload(args, entry.payload)}",
+            [coord.label(), entry.record_type, _show_payload(args, entry.payload)],
+        )
+    _emit(args, f"{len(matches)} entries, log {log.coord.label()}", ["log", log.coord.label()])
+
+
+def _render_report(args, report) -> None:
+    for coord, payload in report:
+        _emit(
+            args,
+            f"{coord.label()} {args.type}: {_show_payload(args, payload)}",
+            [coord.label(), args.type, _show_payload(args, payload)],
+        )
+    _emit(args, f"{len(report)} entries (newest first)", ["entries", str(len(report))])
+
+
+def _render_block(human: str, word: str):
+    """Renderer of a verb whose result is one block, shown by its coordinate."""
+    return lambda args, block: _emit(args, human.format(block.coord.label()), [word, block.coord.label()])
+
+
+# one renderer per ledger verb, fed the raw result of the verb's Ledger method
+_RENDER = {
+    "onboard": lambda args, p: _emit(args, f"patient {p} onboarded", ["patient", str(p)]),
+    "write": lambda args, r: _emit(
+        args,
+        f"medical block {r[0].coord.label()} written, log {r[1].coord.label()}",
+        ["written", r[0].coord.label(), r[1].coord.label()],
+    ),
+    "read": _render_read,
+    "report": _render_report,
+    "close": _render_block("subchain closed with final block {}", "closed"),
+    "change-code": _render_block("fiscal code changed, identity block {}", "changed"),
+    "catalog-add": _render_block("catalog block {} appended", "catalog"),
+}
+# the single-valued flags of the ledger verbs, named as their command keys
+_ARG_KEYS = ("code", "patient", "query", "type", "new_code")
+
+
+def _cmd_ledger(args) -> int:
+    """Every ledger verb: parse, lock, load, apply, render, persist. The
+    store is persisted after a domain error too (failed attempts must
+    reach the audit chain)."""
+    pairs = [(key, str(getattr(args, key))) for key in _ARG_KEYS if hasattr(args, key)]
+    pairs += [("entry", token) for token in getattr(args, "entry", [])]
+    for token in getattr(args, "info", []):
+        key, val = split_token(token, "=", "KEY=VALUE")
+        pairs.append(("info." + key, val))
+    command = Command(args.verb, args.actor, Role(args.role), args.valid, tuple(pairs))
+    command.parse(args.place)  # a malformed command never touches the store
     directory = Path(args.dir)
     with _locked(directory):
         ledger = store.load(directory)
         try:
-            code = fn(ledger)
+            result = command.run(ledger, args.place)
         except LedgerError as exc:
             store.persist(ledger, directory)
             print(f"ERROR {type(exc).__name__}: {exc}")
             return 1
+        _RENDER[args.verb](args, result)
         store.persist(ledger, directory)
-        return code
-
-
-def _cmd_onboard(args) -> int:
-    info = {}
-    for token in args.info:
-        if "=" not in token:
-            raise StorageError(f"--info {token!r} is not KEY=VALUE")
-        key, val = token.split("=", 1)
-        info[key] = val
-
-    def run(ledger: Ledger) -> int:
-        p = ledger.onboard_patient(_cred(args), args.code, info, args.place)
-        _emit(args, f"patient {p} onboarded", ["patient", str(p)])
         return 0
-
-    return _with_ledger(args, run)
-
-
-def _cmd_write(args) -> int:
-    entries = _parse_entries(args.entry)
-
-    def run(ledger: Ledger) -> int:
-        medical, log = ledger.write_record(_cred(args), args.patient, entries, args.place)
-        _emit(
-            args,
-            f"medical block {medical.coord.label()} written, log {log.coord.label()}",
-            ["written", medical.coord.label(), log.coord.label()],
-        )
-        return 0
-
-    return _with_ledger(args, run)
-
-
-def _cmd_read(args) -> int:
-    def run(ledger: Ledger) -> int:
-        matches, log = ledger.read_record(_cred(args), args.patient, args.query, args.place)
-        for coord, entry in matches:
-            _emit(
-                args,
-                f"{coord.label()} {entry.record_type}: {_show_payload(args, entry.payload)}",
-                [coord.label(), entry.record_type, _show_payload(args, entry.payload)],
-            )
-        _emit(args, f"{len(matches)} entries, log {log.coord.label()}", ["log", log.coord.label()])
-        return 0
-
-    return _with_ledger(args, run)
-
-
-def _cmd_report(args) -> int:
-    def run(ledger: Ledger) -> int:
-        report = ledger.assemble_report(_cred(args), args.patient, args.type, args.place)
-        for coord, payload in report:
-            _emit(
-                args,
-                f"{coord.label()} {args.type}: {_show_payload(args, payload)}",
-                [coord.label(), args.type, _show_payload(args, payload)],
-            )
-        _emit(args, f"{len(report)} entries (newest first)", ["entries", str(len(report))])
-        return 0
-
-    return _with_ledger(args, run)
-
-
-def _cmd_close(args) -> int:
-    def run(ledger: Ledger) -> int:
-        final = ledger.close_subchain(_cred(args), args.patient, args.place)
-        _emit(args, f"subchain closed with final block {final.coord.label()}", ["closed", final.coord.label()])
-        return 0
-
-    return _with_ledger(args, run)
-
-
-def _cmd_change_code(args) -> int:
-    def run(ledger: Ledger) -> int:
-        block = ledger.change_fiscal_code(_cred(args), args.patient, args.new_code, args.place)
-        _emit(args, f"fiscal code changed, identity block {block.coord.label()}", ["changed", block.coord.label()])
-        return 0
-
-    return _with_ledger(args, run)
-
-
-def _cmd_catalog_add(args) -> int:
-    entries = _parse_catalog(args.entry)
-
-    def run(ledger: Ledger) -> int:
-        block = ledger.update_catalog(_cred(args), entries, args.place)
-        _emit(args, f"catalog block {block.coord.label()} appended", ["catalog", block.coord.label()])
-        return 0
-
-    return _with_ledger(args, run)
 
 
 def _cmd_verify(args) -> int:
@@ -207,23 +149,10 @@ def _cmd_tamper(args) -> int:
     directory = Path(args.dir)
     with _locked(directory):
         ledger = store.load_raw(directory)
-        if args.chain == "main":
-            blocks = ledger.main_chain
-            pos = args.index
-        elif args.chain == "yellow":
-            blocks = ledger.yellow.get(args.patient, [])
-            pos = args.index - 1
-        else:
-            blocks = ledger.red.get(args.patient, [])
-            pos = args.index - 1
-        if not 0 <= pos < len(blocks):
-            raise StorageError(
-                f"no {args.chain} block {args.index} for patient {args.patient} in {directory}"
-            )
         try:
-            blocks[pos] = mutate_block(blocks[pos], args.field, args.value)
-        except ValueError as exc:
-            raise StorageError(f"cannot apply mutation: {exc}") from None
+            ledger.tamper(args.chain, args.patient, args.index, args.field, args.value)
+        except (NoSuchBlock, ValueError) as exc:
+            raise StorageError(f"cannot tamper with {directory}: {exc}") from None
         store.persist(ledger, directory)
     _emit(
         args,
@@ -241,7 +170,7 @@ def _cmd_sim(args) -> int:
         byzantine=frozenset(args.byzantine.split(",")) if args.byzantine else frozenset(),
         drop_rate=args.drop_rate,
     )
-    catalog = _parse_catalog(args.catalog or ["general:General checkup"])
+    catalog = _catalog(args.catalog or ["general:General checkup"])
     transcript = run_scenario(config, script, tuple(catalog))
     if args.out:
         Path(args.out).write_text(transcript, encoding="utf-8")
@@ -254,15 +183,20 @@ def _cmd_sim(args) -> int:
 def _cmd_audit_repair(args) -> int:
     replicas = {d: store.load_raw(Path(d)) for d in args.dirs}
     entries = repair_replicas(replicas, percent=args.threshold)
+    replaced = {e.node for e in entries if e.action == "replaced"}
     for directory, ledger in replicas.items():
-        store.persist(ledger, Path(directory))
+        if directory in replaced:
+            store.persist(ledger, Path(directory))
     for e in entries:
         _emit(args, str(e), [e.action, e.node, e.chain, e.coord])
     _emit(args, f"{len(entries)} repair entries", ["entries", str(len(entries))])
     return 0
 
 
-def _add_cred_flags(parser: argparse.ArgumentParser) -> None:
+def _ledger_verb(sub, verb: str, help_text: str, patient: bool = True) -> argparse.ArgumentParser:
+    """Subcommand of one ledger verb, with the store and credential flags."""
+    parser = sub.add_parser(verb, help=help_text)
+    parser.add_argument("--dir", required=True)
     parser.add_argument("--actor", required=True, help="credential holder identity")
     parser.add_argument(
         "--role", required=True, choices=[r.value for r in Role], help="credential role"
@@ -274,6 +208,10 @@ def _add_cred_flags(parser: argparse.ArgumentParser) -> None:
         help="credential validity (stubbed authentication)",
     )
     parser.add_argument("--place", default="cli", help="node identifier recorded in logs")
+    if patient:
+        parser.add_argument("--patient", type=int, required=True)
+    parser.set_defaults(fn=_cmd_ledger)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,52 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", action="append", required=True, metavar="CODE:LABEL")
     p.set_defaults(fn=_cmd_init)
 
-    p = sub.add_parser("onboard", help="register a patient")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
+    p = _ledger_verb(sub, "onboard", "register a patient", patient=False)
     p.add_argument("--code", required=True, help="fiscal code")
     p.add_argument("--info", action="append", default=[], metavar="KEY=VALUE")
-    p.set_defaults(fn=_cmd_onboard)
 
-    p = sub.add_parser("write", help="append a medical record block")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
-    p.add_argument("--patient", type=int, required=True)
+    p = _ledger_verb(sub, "write", "append a medical record block")
     p.add_argument("--entry", action="append", required=True, metavar="TYPE:PAYLOAD")
-    p.set_defaults(fn=_cmd_write)
 
-    p = sub.add_parser("read", help="read entries (appends a read log)")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
-    p.add_argument("--patient", type=int, required=True)
+    p = _ledger_verb(sub, "read", "read entries (appends a read log)")
     p.add_argument("--query", required=True, help="record type or 'latest'")
-    p.set_defaults(fn=_cmd_read)
 
-    p = sub.add_parser("report", help="typed history, newest first")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
-    p.add_argument("--patient", type=int, required=True)
+    p = _ledger_verb(sub, "report", "typed history, newest first")
     p.add_argument("--type", required=True)
-    p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("close", help="close a patient's medical subchain")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
-    p.add_argument("--patient", type=int, required=True)
-    p.set_defaults(fn=_cmd_close)
+    _ledger_verb(sub, "close", "close a patient's medical subchain")
 
-    p = sub.add_parser("change-code", help="record a fiscal code change")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
-    p.add_argument("--patient", type=int, required=True)
+    p = _ledger_verb(sub, "change-code", "record a fiscal code change")
     p.add_argument("--new-code", required=True)
-    p.set_defaults(fn=_cmd_change_code)
 
-    p = sub.add_parser("catalog-add", help="append catalog codes")
-    p.add_argument("--dir", required=True)
-    _add_cred_flags(p)
+    p = _ledger_verb(sub, "catalog-add", "append catalog codes", patient=False)
     p.add_argument("--entry", action="append", required=True, metavar="CODE:LABEL")
-    p.set_defaults(fn=_cmd_catalog_add)
 
     p = sub.add_parser("verify", help="recheck every hash, link and cross-hash")
     p.add_argument("--dir", required=True)
@@ -375,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except LedgerError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}")
         return 1
-    except (StorageError, ScriptError, OSError) as exc:
+    except (StorageError, ScriptError, CommandError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -76,6 +76,11 @@ class TamperedStore(StorageError):
         super().__init__(f"{len(self.violations)} violation(s): {lines}{extra}")
 
 
+class CommandError(ValueError):
+    """Malformed command: unknown verb, missing or unparsable argument,
+    or a string that does not encode as UTF-8."""
+
+
 class ScriptError(Exception):
     """Malformed scenario script."""
 

@@ -38,6 +38,7 @@ from .errors import (
     DuplicateCatalogCode,
     DuplicateIdentity,
     NoChange,
+    NoSuchBlock,
     SubchainClosed,
     UnknownPatient,
     UnknownRecordType,
@@ -162,6 +163,28 @@ class Ledger:
         dup.catalog_head = self.catalog_head
         dup.closed = set(self.closed)
         return dup
+
+    def chain(self, name: str, patient: int, create: bool = False) -> list[b.Block]:
+        """The main chain, or a patient's yellow or red subchain, by name."""
+        if name == "main":
+            return self.main_chain
+        if name not in ("yellow", "red"):
+            raise ValueError(f"unknown chain {name!r}")
+        table = self.yellow if name == "yellow" else self.red
+        return table.setdefault(patient, []) if create else table.get(patient, [])
+
+    def tamper(self, chain: str, patient: int, index: int, field_path: str, value) -> None:
+        """Raw edit of one block, bypassing every check; for fault injection.
+
+        index is the main-chain position for chain="main", else the
+        1-based record/log index. The stored self_hash and the derived
+        indexes are left stale.
+        """
+        blocks = self.chain(chain, patient)
+        pos = index if chain == "main" else index - 1
+        if not 0 <= pos < len(blocks):
+            raise NoSuchBlock(f"no {chain} block {index} for patient {patient}")
+        blocks[pos] = b.mutate_block(blocks[pos], field_path, value)
 
     def patients(self) -> list[int]:
         return sorted(self._anchor)

@@ -9,6 +9,12 @@ Proofs travel in a fixed wire format: a 4-byte big-endian leaf index
 followed by one 33-byte element per path step, the sibling digest plus a
 side byte (0x00 when the sibling sits to the left of the running hash,
 0x01 when it sits to the right).
+
+Two weaknesses are frozen by the wire format and the golden vectors, and
+change only with a versioned format: the odd-tail duplication gives the
+leaf lists [a, b, c] and [a, b, c, c] the same root (the CVE-2012-2459
+pattern), and leaves and inner nodes hash without domain separation (no
+RFC 6962 0x00/0x01 prefixes).
 """
 
 from __future__ import annotations
@@ -96,23 +102,28 @@ def prove(tree: MerkleTree, leaf_index: int) -> MerkleProof:
 def verify(leaf_payload: bytes, proof: MerkleProof, root: bytes) -> bool:
     """Replay the path over hash(leaf_payload) and compare with the root.
 
-    Malformed proofs are a mismatch, never an exception.
+    The proof is bound to its leaf_index: the side of each step must match
+    the index bit of its level (bit 0: sibling on the right), and the path
+    must use up the index. Malformed proofs are a mismatch, never an
+    exception.
     """
     if not isinstance(root, bytes) or len(root) != DIGEST_SIZE:
         return False
+    if not isinstance(proof.leaf_index, int) or proof.leaf_index >> len(proof.path) != 0:
+        return False
     running = sha256(leaf_payload)
-    for step in proof.path:
+    for level, step in enumerate(proof.path):
         if not isinstance(step, tuple) or len(step) != 2:
             return False
         sibling, side = step
         if not isinstance(sibling, bytes) or len(sibling) != DIGEST_SIZE:
             return False
+        if side != ("left" if proof.leaf_index >> level & 1 else "right"):
+            return False
         if side == "right":
             running = sha256(running + sibling)
-        elif side == "left":
-            running = sha256(sibling + running)
         else:
-            return False
+            running = sha256(sibling + running)
     return running == root
 
 

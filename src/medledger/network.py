@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
-from .blocks import Block, block_hash, decode_record, encode_record, mutate_block
-from .errors import LedgerError, NoSuchBlock, NotAuthorized, ScriptError
+from .blocks import Block, block_hash, decode_record, encode_record
+from .errors import CommandError, LedgerError, NoSuchBlock, NotAuthorized, ScriptError
 from .ledger import Credential, Ledger, Role
 
 DEFAULT_CATALOG = (("general", "General checkup"),)
@@ -44,6 +45,19 @@ class NodeState:
     replica: Ledger
 
 
+def _first(pairs: tuple[tuple[str, str], ...], key: str, default: str | None = None) -> str | None:
+    """The value of the first (key, value) pair with this key."""
+    return next((val for k, val in pairs if k == key), default)
+
+
+def split_token(token: str, sep: str, shape: str) -> tuple[str, str]:
+    """Split one TYPE:PAYLOAD, CODE:LABEL or KEY=VALUE token at its first separator."""
+    if sep not in token:
+        raise CommandError(f"{token!r} is not {shape}")
+    left, right = token.split(sep, 1)
+    return left, right
+
+
 @dataclass(frozen=True)
 class Command:
     """One ledger operation as carried by a proposal.
@@ -61,67 +75,91 @@ class Command:
     def cred(self) -> Credential:
         return Credential(self.actor, self.role, self.valid)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        for k, val in self.args:
-            if k == key:
-                return val
-        return default
-
     def need(self, key: str) -> str:
-        val = self.get(key)
+        val = _first(self.args, key)
         if val is None:
-            raise ValueError(f"command {self.verb!r} missing {key}=")
+            raise CommandError(f"command {self.verb!r} missing {key}=")
         return val
 
-    def getall(self, key: str) -> list[str]:
-        return [val for k, val in self.args if k == key]
+    def patient(self) -> int:
+        text = self.need("patient")
+        try:
+            return int(text)
+        except ValueError:
+            raise CommandError(f"patient {text!r} is not an integer") from None
+
+    def entries(self, shape: str) -> list[tuple[str, str]]:
+        tokens = [val for k, val in self.args if k == "entry"]
+        if not tokens:
+            raise CommandError(f"command {self.verb!r} has no entry=")
+        return [split_token(token, ":", shape) for token in tokens]
 
     def info(self) -> dict[str, str]:
         return {k[len("info.") :]: val for k, val in self.args if k.startswith("info.")}
 
+    def parse(self, place: str) -> tuple:
+        """The typed arguments of the verb's Ledger method, between the
+        credential and the place.
+
+        Refuses with CommandError an unknown verb, a missing key, a
+        non-integer patient, a token without its separator, an empty entry
+        list and a string that does not encode as UTF-8; nothing that
+        depends on the ledger's state is checked here.
+        """
+        if self.verb not in VERBS:
+            raise CommandError(f"unknown command verb {self.verb!r}")
+        for text in (self.actor, place, *(s for pair in self.args for s in pair)):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CommandError(f"{text!r} does not encode as UTF-8") from None
+        return VERBS[self.verb].parse(self)
+
+    def run(self, ledger: Ledger, place: str):
+        """Parse, then call the verb's Ledger method; returns its raw result."""
+        typed = self.parse(place)
+        return getattr(ledger, VERBS[self.verb].method)(self.cred(), *typed, place)
+
     def apply(self, ledger: Ledger, place: str) -> str:
         """Run against a replica; returns a short result summary."""
-        cred = self.cred()
-        if self.verb == "onboard":
-            p = ledger.onboard_patient(cred, self.need("code"), self.info(), place)
-            return f"patient:{p}"
-        if self.verb == "write":
-            entries = [_split_entry(e) for e in self.getall("entry")]
-            medical, log = ledger.write_record(cred, int(self.need("patient")), entries, place)
-            return f"medical:{medical.coord.label()} log:{log.coord.label()}"
-        if self.verb == "read":
-            matches, log = ledger.read_record(
-                cred, int(self.need("patient")), self.need("query"), place
-            )
-            return f"entries:{len(matches)} log:{log.coord.label()}"
-        if self.verb == "report":
-            report = ledger.assemble_report(
-                cred, int(self.need("patient")), self.need("type"), place
-            )
-            return f"entries:{len(report)}"
-        if self.verb == "close":
-            final = ledger.close_subchain(cred, int(self.need("patient")), place)
-            return f"final:{final.coord.label()}"
-        if self.verb == "change-code":
-            block = ledger.change_fiscal_code(
-                cred, int(self.need("patient")), self.need("new_code"), place
-            )
-            return f"identity:{block.coord.label()}"
-        if self.verb == "catalog-add":
-            entries = [_split_entry(e) for e in self.getall("entry")]
-            block = ledger.update_catalog(cred, [(c, p.decode()) for c, p in entries], place)
-            return f"catalog:{block.coord.label()}"
-        raise ValueError(f"unknown command verb {self.verb!r}")
+        return VERBS[self.verb].summary(self.run(ledger, place))
 
     def render_args(self) -> str:
         return " ".join(f"{k}={val}" for k, val in self.args)
 
 
-def _split_entry(token: str) -> tuple[str, bytes]:
-    if ":" not in token:
-        raise ValueError(f"entry token {token!r} is not type:payload")
-    record_type, payload = token.split(":", 1)
-    return record_type, payload.encode("utf-8")
+class Verb(NamedTuple):
+    method: str  # the Ledger method the verb calls
+    parse: Callable[[Command], tuple]  # its typed arguments between credential and place
+    summary: Callable[[Any], str]  # the transcript summary of the method's raw result
+
+
+def _label(block: Block) -> str:
+    return block.coord.label()
+
+
+# the only dispatch of a ledger operation, for the network and the CLI alike
+VERBS = {
+    "onboard": Verb("onboard_patient", lambda c: (c.need("code"), c.info()), lambda p: f"patient:{p}"),
+    "write": Verb(
+        "write_record",
+        lambda c: (c.patient(), [(t, p.encode()) for t, p in c.entries("TYPE:PAYLOAD")]),
+        lambda r: f"medical:{_label(r[0])} log:{_label(r[1])}",
+    ),
+    "read": Verb(
+        "read_record",
+        lambda c: (c.patient(), c.need("query")),
+        lambda r: f"entries:{len(r[0])} log:{_label(r[1])}",
+    ),
+    "report": Verb("assemble_report", lambda c: (c.patient(), c.need("type")), lambda r: f"entries:{len(r)}"),
+    "close": Verb("close_subchain", lambda c: (c.patient(),), lambda b: f"final:{_label(b)}"),
+    "change-code": Verb(
+        "change_fiscal_code",
+        lambda c: (c.patient(), c.need("new_code")),
+        lambda b: f"identity:{_label(b)}",
+    ),
+    "catalog-add": Verb("update_catalog", lambda c: (c.entries("CODE:LABEL"),), lambda b: f"catalog:{_label(b)}"),
+}
 
 
 @dataclass(frozen=True)
@@ -191,17 +229,21 @@ class Network:
         if node_id not in self.approved:
             raise NotAuthorized(f"node {node_id!r} is not on the approved list")
         self.seq += 1
+        # honest nodes confirm exactly the well-formed commands: domain
+        # errors are valid transitions, since they append audit evidence
+        try:
+            command.parse(node_id)
+            well_formed = True
+        except CommandError:
+            well_formed = False
         votes: list[tuple[str, str]] = []
         for nid in self.approved:
             if nid == node_id:
                 votes.append((nid, "yes"))
-                continue
-            if self.rng.random() < self.config.drop_rate:
+            elif self.rng.random() < self.config.drop_rate:
                 votes.append((nid, "drop"))
-            elif nid in self.config.byzantine:
-                votes.append((nid, "no"))
             else:
-                votes.append((nid, "yes" if self._validates(nid, command, node_id) else "no"))
+                votes.append((nid, "yes" if well_formed and nid not in self.config.byzantine else "no"))
         confirmations = sum(1 for _, vote in votes if vote == "yes")
         committed = quorum_commits(
             confirmations, len(self.approved), self.config.confirm_percent
@@ -212,21 +254,6 @@ class Network:
         return Proposal(
             self.seq, node_id, command, tuple(votes), committed, outcome, result
         )
-
-    def _validates(self, node_id: str, command: Command, place: str) -> bool:
-        """Dry-run on a copy of the node's replica.
-
-        Domain errors are valid transitions (they append audit evidence);
-        only structurally malformed commands are refused.
-        """
-        probe = self.nodes[node_id].replica.clone()
-        try:
-            command.apply(probe, place)
-        except LedgerError:
-            pass
-        except Exception:
-            return False
-        return True
 
     def _apply_everywhere(self, command: Command, place: str) -> tuple[str, str]:
         outcome, result = "", ""
@@ -246,29 +273,11 @@ class Network:
 
     # -- fault injection and repair -------------------------------------------
 
-    def _chain(self, node_id: str, chain: str, patient: int) -> list[Block]:
-        replica = self.nodes[node_id].replica
-        if chain == "main":
-            return replica.main_chain
-        if chain == "yellow":
-            return replica.yellow.get(patient, [])
-        if chain == "red":
-            return replica.red.get(patient, [])
-        raise ValueError(f"unknown chain {chain!r}")
-
     def tamper(self, node_id: str, chain: str, patient: int, index: int, field_path: str, value) -> None:
-        """Raw edit of one block on one node, bypassing every check.
-
-        index is the main-chain position for chain="main", else the
-        1-based record/log index. The stored self_hash is left stale.
-        """
+        """Raw edit of one block on one node; see Ledger.tamper."""
         if node_id not in self.nodes:
             raise NoSuchBlock(f"unknown node {node_id!r}")
-        blocks = self._chain(node_id, chain, patient)
-        pos = index if chain == "main" else index - 1
-        if not 0 <= pos < len(blocks):
-            raise NoSuchBlock(f"no {chain} block {index} for patient {patient} on {node_id}")
-        blocks[pos] = mutate_block(blocks[pos], field_path, value)
+        self.nodes[node_id].replica.tamper(chain, patient, index, field_path, value)
 
     def audit_and_repair(self) -> list[RepairEntry]:
         """Majority block repair across all replicas; see repair_replicas."""
@@ -276,15 +285,6 @@ class Network:
             {nid: self.nodes[nid].replica for nid in self.approved},
             self.config.repair_percent,
         )
-
-
-def _replica_chain(replica: Ledger, chain: str, patient: int, create: bool = False) -> list[Block]:
-    if chain == "main":
-        return replica.main_chain
-    table = replica.yellow if chain == "yellow" else replica.red
-    if create:
-        return table.setdefault(patient, [])
-    return table.get(patient, [])
 
 
 def repair_replicas(replicas: dict[str, Ledger], percent: int = 51) -> list[RepairEntry]:
@@ -314,7 +314,7 @@ def repair_replicas(replicas: dict[str, Ledger], percent: int = 51) -> list[Repa
         pos = index if chain == "main" else index - 1
         versions: dict[bytes, list[str]] = {}
         for nid in node_ids:
-            blocks = _replica_chain(replicas[nid], chain, patient)
+            blocks = replicas[nid].chain(chain, patient)
             key = encode_record(blocks[pos]) if 0 <= pos < len(blocks) else b""
             versions.setdefault(key, []).append(nid)
         if len(versions) == 1:
@@ -336,7 +336,7 @@ def repair_replicas(replicas: dict[str, Ledger], percent: int = 51) -> list[Repa
             if key == majority:
                 continue
             for nid in holders:
-                blocks = _replica_chain(replicas[nid], chain, patient, create=True)
+                blocks = replicas[nid].chain(chain, patient, create=True)
                 if 0 <= pos < len(blocks):
                     blocks[pos] = good
                 elif pos == len(blocks):
@@ -363,14 +363,7 @@ class ScriptStep:
     verb: str
     params: tuple[tuple[str, str], ...]
 
-    def param(self, key: str, default: str | None = None) -> str | None:
-        for k, val in self.params:
-            if k == key:
-                return val
-        return default
 
-
-_COMMAND_VERBS = {"onboard", "write", "read", "report", "close", "change-code", "catalog-add"}
 _DIRECTIVE_VERBS = {"tamper", "audit-repair"}
 
 
@@ -397,28 +390,26 @@ def parse_script(text: str) -> list[ScriptStep]:
             raise ScriptError(line_no, f"tick {tick} does not increase (previous {last_tick})")
         last_tick = tick
         node, verb = fields[1], fields[2]
-        if verb not in _COMMAND_VERBS | _DIRECTIVE_VERBS:
+        if verb not in VERBS.keys() | _DIRECTIVE_VERBS:
             raise ScriptError(line_no, f"unknown verb {verb!r}")
-        params: list[tuple[str, str]] = []
-        for token in fields[3:]:
-            if "=" not in token:
-                raise ScriptError(line_no, f"argument {token!r} is not key=value")
-            key, val = token.split("=", 1)
-            params.append((key, val))
-        steps.append(ScriptStep(line_no, tick, node, verb, tuple(params)))
+        try:
+            params = tuple(split_token(token, "=", "key=value") for token in fields[3:])
+        except CommandError as exc:
+            raise ScriptError(line_no, f"argument {exc}") from None
+        steps.append(ScriptStep(line_no, tick, node, verb, params))
     return steps
 
 
 def _step_command(step: ScriptStep) -> Command:
-    role_name = step.param("role")
+    role_name = _first(step.params, "role")
     try:
         role = Role(role_name) if role_name else Role.DOCTOR
     except ValueError:
         raise ScriptError(step.line_no, f"unknown role {role_name!r}") from None
-    valid = step.param("valid", "1") in ("1", "true", "yes")
+    valid = _first(step.params, "valid", "1") in ("1", "true", "yes")
     cred_keys = {"actor", "role", "valid"}
     args = tuple((k, v) for k, v in step.params if k not in cred_keys)
-    return Command(step.verb, step.param("actor", "anonymous"), role, valid, args)
+    return Command(step.verb, _first(step.params, "actor", "anonymous"), role, valid, args)
 
 
 def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG) -> str:
@@ -430,7 +421,7 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
     steps = parse_script(script)
     # compile commands up front so a malformed line fails before execution
     compiled = {
-        step.line_no: _step_command(step) for step in steps if step.verb in _COMMAND_VERBS
+        step.line_no: _step_command(step) for step in steps if step.verb in VERBS
     }
     net = Network(config, catalog_entries)
     lines = [
@@ -449,11 +440,11 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
             try:
                 net.tamper(
                     step.node,
-                    step.param("chain") or "",
-                    int(step.param("patient", "0")),
-                    int(step.param("index", "0")),
-                    step.param("field") or "",
-                    step.param("value") or "",
+                    _first(step.params, "chain") or "",
+                    int(_first(step.params, "patient", "0")),
+                    int(_first(step.params, "index", "0")),
+                    _first(step.params, "field") or "",
+                    _first(step.params, "value") or "",
                 )
                 status = "ok"
             except (NoSuchBlock, ValueError) as exc:
@@ -462,10 +453,10 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
                 "TAMPER tick={} node={} chain={} patient={} index={} field={} status={}".format(
                     step.tick,
                     step.node,
-                    step.param("chain"),
-                    step.param("patient", "0"),
-                    step.param("index", "0"),
-                    step.param("field"),
+                    _first(step.params, "chain"),
+                    _first(step.params, "patient", "0"),
+                    _first(step.params, "index", "0"),
+                    _first(step.params, "field"),
                     status,
                 )
             )

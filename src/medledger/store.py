@@ -96,7 +96,10 @@ def _decode_meta(data: bytes) -> tuple[int, list[tuple[str, int]]]:
         pos += 4
         if pos + name_len + 4 > len(body):
             raise CorruptChain(META_NAME, pos, "manifest truncated")
-        name = body[pos : pos + name_len].decode("utf-8", errors="strict")
+        try:
+            name = body[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptChain(META_NAME, pos, "manifest name is not UTF-8") from None
         pos += name_len
         (records,) = struct.unpack(">I", body[pos : pos + 4])
         pos += 4

@@ -268,3 +268,6 @@ def test_mutate_block_parses_string_values():
     assert moved.timestamp == 77
     relinked = mutate_block(log, "h_main", D2.hex())
     assert relinked.h_main == D2
+    for field, value in (("timestamp", "-1"), ("timestamp", str(1 << 64)), ("actor", "\udcff")):
+        with pytest.raises(ValueError):  # the block encoding cannot hold it
+            mutate_block(log, field, value)

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output stability, differential
 equivalence with the library, lock behavior."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,9 @@ def test_tamper_then_verify_exits_1_with_violation_lines(tmp_path, capsys):
         "--code", "FC001", "--info", "name=Mario")
     run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor",
         "--patient", "1", "--entry", "blood_test:v1")
+    code, _ = run(capsys, "tamper", "--dir", d, "--chain", "red", "--patient", "1",
+                  "--index", "1", "--field", "timestamp", "--value", "-1")
+    assert code == 2  # the block encoding cannot hold a negative timestamp
     code, out = run(capsys, "tamper", "--dir", d, "--chain", "yellow", "--patient", "1",
                     "--index", "1", "--field", "entry.0.payload", "--value", "forged")
     assert code == 0
@@ -114,33 +118,38 @@ def test_init_refuses_existing_ledger(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_matches_directly_driven_library(tmp_path, capsys):
-    """Differential check: the persisted CLI state equals the in-memory
-    library state for the same command sequence."""
-    d = init_ledger(tmp_path, capsys)
-    cli_steps = [
-        ["onboard", "--dir", d, "--actor", "reg", "--role", "authority",
-         "--code", "FC001", "--info", "name=Mario", "--info", "surname=Rossi"],
-        ["write", "--dir", d, "--actor", "drb", "--role", "doctor",
-         "--patient", "1", "--entry", "blood_test:hb 13.9"],
-        ["read", "--dir", d, "--actor", "FC001", "--role", "patient",
-         "--patient", "1", "--query", "latest"],
-        ["change-code", "--dir", d, "--actor", "reg", "--role", "authority",
-         "--patient", "1", "--new-code", "FC001-N"],
-        ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority",
-         "--entry", "mri:MRI scan"],
-        ["write", "--dir", d, "--actor", "drb", "--role", "doctor",
-         "--patient", "1", "--entry", "mri:clear", "--entry", "blood_test:hb 14.0"],
-        ["report", "--dir", d, "--actor", "drb", "--role", "doctor",
-         "--patient", "1", "--type", "blood_test"],
-        ["close", "--dir", d, "--actor", "reg", "--role", "authority", "--patient", "1"],
-        ["read", "--dir", d, "--actor", "reg", "--role", "authority",
-         "--patient", "1", "--query", "blood_test"],
-    ]
-    for step in cli_steps:
-        code = main(step)
-        assert code == 0, step
+# every ledger verb once or more: (argv after the verb, human lines, porcelain lines)
+LIFECYCLE = [
+    (["onboard", "--actor", "reg", "--role", "authority",
+      "--code", "FC001", "--info", "name=Mario", "--info", "surname=Rossi"],
+     ["patient 1 onboarded"], ["patient\t1"]),
+    (["write", "--actor", "drb", "--role", "doctor", "--patient", "1", "--entry", "blood_test:hb 13.9"],
+     ["medical block 1.1 written, log 1.1.1"], ["written\t1.1\t1.1.1"]),
+    (["read", "--actor", "FC001", "--role", "patient", "--patient", "1", "--query", "latest"],
+     ["1.1 blood_test: hb 13.9", "1 entries, log 1.1.2"],
+     ["1.1\tblood_test\t" + b"hb 13.9".hex(), "log\t1.1.2"]),
+    (["change-code", "--actor", "reg", "--role", "authority", "--patient", "1", "--new-code", "FC001-N"],
+     ["fiscal code changed, identity block 2"], ["changed\t2"]),
+    (["catalog-add", "--actor", "reg", "--role", "authority", "--entry", "mri:MRI scan"],
+     ["catalog block 3 appended"], ["catalog\t3"]),
+    (["write", "--actor", "drb", "--role", "doctor",
+      "--patient", "1", "--entry", "mri:clear", "--entry", "blood_test:hb 14.0"],
+     ["medical block 1.2 written, log 1.2.4"], ["written\t1.2\t1.2.4"]),
+    (["report", "--actor", "drb", "--role", "doctor", "--patient", "1", "--type", "blood_test"],
+     ["1.2 blood_test: hb 14.0", "1.1 blood_test: hb 13.9", "2 entries (newest first)"],
+     ["1.2\tblood_test\t" + b"hb 14.0".hex(), "1.1\tblood_test\t" + b"hb 13.9".hex(), "entries\t2"]),
+    (["close", "--actor", "reg", "--role", "authority", "--patient", "1"],
+     ["subchain closed with final block 1.3"], ["closed\t1.3"]),
+    (["read", "--actor", "reg", "--role", "authority", "--patient", "1", "--query", "blood_test"],
+     ["1.1 blood_test: hb 13.9", "1.2 blood_test: hb 14.0", "2 entries, log 1.3.7"],
+     ["1.1\tblood_test\t" + b"hb 13.9".hex(), "1.2\tblood_test\t" + b"hb 14.0".hex(), "log\t1.3.7"]),
+]
 
+
+def test_cli_matches_directly_driven_library(tmp_path, capsys):
+    """Differential check: for all seven verbs, in both output modes, the
+    persisted CLI state equals the in-memory library state for the same
+    command sequence, and the output lines are the pinned ones."""
     lib = Ledger.genesis((("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG")))
     reg = Credential("reg", Role.AUTHORITY)
     drb = Credential("drb", Role.DOCTOR)
@@ -154,7 +163,14 @@ def test_cli_matches_directly_driven_library(tmp_path, capsys):
     lib.close_subchain(reg, 1, place="cli")
     lib.read_record(reg, 1, "blood_test", place="cli")
 
-    assert store.load(d).snapshot_bytes() == lib.snapshot_bytes()
+    for mode, porcelain in (("human", False), ("porcelain", True)):
+        d = init_ledger(tmp_path / mode, capsys)
+        for argv, human, machine in LIFECYCLE:
+            flags = ["--porcelain"] if porcelain else []
+            code, out = run(capsys, *flags, argv[0], "--dir", d, *argv[1:])
+            assert code == 0, argv
+            assert out.splitlines() == (machine if porcelain else human), argv
+        assert store.load(d).snapshot_bytes() == lib.snapshot_bytes()
 
 
 def test_sim_twice_yields_identical_transcripts(tmp_path, capsys):
@@ -172,7 +188,7 @@ def test_sim_twice_yields_identical_transcripts(tmp_path, capsys):
     assert out1.read_text() == (GOLDEN / "lifecycle_transcript.txt").read_text()
 
 
-def test_audit_repair_across_replica_directories(tmp_path, capsys):
+def replica_dirs(tmp_path) -> list[str]:
     base = Ledger.genesis(CATALOG)
     reg = Credential("reg", Role.AUTHORITY)
     drb = Credential("drb", Role.DOCTOR)
@@ -183,6 +199,11 @@ def test_audit_repair_across_replica_directories(tmp_path, capsys):
         d = tmp_path / f"replica{i}"
         store.persist(base, d)
         dirs.append(str(d))
+    return dirs
+
+
+def test_audit_repair_across_replica_directories(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
     code, _ = run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
                   "--index", "1", "--field", "entry.0.payload", "--value", "forged")
     assert code == 0
@@ -190,6 +211,41 @@ def test_audit_repair_across_replica_directories(tmp_path, capsys):
     assert code == 0
     assert "replaced" in out
     assert store.load(dirs[2]).snapshot_bytes() == store.load(dirs[0]).snapshot_bytes()
+
+
+def test_audit_repair_rewrites_only_the_replaced_replicas(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
+    run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
+        "--index", "1", "--field", "entry.0.payload", "--value", "forged")
+    files = [f for d in dirs for f in Path(d).iterdir()]
+    for expected_out, expected_rewritten in (
+        (f"replaced\t{dirs[2]}\tyellow\t1.1\nentries\t1\n", {"replica3"}),
+        ("entries\t0\n", set()),  # identical replicas: nothing is rewritten
+    ):
+        for f in files:
+            os.utime(f, ns=(10**9, 10**9))
+        assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, expected_out)
+        assert {f.parent.name for f in files if f.stat().st_mtime_ns != 10**9} == expected_rewritten
+
+
+def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, capsys):
+    d = init_ledger(tmp_path, capsys)
+    run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
+    before = {f.name: f.read_bytes() for f in Path(d).iterdir()}
+    for argv in (
+        ["write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1",
+         "--entry", "blood_test:ok", "--entry", "blood_test"],
+        ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority", "--entry", "mri"],
+        ["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC2",
+         "--info", "name"],
+        ["read", "--dir", d, "--actor", "\udcff", "--role", "doctor", "--patient", "1",
+         "--query", "latest"],
+    ):
+        assert main(argv) == 2, argv
+        assert {f.name: f.read_bytes() for f in Path(d).iterdir()} == before, argv
+    fresh = tmp_path / "fresh"
+    assert main(["init", "--dir", str(fresh), "--catalog", "blood_test"]) == 2
+    assert not (fresh / "meta").exists()
 
 
 def test_sim_script_error_exits_2(tmp_path, capsys):

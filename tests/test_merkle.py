@@ -129,6 +129,18 @@ def test_deserialize_rejects_bad_framing():
         deserialize_proof(bad_side)
 
 
+def test_relabelled_proof_does_not_verify():
+    """A proof is bound to its leaf index: the 5-leaf proof for leaf 2
+    relabelled as leaf 4 is refused, and so is an index the path cannot
+    use up."""
+    tree = build_tree(FIVE)
+    proof = prove(tree, 2)
+    assert replay(FIVE[2], proof) == tree.root
+    assert not verify(FIVE[2], MerkleProof(4, proof.path), tree.root)
+    assert not verify(FIVE[2], MerkleProof(2 + 8, proof.path), tree.root)
+    assert not verify(FIVE[2], MerkleProof(-1, proof.path), tree.root)
+
+
 def test_verify_malformed_path_is_false_not_error():
     tree = build_tree(FOUR)
     root = tree.root
@@ -145,6 +157,15 @@ def test_round_trip_property(leaves, data):
     tree = build_tree(leaves)
     i = data.draw(st.integers(0, len(leaves) - 1))
     assert verify(leaves[i], prove(tree, i), tree.root)
+
+
+@given(leaves_strategy, st.data())
+def test_proof_verifies_only_for_the_leaf_it_names(leaves, data):
+    tree = build_tree(leaves)
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    other = data.draw(st.integers(0, 2 * len(leaves)).filter(lambda j: j != i))
+    proof = prove(tree, i)
+    assert not verify(leaves[i], MerkleProof(other, proof.path), tree.root)
 
 
 @given(leaves_strategy)

@@ -1,12 +1,13 @@
 """Quorum arithmetic, tamper locality, majority repair, scenario determinism."""
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from medledger.errors import NotAuthorized, ScriptError
-from medledger.ledger import Role, verify_tree
+from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
     Command,
     Network,
@@ -258,3 +259,44 @@ def test_structurally_malformed_command_is_refused_and_rejected():
     proposal = net.propose("n1", bogus)
     assert not proposal.committed
     assert proposal.confirmations == 1  # only the proposer's implicit vote
+
+
+# one command per refusal of the parse; each would reach the ledger otherwise
+MALFORMED = {
+    "unknown-verb": Command("frobnicate", "drb", Role.DOCTOR, True, (("patient", "1"),)),
+    "missing-key": Command("read", "drb", Role.DOCTOR, True, (("patient", "1"),)),
+    "non-integer-patient": Command("read", "drb", Role.DOCTOR, True, (("patient", "one"), ("query", "latest"))),
+    "token-without-separator": Command("write", "drb", Role.DOCTOR, True, (("patient", "1"), ("entry", "blood_test"))),
+    "empty-entry-list": Command("write", "drb", Role.DOCTOR, True, (("patient", "1"),)),
+    "not-utf8": Command("read", "\udcff", Role.DOCTOR, True, (("patient", "1"), ("query", "latest"))),
+}
+
+
+@pytest.mark.parametrize("command", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_command_gets_no_honest_vote_and_changes_no_replica(command):
+    net = make_net(5)
+    net.propose("n1", ONBOARD)
+    net.propose("n2", WRITE)
+    before = {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()}
+    proposal = net.propose("n3", command)
+    assert [vote for nid, vote in proposal.votes if nid != "n3"] == ["no"] * 4
+    assert not proposal.committed
+    assert {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()} == before
+
+
+def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):
+    net = make_net(15)
+    net.propose("n1", ONBOARD)
+    calls = Counter()
+    for owner, name in ((Command, "apply"), (Ledger, "clone")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    proposal = net.propose("n2", WRITE)
+    assert proposal.committed and proposal.confirmations == 15
+    assert (calls["apply"], calls["clone"]) == (15, 0)
+

@@ -1,11 +1,14 @@
 """Persistence round trips, framing fuzz, corruption refusal."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 
 from medledger.blocks import block_hash
 from medledger.errors import CorruptChain, StorageError, TamperedStore
+from medledger.cli import main
 from medledger.store import export_text, load, load_raw, persist
 
 from helpers import AUTHORITY, DOCTOR, drive, fresh_ledger
@@ -149,3 +152,14 @@ def test_clock_survives_round_trip_and_resume(tmp_path):
     resumed.read_record(DOCTOR, 1, "latest")
     twin.read_record(DOCTOR, 1, "latest")
     assert resumed.snapshot_bytes() == twin.snapshot_bytes()
+
+
+def test_meta_with_non_utf8_manifest_name_is_corrupt_chain(tmp_path, capsys):
+    """A checksum-valid meta whose manifest names a non-UTF-8 file is
+    refused as CorruptChain, and verify exits 2 instead of a traceback."""
+    body = b"MLG1" + struct.pack(">QI", 1, 1) + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 0)
+    (tmp_path / "meta").write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(CorruptChain, match="not UTF-8"):
+        load_raw(tmp_path)
+    assert main(["verify", "--dir", str(tmp_path)]) == 2
+    assert "CorruptChain" in capsys.readouterr().err
