@@ -10,6 +10,7 @@ repairs tampered blocks from the majority.
 from .errors import (
     AccessDenied,
     CommandError,
+    ConfigError,
     CorruptChain,
     DuplicateCatalogCode,
     DuplicateIdentity,
@@ -36,6 +37,7 @@ __all__ = [
     "AccessDenied",
     "Command",
     "CommandError",
+    "ConfigError",
     "CorruptChain",
     "Credential",
     "DuplicateCatalogCode",

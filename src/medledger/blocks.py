@@ -1,4 +1,4 @@
-"""Block types for the three chains, canonical encoding, hashing, linking.
+"""Block types for the three chains, canonical encoding and hashing.
 
 Every block encodes as three byte groups: kind tag + coordinates, payload
 fields, link digests. The block hash is the Merkle root over those three
@@ -340,31 +340,6 @@ def block_hash(block: Block) -> Digest:
 def sealed(block: Block) -> Block:
     """Copy of the block with self_hash set to its recomputed hash."""
     return replace(block, self_hash=block_hash(block))
-
-
-def verify_link(child_prev: Digest, parent: Block) -> bool:
-    """True iff the child's stored back-link matches the parent's recomputed hash."""
-    return child_prev == block_hash(parent)
-
-
-def verify_log_cross(
-    log: LogBlock,
-    identity: IdentityBlock,
-    yellow: MedicalBlock | None,
-    prev_red: LogBlock | IdentityBlock,
-) -> bool:
-    """Check the three cross-hashes of a log block at once.
-
-    yellow is None for access events on a patient with no medical blocks,
-    in which case h_yellow must be the zero digest. prev_red is the
-    identity block for the first log of a patient.
-    """
-    expected_yellow = ZERO_DIGEST if yellow is None else block_hash(yellow)
-    return (
-        log.h_main == block_hash(identity)
-        and log.h_yellow == expected_yellow
-        and log.h_prev_red == block_hash(prev_red)
-    )
 
 
 # --- stored records ----------------------------------------------------------

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import store
-from .errors import CommandError, LedgerError, NoSuchBlock, ScriptError, StorageError
+from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
 from .ledger import Ledger, Role, verify_tree
 from .network import Command, SimConfig, repair_replicas, run_scenario, split_token
 
@@ -163,7 +163,11 @@ def _cmd_tamper(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    script = Path(args.script).read_text(encoding="utf-8")
+    raw = Path(args.script).read_bytes()
+    try:
+        script = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScriptError(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
     config = SimConfig(
         node_count=args.nodes,
         seed=args.seed,
@@ -182,7 +186,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_audit_repair(args) -> int:
     replicas = {d: store.load_raw(Path(d)) for d in args.dirs}
-    entries = repair_replicas(replicas, percent=args.threshold)
+    entries = repair_replicas(replicas)
     replaced = {e.node for e in entries if e.action == "replaced"}
     for directory, ledger in replicas.items():
         if directory in replaced:
@@ -273,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-repair", help="majority repair across replica directories")
     p.add_argument("--dirs", nargs="+", required=True)
-    p.add_argument("--threshold", type=int, default=51, help="repair percent (>=)")
     p.set_defaults(fn=_cmd_audit_repair)
 
     return parser
@@ -287,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except LedgerError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}")
         return 1
-    except (StorageError, ScriptError, CommandError, OSError) as exc:
+    except (StorageError, ScriptError, CommandError, ConfigError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -81,6 +81,11 @@ class CommandError(ValueError):
     or a string that does not encode as UTF-8."""
 
 
+class ConfigError(ValueError):
+    """Simulation configuration out of range: no nodes, a byzantine node
+    not on the approved list, or a drop rate outside [0, 1)."""
+
+
 class ScriptError(Exception):
     """Malformed scenario script."""
 

@@ -125,27 +125,18 @@ class Ledger:
         Tolerant of inconsistent chains (tampered replicas must still be
         representable); verify_tree reports what is broken.
         """
+        owners, _, self.catalog_head, _ = _main_facts(
+            self.main_chain, [block_hash(blk) for blk in self.main_chain]
+        )
         self._anchor: dict[int, IdentityBlock] = {}
         self._active_codes: dict[str, int] = {}
-        self.catalog_head: Digest = ZERO_DIGEST
-        owner_by_hash: dict[Digest, int] = {}
-        for block in self.main_chain:
-            h = block_hash(block)
-            if block.variant == IdentityVariant.PATIENT:
-                p = block.coord.patient
-                owner_by_hash[h] = p
-                self._anchor[p] = block
-                self._active_codes[block.fiscal_code] = p
-            elif block.variant == IdentityVariant.FISCAL_CHANGE and block.fiscal_change:
-                p = owner_by_hash.get(block.fiscal_change.prev_identity)
-                if p is not None:
-                    owner_by_hash[h] = p
-                    old = self._anchor[p]
-                    self._active_codes.pop(old.fiscal_code, None)
-                    self._anchor[p] = block
-                    self._active_codes[block.fiscal_code] = p
-            if block.catalog is not None:
-                self.catalog_head = h
+        for block, p in zip(self.main_chain, owners):
+            if p is None:
+                continue
+            if block.variant == IdentityVariant.FISCAL_CHANGE:
+                self._active_codes.pop(self._anchor[p].fiscal_code, None)
+            self._anchor[p] = block
+            self._active_codes[block.fiscal_code] = p
         self.closed: set[int] = {
             p for p, chain in self.yellow.items() if chain and chain[-1].is_final
         }
@@ -190,17 +181,14 @@ class Ledger:
         return sorted(self._anchor)
 
     def active_catalog(self) -> dict[str, str]:
-        """Union of all catalog blocks, newest first along the prev links."""
-        by_hash = {block_hash(blk): blk for blk in self.main_chain if blk.catalog}
+        """Union of the catalog blocks along the prev links from the head,
+        newest first. Their hashes are recomputed on every call, so a raw
+        tamper of a catalog block changes what this replica accepts."""
+        catalogs = {block_hash(blk): blk for blk in self.main_chain if blk.catalog is not None}
         out: dict[str, str] = {}
-        cursor = self.catalog_head
-        seen = 0
-        while cursor != ZERO_DIGEST and cursor in by_hash and seen <= len(by_hash):
-            blk = by_hash[cursor]
+        for blk in _catalog_walk(catalogs, self.catalog_head)[0]:
             for code, label in blk.catalog.entries:
                 out.setdefault(code, label)
-            cursor = blk.catalog.prev_catalog or ZERO_DIGEST
-            seen += 1
         return out
 
     def snapshot_bytes(self) -> bytes:
@@ -233,6 +221,11 @@ class Ledger:
         self.clock += 1
         return t
 
+    def _tip(self, chain: list[b.Block], p: int) -> Digest:
+        """Hash of a subchain's last block, else of the patient's current
+        identity block, the genesis anchor of both subchains."""
+        return block_hash(chain[-1] if chain else self._anchor[p])
+
     def _latest_yellow(self, p: int) -> MedicalBlock | None:
         chain = self.yellow.get(p)
         return chain[-1] if chain else None
@@ -254,12 +247,12 @@ class Ledger:
     ) -> LogBlock:
         """Append one log block cross-hashing the current anchor and latest
         medical block. coord.record is set iff a medical block is referenced."""
-        anchor_hash = block_hash(self._anchor[p])
+        chain = self.red.setdefault(p, [])
+        h_prev = self._tip(chain, p)
+        anchor_hash = block_hash(self._anchor[p]) if chain else h_prev  # a first log follows the anchor
         latest = self._latest_yellow(p)
         record_index = latest.coord.record if latest is not None else None
         h_yellow = block_hash(latest) if latest is not None else ZERO_DIGEST
-        chain = self.red.setdefault(p, [])
-        h_prev = block_hash(chain[-1]) if chain else anchor_hash
         log = sealed(
             LogBlock(
                 coord=BlockCoord(p, record_index, len(chain) + 1),
@@ -298,7 +291,11 @@ class Ledger:
         op: str,
         roles: tuple[Role, ...],
         allow_self: bool = False,
+        action: str | None = None,
     ) -> None:
+        """Refuse, with one audit record, an invalid credential or a role
+        outside roles; with no patient the record is a global note. action
+        names the operation in the refusal message (default: op)."""
         if not cred.valid:
             self._fail(p, cred, tick, place, f"DENIED:{op}:invalid_credential")
             raise AccessDenied(f"invalid credential for {cred.actor_id}")
@@ -313,7 +310,7 @@ class Ledger:
         ):
             return
         self._fail(p, cred, tick, place, f"DENIED:{op}:role_{cred.role.value}")
-        raise AccessDenied(f"role {cred.role.value} may not {op}")
+        raise AccessDenied(f"role {cred.role.value} may not {action or op}")
 
     # -- public operations -----------------------------------------------------
 
@@ -322,10 +319,9 @@ class Ledger:
     ) -> int:
         """Register a patient; the new identity block anchors both subchains."""
         tick = self._tick()
-        if not cred.valid:
-            self._note(cred.actor_id, tick, place, "DENIED:onboard:invalid_credential")
-            raise AccessDenied(f"invalid credential for {cred.actor_id}")
+        self._require_cred(cred, None, tick, place, "onboard", (Role.AUTHORITY,))
         if fiscal_code in self._active_codes:
+            self._note(cred.actor_id, tick, place, "DUPLICATE_IDENTITY:onboard")
             raise DuplicateIdentity(f"fiscal code {fiscal_code!r} already active")
         p = len(self.main_chain)
         block = sealed(
@@ -365,12 +361,14 @@ class Ledger:
             if record_type not in catalog:
                 self._fail(patient, cred, tick, place, f"UNKNOWN_TYPE:{record_type}")
                 raise UnknownRecordType(f"record type {record_type!r} not in catalog")
+        chain = self.yellow[patient]
         built = tuple(
-            RecordEntry(t, payload, self._latest_block_with_type(patient, t))
+            RecordEntry(
+                t, payload, None if (newest := _newest_with_type(chain, t)) is None else block_hash(newest)
+            )
             for t, payload in entries
         )
-        chain = self.yellow[patient]
-        prev = block_hash(chain[-1]) if chain else block_hash(self._anchor[patient])
+        prev = self._tip(chain, patient)
         medical = sealed(
             MedicalBlock(
                 coord=BlockCoord(patient, len(chain) + 1),
@@ -382,12 +380,6 @@ class Ledger:
         viewed = "WRITE:" + ",".join(t for t, _ in entries)
         log = self._append_log(patient, AccessEvent.WRITE, cred, tick, place, viewed)
         return medical, log
-
-    def _latest_block_with_type(self, p: int, record_type: str) -> Digest | None:
-        for blk in reversed(self.yellow.get(p, [])):
-            if any(e.record_type == record_type for e in blk.entries):
-                return block_hash(blk)
-        return None
 
     def read_record(
         self, cred: Credential, patient: int, query: str, place: str = "local"
@@ -425,12 +417,11 @@ class Ledger:
             self._fail(patient, cred, tick, place, "CLOSED:close")
             raise SubchainClosed(f"patient {patient} already closed")
         chain = self.yellow[patient]
-        prev = block_hash(chain[-1]) if chain else block_hash(self._anchor[patient])
         final = sealed(
             MedicalBlock(
                 coord=BlockCoord(patient, len(chain) + 1),
                 entries=(),
-                prev_yellow=prev,
+                prev_yellow=self._tip(chain, patient),
                 is_final=True,
             )
         )
@@ -451,9 +442,11 @@ class Ledger:
         self._require_cred(cred, patient, tick, place, "change_code", (Role.AUTHORITY,))
         old = self._anchor[patient]
         if new_code == old.fiscal_code:
+            self._fail(patient, cred, tick, place, "NO_CHANGE:change_code")
             raise NoChange(f"fiscal code for patient {patient} is already {new_code!r}")
         holder = self._active_codes.get(new_code)
         if holder is not None and holder != patient:
+            self._fail(patient, cred, tick, place, "DUPLICATE_IDENTITY:change_code")
             raise DuplicateIdentity(f"fiscal code {new_code!r} already active for patient {holder}")
         block = sealed(
             IdentityBlock(
@@ -483,16 +476,14 @@ class Ledger:
         if not new_entries:
             raise ValueError("catalog update needs at least one (code, label) entry")
         tick = self._tick()
-        if not cred.valid:
-            self._note(cred.actor_id, tick, place, "DENIED:catalog:invalid_credential")
-            raise AccessDenied(f"invalid credential for {cred.actor_id}")
-        if cred.role != Role.AUTHORITY:
-            self._note(cred.actor_id, tick, place, f"DENIED:catalog:role_{cred.role.value}")
-            raise AccessDenied(f"role {cred.role.value} may not update the catalog")
+        self._require_cred(
+            cred, None, tick, place, "catalog", (Role.AUTHORITY,), action="update the catalog"
+        )
         known = self.active_catalog()
         fresh = [c for c, _ in new_entries]
         for code in fresh:
             if code in known or fresh.count(code) > 1:
+                self._note(cred.actor_id, tick, place, f"DUPLICATE_CODE:catalog:{code}")
                 raise DuplicateCatalogCode(f"catalog code {code!r} already defined")
         block = sealed(
             IdentityBlock(
@@ -520,16 +511,8 @@ class Ledger:
         )
         chain = self.yellow.get(patient, [])
         by_hash = {block_hash(blk): blk for blk in chain}
-        start = next(
-            (
-                blk
-                for blk in reversed(chain)
-                if any(e.record_type == record_type for e in blk.entries)
-            ),
-            None,
-        )
         report: list[tuple[BlockCoord, bytes]] = []
-        cursor, hops = start, 0
+        cursor, hops = _newest_with_type(chain, record_type), 0
         while cursor is not None and hops <= len(chain):
             typed = [e for e in cursor.entries if e.record_type == record_type]
             for e in reversed(typed):
@@ -543,38 +526,73 @@ class Ledger:
         return report
 
 
-# --- whole-tree verification ---------------------------------------------------
+# --- tree facts: pure functions over the chains ------------------------------------
 
 
-def _lineages(
+def _main_facts(
     main: list[IdentityBlock], main_hashes: list[Digest]
-) -> tuple[dict[int, set[Digest]], list[Violation]]:
-    """Identity-lineage hashes per patient (onboarding block, then fiscal
-    changes, in main-chain order), resolved independently of the ledger's
-    derived state."""
-    violations: list[Violation] = []
+) -> tuple[list[int | None], dict[Digest, IdentityBlock], Digest, list[Violation]]:
+    """One pass over the main chain, resolved from the blocks alone.
+
+    Returns the patient whose identity lineage (onboarding block, then
+    fiscal changes) holds each block, or None; the catalog blocks by
+    hash; the hash of the last one (the zero digest if there is none);
+    and the lineage violations.
+    """
+    owners: list[int | None] = []
     owner_by_hash: dict[Digest, int] = {}
-    lineages: dict[int, set[Digest]] = {}
+    catalogs: dict[Digest, IdentityBlock] = {}
+    last_catalog = ZERO_DIGEST
+    violations: list[Violation] = []
     for i, blk in enumerate(main):
         h = main_hashes[i]
+        owner = None
         if blk.variant == IdentityVariant.PATIENT:
-            owner_by_hash[h] = blk.coord.patient
-            lineages.setdefault(blk.coord.patient, set()).add(h)
+            owner = blk.coord.patient
         elif blk.variant == IdentityVariant.FISCAL_CHANGE:
             if blk.fiscal_change is None:
                 violations.append(
                     Violation("MAIN", str(i), "variant_payload", "fiscal_change without payload")
                 )
-                continue
-            p = owner_by_hash.get(blk.fiscal_change.prev_identity)
-            if p is None:
-                violations.append(
-                    Violation("MAIN", str(i), "identity_lineage", "prev_identity unresolved")
-                )
-                continue
-            owner_by_hash[h] = p
-            lineages[p].add(h)
-    return lineages, violations
+            else:
+                owner = owner_by_hash.get(blk.fiscal_change.prev_identity)
+                if owner is None:
+                    violations.append(
+                        Violation("MAIN", str(i), "identity_lineage", "prev_identity unresolved")
+                    )
+        if owner is not None:
+            owner_by_hash[h] = owner
+        owners.append(owner)
+        if blk.catalog is not None:
+            catalogs[h] = blk
+            last_catalog = h
+    return owners, catalogs, last_catalog, violations
+
+
+def _catalog_walk(
+    catalogs: dict[Digest, IdentityBlock], head: Digest
+) -> tuple[list[IdentityBlock], Digest]:
+    """The catalog blocks from head back along the prev_catalog links,
+    newest first, and the digest the walk stopped at: the zero digest past
+    the genesis catalog, else a link to no catalog block. A walk longer
+    than the catalog (a cycle) stops at one block more than it holds."""
+    walk: list[IdentityBlock] = []
+    cursor = head
+    while cursor != ZERO_DIGEST and cursor in catalogs and len(walk) <= len(catalogs):
+        walk.append(catalogs[cursor])
+        cursor = walk[-1].catalog.prev_catalog or ZERO_DIGEST
+    return walk, cursor
+
+
+def _newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:
+    """The newest block of a medical chain holding an entry of this type."""
+    return next(
+        (blk for blk in reversed(chain) if any(e.record_type == record_type for e in blk.entries)),
+        None,
+    )
+
+
+# --- whole-tree verification ---------------------------------------------------
 
 
 def verify_tree(ledger: Ledger) -> list[Violation]:
@@ -595,8 +613,6 @@ def verify_tree(ledger: Ledger) -> list[Violation]:
         v.append(Violation("MAIN", "0", "link", "genesis prev_main is not the zero digest"))
     if main[0].catalog is None or not main[0].catalog.entries:
         v.append(Violation("MAIN", "0", "genesis", "genesis carries no catalog"))
-    last_catalog: Digest | None = None
-    catalog_by_hash: dict[Digest, IdentityBlock] = {}
     broken = False
     for i, blk in enumerate(main):
         coord = str(i)
@@ -617,22 +633,18 @@ def verify_tree(ledger: Ledger) -> list[Violation]:
                 v.append(Violation("MAIN", coord, "variant_payload", "bad fiscal-change payload"))
         if blk.variant == IdentityVariant.CATALOG and (blk.catalog is None or not blk.catalog.entries):
             v.append(Violation("MAIN", coord, "variant_payload", "catalog block without entries"))
-        if blk.catalog is not None:
-            catalog_by_hash[main_hashes[i]] = blk
-            last_catalog = main_hashes[i]
-    if last_catalog is not None and ledger.catalog_head != last_catalog:
+    owners, catalogs, last_catalog, lineage_violations = _main_facts(main, main_hashes)
+    if catalogs and ledger.catalog_head != last_catalog:
         v.append(Violation("MAIN", "-", "catalog_head", "head does not match last catalog block"))
-    cursor, hops = ledger.catalog_head, 0
-    while cursor != ZERO_DIGEST and hops <= len(catalog_by_hash):
-        blk = catalog_by_hash.get(cursor)
-        if blk is None:
-            v.append(Violation("MAIN", "-", "catalog_chain", f"dangling catalog link {cursor.hex()[:12]}"))
-            break
-        cursor = blk.catalog.prev_catalog or ZERO_DIGEST
-        hops += 1
+    stop = _catalog_walk(catalogs, ledger.catalog_head)[1]
+    if stop != ZERO_DIGEST and stop not in catalogs:
+        v.append(Violation("MAIN", "-", "catalog_chain", f"dangling catalog link {stop.hex()[:12]}"))
 
-    lineages, lineage_violations = _lineages(main, main_hashes)
     v += lineage_violations
+    lineages: dict[int, set[Digest]] = {}
+    for p, h in zip(owners, main_hashes):
+        if p is not None:
+            lineages.setdefault(p, set()).add(h)
     patient_set = set(lineages)
 
     for p in sorted(set(ledger.yellow) | set(ledger.red)):
@@ -645,6 +657,7 @@ def verify_tree(ledger: Ledger) -> list[Violation]:
         yellow_hashes = [block_hash(blk) for blk in yellow]
 
         broken = False
+        newest_of_type: dict[str, Digest] = {}  # typed-backlink target of the next block
         for j, blk in enumerate(yellow):
             coord = f"{p}.{j + 1}"
             if blk.self_hash != yellow_hashes[j]:
@@ -666,15 +679,12 @@ def verify_tree(ledger: Ledger) -> list[Violation]:
                 if j != len(yellow) - 1:
                     v.append(Violation("YELLOW", coord, "final", "final block is not last"))
             for e in blk.entries:
-                expected = None
-                for earlier in range(j - 1, -1, -1):
-                    if any(x.record_type == e.record_type for x in yellow[earlier].entries):
-                        expected = yellow_hashes[earlier]
-                        break
-                if e.prev_same_type != expected:
+                if e.prev_same_type != newest_of_type.get(e.record_type):
                     v.append(
                         Violation("YELLOW", coord, "entry_backlink", f"bad typed backlink for {e.record_type!r}")
                     )
+            for e in blk.entries:
+                newest_of_type[e.record_type] = yellow_hashes[j]
         is_closed = bool(yellow) and yellow[-1].is_final
         if (p in ledger.closed) != is_closed:
             v.append(Violation("YELLOW", str(p), "closed_flag", "closed set disagrees with final marker"))

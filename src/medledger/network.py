@@ -1,13 +1,13 @@
 """Deterministic simulation of the replicated ledger network.
 
 Fixed membership: the approved-node list never changes and only listed
-nodes may propose. A proposal commits when strictly more than the
-confirmation threshold of all approved nodes confirm it (51% by default,
-exact integer arithmetic, the proposer counts); committed commands apply
-to every replica in the same order, so honest replicas stay bit-identical.
-Byzantine nodes refuse confirmations; state divergence is injected only
-through tamper(). audit_and_repair replaces any block that differs from a
-valid version held by at least the repair threshold of nodes.
+nodes may propose. A proposal commits when strictly more than 51% of all
+approved nodes confirm it (exact integer arithmetic, the proposer
+counts); committed commands apply to every replica in the same order, so
+honest replicas stay bit-identical. Byzantine nodes refuse confirmations;
+state divergence is injected only through tamper(). audit_and_repair
+replaces any block that differs from a valid version held by at least
+51% of nodes; below a majority two versions could both qualify.
 
 Everything is driven by a logical clock and one seeded RNG (message
 drops), so a (config, script) pair always yields the same transcript.
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .blocks import Block, block_hash, decode_record, encode_record
-from .errors import CommandError, LedgerError, NoSuchBlock, NotAuthorized, ScriptError
+from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, NotAuthorized, ScriptError
 from .ledger import Credential, Ledger, Role
 
 DEFAULT_CATALOG = (("general", "General checkup"),)
+MAJORITY_PERCENT = 51  # a commit needs strictly more, a repair at least this share
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,6 @@ class SimConfig:
     seed: int = 0
     byzantine: frozenset[str] = frozenset()
     drop_rate: float = 0.0
-    confirm_percent: int = 51  # commit needs strictly more than this share
-    repair_percent: int = 51  # repair adopts a version held by at least this share
 
 
 @dataclass
@@ -192,26 +191,26 @@ class RepairEntry:
         return f"{self.action} node={self.node} chain={self.chain} coord={self.coord}"
 
 
-def quorum_commits(confirmations: int, node_count: int, percent: int = 51) -> bool:
+def quorum_commits(confirmations: int, node_count: int) -> bool:
     """Strictly-more-than share test in exact integer arithmetic."""
-    return 100 * confirmations > percent * node_count
+    return 100 * confirmations > MAJORITY_PERCENT * node_count
 
 
-def repair_majority(holders: int, node_count: int, percent: int = 51) -> bool:
+def repair_majority(holders: int, node_count: int) -> bool:
     """At-least share test in exact integer arithmetic."""
-    return 100 * holders >= percent * node_count
+    return 100 * holders >= MAJORITY_PERCENT * node_count
 
 
 class Network:
     def __init__(self, config: SimConfig, catalog_entries=DEFAULT_CATALOG):
         if config.node_count < 1:
-            raise ValueError("simulation needs at least one node")
+            raise ConfigError("simulation needs at least one node")
         approved = tuple(f"n{i}" for i in range(1, config.node_count + 1))
         unknown = set(config.byzantine) - set(approved)
         if unknown:
-            raise ValueError(f"byzantine nodes not on the approved list: {sorted(unknown)}")
+            raise ConfigError(f"byzantine nodes not on the approved list: {sorted(unknown)}")
         if not 0.0 <= config.drop_rate < 1.0:
-            raise ValueError("drop_rate must be in [0, 1)")
+            raise ConfigError("drop_rate must be in [0, 1)")
         self.config = config
         self.approved = approved
         self.nodes = {
@@ -245,9 +244,8 @@ class Network:
             else:
                 votes.append((nid, "yes" if well_formed and nid not in self.config.byzantine else "no"))
         confirmations = sum(1 for _, vote in votes if vote == "yes")
-        committed = quorum_commits(
-            confirmations, len(self.approved), self.config.confirm_percent
-        )
+        # the proposer's own vote alone must not commit a malformed command
+        committed = well_formed and quorum_commits(confirmations, len(self.approved))
         outcome, result = "rejected", ""
         if committed:
             outcome, result = self._apply_everywhere(command, node_id)
@@ -281,18 +279,15 @@ class Network:
 
     def audit_and_repair(self) -> list[RepairEntry]:
         """Majority block repair across all replicas; see repair_replicas."""
-        return repair_replicas(
-            {nid: self.nodes[nid].replica for nid in self.approved},
-            self.config.repair_percent,
-        )
+        return repair_replicas({nid: self.nodes[nid].replica for nid in self.approved})
 
 
-def repair_replicas(replicas: dict[str, Ledger], percent: int = 51) -> list[RepairEntry]:
+def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     """Per-coordinate majority vote over stored block bytes.
 
-    A version qualifies only if it is held by at least the repair
-    threshold of replicas AND its stored self_hash recomputes, so a raw
-    tamper cannot vote itself into being the "right" version. Divergent
+    A version qualifies only if it is held by at least 51% of replicas
+    AND its stored self_hash recomputes, so a raw tamper cannot vote
+    itself into being the "right" version. Divergent
     coordinates without a qualifying version are reported unrepairable.
     Replica order (dict order) fixes the report order.
     """
@@ -322,7 +317,7 @@ def repair_replicas(replicas: dict[str, Ledger], percent: int = 51) -> list[Repa
         coord = str(index) if chain == "main" else f"{patient}.{index}"
         majority: bytes | None = None
         for key, holders in versions.items():
-            if not key or not repair_majority(len(holders), total, percent):
+            if not key or not repair_majority(len(holders), total):
                 continue
             candidate = decode_record(key)
             if candidate.self_hash == block_hash(candidate):
@@ -430,8 +425,8 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
             config.seed,
             config.drop_rate,
             ",".join(sorted(config.byzantine)) or "-",
-            config.confirm_percent,
-            config.repair_percent,
+            MAJORITY_PERCENT,
+            MAJORITY_PERCENT,
             ",".join(f"{c}:{l}" for c, l in catalog_entries),
         )
     ]

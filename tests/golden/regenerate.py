@@ -1,10 +1,13 @@
 """Regenerate the golden vectors in this directory.
 
-Run from the repository root:  python3 tests/golden/regenerate.py
+Run from the repository root:  PYTHONPATH=src python3 tests/golden/regenerate.py
 Only rerun deliberately; the whole point of the vectors is to freeze the
-wire formats.
+wire formats. tree_checks.txt pins the integrity checker and the ledger's
+derived indexes: regenerate it only from a tree whose checker is trusted,
+and never to make a refactor pass.
 """
 
+import sys
 from pathlib import Path
 
 from medledger.ledger import Ledger
@@ -13,6 +16,9 @@ from medledger.merkle import build_tree, prove, serialize_proof
 from medledger.network import SimConfig, run_scenario
 
 HERE = Path(__file__).parent
+sys.path.insert(0, str(HERE.parent))  # the tests' helpers
+
+from helpers import criterion7_ledger, tree_check_cases  # noqa: E402
 
 LIFECYCLE_CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"))
 
@@ -37,8 +43,14 @@ def write_lifecycle_transcript() -> None:
     (HERE / "lifecycle_transcript.txt").write_text(transcript)
 
 
+def write_tree_checks() -> None:
+    lines = [line for line, _ in tree_check_cases(criterion7_ledger(42))]
+    (HERE / "tree_checks.txt").write_text("\n".join(lines) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
     write_lifecycle_transcript()
+    write_tree_checks()
     print("golden vectors regenerated")

@@ -3,8 +3,10 @@ generators. Kept independent of the assertions that use them."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
+from typing import Iterator
 
 from medledger.blocks import (
     BlockCoord,
@@ -16,7 +18,7 @@ from medledger.blocks import (
     RecordEntry,
 )
 from medledger.errors import LedgerError
-from medledger.ledger import Credential, Ledger, Role
+from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
 
@@ -202,3 +204,38 @@ def criterion7_ledger(seed: int = 42) -> Ledger:
     ledger.read_record(DOCTOR, 2, "blood_test")
     drive(ledger, rng, 16)
     return ledger
+
+
+def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation]]]:
+    """One golden line per single-field mutation of every block of the
+    ledger, with the violation list it digests.
+
+    The line reads `chain patient position field sha256`, the position
+    being the main-chain index or the 1-based medical/log index. The
+    digest covers the verify_tree output and the indexes of a Ledger
+    rebuilt from the mutated chains: anchor coordinates, active codes,
+    catalog head, closed set and active catalog.
+    """
+    targets = [("main", 0, i) for i in range(len(ledger.main_chain))]
+    for p in ledger.patients():
+        targets += [("yellow", p, j) for j in range(1, len(ledger.yellow[p]) + 1)]
+        targets += [("red", p, k) for k in range(1, len(ledger.red[p]) + 1)]
+    for chain, p, index in targets:
+        pos = index if chain == "main" else index - 1
+        for field_name, mutated in block_mutations(ledger.chain(chain, p)[pos]):
+            main = list(ledger.main_chain)
+            yellow = {q: list(c) for q, c in ledger.yellow.items()}
+            red = {q: list(c) for q, c in ledger.red.items()}
+            {"main": main, "yellow": yellow.get(p), "red": red.get(p)}[chain][pos] = mutated
+            rebuilt = Ledger(main, yellow, red, list(ledger.global_audit), ledger.clock)
+            violations = verify_tree(rebuilt)
+            indexes = (
+                sorted((q, blk.coord.label()) for q, blk in rebuilt._anchor.items()),
+                sorted(rebuilt._active_codes.items()),
+                rebuilt.catalog_head.hex(),
+                sorted(rebuilt.closed),
+                list(rebuilt.active_catalog().items()),
+            )
+            text = "\n".join(map(str, violations)) + "\n--\n" + repr(indexes)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            yield f"{chain} {p} {index} {field_name} {digest}", violations

@@ -63,9 +63,10 @@ def test_invalid_credential_exits_1(tmp_path, capsys):
 
 
 def test_unknown_arguments_exit_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate"])
-    assert excinfo.value.code == 2
+    for argv in (["frobnicate"], ["audit-repair", "--dirs", str(tmp_path), "--threshold", "40"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_missing_ledger_dir_exits_2(tmp_path, capsys):
@@ -253,3 +254,30 @@ def test_sim_script_error_exits_2(tmp_path, capsys):
     bad.write_text("1 n1 frobnicate x=1\n")
     code = main(["sim", "--nodes", "3", "--script", str(bad), "--catalog", "a:A"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, script, error",
+    [
+        (["--drop-rate", "1.5"], b"", "ERROR ConfigError: drop_rate must be in [0, 1)"),
+        (["--byzantine", "n9"], b"", "ERROR ConfigError: byzantine nodes not on the approved list: ['n9']"),
+        (["--nodes", "0"], b"", "ERROR ConfigError: simulation needs at least one node"),
+        ([], b"# ok\n1 n1 onboard code=\xff\n", "ERROR ScriptError: line 2: not UTF-8"),
+    ],
+    ids=["drop-rate", "byzantine", "no-nodes", "not-utf8"],
+)
+def test_sim_usage_errors_exit_2_with_an_error_line(tmp_path, capsys, flags, script, error):
+    path = tmp_path / "s.script"
+    path.write_bytes(script)
+    argv = ["sim", "--nodes", "3", "--script", str(path), *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error + "\n")
+
+
+def test_sim_on_one_node_rejects_a_malformed_command(tmp_path, capsys):
+    path = tmp_path / "s.script"
+    path.write_text("1 n1 write actor=drb role=doctor patient=x entry=general:v\n")
+    code, out = run(capsys, "sim", "--nodes", "1", "--script", str(path))
+    assert code == 0
+    assert "REJECT seq=1 yes=1 n=1" in out.splitlines() and "APPLY" not in out

@@ -2,10 +2,11 @@
 fiscal-code changes, catalog maintenance, reports, whole-tree verification."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from medledger.blocks import AccessEvent, IdentityVariant, block_hash
+from medledger.blocks import AccessEvent, IdentityVariant, block_hash, sealed
 from medledger.errors import (
     AccessDenied,
     DuplicateCatalogCode,
@@ -16,8 +17,20 @@ from medledger.errors import (
     UnknownRecordType,
 )
 from medledger.ledger import verify_tree
+from medledger.merkle import ZERO_DIGEST
 
-from helpers import AUTHORITY, DOCTOR, INVALID, fresh_ledger, patient_cred, scan_report_oracle
+from helpers import (
+    AUTHORITY,
+    DOCTOR,
+    INVALID,
+    criterion7_ledger,
+    fresh_ledger,
+    patient_cred,
+    scan_report_oracle,
+    tree_check_cases,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_first_onboarding_gets_index_one():
@@ -44,6 +57,43 @@ def test_onboarding_with_invalid_credential_changes_nothing_but_the_audit_notes(
     assert len(ledger.main_chain) == 1
     assert len(ledger.global_audit) == 1
     assert "DENIED:onboard" in ledger.global_audit[0].detail
+
+
+# each refusal after (or of) authorization: (call, error, which audit record grows)
+REFUSALS = {
+    "onboard-by-doctor": (lambda led, p: led.onboard_patient(DOCTOR, "FC009", {}), AccessDenied, "notes"),
+    "onboard-duplicate": (lambda led, p: led.onboard_patient(AUTHORITY, "FC002", {}), DuplicateIdentity, "notes"),
+    "change-code-no-change": (lambda led, p: led.change_fiscal_code(AUTHORITY, p, "FC001"), NoChange, "red"),
+    "change-code-duplicate": (
+        lambda led, p: led.change_fiscal_code(AUTHORITY, p, "FC002"), DuplicateIdentity, "red"
+    ),
+    "catalog-duplicate": (
+        lambda led, p: led.update_catalog(AUTHORITY, [("mri", "MRI"), ("xray", "again")]),
+        DuplicateCatalogCode,
+        "notes",
+    ),
+}
+
+
+@pytest.mark.parametrize("refuse, error, grows", REFUSALS.values(), ids=list(REFUSALS))
+def test_each_refusal_leaves_exactly_one_audit_record(refuse, error, grows):
+    ledger = fresh_ledger()
+    p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    ledger.onboard_patient(AUTHORITY, "FC002", {"name": "Luisa"})
+
+    def sizes():
+        return {
+            "main": len(ledger.main_chain),
+            "red": len(ledger.red[p]),
+            "other_red": len(ledger.red[p + 1]),
+            "notes": len(ledger.global_audit),
+        }
+
+    before = sizes()
+    with pytest.raises(error):
+        refuse(ledger, p)
+    assert sizes() == {**before, grows: before[grows] + 1}
+    assert verify_tree(ledger) == []
 
 
 def test_duplicate_active_fiscal_code_rejected():
@@ -331,6 +381,39 @@ def test_mutated_log_block_isolates_violations_to_red_suffix():
     assert all(v.chain == "RED" for v in violations)
     tampered_log = 2
     assert all(int(v.coord.split(".")[-1]) >= tampered_log for v in violations)
+
+
+@pytest.mark.parametrize("field, check", [("h_yellow", "cross_yellow"), ("h_main", "cross_main")])
+def test_log_swapped_to_another_patients_block_breaks_its_cross_hash(field, check):
+    ledger = fresh_ledger()
+    p1 = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    p2 = ledger.onboard_patient(AUTHORITY, "FC002", {"name": "Luisa"})
+    ledger.write_record(DOCTOR, p2, [("blood_test", b"v2")])
+    _, log = ledger.write_record(DOCTOR, p1, [("blood_test", b"v1")])
+    assert verify_tree(ledger) == []
+    other = {"h_yellow": ledger.yellow[p2][0], "h_main": ledger.main_chain[p2]}[field]
+    # resealed, so the swap itself is the only thing that breaks
+    ledger.red[p1][-1] = sealed(replace(log, **{field: block_hash(other)}))
+    violations = verify_tree(ledger)
+    assert [(v.chain, v.coord, v.check) for v in violations] == [("RED", log.coord.label(), check)]
+
+
+def test_log_before_any_medical_block_has_zero_h_yellow_and_verifies():
+    ledger = fresh_ledger()
+    p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    _, log = ledger.read_record(DOCTOR, p, "latest")
+    assert log.coord.record is None and log.h_yellow == ZERO_DIGEST
+    assert verify_tree(ledger) == []
+
+
+def test_tree_checks_match_golden():
+    """Every single-field mutation of every block of the criterion-7 ledger
+    gives the violations and rebuilt indexes frozen in tree_checks.txt."""
+    golden = (GOLDEN / "tree_checks.txt").read_text().splitlines()
+    cases = list(tree_check_cases(criterion7_ledger(42)))
+    assert len(cases) == len(golden) == 384
+    for (line, violations), expected in zip(cases, golden):
+        assert line == expected, "\n".join(map(str, violations))
 
 
 def test_violation_renders_as_chain_coord_check_detail():

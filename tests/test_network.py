@@ -274,14 +274,16 @@ MALFORMED = {
 
 @pytest.mark.parametrize("command", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_command_gets_no_honest_vote_and_changes_no_replica(command):
-    net = make_net(5)
-    net.propose("n1", ONBOARD)
-    net.propose("n2", WRITE)
-    before = {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()}
-    proposal = net.propose("n3", command)
-    assert [vote for nid, vote in proposal.votes if nid != "n3"] == ["no"] * 4
-    assert not proposal.committed
-    assert {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()} == before
+    # on one node the proposer's own vote is a majority, yet it must not commit
+    for n, proposer in ((5, "n3"), (1, "n1")):
+        net = make_net(n)
+        net.propose("n1", ONBOARD)
+        net.propose("n1", WRITE)
+        before = {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()}
+        proposal = net.propose(proposer, command)
+        assert [vote for nid, vote in proposal.votes if nid != proposer] == ["no"] * (n - 1)
+        assert not proposal.committed and proposal.outcome == "rejected"
+        assert {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()} == before
 
 
 def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):
