@@ -18,13 +18,26 @@ Encoding primitives, fixed for all platforms:
 Decoding is strict: flags and enum bytes must be canonical values, map
 keys must be sorted and unique, and a record must be consumed exactly.
 Any deviation raises ValueError, which the store maps to CorruptChain.
+
+Blocks are frozen values (an identity block's personal_info is a
+read-only mapping), so a block's hash is a pure function of its fields.
+cached_hash computes it once per block object and keeps it in the
+block's hash_memo field; sealed fills the memo with the hash it has just
+computed. The ledger's operations and its derived indexes use
+cached_hash. block_hash always recomputes from the fields: verify_tree,
+repair_replicas and the store's verified load use only block_hash, and
+decode_record never fills the memo from a stored self_hash. The memo is
+not a field of the dataclass's __init__, so dataclasses.replace, and with
+it every raw tamper, makes a block with an empty memo.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import NoSuchBlock
 from .merkle import DIGEST_SIZE, ZERO_DIGEST, build_tree
@@ -89,12 +102,17 @@ class CatalogUpdate:
 class IdentityBlock:
     coord: BlockCoord
     fiscal_code: str
-    personal_info: dict[str, str]
+    personal_info: Mapping[str, str]
     prev_main: Digest
     variant: IdentityVariant
     fiscal_change: FiscalChange | None = None
     catalog: CatalogUpdate | None = None
     self_hash: Digest = ZERO_DIGEST
+    hash_memo: Digest | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # a read-only copy: nothing the caller keeps can change the block
+        object.__setattr__(self, "personal_info", MappingProxyType(dict(self.personal_info)))
 
 
 @dataclass(frozen=True)
@@ -111,6 +129,7 @@ class MedicalBlock:
     prev_yellow: Digest
     is_final: bool = False
     self_hash: Digest = ZERO_DIGEST
+    hash_memo: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -125,6 +144,7 @@ class LogBlock:
     h_yellow: Digest
     h_prev_red: Digest
     self_hash: Digest = ZERO_DIGEST
+    hash_memo: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -180,7 +200,7 @@ def _opt_u32(x: int | None) -> bytes:
     return _opt(None if x is None else _u32(x))
 
 
-def _strmap(m: dict[str, str]) -> bytes:
+def _strmap(m: Mapping[str, str]) -> bytes:
     out = bytearray(_u32(len(m)))
     for key in sorted(m):
         out += _string(key)
@@ -333,13 +353,26 @@ def canonical_bytes(block: Block) -> bytes:
 
 
 def block_hash(block: Block) -> Digest:
-    """Merkle root over the block's three field groups."""
+    """Merkle root over the block's three field groups, recomputed."""
     return build_tree(field_groups(block)).root
 
 
+def cached_hash(block: Block) -> Digest:
+    """The block's hash, computed at most once per block object."""
+    h = block.hash_memo
+    if h is None:
+        h = block_hash(block)
+        object.__setattr__(block, "hash_memo", h)
+    return h
+
+
 def sealed(block: Block) -> Block:
-    """Copy of the block with self_hash set to its recomputed hash."""
-    return replace(block, self_hash=block_hash(block))
+    """Copy of the block with self_hash set to its recomputed hash, which
+    also fills its memo."""
+    h = block_hash(block)
+    out = replace(block, self_hash=h)
+    object.__setattr__(out, "hash_memo", h)
+    return out
 
 
 # --- stored records ----------------------------------------------------------
@@ -543,8 +576,8 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
     """Return a copy of the block with one field replaced, self_hash untouched.
 
     This is a raw edit that bypasses sealing, the tool for tamper
-    injection. Paths: a top-level field name, ``info.<key>``,
-    ``entry.<i>.payload`` / ``entry.<i>.record_type`` /
+    injection. Paths: a top-level field name other than hash_memo,
+    ``info.<key>``, ``entry.<i>.payload`` / ``entry.<i>.record_type`` /
     ``entry.<i>.prev_same_type``. String values are parsed to the field's
     type; already-typed values pass through. A value the block encoding
     cannot hold (a negative timestamp, a string that is not UTF-8) raises
@@ -571,7 +604,7 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
         entries = list(block.entries)
         entries[idx] = replace(entry, **{parts[2]: value})
         return _encodable(replace(block, entries=tuple(entries)))
-    if len(parts) == 1 and hasattr(block, parts[0]):
+    if len(parts) == 1 and parts[0] in {f.name for f in fields(block) if f.init}:
         current = getattr(block, parts[0])
         if isinstance(value, str) and not isinstance(current, str):
             value = _parse_value(current, value)

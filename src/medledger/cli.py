@@ -39,7 +39,13 @@ def _locked(directory: Path):
 
 
 def _catalog(tokens: list[str]) -> list[tuple[str, str]]:
-    return [split_token(token, ":", "CODE:LABEL") for token in tokens]
+    """The CODE:LABEL pairs of a genesis catalog; a repeated code is a usage error."""
+    catalog = [split_token(token, ":", "CODE:LABEL") for token in tokens]
+    codes = [code for code, _ in catalog]
+    for code in codes:
+        if codes.count(code) > 1:
+            raise CommandError(f"catalog code {code!r} given more than once")
+    return catalog
 
 
 def _emit(args, human: str, porcelain_fields: list[str]) -> None:

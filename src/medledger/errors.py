@@ -41,6 +41,11 @@ class NoSuchBlock(LedgerError):
     """Tamper target coordinate does not exist on the replica."""
 
 
+class ReplicaDivergence(LedgerError):
+    """A committed command had different outcomes on two replicas, which
+    only a raw tamper of one of them can cause."""
+
+
 class EmptyLeafSet(ValueError):
     """Merkle tree requested over zero leaves."""
 

@@ -30,6 +30,7 @@ from .blocks import (
     MedicalBlock,
     RecordEntry,
     block_hash,
+    cached_hash,
     sealed,
     sealed_note,
 )
@@ -126,7 +127,7 @@ class Ledger:
         representable); verify_tree reports what is broken.
         """
         owners, _, self.catalog_head, _ = _main_facts(
-            self.main_chain, [block_hash(blk) for blk in self.main_chain]
+            self.main_chain, [cached_hash(blk) for blk in self.main_chain]
         )
         self._anchor: dict[int, IdentityBlock] = {}
         self._active_codes: dict[str, int] = {}
@@ -182,9 +183,10 @@ class Ledger:
 
     def active_catalog(self) -> dict[str, str]:
         """Union of the catalog blocks along the prev links from the head,
-        newest first. Their hashes are recomputed on every call, so a raw
-        tamper of a catalog block changes what this replica accepts."""
-        catalogs = {block_hash(blk): blk for blk in self.main_chain if blk.catalog is not None}
+        newest first. Each block's hash is computed once per block object;
+        a raw tamper makes a new object, whose hash is recomputed, so it
+        changes what this replica accepts."""
+        catalogs = {cached_hash(blk): blk for blk in self.main_chain if blk.catalog is not None}
         out: dict[str, str] = {}
         for blk in _catalog_walk(catalogs, self.catalog_head)[0]:
             for code, label in blk.catalog.entries:
@@ -224,7 +226,7 @@ class Ledger:
     def _tip(self, chain: list[b.Block], p: int) -> Digest:
         """Hash of a subchain's last block, else of the patient's current
         identity block, the genesis anchor of both subchains."""
-        return block_hash(chain[-1] if chain else self._anchor[p])
+        return cached_hash(chain[-1] if chain else self._anchor[p])
 
     def _latest_yellow(self, p: int) -> MedicalBlock | None:
         chain = self.yellow.get(p)
@@ -249,10 +251,10 @@ class Ledger:
         medical block. coord.record is set iff a medical block is referenced."""
         chain = self.red.setdefault(p, [])
         h_prev = self._tip(chain, p)
-        anchor_hash = block_hash(self._anchor[p]) if chain else h_prev  # a first log follows the anchor
+        anchor_hash = cached_hash(self._anchor[p]) if chain else h_prev  # a first log follows the anchor
         latest = self._latest_yellow(p)
         record_index = latest.coord.record if latest is not None else None
-        h_yellow = block_hash(latest) if latest is not None else ZERO_DIGEST
+        h_yellow = cached_hash(latest) if latest is not None else ZERO_DIGEST
         log = sealed(
             LogBlock(
                 coord=BlockCoord(p, record_index, len(chain) + 1),
@@ -328,8 +330,8 @@ class Ledger:
             IdentityBlock(
                 coord=BlockCoord(p),
                 fiscal_code=fiscal_code,
-                personal_info=dict(personal_info),
-                prev_main=block_hash(self.main_chain[-1]),
+                personal_info=personal_info,
+                prev_main=cached_hash(self.main_chain[-1]),
                 variant=IdentityVariant.PATIENT,
             )
         )
@@ -364,7 +366,7 @@ class Ledger:
         chain = self.yellow[patient]
         built = tuple(
             RecordEntry(
-                t, payload, None if (newest := _newest_with_type(chain, t)) is None else block_hash(newest)
+                t, payload, None if (newest := _newest_with_type(chain, t)) is None else cached_hash(newest)
             )
             for t, payload in entries
         )
@@ -452,13 +454,13 @@ class Ledger:
             IdentityBlock(
                 coord=BlockCoord(len(self.main_chain)),
                 fiscal_code=new_code,
-                personal_info=dict(old.personal_info),
-                prev_main=block_hash(self.main_chain[-1]),
+                personal_info=old.personal_info,
+                prev_main=cached_hash(self.main_chain[-1]),
                 variant=IdentityVariant.FISCAL_CHANGE,
                 fiscal_change=FiscalChange(
                     new_code=new_code,
                     old_code=old.fiscal_code,
-                    prev_identity=block_hash(old),
+                    prev_identity=cached_hash(old),
                 ),
             )
         )
@@ -490,13 +492,13 @@ class Ledger:
                 coord=BlockCoord(len(self.main_chain)),
                 fiscal_code="",
                 personal_info={},
-                prev_main=block_hash(self.main_chain[-1]),
+                prev_main=cached_hash(self.main_chain[-1]),
                 variant=IdentityVariant.CATALOG,
                 catalog=CatalogUpdate(tuple(new_entries), self.catalog_head),
             )
         )
         self.main_chain.append(block)
-        self.catalog_head = block_hash(block)
+        self.catalog_head = cached_hash(block)
         return block
 
     def assemble_report(
@@ -510,7 +512,7 @@ class Ledger:
             cred, patient, tick, place, "report", (Role.DOCTOR, Role.AUTHORITY), allow_self=True
         )
         chain = self.yellow.get(patient, [])
-        by_hash = {block_hash(blk): blk for blk in chain}
+        by_hash = {cached_hash(blk): blk for blk in chain}
         report: list[tuple[BlockCoord, bytes]] = []
         cursor, hops = _newest_with_type(chain, record_type), 0
         while cursor is not None and hops <= len(chain):

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .blocks import Block, block_hash, decode_record, encode_record
-from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, NotAuthorized, ScriptError
+from .errors import (
+    CommandError,
+    ConfigError,
+    LedgerError,
+    NoSuchBlock,
+    NotAuthorized,
+    ReplicaDivergence,
+    ScriptError,
+)
 from .ledger import Credential, Ledger, Role
 
 DEFAULT_CATALOG = (("general", "General checkup"),)
@@ -264,8 +272,8 @@ class Network:
             if i == 0:
                 outcome, result = this
             elif this != (outcome, result):
-                raise AssertionError(
-                    f"replica divergence applying {command.verb}: {this} != {(outcome, result)}"
+                raise ReplicaDivergence(
+                    f"applying {command.verb} on {nid}: {this} != {(outcome, result)} on {self.approved[0]}"
                 )
         return outcome, result
 

@@ -83,6 +83,9 @@ def test_tamper_then_verify_exits_1_with_violation_lines(tmp_path, capsys):
     code, _ = run(capsys, "tamper", "--dir", d, "--chain", "red", "--patient", "1",
                   "--index", "1", "--field", "timestamp", "--value", "-1")
     assert code == 2  # the block encoding cannot hold a negative timestamp
+    code, _ = run(capsys, "tamper", "--dir", d, "--chain", "main", "--index", "0",
+                  "--field", "hash_memo", "--value", "00" * 32)
+    assert code == 2  # the hash memo is not a field of the stored block
     code, out = run(capsys, "tamper", "--dir", d, "--chain", "yellow", "--patient", "1",
                     "--index", "1", "--field", "entry.0.payload", "--value", "forged")
     assert code == 0
@@ -281,3 +284,29 @@ def test_sim_on_one_node_rejects_a_malformed_command(tmp_path, capsys):
     code, out = run(capsys, "sim", "--nodes", "1", "--script", str(path))
     assert code == 0
     assert "REJECT seq=1 yes=1 n=1" in out.splitlines() and "APPLY" not in out
+
+
+def test_duplicate_genesis_catalog_code_is_a_usage_error(tmp_path, capsys):
+    fresh = tmp_path / "fresh"
+    assert main(["init", "--dir", str(fresh), "--catalog", "a:A", "--catalog", "a:B"]) == 2
+    assert not fresh.exists()
+    script = tmp_path / "s.script"
+    script.write_text("")
+    assert main(["sim", "--nodes", "3", "--script", str(script), "--catalog", "a:A", "--catalog", "a:B"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR CommandError: catalog code 'a' given more than once\n" * 2
+
+
+def test_sim_replica_divergence_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "s.script"
+    path.write_text(
+        "1 n1 onboard actor=reg role=authority code=FC001\n"
+        "2 n2 tamper chain=main index=0 field=fiscal_code value=forged\n"
+        "3 n1 write actor=drb role=doctor patient=1 entry=general:v1\n"
+    )
+    assert main(["sim", "--nodes", "3", "--script", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ReplicaDivergence: applying write on n2")
+    assert captured.err == ""

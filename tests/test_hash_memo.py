@@ -1,0 +1,160 @@
+"""The per-block hash memo: sound for every block object, never trusted by
+verification or repair, and the source of the per-operation hash counts."""
+
+import sys
+
+import pytest
+
+from medledger import blocks
+from medledger.blocks import block_hash, cached_hash, mutate_block
+from medledger.ledger import Ledger, verify_tree
+from medledger.network import repair_replicas
+
+from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, criterion7_ledger
+
+
+def every_block(ledger: Ledger):
+    yield from ledger.main_chain
+    for p in ledger.patients():
+        yield from ledger.yellow[p]
+        yield from ledger.red[p]
+
+
+def set_memo(block, digest: bytes) -> None:
+    object.__setattr__(block, "hash_memo", digest)
+
+
+# --- soundness -------------------------------------------------------------------
+
+
+def test_cached_hash_of_every_mutation_recomputes():
+    ledger = criterion7_ledger(42)
+    checked = 0
+    for block in every_block(ledger):
+        assert cached_hash(block) == block_hash(block) == block.self_hash
+        for field_name, mutated in block_mutations(block):
+            assert mutated.hash_memo is None, field_name
+            assert cached_hash(mutated) == block_hash(mutated), field_name
+            checked += 1
+    assert checked == 384  # the lines of tests/golden/tree_checks.txt
+
+
+def test_a_tamper_makes_a_block_with_an_empty_memo():
+    ledger = criterion7_ledger(42)
+    target = ledger.yellow[1][0]
+    assert target.hash_memo == target.self_hash  # sealed blocks carry their hash
+    ledger.tamper("yellow", 1, 1, "entry.0.payload", "forged")
+    forged = ledger.yellow[1][0]
+    assert forged.hash_memo is None
+    assert cached_hash(forged) == block_hash(forged) != target.self_hash
+    info = mutate_block(ledger.main_chain[1], "info.name", "forged")
+    assert info.hash_memo is None and cached_hash(info) == block_hash(info)
+
+
+def test_personal_info_is_read_only_and_copied():
+    info = {"name": "Mario"}
+    ledger = Ledger.genesis(CATALOG)
+    p = ledger.onboard_patient(AUTHORITY, "FC001", info)
+    block = ledger.main_chain[p]
+    with pytest.raises(TypeError):
+        block.personal_info["name"] = "Luigi"
+    info["name"] = "Luigi"  # the caller's dict is not the block's
+    assert dict(block.personal_info) == {"name": "Mario"}
+    assert block_hash(block) == block.self_hash
+
+
+# --- verification and repair recompute ----------------------------------------------
+
+
+def test_verify_tree_never_trusts_the_memo():
+    ledger = criterion7_ledger(42)
+    ledger.tamper("yellow", 1, 1, "entry.0.payload", "forged")
+    expected = verify_tree(ledger)
+    assert any(v.check == "self_hash" and v.coord == "1.1" for v in expected)
+    forged = ledger.yellow[1][0]
+    set_memo(forged, forged.self_hash)  # a memo that hides the forgery
+    set_memo(ledger.red[2][0], bytes(32))  # a wrong memo on an intact block
+    set_memo(ledger.main_chain[0], bytes(32))
+    assert verify_tree(ledger) == expected
+
+
+def _replicas(forge: tuple[str, ...], memo: bool) -> dict[str, Ledger]:
+    base = criterion7_ledger(42)
+    replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
+    for nid in forge:
+        replicas[nid].tamper("yellow", 1, 1, "entry.0.payload", "forged")
+        if memo:
+            forged = replicas[nid].yellow[1][0]
+            set_memo(forged, forged.self_hash)
+    if memo:
+        set_memo(base.yellow[1][0], bytes(32))  # the honest version, shared by the clones
+    return replicas
+
+
+@pytest.mark.parametrize(
+    "forge, action",
+    [(("n3",), "replaced"), (("n2", "n3"), "unrepairable")],
+    ids=["honest-majority", "forged-majority"],
+)
+def test_repair_replicas_never_trusts_the_memo(forge, action):
+    expected = [str(e) for e in repair_replicas(_replicas(forge, memo=False))]
+    assert len(expected) == 1 and expected[0].startswith(action)
+    assert [str(e) for e in repair_replicas(_replicas(forge, memo=True))] == expected
+
+
+# --- hash counts per operation ---------------------------------------------------------
+
+
+@pytest.fixture
+def hash_calls(monkeypatch) -> list[int]:
+    """Counts calls to blocks.block_hash through every binding of it in medledger."""
+    original = blocks.block_hash
+    calls = [0]
+
+    def counting(block):
+        calls[0] += 1
+        return original(block)
+
+    for name, module in list(sys.modules.items()):
+        if name == "medledger" or name.startswith("medledger."):
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, counting)
+    return calls
+
+
+def _ledger_with(patients: int) -> Ledger:
+    ledger = Ledger.genesis(CATALOG)
+    for i in range(patients):
+        ledger.onboard_patient(AUTHORITY, f"FC{i:05d}", {"name": f"n{i}"})
+    ledger.update_catalog(AUTHORITY, [("mri", "MRI scan")])
+    for _ in range(3):
+        ledger.write_record(DOCTOR, 1, [("blood_test", b"v"), ("xray", b"x")])
+        ledger.read_record(DOCTOR, 1, "latest")
+    return ledger
+
+
+OPS = {
+    "write": lambda led: led.write_record(DOCTOR, 1, [("blood_test", b"w"), ("mri", b"m")]),
+    "close": lambda led: led.close_subchain(AUTHORITY, 2),
+    "read": lambda led: led.read_record(DOCTOR, 1, "blood_test"),
+    "report": lambda led: led.assemble_report(DOCTOR, 1, "blood_test"),
+    "onboard": lambda led: led.onboard_patient(AUTHORITY, "FC-NEW", {}),
+    "change-code": lambda led: led.change_fiscal_code(AUTHORITY, 1, "FC-CHANGED"),
+    "catalog-add": lambda led: led.update_catalog(AUTHORITY, [("ecg2", "ECG 2")]),
+}
+# one hash per block an operation seals: the new medical or identity block
+# and the access log; every block it links to is memoized
+EXPECTED = {"write": 2, "close": 2, "read": 1, "report": 1, "onboard": 1, "change-code": 2, "catalog-add": 1}
+
+
+@pytest.mark.parametrize("patients", [10, 1000])
+def test_block_hash_calls_per_operation_are_flat_in_patients_and_history(hash_calls, patients):
+    ledger = _ledger_with(patients)
+    counts = {}
+    for verb, op in OPS.items():
+        before = hash_calls[0]
+        op(ledger)
+        counts[verb] = hash_calls[0] - before
+    assert counts == EXPECTED
+    assert verify_tree(ledger) == []
