@@ -478,57 +478,6 @@ def decode_note(data: bytes) -> GlobalAuditNote:
     return GlobalAuditNote(actor, timestamp, place, detail, prev_hash, self_hash)
 
 
-# --- debug rendering ----------------------------------------------------------
-
-
-def render_block(block: Block | GlobalAuditNote) -> str:
-    """Human-readable key=value rendering, one field per line. Never parsed back."""
-    lines = [f"kind={type(block).__name__}"]
-    if isinstance(block, GlobalAuditNote):
-        lines += [
-            f"actor={block.actor}",
-            f"timestamp={block.timestamp}",
-            f"place={block.place}",
-            f"detail={block.detail}",
-            f"prev_hash={block.prev_hash.hex()}",
-            f"self_hash={block.self_hash.hex()}",
-        ]
-        return "\n".join(lines)
-    lines.append(f"coord={block.coord.label()}")
-    if isinstance(block, IdentityBlock):
-        lines.append(f"variant={block.variant.name.lower()}")
-        lines.append(f"fiscal_code={block.fiscal_code}")
-        for k in sorted(block.personal_info):
-            lines.append(f"info.{k}={block.personal_info[k]}")
-        if block.fiscal_change is not None:
-            lines.append(f"fiscal_change.new_code={block.fiscal_change.new_code}")
-            lines.append(f"fiscal_change.old_code={block.fiscal_change.old_code}")
-            lines.append(f"fiscal_change.prev_identity={block.fiscal_change.prev_identity.hex()}")
-        if block.catalog is not None:
-            for code, lab in block.catalog.entries:
-                lines.append(f"catalog.{code}={lab}")
-            prev = block.catalog.prev_catalog
-            lines.append(f"catalog.prev={'-' if prev is None else prev.hex()}")
-        lines.append(f"prev_main={block.prev_main.hex()}")
-    elif isinstance(block, MedicalBlock):
-        lines.append(f"is_final={str(block.is_final).lower()}")
-        for i, e in enumerate(block.entries):
-            prev = "-" if e.prev_same_type is None else e.prev_same_type.hex()
-            lines.append(f"entry.{i}={e.record_type}:{e.payload.hex()}:{prev}")
-        lines.append(f"prev_yellow={block.prev_yellow.hex()}")
-    else:
-        lines.append(f"event={block.event.name.lower()}")
-        lines.append(f"actor={block.actor}")
-        lines.append(f"timestamp={block.timestamp}")
-        lines.append(f"place={block.place}")
-        lines.append(f"viewed={block.viewed}")
-        lines.append(f"h_main={block.h_main.hex()}")
-        lines.append(f"h_yellow={block.h_yellow.hex()}")
-        lines.append(f"h_prev_red={block.h_prev_red.hex()}")
-    lines.append(f"self_hash={block.self_hash.hex()}")
-    return "\n".join(lines)
-
-
 # --- targeted field edits (tamper tooling) ------------------------------------
 
 

@@ -62,6 +62,19 @@ class Credential:
     valid: bool = True
 
 
+# the access policy, op -> (roles granted, whether a patient may act on
+# their own record, the action a refused role "may not" do)
+_ACCESS: dict[str, tuple[tuple[Role, ...], bool, str]] = {
+    "onboard": ((Role.AUTHORITY,), False, "onboard"),
+    "catalog": ((Role.AUTHORITY,), False, "update the catalog"),
+    "write": ((Role.DOCTOR,), False, "write"),
+    "read": ((Role.DOCTOR, Role.AUTHORITY), True, "read"),
+    "report": ((Role.DOCTOR, Role.AUTHORITY), True, "report"),
+    "close": ((Role.AUTHORITY,), False, "close"),
+    "change_code": ((Role.AUTHORITY,), False, "change_code"),
+}
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed integrity check, addressable by chain and coordinate."""
@@ -126,21 +139,28 @@ class Ledger:
         Tolerant of inconsistent chains (tampered replicas must still be
         representable); verify_tree reports what is broken.
         """
-        owners, _, self.catalog_head, _ = _main_facts(
-            self.main_chain, [cached_hash(blk) for blk in self.main_chain]
-        )
+        owners = _main_facts(self.main_chain, [cached_hash(blk) for blk in self.main_chain])[0]
         self._anchor: dict[int, IdentityBlock] = {}
         self._active_codes: dict[str, int] = {}
+        self.catalog_head = ZERO_DIGEST
         for block, p in zip(self.main_chain, owners):
-            if p is None:
-                continue
-            if block.variant == IdentityVariant.FISCAL_CHANGE:
-                self._active_codes.pop(self._anchor[p].fiscal_code, None)
-            self._anchor[p] = block
-            self._active_codes[block.fiscal_code] = p
+            self._index(block, p)
         self.closed: set[int] = {
             p for p, chain in self.yellow.items() if chain and chain[-1].is_final
         }
+
+    def _index(self, block: IdentityBlock, owner: int | None) -> None:
+        """Apply one main-chain block, in chain order, to the anchor,
+        active-code and catalog-head indexes; owner is the patient whose
+        identity lineage holds it, or None."""
+        if block.catalog is not None:
+            self.catalog_head = cached_hash(block)
+        if owner is None:
+            return
+        if block.variant == IdentityVariant.FISCAL_CHANGE:
+            self._active_codes.pop(self._anchor[owner].fiscal_code, None)
+        self._anchor[owner] = block
+        self._active_codes[block.fiscal_code] = owner
 
     def clone(self) -> "Ledger":
         """Snapshot copy; shares the immutable blocks, copies the containers."""
@@ -274,45 +294,57 @@ class Ledger:
     def _fail(
         self, p: int | None, cred: Credential, tick: int, place: str, reason: str
     ) -> None:
-        if p is not None and p in self._anchor:
+        if p is not None:
             self._append_log(p, AccessEvent.FAILED_ATTEMPT, cred, tick, place, reason)
         else:
             self._note(cred.actor_id, tick, place, reason)
 
-    def _require_patient(self, p: int, cred: Credential, tick: int, place: str, op: str) -> None:
-        if p not in self._anchor:
-            self._note(cred.actor_id, tick, place, f"UNKNOWN_PATIENT:{op}:{p}")
-            raise UnknownPatient(f"no patient with index {p}")
+    def _admit(self, op: str, cred: Credential, patient: int | None, place: str) -> int:
+        """Tick the clock and admit op under _ACCESS; returns the tick.
 
-    def _require_cred(
-        self,
-        cred: Credential,
-        p: int | None,
-        tick: int,
-        place: str,
-        op: str,
-        roles: tuple[Role, ...],
-        allow_self: bool = False,
-        action: str | None = None,
-    ) -> None:
-        """Refuse, with one audit record, an invalid credential or a role
-        outside roles; with no patient the record is a global note. action
-        names the operation in the refusal message (default: op)."""
+        Refuses, with one audit record, an unknown patient, then an invalid
+        credential, then a role that op does not grant. patient is None for
+        onboarding and catalog updates.
+        """
+        tick = self._tick()
+        if patient is not None and patient not in self._anchor:
+            self._note(cred.actor_id, tick, place, f"UNKNOWN_PATIENT:{op}:{patient}")
+            raise UnknownPatient(f"no patient with index {patient}")
         if not cred.valid:
-            self._fail(p, cred, tick, place, f"DENIED:{op}:invalid_credential")
+            self._fail(patient, cred, tick, place, f"DENIED:{op}:invalid_credential")
             raise AccessDenied(f"invalid credential for {cred.actor_id}")
-        if cred.role in roles:
-            return
-        if (
-            allow_self
-            and cred.role == Role.PATIENT
-            and p is not None
-            and p in self._anchor
-            and self._anchor[p].fiscal_code == cred.actor_id
+        roles, own_record, action = _ACCESS[op]
+        if cred.role in roles or (
+            own_record and cred.role == Role.PATIENT and self._anchor[patient].fiscal_code == cred.actor_id
         ):
-            return
-        self._fail(p, cred, tick, place, f"DENIED:{op}:role_{cred.role.value}")
-        raise AccessDenied(f"role {cred.role.value} may not {action or op}")
+            return tick
+        self._fail(patient, cred, tick, place, f"DENIED:{op}:role_{cred.role.value}")
+        raise AccessDenied(f"role {cred.role.value} may not {action}")
+
+    def _append_main(self, owner: int | None, **fields) -> IdentityBlock:
+        """Seal, link, append and index one main-chain block."""
+        block = sealed(
+            IdentityBlock(
+                coord=BlockCoord(len(self.main_chain)), prev_main=cached_hash(self.main_chain[-1]), **fields
+            )
+        )
+        self.main_chain.append(block)
+        self._index(block, owner)
+        return block
+
+    def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
+        """Seal, link and append one block to the patient's medical chain."""
+        chain = self.yellow[p]
+        block = sealed(
+            MedicalBlock(
+                coord=BlockCoord(p, len(chain) + 1),
+                entries=entries,
+                prev_yellow=self._tip(chain, p),
+                is_final=is_final,
+            )
+        )
+        chain.append(block)
+        return block
 
     # -- public operations -----------------------------------------------------
 
@@ -320,24 +352,12 @@ class Ledger:
         self, cred: Credential, fiscal_code: str, personal_info: dict[str, str], place: str = "local"
     ) -> int:
         """Register a patient; the new identity block anchors both subchains."""
-        tick = self._tick()
-        self._require_cred(cred, None, tick, place, "onboard", (Role.AUTHORITY,))
+        tick = self._admit("onboard", cred, None, place)
         if fiscal_code in self._active_codes:
             self._note(cred.actor_id, tick, place, "DUPLICATE_IDENTITY:onboard")
             raise DuplicateIdentity(f"fiscal code {fiscal_code!r} already active")
         p = len(self.main_chain)
-        block = sealed(
-            IdentityBlock(
-                coord=BlockCoord(p),
-                fiscal_code=fiscal_code,
-                personal_info=personal_info,
-                prev_main=cached_hash(self.main_chain[-1]),
-                variant=IdentityVariant.PATIENT,
-            )
-        )
-        self.main_chain.append(block)
-        self._anchor[p] = block
-        self._active_codes[fiscal_code] = p
+        self._append_main(p, fiscal_code=fiscal_code, personal_info=personal_info, variant=IdentityVariant.PATIENT)
         self.yellow[p] = []
         self.red[p] = []
         return p
@@ -352,9 +372,7 @@ class Ledger:
         """Append one medical block and its write log atomically."""
         if not entries:
             raise ValueError("write_record needs at least one (record_type, payload) entry")
-        tick = self._tick()
-        self._require_patient(patient, cred, tick, place, "write")
-        self._require_cred(cred, patient, tick, place, "write", (Role.DOCTOR,))
+        tick = self._admit("write", cred, patient, place)
         if patient in self.closed:
             self._fail(patient, cred, tick, place, "CLOSED:write")
             raise SubchainClosed(f"patient {patient} subchain is closed")
@@ -370,15 +388,7 @@ class Ledger:
             )
             for t, payload in entries
         )
-        prev = self._tip(chain, patient)
-        medical = sealed(
-            MedicalBlock(
-                coord=BlockCoord(patient, len(chain) + 1),
-                entries=built,
-                prev_yellow=prev,
-            )
-        )
-        chain.append(medical)
+        medical = self._append_medical(patient, built, is_final=False)
         viewed = "WRITE:" + ",".join(t for t, _ in entries)
         log = self._append_log(patient, AccessEvent.WRITE, cred, tick, place, viewed)
         return medical, log
@@ -391,11 +401,7 @@ class Ledger:
         query is a record type, or "latest" for the newest non-final
         block's entries. Works on closed patients.
         """
-        tick = self._tick()
-        self._require_patient(patient, cred, tick, place, "read")
-        self._require_cred(
-            cred, patient, tick, place, "read", (Role.DOCTOR, Role.AUTHORITY), allow_self=True
-        )
+        tick = self._admit("read", cred, patient, place)
         matches: list[tuple[BlockCoord, RecordEntry]] = []
         if query == "latest":
             for blk in reversed(self.yellow.get(patient, [])):
@@ -412,22 +418,11 @@ class Ledger:
 
     def close_subchain(self, cred: Credential, patient: int, place: str = "local") -> MedicalBlock:
         """Append the final marker; afterwards only reads (and their logs) succeed."""
-        tick = self._tick()
-        self._require_patient(patient, cred, tick, place, "close")
-        self._require_cred(cred, patient, tick, place, "close", (Role.AUTHORITY,))
+        tick = self._admit("close", cred, patient, place)
         if patient in self.closed:
             self._fail(patient, cred, tick, place, "CLOSED:close")
             raise SubchainClosed(f"patient {patient} already closed")
-        chain = self.yellow[patient]
-        final = sealed(
-            MedicalBlock(
-                coord=BlockCoord(patient, len(chain) + 1),
-                entries=(),
-                prev_yellow=self._tip(chain, patient),
-                is_final=True,
-            )
-        )
-        chain.append(final)
+        final = self._append_medical(patient, (), is_final=True)
         self.closed.add(patient)
         self._append_log(patient, AccessEvent.WRITE, cred, tick, place, "FINAL")
         return final
@@ -439,9 +434,7 @@ class Ledger:
 
         Nothing already appended is touched, so the chain never ruptures.
         """
-        tick = self._tick()
-        self._require_patient(patient, cred, tick, place, "change_code")
-        self._require_cred(cred, patient, tick, place, "change_code", (Role.AUTHORITY,))
+        tick = self._admit("change_code", cred, patient, place)
         old = self._anchor[patient]
         if new_code == old.fiscal_code:
             self._fail(patient, cred, tick, place, "NO_CHANGE:change_code")
@@ -450,24 +443,13 @@ class Ledger:
         if holder is not None and holder != patient:
             self._fail(patient, cred, tick, place, "DUPLICATE_IDENTITY:change_code")
             raise DuplicateIdentity(f"fiscal code {new_code!r} already active for patient {holder}")
-        block = sealed(
-            IdentityBlock(
-                coord=BlockCoord(len(self.main_chain)),
-                fiscal_code=new_code,
-                personal_info=old.personal_info,
-                prev_main=cached_hash(self.main_chain[-1]),
-                variant=IdentityVariant.FISCAL_CHANGE,
-                fiscal_change=FiscalChange(
-                    new_code=new_code,
-                    old_code=old.fiscal_code,
-                    prev_identity=cached_hash(old),
-                ),
-            )
+        block = self._append_main(
+            patient,
+            fiscal_code=new_code,
+            personal_info=old.personal_info,
+            variant=IdentityVariant.FISCAL_CHANGE,
+            fiscal_change=FiscalChange(new_code=new_code, old_code=old.fiscal_code, prev_identity=cached_hash(old)),
         )
-        self.main_chain.append(block)
-        self._active_codes.pop(old.fiscal_code, None)
-        self._active_codes[new_code] = patient
-        self._anchor[patient] = block
         self._append_log(patient, AccessEvent.WRITE, cred, tick, place, "FISCAL_CHANGE")
         return block
 
@@ -477,40 +459,27 @@ class Ledger:
         """Append a catalog block linking back to the current catalog head."""
         if not new_entries:
             raise ValueError("catalog update needs at least one (code, label) entry")
-        tick = self._tick()
-        self._require_cred(
-            cred, None, tick, place, "catalog", (Role.AUTHORITY,), action="update the catalog"
-        )
+        tick = self._admit("catalog", cred, None, place)
         known = self.active_catalog()
         fresh = [c for c, _ in new_entries]
         for code in fresh:
             if code in known or fresh.count(code) > 1:
                 self._note(cred.actor_id, tick, place, f"DUPLICATE_CODE:catalog:{code}")
                 raise DuplicateCatalogCode(f"catalog code {code!r} already defined")
-        block = sealed(
-            IdentityBlock(
-                coord=BlockCoord(len(self.main_chain)),
-                fiscal_code="",
-                personal_info={},
-                prev_main=cached_hash(self.main_chain[-1]),
-                variant=IdentityVariant.CATALOG,
-                catalog=CatalogUpdate(tuple(new_entries), self.catalog_head),
-            )
+        return self._append_main(
+            None,
+            fiscal_code="",
+            personal_info={},
+            variant=IdentityVariant.CATALOG,
+            catalog=CatalogUpdate(tuple(new_entries), self.catalog_head),
         )
-        self.main_chain.append(block)
-        self.catalog_head = cached_hash(block)
-        return block
 
     def assemble_report(
         self, cred: Credential, patient: int, record_type: str, place: str = "local"
     ) -> list[tuple[BlockCoord, bytes]]:
         """History of one record type, newest first, by following the typed
         backlinks from the most recent occurrence. One log block total."""
-        tick = self._tick()
-        self._require_patient(patient, cred, tick, place, "report")
-        self._require_cred(
-            cred, patient, tick, place, "report", (Role.DOCTOR, Role.AUTHORITY), allow_self=True
-        )
+        tick = self._admit("report", cred, patient, place)
         chain = self.yellow.get(patient, [])
         by_hash = {cached_hash(blk): blk for blk in chain}
         report: list[tuple[BlockCoord, bytes]] = []

@@ -45,10 +45,9 @@ class SimConfig:
 
 @dataclass
 class NodeState:
-    """One simulated node: its id, the shared membership list, its replica."""
+    """One simulated node: its id and its replica."""
 
     node_id: str
-    approved_list: tuple[str, ...]
     replica: Ledger
 
 
@@ -222,7 +221,7 @@ class Network:
         self.config = config
         self.approved = approved
         self.nodes = {
-            nid: NodeState(nid, approved, Ledger.genesis(catalog_entries)) for nid in approved
+            nid: NodeState(nid, Ledger.genesis(catalog_entries)) for nid in approved
         }
         self.rng = random.Random(config.seed)
         self.seq = 0
@@ -262,20 +261,20 @@ class Network:
         )
 
     def _apply_everywhere(self, command: Command, place: str) -> tuple[str, str]:
-        outcome, result = "", ""
-        for i, nid in enumerate(self.approved):
+        """Apply on every replica, then refuse an outcome that differs from
+        the first replica's, naming the first node that diverged."""
+        outcomes: list[tuple[str, str]] = []
+        for nid in self.approved:
             try:
-                summary = command.apply(self.nodes[nid].replica, place)
-                this = ("ok", summary)
+                outcomes.append(("ok", command.apply(self.nodes[nid].replica, place)))
             except LedgerError as exc:
-                this = (type(exc).__name__, str(exc))
-            if i == 0:
-                outcome, result = this
-            elif this != (outcome, result):
+                outcomes.append((type(exc).__name__, str(exc)))
+        for nid, this in zip(self.approved, outcomes):
+            if this != outcomes[0]:
                 raise ReplicaDivergence(
-                    f"applying {command.verb} on {nid}: {this} != {(outcome, result)} on {self.approved[0]}"
+                    f"applying {command.verb} on {nid}: {this} != {outcomes[0]} on {self.approved[0]}"
                 )
-        return outcome, result
+        return outcomes[0]
 
     # -- fault injection and repair -------------------------------------------
 

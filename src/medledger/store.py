@@ -148,29 +148,24 @@ def _assemble(directory: Path) -> Ledger:
             raise StorageError(f"chain file {name} missing from {directory}") from None
         raw[name] = _unframe(name, data, count)
 
-    def decode_chain(name: str, want: type) -> list:
-        chain = []
+    def decode_file(name: str, decode, want: type) -> list:
+        """Decode every record of one file; a decoder's ValueError or a record
+        of another kind is CorruptChain at the record's offset."""
+        items = []
         offset = 0
         for rec in raw[name]:
             try:
-                block = decode_record(rec)
+                item = decode(rec)
             except ValueError as exc:
                 raise CorruptChain(name, offset, str(exc)) from None
-            if not isinstance(block, want):
-                raise CorruptChain(name, offset, f"{type(block).__name__} record in a {want.__name__} file")
-            chain.append(block)
+            if not isinstance(item, want):
+                raise CorruptChain(name, offset, f"{type(item).__name__} record in a {want.__name__} file")
+            items.append(item)
             offset += 4 + len(rec)
-        return chain
+        return items
 
-    main = decode_chain(MAIN_NAME, IdentityBlock)
-    notes: list[GlobalAuditNote] = []
-    offset = 0
-    for rec in raw[AUDIT_NAME]:
-        try:
-            notes.append(decode_note(rec))
-        except ValueError as exc:
-            raise CorruptChain(AUDIT_NAME, offset, str(exc)) from None
-        offset += 4 + len(rec)
+    main = decode_file(MAIN_NAME, decode_record, IdentityBlock)
+    notes = decode_file(AUDIT_NAME, decode_note, GlobalAuditNote)
 
     patients = [
         blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT
@@ -184,7 +179,7 @@ def _assemble(directory: Path) -> Ledger:
         ):
             if name not in raw:
                 raise StorageError(f"chain file {name} missing from {directory}")
-            target[p] = decode_chain(name, want)
+            target[p] = decode_file(name, decode_record, want)
     expected = {MAIN_NAME, AUDIT_NAME} | {
         n for p in patients for n in (_yellow_name(p), _red_name(p))
     }
@@ -207,20 +202,3 @@ def load_raw(directory: str | Path) -> Ledger:
     """Reconstruct without verification; for tamper tooling and repair."""
     return _assemble(Path(directory))
 
-
-def export_text(ledger: Ledger) -> str:
-    """Human-readable dump, one block per line. Derived output only; it is
-    never read back."""
-    from .blocks import render_block
-
-    lines = []
-    for i, blk in enumerate(ledger.main_chain):
-        lines.append(f"main {i} " + " ".join(render_block(blk).splitlines()))
-    for p in sorted(ledger.yellow):
-        for blk in ledger.yellow[p]:
-            lines.append(f"yellow {blk.coord.label()} " + " ".join(render_block(blk).splitlines()))
-        for blk in ledger.red[p]:
-            lines.append(f"red {blk.coord.label()} " + " ".join(render_block(blk).splitlines()))
-    for n, note in enumerate(ledger.global_audit):
-        lines.append(f"audit {n} " + " ".join(render_block(note).splitlines()))
-    return "\n".join(lines) + "\n"

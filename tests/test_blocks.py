@@ -22,7 +22,6 @@ from medledger.blocks import (
     encode_record,
     field_groups,
     mutate_block,
-    render_block,
     sealed,
 )
 from medledger.ledger import Ledger
@@ -187,14 +186,6 @@ def test_decode_rejects_truncation_and_trailing_bytes():
         decode_record(record + b"\x00")
     with pytest.raises(ValueError):
         decode_record(b"\x09" + record[1:])
-
-
-def test_render_block_mentions_key_fields():
-    text = render_block(make_log())
-    assert "event=read" in text
-    assert "viewed=READ:xray" in text
-    assert "h_main=" in text
-    assert render_block(make_identity()).startswith("kind=IdentityBlock")
 
 
 def test_mutate_block_parses_string_values():

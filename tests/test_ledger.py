@@ -59,24 +59,174 @@ def test_onboarding_with_invalid_credential_changes_nothing_but_the_audit_notes(
     assert "DENIED:onboard" in ledger.global_audit[0].detail
 
 
-# each refusal after (or of) authorization: (call, error, which audit record grows)
+# each refusal: (call on patient p of two, error, which audit record grows, its detail);
+# the admission cells cover every op the access policy refuses, in its order:
+# an unknown patient, then an invalid credential, then a role not granted
 REFUSALS = {
-    "onboard-by-doctor": (lambda led, p: led.onboard_patient(DOCTOR, "FC009", {}), AccessDenied, "notes"),
-    "onboard-duplicate": (lambda led, p: led.onboard_patient(AUTHORITY, "FC002", {}), DuplicateIdentity, "notes"),
-    "change-code-no-change": (lambda led, p: led.change_fiscal_code(AUTHORITY, p, "FC001"), NoChange, "red"),
+    "onboard-by-doctor": (
+        lambda led, p: led.onboard_patient(DOCTOR, "FC009", {}),
+        AccessDenied,
+        "notes",
+        "DENIED:onboard:role_doctor",
+    ),
+    "onboard-by-patient": (
+        lambda led, p: led.onboard_patient(patient_cred(led, p), "FC009", {}),
+        AccessDenied,
+        "notes",
+        "DENIED:onboard:role_patient",
+    ),
+    "catalog-by-doctor": (
+        lambda led, p: led.update_catalog(DOCTOR, [("mri", "MRI")]),
+        AccessDenied,
+        "notes",
+        "DENIED:catalog:role_doctor",
+    ),
+    "catalog-by-patient": (
+        lambda led, p: led.update_catalog(patient_cred(led, p), [("mri", "MRI")]),
+        AccessDenied,
+        "notes",
+        "DENIED:catalog:role_patient",
+    ),
+    "write-by-authority": (
+        lambda led, p: led.write_record(AUTHORITY, p, [("xray", b"x")]),
+        AccessDenied,
+        "red",
+        "DENIED:write:role_authority",
+    ),
+    "write-by-own-patient": (
+        lambda led, p: led.write_record(patient_cred(led, p), p, [("xray", b"x")]),
+        AccessDenied,
+        "red",
+        "DENIED:write:role_patient",
+    ),
+    "read-by-other-patient": (
+        lambda led, p: led.read_record(patient_cred(led, p + 1), p, "latest"),
+        AccessDenied,
+        "red",
+        "DENIED:read:role_patient",
+    ),
+    "report-by-other-patient": (
+        lambda led, p: led.assemble_report(patient_cred(led, p + 1), p, "xray"),
+        AccessDenied,
+        "red",
+        "DENIED:report:role_patient",
+    ),
+    "close-by-doctor": (
+        lambda led, p: led.close_subchain(DOCTOR, p), AccessDenied, "red", "DENIED:close:role_doctor"
+    ),
+    "close-by-own-patient": (
+        lambda led, p: led.close_subchain(patient_cred(led, p), p),
+        AccessDenied,
+        "red",
+        "DENIED:close:role_patient",
+    ),
+    "change-code-by-doctor": (
+        lambda led, p: led.change_fiscal_code(DOCTOR, p, "FC-X"),
+        AccessDenied,
+        "red",
+        "DENIED:change_code:role_doctor",
+    ),
+    "change-code-by-own-patient": (
+        lambda led, p: led.change_fiscal_code(patient_cred(led, p), p, "FC-X"),
+        AccessDenied,
+        "red",
+        "DENIED:change_code:role_patient",
+    ),
+    "onboard-invalid": (
+        lambda led, p: led.onboard_patient(INVALID, "FC009", {}),
+        AccessDenied,
+        "notes",
+        "DENIED:onboard:invalid_credential",
+    ),
+    "catalog-invalid": (
+        lambda led, p: led.update_catalog(INVALID, [("mri", "MRI")]),
+        AccessDenied,
+        "notes",
+        "DENIED:catalog:invalid_credential",
+    ),
+    "write-invalid": (
+        lambda led, p: led.write_record(INVALID, p, [("xray", b"x")]),
+        AccessDenied,
+        "red",
+        "DENIED:write:invalid_credential",
+    ),
+    "read-invalid": (
+        lambda led, p: led.read_record(INVALID, p, "latest"),
+        AccessDenied,
+        "red",
+        "DENIED:read:invalid_credential",
+    ),
+    "report-invalid": (
+        lambda led, p: led.assemble_report(INVALID, p, "xray"),
+        AccessDenied,
+        "red",
+        "DENIED:report:invalid_credential",
+    ),
+    "close-invalid": (
+        lambda led, p: led.close_subchain(INVALID, p), AccessDenied, "red", "DENIED:close:invalid_credential"
+    ),
+    "change-code-invalid": (
+        lambda led, p: led.change_fiscal_code(INVALID, p, "FC-X"),
+        AccessDenied,
+        "red",
+        "DENIED:change_code:invalid_credential",
+    ),
+    "write-unknown-patient": (
+        lambda led, p: led.write_record(DOCTOR, 9, [("xray", b"x")]),
+        UnknownPatient,
+        "notes",
+        "UNKNOWN_PATIENT:write:9",
+    ),
+    "read-unknown-patient": (
+        lambda led, p: led.read_record(DOCTOR, 9, "latest"), UnknownPatient, "notes", "UNKNOWN_PATIENT:read:9"
+    ),
+    "read-unknown-patient-invalid": (
+        lambda led, p: led.read_record(INVALID, 9, "latest"),
+        UnknownPatient,
+        "notes",
+        "UNKNOWN_PATIENT:read:9",
+    ),
+    "report-unknown-patient": (
+        lambda led, p: led.assemble_report(DOCTOR, 9, "xray"),
+        UnknownPatient,
+        "notes",
+        "UNKNOWN_PATIENT:report:9",
+    ),
+    "close-unknown-patient": (
+        lambda led, p: led.close_subchain(AUTHORITY, 9), UnknownPatient, "notes", "UNKNOWN_PATIENT:close:9"
+    ),
+    "change-code-unknown-patient": (
+        lambda led, p: led.change_fiscal_code(AUTHORITY, 9, "FC-X"),
+        UnknownPatient,
+        "notes",
+        "UNKNOWN_PATIENT:change_code:9",
+    ),
+    "onboard-duplicate": (
+        lambda led, p: led.onboard_patient(AUTHORITY, "FC002", {}),
+        DuplicateIdentity,
+        "notes",
+        "DUPLICATE_IDENTITY:onboard",
+    ),
+    "change-code-no-change": (
+        lambda led, p: led.change_fiscal_code(AUTHORITY, p, "FC001"), NoChange, "red", "NO_CHANGE:change_code"
+    ),
     "change-code-duplicate": (
-        lambda led, p: led.change_fiscal_code(AUTHORITY, p, "FC002"), DuplicateIdentity, "red"
+        lambda led, p: led.change_fiscal_code(AUTHORITY, p, "FC002"),
+        DuplicateIdentity,
+        "red",
+        "DUPLICATE_IDENTITY:change_code",
     ),
     "catalog-duplicate": (
         lambda led, p: led.update_catalog(AUTHORITY, [("mri", "MRI"), ("xray", "again")]),
         DuplicateCatalogCode,
         "notes",
+        "DUPLICATE_CODE:catalog:xray",
     ),
 }
 
 
-@pytest.mark.parametrize("refuse, error, grows", REFUSALS.values(), ids=list(REFUSALS))
-def test_each_refusal_leaves_exactly_one_audit_record(refuse, error, grows):
+@pytest.mark.parametrize("refuse, error, grows, detail", REFUSALS.values(), ids=list(REFUSALS))
+def test_each_refusal_leaves_exactly_one_audit_record(refuse, error, grows, detail):
     ledger = fresh_ledger()
     p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
     ledger.onboard_patient(AUTHORITY, "FC002", {"name": "Luisa"})
@@ -93,6 +243,10 @@ def test_each_refusal_leaves_exactly_one_audit_record(refuse, error, grows):
     with pytest.raises(error):
         refuse(ledger, p)
     assert sizes() == {**before, grows: before[grows] + 1}
+    if grows == "notes":
+        assert ledger.global_audit[-1].detail == detail
+    else:
+        assert (ledger.red[p][-1].event, ledger.red[p][-1].viewed) == (AccessEvent.FAILED_ATTEMPT, detail)
     assert verify_tree(ledger) == []
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from medledger.errors import NotAuthorized, ScriptError
+from medledger.errors import NotAuthorized, ReplicaDivergence, ScriptError
 from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
     Command,
@@ -19,6 +19,7 @@ from medledger.network import (
 )
 
 from helpers import CATALOG
+from scenarios import run as run_random_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -302,3 +303,23 @@ def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):
     assert proposal.committed and proposal.confirmations == 15
     assert (calls["apply"], calls["clone"]) == (15, 0)
 
+
+def test_a_divergent_replica_does_not_stop_the_others_applying():
+    """The genesis tamper on n2 makes its write fail while n1's succeeds;
+    the commit still applies on every replica before the divergence is raised."""
+    net = make_net(3)
+    net.propose("n1", ONBOARD)
+    net.tamper("n2", "main", 0, 0, "fiscal_code", "forged")
+    before = {nid: len(node.replica.red[1]) for nid, node in net.nodes.items()}
+    with pytest.raises(ReplicaDivergence, match="applying write on n2"):
+        net.propose("n1", WRITE)
+    assert {nid: len(node.replica.red[1]) for nid, node in net.nodes.items()} == {
+        nid: n + 1 for nid, n in before.items()
+    }
+
+
+def test_random_scenarios_end_in_a_transcript_or_a_declared_divergence():
+    """Drops, byzantine nodes, malformed commands, tampers and repairs on one
+    to seven nodes: a script yields its transcript or stops with ReplicaDivergence."""
+    for i in range(300):
+        assert run_random_scenario(0, i).startswith(("CONFIG ", "ERROR ReplicaDivergence: "))

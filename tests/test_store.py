@@ -9,7 +9,7 @@ import pytest
 from medledger.blocks import block_hash
 from medledger.errors import CorruptChain, StorageError, TamperedStore
 from medledger.cli import main
-from medledger.store import export_text, load, load_raw, persist
+from medledger.store import load, load_raw, persist
 
 from helpers import AUTHORITY, DOCTOR, drive, fresh_ledger
 
@@ -131,17 +131,6 @@ def test_meta_corruption_detected(tmp_path):
     meta.write_bytes(bytes(data))
     with pytest.raises(CorruptChain):
         load(tmp_path)
-
-
-def test_export_text_lists_one_block_per_line(tmp_path):
-    ledger = small_fixture()
-    text = export_text(ledger)
-    lines = text.strip().splitlines()
-    # genesis + identity + one yellow + two red
-    assert len(lines) == 5
-    assert lines[0].startswith("main 0 kind=IdentityBlock")
-    assert lines[2].startswith("yellow 1.1 ")
-    assert all("self_hash=" in line for line in lines)
 
 
 def test_clock_survives_round_trip_and_resume(tmp_path):
