@@ -18,6 +18,8 @@ Encoding primitives, fixed for all platforms:
 Decoding is strict: flags and enum bytes must be canonical values, map
 keys must be sorted and unique, and a record must be consumed exactly.
 Any deviation raises ValueError, which the store maps to CorruptChain.
+The store's record framing and `meta`, and Ledger.snapshot_bytes, use
+these same encoders and _Reader.
 
 Blocks are frozen values (an identity block's personal_info is a
 read-only mapping), so a block's hash is a pure function of its fields.
@@ -216,11 +218,12 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise ValueError(f"truncated record at offset {self.pos} (need {n} bytes)")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        pos = self.pos
+        end = pos + n
+        if n < 0 or end > len(self.data):
+            raise ValueError(f"truncated record at offset {pos} (need {n} bytes)")
+        self.pos = end
+        return self.data[pos:end]
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -232,14 +235,24 @@ class _Reader:
         return int.from_bytes(self.take(8), "big")
 
     def string(self) -> str:
-        raw = self.take(self.u32())
+        raw = self.blob()
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ValueError(f"invalid UTF-8 at offset {self.pos}: {exc}") from None
+            raise ValueError(f"string at offset {self.pos - len(raw)} is not UTF-8: {exc}") from None
 
     def blob(self) -> bytes:
-        return self.take(self.u32())
+        # u32 length + take, inlined: the store reads every record through here
+        data = self.data
+        pos = self.pos
+        start = pos + 4
+        if start > len(data):
+            raise ValueError(f"truncated record at offset {pos} (need 4 bytes)")
+        end = start + int.from_bytes(data[pos:start], "big")
+        if end > len(data):
+            raise ValueError(f"truncated record at offset {start} (need {end - start} bytes)")
+        self.pos = end
+        return data[start:end]
 
     def digest(self) -> Digest:
         return self.take(DIGEST_SIZE)

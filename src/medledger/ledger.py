@@ -11,7 +11,6 @@ note chain instead.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -215,23 +214,16 @@ class Ledger:
 
     def snapshot_bytes(self) -> bytes:
         """Full deterministic serialization; equal bytes means equal state."""
-        out = bytearray(struct.pack(">Q", self.clock))
-        out += struct.pack(">I", len(self.main_chain))
-        for blk in self.main_chain:
-            rec = b.encode_record(blk)
-            out += struct.pack(">I", len(rec)) + rec
+        out = [b._u64(self.clock), b._u32(len(self.main_chain))]
+        out += [b._blob(b.encode_record(blk)) for blk in self.main_chain]
         for p in sorted(self.yellow):
-            out += struct.pack(">I", p)
+            out.append(b._u32(p))
             for chain in (self.yellow[p], self.red[p]):
-                out += struct.pack(">I", len(chain))
-                for blk in chain:
-                    rec = b.encode_record(blk)
-                    out += struct.pack(">I", len(rec)) + rec
-        out += struct.pack(">I", len(self.global_audit))
-        for note in self.global_audit:
-            rec = b.encode_note(note)
-            out += struct.pack(">I", len(rec)) + rec
-        return bytes(out)
+                out.append(b._u32(len(chain)))
+                out += [b._blob(b.encode_record(blk)) for blk in chain]
+        out.append(b._u32(len(self.global_audit)))
+        out += [b._blob(b.encode_note(note)) for note in self.global_audit]
+        return b"".join(out)
 
     def state_digest(self) -> str:
         return sha256(self.snapshot_bytes()).hex()

@@ -4,21 +4,25 @@ Run from the repository root:  PYTHONPATH=src python3 tests/golden/regenerate.py
 Only rerun deliberately; the whole point of the vectors is to freeze the
 wire formats. tree_checks.txt pins the integrity checker and the ledger's
 derived indexes: regenerate it only from a tree whose checker is trusted,
-and never to make a refactor pass.
+and never to make a refactor pass. store_image.txt pins the directory
+store's bytes, `meta` included: regenerate it only from a tree whose store
+encoder is trusted.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 from medledger.ledger import Ledger
 from medledger.blocks import encode_record
 from medledger.merkle import build_tree, prove, serialize_proof
 from medledger.network import SimConfig, run_scenario
+from medledger.store import persist
 
 HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE.parent))  # the tests' helpers
 
-from helpers import criterion7_ledger, tree_check_cases  # noqa: E402
+from helpers import criterion7_ledger, store_image, tree_check_cases  # noqa: E402
 
 LIFECYCLE_CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"))
 
@@ -48,9 +52,17 @@ def write_tree_checks() -> None:
     (HERE / "tree_checks.txt").write_text("\n".join(lines) + "\n")
 
 
+def write_store_image() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        persist(criterion7_ledger(42), tmp)
+        lines = store_image(tmp)
+    (HERE / "store_image.txt").write_text("\n".join(lines) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
     write_lifecycle_transcript()
     write_tree_checks()
+    write_store_image()
     print("golden vectors regenerated")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 from typing import Iterator
 
 from medledger.blocks import (
@@ -239,3 +240,11 @@ def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation]]]:
             text = "\n".join(map(str, violations)) + "\n--\n" + repr(indexes)
             digest = hashlib.sha256(text.encode()).hexdigest()
             yield f"{chain} {p} {index} {field_name} {digest}", violations
+
+
+def store_image(directory) -> list[str]:
+    """One `name sha256` line per file of a store directory, sorted by name."""
+    return [
+        f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+        for path in sorted(Path(directory).iterdir())
+    ]

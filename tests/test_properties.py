@@ -1,14 +1,26 @@
 """Invariants over randomized operation sequences and generated blocks."""
 
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from medledger.blocks import AccessEvent, IdentityVariant, decode_record, encode_record
-from medledger.errors import LedgerError, SubchainClosed
+from medledger.blocks import (
+    AccessEvent,
+    IdentityVariant,
+    decode_note,
+    decode_record,
+    encode_note,
+    encode_record,
+)
+from medledger.errors import AccessDenied, CorruptChain, LedgerError, ScriptError, SubchainClosed
 from medledger.ledger import verify_tree
+from medledger.merkle import build_tree, deserialize_proof, prove, serialize_proof, sha256
+from medledger.network import parse_script
+from medledger.store import _decode_meta, _encode_meta
 
-from helpers import AUTHORITY, DOCTOR, drive, fresh_ledger, scan_report_oracle
+from helpers import AUTHORITY, DOCTOR, INVALID, criterion7_ledger, drive, fresh_ledger, scan_report_oracle
 
 KNOWN_TYPES = ["blood_test", "xray", "ecg"]
 
@@ -125,3 +137,122 @@ def test_snapshot_bytes_identify_state(seed):
     if ledger.patients():
         ledger.read_record(DOCTOR, ledger.patients()[0], "latest")
         assert ledger.snapshot_bytes() != twin.snapshot_bytes()
+
+
+# --- decoders are total and canonical ----------------------------------------
+#
+# On any input each decoder returns or raises its declared error, and every
+# input a binary decoder accepts re-encodes to exactly the same bytes.
+
+
+def _criterion7_records() -> list[bytes]:
+    ledger = criterion7_ledger(42)
+    with pytest.raises(AccessDenied):
+        ledger.onboard_patient(INVALID, "FC-X", {})  # one global audit note
+    blocks = list(ledger.main_chain)
+    for p in ledger.patients():
+        blocks += ledger.yellow[p] + ledger.red[p]
+    return [encode_record(blk) for blk in blocks] + [encode_note(n) for n in ledger.global_audit]
+
+
+RECORDS = _criterion7_records()
+META_BODY = _encode_meta(7, [("main.chain", 3), ("audit.global", 0), ("p1.red.chain", 2)])[:-32]
+_TREE = build_tree([b"L1", b"L2", b"L3", b"L4", b"L5"])
+PROOFS = [serialize_proof(prove(_TREE, i)) for i in range(5)]
+SCRIPT = (Path(__file__).parent / "golden" / "lifecycle.script").read_text()
+
+BYTE = st.sampled_from([0, 1, 2, 0x80, 0xFF]) | st.integers(0, 255)
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 2**16), BYTE),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _edited(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, pos, value in edits:
+        if kind == "insert":
+            out.insert(pos % (len(out) + 1), value)
+        elif out and kind == "set":
+            out[pos % len(out)] = value
+        elif out:
+            del out[pos % len(out)]
+    return bytes(out)
+
+
+def _check_record_decoders(data: bytes) -> None:
+    for decode, encode in ((decode_record, encode_record), (decode_note, encode_note)):
+        try:
+            value = decode(data)
+        except ValueError:
+            continue
+        assert encode(value) == data
+
+
+def _check_meta_decoder(body: bytes) -> None:
+    data = body + sha256(body)
+    try:
+        clock, counts = _decode_meta(data)
+    except CorruptChain:
+        return
+    assert _encode_meta(clock, list(counts.items())) == data
+
+
+def _check_proof_decoder(data: bytes) -> None:
+    try:
+        proof = deserialize_proof(data)
+    except ValueError:
+        return
+    assert serialize_proof(proof) == data
+
+
+def _check_script_parser(text: str) -> None:
+    try:
+        parse_script(text)
+    except ScriptError:
+        pass
+
+
+def test_the_decoders_accept_their_own_encodings():
+    for record in RECORDS:
+        _check_record_decoders(record)
+    _check_meta_decoder(META_BODY)
+    for proof in PROOFS:
+        _check_proof_decoder(proof)
+    parse_script(SCRIPT)
+
+
+def test_record_decoders_are_canonical_under_every_single_byte_substitution():
+    for record in RECORDS:
+        for i, old in enumerate(record):
+            for value in {0, 1, 2, 0xFF, old ^ 1} - {old}:
+                _check_record_decoders(record[:i] + bytes([value]) + record[i + 1 :])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=400))
+def test_decoders_are_total_and_canonical_on_raw_bytes(data):
+    _check_record_decoders(data)
+    _check_meta_decoder(data)
+    _check_proof_decoder(data)
+    _check_script_parser(data.decode("latin-1"))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(RECORDS), EDITS)
+def test_record_decoders_are_total_and_canonical_on_edited_records(record, edits):
+    _check_record_decoders(_edited(record, edits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDITS, st.sampled_from(PROOFS), EDITS)
+def test_meta_and_proof_decoders_are_total_and_canonical_on_edits(meta_edits, proof, proof_edits):
+    _check_meta_decoder(_edited(META_BODY, meta_edits))
+    _check_proof_decoder(_edited(proof, proof_edits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDITS)
+def test_parse_script_raises_only_script_error_on_edited_scripts(edits):
+    _check_script_parser(_edited(SCRIPT.encode(), edits).decode("utf-8", "replace"))

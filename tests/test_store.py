@@ -3,15 +3,19 @@
 import hashlib
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
 from medledger.blocks import block_hash
 from medledger.errors import CorruptChain, StorageError, TamperedStore
 from medledger.cli import main
+from medledger import store
 from medledger.store import load, load_raw, persist
 
-from helpers import AUTHORITY, DOCTOR, drive, fresh_ledger
+from helpers import AUTHORITY, DOCTOR, criterion7_ledger, drive, fresh_ledger, store_image
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def small_fixture():
@@ -56,17 +60,22 @@ def test_persist_twice_is_byte_identical(tmp_path):
         assert path.read_bytes() == (b / path.name).read_bytes()
 
 
-def test_truncated_red_file_fails_at_every_offset(tmp_path):
+FIXTURE_FILES = ["audit.global", "main.chain", "meta", "p1.red.chain", "p1.yellow.chain"]
+
+
+@pytest.mark.parametrize("name", FIXTURE_FILES)
+def test_truncated_store_file_fails_at_every_offset(tmp_path, name):
     """Truncate-at-every-offset fuzz, record boundaries included."""
     ledger = small_fixture()
     persist(ledger, tmp_path)
-    red = tmp_path / "p1.red.chain"
-    original = red.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == FIXTURE_FILES
+    target = tmp_path / name
+    original = target.read_bytes()
     for cut in range(len(original)):
-        red.write_bytes(original[:cut])
+        target.write_bytes(original[:cut])
         with pytest.raises((CorruptChain, StorageError)):
             load(tmp_path)
-    red.write_bytes(original)
+    target.write_bytes(original)
     load(tmp_path)
 
 
@@ -152,3 +161,45 @@ def test_meta_with_non_utf8_manifest_name_is_corrupt_chain(tmp_path, capsys):
         load_raw(tmp_path)
     assert main(["verify", "--dir", str(tmp_path)]) == 2
     assert "CorruptChain" in capsys.readouterr().err
+
+
+def _recount(manifest, name, delta):
+    return [(n, count + delta if n == name else count) for n, count in manifest]
+
+
+CRAFTED_MANIFESTS = {
+    "no-main-chain": lambda m: [(n, c) for n, c in m if n != "main.chain"],
+    "stray-patient-file": lambda m: m + [("p99.red.chain", 0)],
+    "parent-directory": lambda m: m + [("../meta", 0)],
+    "lock-file": lambda m: m + [(".lock", 0)],
+    "nul-in-name": lambda m: m + [("a\x00b", 0)],
+    "count-one-above": lambda m: _recount(m, "p1.red.chain", +1),
+    "count-one-below": lambda m: _recount(m, "p1.red.chain", -1),
+    "listed-twice": lambda m: [("p1.red.chain", 0)] + m,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_MANIFESTS))
+def test_crafted_manifest_is_refused_and_verify_exits_2(tmp_path, case):
+    """A checksum-valid meta whose manifest does not match the chain files
+    is a declared store error: the store opens only the names it derives."""
+    ledger = small_fixture()
+    persist(ledger, tmp_path)
+    manifest = [
+        ("main.chain", len(ledger.main_chain)),
+        ("audit.global", len(ledger.global_audit)),
+        ("p1.yellow.chain", len(ledger.yellow[1])),
+        ("p1.red.chain", len(ledger.red[1])),
+    ]
+    assert store._encode_meta(ledger.clock, manifest) == (tmp_path / "meta").read_bytes()
+    crafted = CRAFTED_MANIFESTS[case](manifest)
+    (tmp_path / "meta").write_bytes(store._encode_meta(ledger.clock, crafted))
+    with pytest.raises((CorruptChain, StorageError)):
+        load_raw(tmp_path)
+    assert main(["verify", "--dir", str(tmp_path)]) == 2
+
+
+def test_store_image_matches_golden(tmp_path):
+    """The directory format, meta included, is pinned file by file."""
+    persist(criterion7_ledger(42), tmp_path)
+    assert store_image(tmp_path) == (GOLDEN / "store_image.txt").read_text().splitlines()
