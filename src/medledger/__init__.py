@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ledger import Credential, Ledger, Role, Violation, verify_tree
 from .network import Command, Network, SimConfig, repair_replicas, run_scenario
-from .store import load, load_raw, persist
+from .store import load, load_checked, load_raw, persist
 
 __version__ = "0.1.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "UnknownRecordType",
     "Violation",
     "load",
+    "load_checked",
     "load_raw",
     "persist",
     "repair_replicas",

@@ -26,23 +26,31 @@ read-only mapping), so a block's hash is a pure function of its fields.
 cached_hash computes it once per block object and keeps it in the
 block's hash_memo field; sealed fills the memo with the hash it has just
 computed. The ledger's operations and its derived indexes use
-cached_hash. block_hash always recomputes from the fields: verify_tree,
-repair_replicas and the store's verified load use only block_hash, and
-decode_record never fills the memo from a stored self_hash. The memo is
-not a field of the dataclass's __init__, so dataclasses.replace, and with
-it every raw tamper, makes a block with an empty memo.
+cached_hash. block_hash always recomputes from the fields; verify_tree
+and repair_replicas use it for every ledger they are handed in memory.
+
+A verified store load hashes the bytes it read instead: record_hash
+takes the three field groups as slices of the stored record, which are
+exactly field_groups of the decoded block because decoding is canonical.
+Both hash through three_leaf_root, so both make the same six SHA-256
+calls per block. The store keeps that recomputed hash as the block's
+memo; decode_record never fills the memo, and no hash is ever taken from
+a stored self_hash. The memo is not a field of the dataclass's __init__,
+so dataclasses.replace, and with it every raw tamper, makes a block with
+an empty memo.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import NoSuchBlock
-from .merkle import DIGEST_SIZE, ZERO_DIGEST, build_tree
+from .merkle import DIGEST_SIZE, ZERO_DIGEST, sha256
 
 Digest = bytes
 
@@ -210,8 +218,20 @@ def _strmap(m: Mapping[str, str]) -> bytes:
     return bytes(out)
 
 
+def _truncated(pos: int, n: int) -> ValueError:
+    return ValueError(f"truncated record at offset {pos} (need {n} bytes)")
+
+
+_U32 = struct.Struct(">I").unpack_from
+_U64 = struct.Struct(">Q").unpack_from
+
+
 class _Reader:
-    """Strict cursor over one record; every read is bounds-checked."""
+    """Strict cursor over one record; every read is bounds-checked. The
+    store reads every record through here, so each read checks its bounds
+    inline and integers unpack in place with precompiled structs."""
+
+    __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
         self.data = data
@@ -221,18 +241,30 @@ class _Reader:
         pos = self.pos
         end = pos + n
         if n < 0 or end > len(self.data):
-            raise ValueError(f"truncated record at offset {pos} (need {n} bytes)")
+            raise _truncated(pos, n)
         self.pos = end
         return self.data[pos:end]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise _truncated(pos, 1)
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+        pos = self.pos
+        if pos + 4 > len(self.data):
+            raise _truncated(pos, 4)
+        self.pos = pos + 4
+        return _U32(self.data, pos)[0]
 
     def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
+        pos = self.pos
+        if pos + 8 > len(self.data):
+            raise _truncated(pos, 8)
+        self.pos = pos + 8
+        return _U64(self.data, pos)[0]
 
     def string(self) -> str:
         raw = self.blob()
@@ -242,24 +274,36 @@ class _Reader:
             raise ValueError(f"string at offset {self.pos - len(raw)} is not UTF-8: {exc}") from None
 
     def blob(self) -> bytes:
-        # u32 length + take, inlined: the store reads every record through here
         data = self.data
         pos = self.pos
         start = pos + 4
         if start > len(data):
-            raise ValueError(f"truncated record at offset {pos} (need 4 bytes)")
-        end = start + int.from_bytes(data[pos:start], "big")
+            raise _truncated(pos, 4)
+        end = start + _U32(data, pos)[0]
         if end > len(data):
-            raise ValueError(f"truncated record at offset {start} (need {end - start} bytes)")
+            raise _truncated(start, end - start)
         self.pos = end
         return data[start:end]
 
     def digest(self) -> Digest:
-        return self.take(DIGEST_SIZE)
+        pos = self.pos
+        end = pos + DIGEST_SIZE
+        if end > len(self.data):
+            raise _truncated(pos, DIGEST_SIZE)
+        self.pos = end
+        return self.data[pos:end]
+
+    def member(self, members: dict, what: str):
+        """The value a one-byte code maps to in members."""
+        b = self.u8()
+        try:
+            return members[b]
+        except KeyError:
+            raise ValueError(f"unknown {what} {b:#x}") from None
 
     def flag(self) -> bool:
         b = self.u8()
-        if b not in (0, 1):
+        if b > 1:
             raise ValueError(f"non-canonical flag byte {b:#x} at offset {self.pos - 1}")
         return b == 1
 
@@ -365,9 +409,34 @@ def canonical_bytes(block: Block) -> bytes:
     return b"".join(field_groups(block))
 
 
+def three_leaf_root(a: bytes, b: bytes, c: bytes) -> Digest:
+    """merkle.build_tree([a, b, c]).root, by the same six sha256 calls: the
+    three leaves, the pair (a, b), the odd tail c paired with itself, and
+    the root."""
+    ha, hb, hc = sha256(a), sha256(b), sha256(c)
+    return sha256(sha256(ha + hb) + sha256(hc + hc))
+
+
+def record_hash(record: bytes, block: Block) -> Digest:
+    """block_hash(block) for the block that decode_record(record) returned,
+    hashed from the record's own bytes instead of a re-encoding.
+
+    The three field groups are contiguous slices of the record: the kind
+    and coordinates take 7 bytes plus 4 for each coordinate index present,
+    and the links are the one digest (three for a log block) before the
+    trailing self_hash, which is never read. This holds because decoding
+    is canonical: encode_record(decode_record(record)) == record.
+    """
+    coord = block.coord
+    head = 7 + (4 if coord.record is not None else 0) + (4 if coord.log is not None else 0)
+    tail = len(record) - DIGEST_SIZE
+    links = tail - (3 * DIGEST_SIZE if isinstance(block, LogBlock) else DIGEST_SIZE)
+    return three_leaf_root(record[:head], record[head:links], record[links:tail])
+
+
 def block_hash(block: Block) -> Digest:
     """Merkle root over the block's three field groups, recomputed."""
-    return build_tree(field_groups(block)).root
+    return three_leaf_root(*field_groups(block))
 
 
 def cached_hash(block: Block) -> Digest:
@@ -396,61 +465,63 @@ def encode_record(block: Block) -> bytes:
     return canonical_bytes(block) + _digest(block.self_hash)
 
 
+def _decode_identity(r: _Reader) -> IdentityBlock:
+    coord = _read_coord(r)
+    fiscal_code = r.string()
+    personal_info = r.strmap()
+    variant = r.member(_VARIANTS, "identity variant")
+    fc = None
+    if r.flag():
+        fc = FiscalChange(r.string(), r.string(), r.digest())
+    cat = None
+    if r.flag():
+        entries = tuple((r.string(), r.string()) for _ in range(r.u32()))
+        prev_catalog = r.digest() if r.flag() else None
+        cat = CatalogUpdate(entries, prev_catalog)
+    prev_main = r.digest()
+    return IdentityBlock(coord, fiscal_code, personal_info, prev_main, variant, fc, cat, r.digest())
+
+
+def _decode_medical(r: _Reader) -> MedicalBlock:
+    coord = _read_coord(r)
+    entries = tuple(_read_entry(r) for _ in range(r.u32()))
+    is_final_byte = r.u8()
+    if is_final_byte > 1:
+        raise ValueError(f"non-canonical final flag {is_final_byte:#x}")
+    prev_yellow = r.digest()
+    return MedicalBlock(coord, entries, prev_yellow, is_final_byte == 1, r.digest())
+
+
+def _decode_log(r: _Reader) -> LogBlock:
+    coord = _read_coord(r)
+    event = r.member(_EVENTS, "access event")
+    actor = r.string()
+    timestamp = r.u64()
+    place = r.string()
+    viewed = r.string()
+    h_main = r.digest()
+    h_yellow = r.digest()
+    h_prev_red = r.digest()
+    return LogBlock(coord, event, actor, timestamp, place, viewed, h_main, h_yellow, h_prev_red, r.digest())
+
+
+# each byte the decoder accepts for an enum or a block kind, mapped to its
+# member or to the decoder of that kind
+_VARIANTS = {int(v): v for v in IdentityVariant}
+_EVENTS = {int(e): e for e in AccessEvent}
+_BLOCK_DECODERS = {
+    int(BlockKind.IDENTITY): _decode_identity,
+    int(BlockKind.MEDICAL): _decode_medical,
+    int(BlockKind.LOG): _decode_log,
+}
+
+
 def decode_record(data: bytes) -> Block:
     """Inverse of encode_record; ValueError on any non-canonical byte."""
     r = _Reader(data)
-    kind = r.u8()
-    if kind == BlockKind.IDENTITY:
-        coord = _read_coord(r)
-        fiscal_code = r.string()
-        personal_info = r.strmap()
-        variant_byte = r.u8()
-        try:
-            variant = IdentityVariant(variant_byte)
-        except ValueError:
-            raise ValueError(f"unknown identity variant {variant_byte:#x}") from None
-        fc = None
-        if r.flag():
-            fc = FiscalChange(r.string(), r.string(), r.digest())
-        cat = None
-        if r.flag():
-            entries = tuple((r.string(), r.string()) for _ in range(r.u32()))
-            prev_catalog = r.digest() if r.flag() else None
-            cat = CatalogUpdate(entries, prev_catalog)
-        prev_main = r.digest()
-        self_hash = r.digest()
-        r.expect_end()
-        return IdentityBlock(coord, fiscal_code, personal_info, prev_main, variant, fc, cat, self_hash)
-    if kind == BlockKind.MEDICAL:
-        coord = _read_coord(r)
-        entries = tuple(_read_entry(r) for _ in range(r.u32()))
-        is_final_byte = r.u8()
-        if is_final_byte not in (0, 1):
-            raise ValueError(f"non-canonical final flag {is_final_byte:#x}")
-        prev_yellow = r.digest()
-        self_hash = r.digest()
-        r.expect_end()
-        return MedicalBlock(coord, entries, prev_yellow, is_final_byte == 1, self_hash)
-    if kind == BlockKind.LOG:
-        coord = _read_coord(r)
-        event_byte = r.u8()
-        try:
-            event = AccessEvent(event_byte)
-        except ValueError:
-            raise ValueError(f"unknown access event {event_byte:#x}") from None
-        actor = r.string()
-        timestamp = r.u64()
-        place = r.string()
-        viewed = r.string()
-        h_main = r.digest()
-        h_yellow = r.digest()
-        h_prev_red = r.digest()
-        self_hash = r.digest()
-        r.expect_end()
-        return LogBlock(
-            coord, event, actor, timestamp, place, viewed, h_main, h_yellow, h_prev_red, self_hash
-        )
-    raise ValueError(f"unknown block kind {kind:#x}")
+    block = r.member(_BLOCK_DECODERS, "block kind")(r)
+    r.expect_end()
+    return block
 
 
 def note_canonical(note: GlobalAuditNote) -> bytes:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import store
 from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
-from .ledger import Ledger, Role, verify_tree
+from .ledger import Ledger, Role
 from .network import Command, SimConfig, repair_replicas, run_scenario, split_token
 
 
@@ -139,9 +139,7 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    directory = Path(args.dir)
-    ledger = store.load_raw(directory)
-    violations = verify_tree(ledger)
+    violations = store.load_checked(Path(args.dir))[1]
     if not violations:
         _emit(args, "OK 0 violations", ["OK", "0"])
         return 0

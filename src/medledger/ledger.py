@@ -87,6 +87,11 @@ class Violation:
         return f"{self.chain} {self.coord} {self.check} {self.detail}"
 
 
+# the hash of every block of a ledger, one list per chain, keyed as
+# Ledger.chain names the chain: ("main", 0), ("yellow", p) and ("red", p)
+ChainHashes = dict[tuple[str, int], list[Digest]]
+
+
 class Ledger:
     """Single-writer state machine over the block tree.
 
@@ -142,6 +147,7 @@ class Ledger:
         self._anchor: dict[int, IdentityBlock] = {}
         self._active_codes: dict[str, int] = {}
         self.catalog_head = ZERO_DIGEST
+        self._catalog: dict[str, str] | None = None
         for block, p in zip(self.main_chain, owners):
             self._index(block, p)
         self.closed: set[int] = {
@@ -154,6 +160,7 @@ class Ledger:
         identity lineage holds it, or None."""
         if block.catalog is not None:
             self.catalog_head = cached_hash(block)
+            self._catalog = None
         if owner is None:
             return
         if block.variant == IdentityVariant.FISCAL_CHANGE:
@@ -172,6 +179,7 @@ class Ledger:
         dup._anchor = dict(self._anchor)
         dup._active_codes = dict(self._active_codes)
         dup.catalog_head = self.catalog_head
+        dup._catalog = self._catalog  # never changed in place, only replaced
         dup.closed = set(self.closed)
         return dup
 
@@ -189,28 +197,32 @@ class Ledger:
 
         index is the main-chain position for chain="main", else the
         1-based record/log index. The stored self_hash and the derived
-        indexes are left stale.
+        indexes are left stale, but the active catalog is resolved again,
+        so a tampered catalog block changes what this replica accepts.
         """
         blocks = self.chain(chain, patient)
         pos = index if chain == "main" else index - 1
         if not 0 <= pos < len(blocks):
             raise NoSuchBlock(f"no {chain} block {index} for patient {patient}")
         blocks[pos] = b.mutate_block(blocks[pos], field_path, value)
+        self._catalog = None
 
     def patients(self) -> list[int]:
         return sorted(self._anchor)
 
     def active_catalog(self) -> dict[str, str]:
         """Union of the catalog blocks along the prev links from the head,
-        newest first. Each block's hash is computed once per block object;
-        a raw tamper makes a new object, whose hash is recomputed, so it
-        changes what this replica accepts."""
-        catalogs = {cached_hash(blk): blk for blk in self.main_chain if blk.catalog is not None}
-        out: dict[str, str] = {}
-        for blk in _catalog_walk(catalogs, self.catalog_head)[0]:
-            for code, label in blk.catalog.entries:
-                out.setdefault(code, label)
-        return out
+        newest first. The walk runs once per catalog head and is cached;
+        a raw tamper drops the cache, and the tampered block, a new
+        object, is hashed again, so it changes what this replica accepts."""
+        if self._catalog is None:
+            catalogs = {cached_hash(blk): blk for blk in self.main_chain if blk.catalog is not None}
+            out: dict[str, str] = {}
+            for blk in _catalog_walk(catalogs, self.catalog_head)[0]:
+                for code, label in blk.catalog.entries:
+                    out.setdefault(code, label)
+            self._catalog = out
+        return dict(self._catalog)
 
     def snapshot_bytes(self) -> bytes:
         """Full deterministic serialization; equal bytes means equal state."""
@@ -558,16 +570,23 @@ def _newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlo
 # --- whole-tree verification ---------------------------------------------------
 
 
-def verify_tree(ledger: Ledger) -> list[Violation]:
+def verify_tree(ledger: Ledger, hashes: ChainHashes | None = None) -> list[Violation]:
     """Recheck every hash, link and cross-hash in the tree.
 
-    Returns violations as data; an intact tree yields an empty list.
+    hashes, when given, holds the hash of every block recomputed from the
+    bytes it was decoded from (store.load_checked); otherwise every block
+    is hashed with block_hash. A block's memo is never read. Returns
+    violations as data; an intact tree yields an empty list.
     """
+
+    def hashed(name: str, p: int, chain: list[b.Block]) -> list[Digest]:
+        return hashes[name, p] if hashes is not None else [block_hash(blk) for blk in chain]
+
     v: list[Violation] = []
     main = ledger.main_chain
     if not main:
         return [Violation("MAIN", "-", "structure", "empty main chain")]
-    main_hashes = [block_hash(blk) for blk in main]
+    main_hashes = hashed("main", 0, main)
 
     # main chain
     if main[0].variant != IdentityVariant.SYSTEM_GENESIS:
@@ -617,7 +636,7 @@ def verify_tree(ledger: Ledger) -> list[Violation]:
         else:
             lineage_hashes = lineages[p]
         yellow = ledger.yellow.get(p, [])
-        yellow_hashes = [block_hash(blk) for blk in yellow]
+        yellow_hashes = hashed("yellow", p, yellow)
 
         broken = False
         newest_of_type: dict[str, Digest] = {}  # typed-backlink target of the next block
@@ -653,7 +672,7 @@ def verify_tree(ledger: Ledger) -> list[Violation]:
             v.append(Violation("YELLOW", str(p), "closed_flag", "closed set disagrees with final marker"))
 
         red = ledger.red.get(p, [])
-        red_hashes = [block_hash(blk) for blk in red]
+        red_hashes = hashed("red", p, red)
         broken = False
         for k, blk in enumerate(red):
             coord = blk.coord.label()

@@ -9,9 +9,12 @@ checksum, so truncation at a record boundary is just as detectable as a
 flipped byte mid-record.
 
 persist() rewrites every file, then `meta`, on every call; the store is
-not append-only. load() opens only the file names it derives from the
-main chain, refuses a manifest that lists any other set, and refuses to
-return anything that fails verification.
+not append-only. A load opens only the file names it derives from the
+main chain and refuses a manifest that lists any other set. A verified
+load (load_checked, and load, which refuses any violation) hashes the
+bytes it read: each block's hash is recomputed from the slices of its
+stored record (blocks.record_hash), never taken from the stored
+self_hash, and verify_tree checks those hashes. load_raw decodes only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .blocks import (
-    GlobalAuditNote,
     IdentityBlock,
     IdentityVariant,
     LogBlock,
@@ -33,9 +35,10 @@ from .blocks import (
     decode_record,
     encode_note,
     encode_record,
+    record_hash,
 )
 from .errors import CorruptChain, StorageError, TamperedStore
-from .ledger import Ledger, verify_tree
+from .ledger import ChainHashes, Ledger, Violation, verify_tree
 from .merkle import sha256
 
 META_NAME = "meta"
@@ -104,10 +107,10 @@ def persist(ledger: Ledger, directory: str | Path) -> None:
         raise StorageError(f"cannot persist to {directory}: {exc}") from exc
 
 
-def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, want: type) -> list:
-    """Read, unframe, decode and kind-check one chain file in one pass. A
-    framing or decoding failure, a record of another kind, or bytes beyond
-    the manifest's count is CorruptChain at the offset of the record hit."""
+def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> list:
+    """Read and unframe one chain file and decode each record, in one pass.
+    A framing failure, a ValueError from decode, or bytes beyond the
+    manifest's count is CorruptChain at the offset of the record hit."""
     try:
         r = _Reader((directory / name).read_bytes())
     except OSError:
@@ -116,10 +119,7 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, want
     offset = 0
     try:
         for _ in range(counts[name]):
-            item = decode(r.blob())
-            if not isinstance(item, want):
-                raise ValueError(f"{type(item).__name__} record in a {want.__name__} file")
-            items.append(item)
+            items.append(decode(r.blob()))
             offset = r.pos
         r.expect_end()
     except ValueError as exc:
@@ -127,9 +127,37 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, want
     return items
 
 
-def _assemble(directory: Path) -> Ledger:
+def _read_blocks(
+    directory: Path,
+    name: str,
+    counts: dict[str, int],
+    want: type,
+    hashes: ChainHashes | None,
+    key: tuple[str, int],
+) -> list:
+    """The blocks of one chain file, each of kind want. With hashes, each
+    block's hash is recomputed from the record bytes just read, listed in
+    hashes[key] and kept as the block's memo."""
+    listed = None if hashes is None else hashes.setdefault(key, [])
+
+    def decode(record: bytes):
+        block = decode_record(record)
+        if not isinstance(block, want):
+            raise ValueError(f"{type(block).__name__} record in a {want.__name__} file")
+        if listed is not None:
+            h = record_hash(record, block)
+            object.__setattr__(block, "hash_memo", h)  # a recomputed hash, as cached_hash keeps
+            listed.append(h)
+        return block
+
+    return _read_chain(directory, name, counts, decode)
+
+
+def _assemble(directory: Path, hashes: ChainHashes | None = None) -> Ledger:
     """Open only the file names derived from the main chain; the manifest
-    supplies record counts and must list exactly those names."""
+    supplies record counts and must list exactly those names. A hashes
+    dict receives the hash of every block, by chain as Ledger.chain names
+    it."""
     try:
         meta_bytes = (directory / META_NAME).read_bytes()
     except OSError:
@@ -137,8 +165,8 @@ def _assemble(directory: Path) -> Ledger:
     clock, counts = _decode_meta(meta_bytes)
     if MAIN_NAME not in counts or AUDIT_NAME not in counts:
         raise CorruptChain(META_NAME, 0, "manifest lacks the required files")
-    main = _read_chain(directory, MAIN_NAME, counts, decode_record, IdentityBlock)
-    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note, GlobalAuditNote)
+    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashes, ("main", 0))
+    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
     patients = [blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT]
     expected = {MAIN_NAME, AUDIT_NAME} | {
         n for p in patients for n in (_yellow_name(p), _red_name(p))
@@ -149,15 +177,22 @@ def _assemble(directory: Path) -> Ledger:
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
-        yellow[p] = _read_chain(directory, _yellow_name(p), counts, decode_record, MedicalBlock)
-        red[p] = _read_chain(directory, _red_name(p), counts, decode_record, LogBlock)
+        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashes, ("yellow", p))
+        red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashes, ("red", p))
     return Ledger(main, yellow, red, notes, clock)
+
+
+def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:
+    """Reconstruct and verify; the ledger and its violations. verify_tree
+    checks the hashes recomputed from the bytes just read."""
+    hashes: ChainHashes = {}
+    ledger = _assemble(Path(directory), hashes)
+    return ledger, verify_tree(ledger, hashes)
 
 
 def load(directory: str | Path) -> Ledger:
     """Reconstruct and verify; a state with violations is refused."""
-    ledger = _assemble(Path(directory))
-    violations = verify_tree(ledger)
+    ledger, violations = load_checked(directory)
     if violations:
         raise TamperedStore(violations)
     return ledger
@@ -166,4 +201,3 @@ def load(directory: str | Path) -> Ledger:
 def load_raw(directory: str | Path) -> Ledger:
     """Reconstruct without verification; for tamper tooling and repair."""
     return _assemble(Path(directory))
-

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -88,6 +89,23 @@ def drive(ledger: Ledger, rng: random.Random, n_ops: int, place: str = "test") -
         except LedgerError:
             pass
     return verbs
+
+
+def count_calls(monkeypatch, original) -> list[int]:
+    """Count calls to a medledger function through every binding of it in
+    the loaded medledger modules; the count is the list's one element."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "medledger" or name.startswith("medledger."):
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, counting)
+    return calls
 
 
 def scan_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:

@@ -1,8 +1,6 @@
 """The per-block hash memo: sound for every block object, never trusted by
 verification or repair, and the source of the per-operation hash counts."""
 
-import sys
-
 import pytest
 
 from medledger import blocks
@@ -10,7 +8,7 @@ from medledger.blocks import block_hash, cached_hash, mutate_block
 from medledger.ledger import Ledger, verify_tree
 from medledger.network import repair_replicas
 
-from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, criterion7_ledger
+from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, count_calls, criterion7_ledger
 
 
 def every_block(ledger: Ledger):
@@ -107,20 +105,7 @@ def test_repair_replicas_never_trusts_the_memo(forge, action):
 
 @pytest.fixture
 def hash_calls(monkeypatch) -> list[int]:
-    """Counts calls to blocks.block_hash through every binding of it in medledger."""
-    original = blocks.block_hash
-    calls = [0]
-
-    def counting(block):
-        calls[0] += 1
-        return original(block)
-
-    for name, module in list(sys.modules.items()):
-        if name == "medledger" or name.startswith("medledger."):
-            for bound, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, bound, counting)
-    return calls
+    return count_calls(monkeypatch, blocks.block_hash)
 
 
 def _ledger_with(patients: int) -> Ledger:

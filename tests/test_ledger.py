@@ -16,6 +16,7 @@ from medledger.errors import (
     UnknownPatient,
     UnknownRecordType,
 )
+from medledger import ledger as ledger_mod
 from medledger.ledger import verify_tree
 from medledger.merkle import ZERO_DIGEST
 
@@ -23,6 +24,7 @@ from helpers import (
     AUTHORITY,
     DOCTOR,
     INVALID,
+    count_calls,
     criterion7_ledger,
     fresh_ledger,
     patient_cred,
@@ -412,6 +414,35 @@ def test_catalog_union_and_gating():
     assert set(ledger.active_catalog()) >= {"blood_test", "xray", "ecg", "mri"}
     medical, _ = ledger.write_record(DOCTOR, p, [("mri", b"scan-1")])
     assert medical.entries[0].record_type == "mri"
+
+
+def test_catalog_walk_runs_once_per_catalog_head(monkeypatch):
+    ledger = fresh_ledger()
+    p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    walks = count_calls(monkeypatch, ledger_mod._catalog_walk)
+    for _ in range(3):
+        ledger.write_record(DOCTOR, p, [("xray", b"x")])
+    assert walks[0] == 1
+    ledger.update_catalog(AUTHORITY, [("mri", "MRI scan")])  # moves the head
+    ledger.write_record(DOCTOR, p, [("mri", b"scan")])
+    ledger.clone().write_record(DOCTOR, p, [("mri", b"scan")])  # a clone keeps the cache
+    assert walks[0] == 2
+    ledger.active_catalog()["bogus"] = "x"  # a copy: the cache is never handed out
+    assert "bogus" not in ledger.active_catalog()
+
+
+def test_a_raw_tamper_of_a_catalog_block_changes_what_the_replica_accepts():
+    ledger = fresh_ledger()
+    p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    block = ledger.update_catalog(AUTHORITY, [("mri", "MRI scan")])
+    ledger.write_record(DOCTOR, p, [("mri", b"scan-1")])  # the catalog is cached now
+    honest = ledger.clone()
+    ledger.tamper("main", 0, block.coord.patient, "fiscal_code", "forged")
+    # the head no longer names a block of the chain: the walk finds nothing
+    assert ledger.active_catalog() == {}
+    with pytest.raises(UnknownRecordType):
+        ledger.write_record(DOCTOR, p, [("mri", b"scan-2")])
+    honest.write_record(DOCTOR, p, [("mri", b"scan-2")])
 
 
 def test_catalog_chain_traverses_to_genesis():

@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from medledger.blocks import (
     AccessEvent,
+    BlockKind,
     IdentityVariant,
+    block_hash,
     decode_note,
     decode_record,
     encode_note,
     encode_record,
+    record_hash,
+    three_leaf_root,
 )
 from medledger.errors import AccessDenied, CorruptChain, LedgerError, ScriptError, SubchainClosed
 from medledger.ledger import verify_tree
@@ -31,6 +35,62 @@ def test_tree_stays_verified_under_random_operations(seed, n_ops):
     ledger = fresh_ledger()
     drive(ledger, random.Random(seed), n_ops)
     assert verify_tree(ledger) == []
+
+
+class AuditProbe:
+    """Forwards to a ledger and records, for each public operation call,
+    its name, patient, whether it succeeded, and the audit record count of
+    every red chain and of the global notes before and after the call."""
+
+    OPS = {
+        "onboard_patient", "update_catalog", "write_record", "read_record",
+        "assemble_report", "close_subchain", "change_fiscal_code",
+    }
+
+    def __init__(self, ledger):
+        self.ledger = ledger
+        self.calls: list[tuple[str, int | None, bool, dict, dict]] = []
+
+    def audit_counts(self) -> dict:
+        counts = {("red", p): len(chain) for p, chain in self.ledger.red.items()}
+        counts["notes"] = len(self.ledger.global_audit)
+        return counts
+
+    def __getattr__(self, name):
+        method = getattr(self.ledger, name)
+        if name not in self.OPS:
+            return method
+
+        def probed(cred, *args):
+            patient = None if name in ("onboard_patient", "update_catalog") else args[0]
+            before = self.audit_counts()
+            ok = False
+            try:
+                result = method(cred, *args)
+                ok = True
+                return result
+            finally:
+                self.calls.append((name, patient, ok, before, self.audit_counts()))
+
+        return probed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_access_attempt_leaves_exactly_one_audit_record(seed):
+    """Every public operation grows exactly one of {the red chain of its
+    patient, the global notes} by exactly one record; only a successful
+    onboarding or catalog update leaves none."""
+    probe = AuditProbe(fresh_ledger())
+    drive(probe, random.Random(seed), 25)
+    assert probe.calls
+    for name, patient, ok, before, after in probe.calls:
+        grown = {key: after[key] - before.get(key, 0) for key in after if after[key] != before.get(key, 0)}
+        if ok and name in ("onboard_patient", "update_catalog"):
+            assert grown == {}, name
+        else:
+            assert len(grown) == 1 and set(grown.values()) == {1}, (name, grown)
+            assert set(grown) <= {("red", patient), "notes"}, (name, patient, grown)
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,3 +316,39 @@ def test_meta_and_proof_decoders_are_total_and_canonical_on_edits(meta_edits, pr
 @given(EDITS)
 def test_parse_script_raises_only_script_error_on_edited_scripts(edits):
     _check_script_parser(_edited(SCRIPT.encode(), edits).decode("utf-8", "replace"))
+
+
+# --- a stored record hashes from its own bytes ----------------------------------------
+#
+# For every record decode_record accepts, the hash taken from the record's
+# byte slices equals block_hash of the decoded block.
+
+BLOCK_RECORDS = [record for record in RECORDS if record[0] != BlockKind.AUDIT_NOTE]
+
+
+def _check_record_hash(data: bytes) -> None:
+    try:
+        block = decode_record(data)
+    except ValueError:
+        return
+    assert record_hash(data, block) == block_hash(block)
+
+
+def test_record_hash_is_block_hash_under_every_single_byte_substitution():
+    for record in BLOCK_RECORDS:
+        _check_record_hash(record)
+        for i, old in enumerate(record):
+            for value in {0, 1, 2, 0xFF, old ^ 1} - {old}:
+                _check_record_hash(record[:i] + bytes([value]) + record[i + 1 :])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(BLOCK_RECORDS), EDITS)
+def test_record_hash_is_block_hash_on_edited_records(record, edits):
+    _check_record_hash(_edited(record, edits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80), st.binary(max_size=80), st.binary(max_size=80))
+def test_three_leaf_root_is_the_merkle_root_of_three_leaves(a, b, c):
+    assert three_leaf_root(a, b, c) == build_tree([a, b, c]).root

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 from medledger.blocks import block_hash
-from medledger.errors import CorruptChain, StorageError, TamperedStore
+from medledger.errors import AccessDenied, CorruptChain, StorageError, TamperedStore
 from medledger.cli import main
-from medledger import store
-from medledger.store import load, load_raw, persist
+from medledger import blocks, merkle, store
+from medledger.ledger import verify_tree
+from medledger.store import load, load_checked, load_raw, persist
 
-from helpers import AUTHORITY, DOCTOR, criterion7_ledger, drive, fresh_ledger, store_image
+from helpers import AUTHORITY, DOCTOR, INVALID, count_calls, criterion7_ledger, drive, fresh_ledger, store_image
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -203,3 +204,34 @@ def test_store_image_matches_golden(tmp_path):
     """The directory format, meta included, is pinned file by file."""
     persist(criterion7_ledger(42), tmp_path)
     assert store_image(tmp_path) == (GOLDEN / "store_image.txt").read_text().splitlines()
+
+
+# --- a verified load hashes each block once, from the bytes it read ------------------
+
+
+def test_load_and_verify_hash_each_stored_block_once(tmp_path, monkeypatch, capsys):
+    """Six SHA-256 calls per block (a three-leaf Merkle root) plus one for
+    the meta checksum, and no block_hash call: every hash comes from the
+    record bytes. Audit notes hash with hashlib directly, via note_hash."""
+    ledger = criterion7_ledger(42)
+    with pytest.raises(AccessDenied):
+        ledger.onboard_patient(INVALID, "FC-X", {})  # one global audit note
+    persist(ledger, tmp_path)
+    n_blocks = len(ledger.main_chain) + sum(len(ledger.yellow[p]) + len(ledger.red[p]) for p in ledger.patients())
+    block_hashes = count_calls(monkeypatch, blocks.block_hash)
+    sha256_calls = count_calls(monkeypatch, merkle.sha256)
+    for run in (lambda: load(tmp_path), lambda: main(["verify", "--dir", str(tmp_path)])):
+        block_hashes[0] = sha256_calls[0] = 0
+        run()
+        assert (block_hashes[0], sha256_calls[0]) == (0, 6 * n_blocks + 1)
+    assert capsys.readouterr().out == "OK 0 violations\n"
+
+
+def test_load_checked_reports_what_verify_tree_finds(tmp_path):
+    ledger = criterion7_ledger(42)
+    ledger.tamper("yellow", 1, 1, "entry.0.payload", "forged")
+    ledger.tamper("red", 2, 1, "actor", "mallory")
+    persist(ledger, tmp_path)
+    loaded, violations = load_checked(tmp_path)
+    assert violations and violations == verify_tree(load_raw(tmp_path))
+    assert loaded.snapshot_bytes() == ledger.snapshot_bytes()
