@@ -27,17 +27,23 @@ cached_hash computes it once per block object and keeps it in the
 block's hash_memo field; sealed fills the memo with the hash it has just
 computed. The ledger's operations and its derived indexes use
 cached_hash. block_hash always recomputes from the fields; verify_tree
-and repair_replicas use it for every ledger they are handed in memory.
+uses it by default, and repair_replicas on the one candidate version
+at a position where replicas differ.
+
+Equal blocks are exactly the blocks with equal records: decoding is
+canonical, and a raw tamper (mutate_block) returns what its record
+decodes to, so a list given for a tuple or 2 for True compares as the
+bytes do. repair_replicas therefore compares blocks by value.
 
 A verified store load hashes the bytes it read instead: record_hash
 takes the three field groups as slices of the stored record, which are
 exactly field_groups of the decoded block because decoding is canonical.
 Both hash through three_leaf_root, so both make the same six SHA-256
 calls per block. The store keeps that recomputed hash as the block's
-memo; decode_record never fills the memo, and no hash is ever taken from
-a stored self_hash. The memo is not a field of the dataclass's __init__,
-so dataclasses.replace, and with it every raw tamper, makes a block with
-an empty memo.
+memo, and verify_tree checks those memos; decode_record never fills the
+memo, and no hash is ever taken from a stored self_hash. The memo is not
+a field of the dataclass's __init__, so dataclasses.replace, and with it
+every raw tamper, makes a block with an empty memo.
 """
 
 from __future__ import annotations
@@ -598,11 +604,12 @@ def _parse_value(current, text: str):
 
 
 def _encodable(block: Block) -> Block:
+    """The canonical value of the block: what its record decodes to, so
+    that equal blocks are exactly the blocks with equal bytes."""
     try:
-        canonical_bytes(block) + _digest(block.self_hash)
+        return decode_record(encode_record(block))
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"the block encoding cannot hold this value: {exc}") from None
-    return block
 
 
 def mutate_block(block: Block, field_path: str, value) -> Block:
@@ -612,9 +619,10 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
     injection. Paths: a top-level field name other than hash_memo,
     ``info.<key>``, ``entry.<i>.payload`` / ``entry.<i>.record_type`` /
     ``entry.<i>.prev_same_type``. String values are parsed to the field's
-    type; already-typed values pass through. A value the block encoding
-    cannot hold (a negative timestamp, a string that is not UTF-8) raises
-    ValueError, so every tampered block still hashes.
+    type; already-typed values pass through. The result is what the
+    block's record decodes to, so a value the record cannot hold (a
+    negative timestamp, a string that is not UTF-8, an unknown event
+    number) raises ValueError, and every tampered block still hashes.
     """
     parts = field_path.split(".")
     if parts[0] == "info" and isinstance(block, IdentityBlock) and len(parts) == 2:

@@ -189,6 +189,10 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_audit_repair(args) -> int:
+    resolved = [Path(d).resolve() for d in args.dirs]
+    for d, path in zip(args.dirs, resolved):
+        if resolved.count(path) > 1:  # one replica must not vote twice
+            raise CommandError(f"replica directory {d!r} given more than once")
     replicas = {d: store.load_raw(Path(d)) for d in args.dirs}
     entries = repair_replicas(replicas)
     replaced = {e.node for e in entries if e.action == "replaced"}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import blocks as b
 from .blocks import (
@@ -85,11 +85,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.chain} {self.coord} {self.check} {self.detail}"
-
-
-# the hash of every block of a ledger, one list per chain, keyed as
-# Ledger.chain names the chain: ("main", 0), ("yellow", p) and ("red", p)
-ChainHashes = dict[tuple[str, int], list[Digest]]
 
 
 class Ledger:
@@ -570,23 +565,21 @@ def _newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlo
 # --- whole-tree verification ---------------------------------------------------
 
 
-def verify_tree(ledger: Ledger, hashes: ChainHashes | None = None) -> list[Violation]:
+def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = None) -> list[Violation]:
     """Recheck every hash, link and cross-hash in the tree.
 
-    hashes, when given, holds the hash of every block recomputed from the
-    bytes it was decoded from (store.load_checked); otherwise every block
-    is hashed with block_hash. A block's memo is never read. Returns
-    violations as data; an intact tree yields an empty list.
+    hash_of gives the hash each block is checked against; by default it is
+    block_hash, which recomputes from the fields and never reads a memo. A
+    verified store load passes the memos it has just set from the record
+    bytes it read (store.load_checked). Returns violations as data; an
+    intact tree yields an empty list.
     """
-
-    def hashed(name: str, p: int, chain: list[b.Block]) -> list[Digest]:
-        return hashes[name, p] if hashes is not None else [block_hash(blk) for blk in chain]
-
+    hash_of = hash_of or block_hash  # the module's binding at call time, not at definition
     v: list[Violation] = []
     main = ledger.main_chain
     if not main:
         return [Violation("MAIN", "-", "structure", "empty main chain")]
-    main_hashes = hashed("main", 0, main)
+    main_hashes = list(map(hash_of, main))
 
     # main chain
     if main[0].variant != IdentityVariant.SYSTEM_GENESIS:
@@ -636,7 +629,7 @@ def verify_tree(ledger: Ledger, hashes: ChainHashes | None = None) -> list[Viola
         else:
             lineage_hashes = lineages[p]
         yellow = ledger.yellow.get(p, [])
-        yellow_hashes = hashed("yellow", p, yellow)
+        yellow_hashes = list(map(hash_of, yellow))
 
         broken = False
         newest_of_type: dict[str, Digest] = {}  # typed-backlink target of the next block
@@ -672,7 +665,7 @@ def verify_tree(ledger: Ledger, hashes: ChainHashes | None = None) -> list[Viola
             v.append(Violation("YELLOW", str(p), "closed_flag", "closed set disagrees with final marker"))
 
         red = ledger.red.get(p, [])
-        red_hashes = hashed("red", p, red)
+        red_hashes = list(map(hash_of, red))
         broken = False
         for k, blk in enumerate(red):
             coord = blk.coord.label()

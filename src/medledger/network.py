@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .blocks import Block, block_hash, decode_record, encode_record
+from .blocks import Block, block_hash
 from .errors import (
     CommandError,
     ConfigError,
@@ -290,67 +290,61 @@ class Network:
 
 
 def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
-    """Per-coordinate majority vote over stored block bytes.
+    """Per-position majority vote over block values, chain by chain.
 
-    A version qualifies only if it is held by at least 51% of replicas
-    AND its stored self_hash recomputes, so a raw tamper cannot vote
-    itself into being the "right" version. Divergent
-    coordinates without a qualifying version are reported unrepairable.
+    Equal blocks encode to equal bytes, so this is a vote over stored
+    blocks. A chain whose block lists are equal on every replica is
+    skipped; clones share their blocks, so that costs almost nothing. A
+    version qualifies only if it is held by at least 51% of replicas AND
+    its stored self_hash recomputes with block_hash (no memo is read), so
+    a raw tamper cannot vote itself into being the "right" version.
+    Replaced replicas get the winning block object itself. Divergent
+    positions without a qualifying version are reported unrepairable.
     Replica order (dict order) fixes the report order.
     """
-    node_ids = list(replicas)
-    total = len(node_ids)
-    coords: list[tuple[str, int, int]] = []
-    main_len = max(len(r.main_chain) for r in replicas.values())
-    coords += [("main", 0, i) for i in range(main_len)]
+    total = len(replicas)
     patients = sorted({p for r in replicas.values() for p in set(r.yellow) | set(r.red)})
-    for p in patients:
-        y_len = max(len(r.yellow.get(p, [])) for r in replicas.values())
-        r_len = max(len(r.red.get(p, [])) for r in replicas.values())
-        coords += [("yellow", p, j) for j in range(1, y_len + 1)]
-        coords += [("red", p, k) for k in range(1, r_len + 1)]
-
+    chains = [("main", 0)] + [(name, p) for p in patients for name in ("yellow", "red")]
     report: list[RepairEntry] = []
     touched: set[str] = set()
-    for chain, patient, index in coords:
-        pos = index if chain == "main" else index - 1
-        versions: dict[bytes, list[str]] = {}
-        for nid in node_ids:
-            blocks = replicas[nid].chain(chain, patient)
-            key = encode_record(blocks[pos]) if 0 <= pos < len(blocks) else b""
-            versions.setdefault(key, []).append(nid)
-        if len(versions) == 1:
+    for name, patient in chains:
+        lists = {nid: r.chain(name, patient) for nid, r in replicas.items()}
+        first = next(iter(lists.values()))
+        if all(blocks == first for blocks in lists.values()):
             continue
-        coord = str(index) if chain == "main" else f"{patient}.{index}"
-        majority: bytes | None = None
-        for key, holders in versions.items():
-            if not key or not repair_majority(len(holders), total):
-                continue
-            candidate = decode_record(key)
-            if candidate.self_hash == block_hash(candidate):
-                majority = key
-                break
-        if majority is None:
-            report.append(RepairEntry("*", chain, coord, "unrepairable"))
-            continue
-        good = decode_record(majority)
-        for key, holders in versions.items():
-            if key == majority:
-                continue
-            for nid in holders:
-                blocks = replicas[nid].chain(chain, patient, create=True)
-                if 0 <= pos < len(blocks):
-                    blocks[pos] = good
-                elif pos == len(blocks):
-                    blocks.append(good)
+        for pos in range(max(map(len, lists.values()))):
+            versions: list[tuple[Block | None, list[str]]] = []  # None: the replica lacks it
+            for nid, blocks in lists.items():
+                blk = blocks[pos] if pos < len(blocks) else None
+                holders = next((h for v, h in versions if v == blk), None)
+                if holders is None:
+                    versions.append((blk, [nid]))
                 else:
-                    report.append(RepairEntry(nid, chain, coord, "unrepairable"))
+                    holders.append(nid)
+            if len(versions) == 1:
+                continue
+            coord = str(pos) if name == "main" else f"{patient}.{pos + 1}"
+            # at most one version can hold a majority; a missing one never qualifies
+            good = next((blk for blk, holders in versions if repair_majority(len(holders), total)), None)
+            if good is None or good.self_hash != block_hash(good):
+                report.append(RepairEntry("*", name, coord, "unrepairable"))
+                continue
+            for blk, holders in versions:
+                if blk is good:
                     continue
-                touched.add(nid)
-                report.append(RepairEntry(nid, chain, coord, "replaced"))
-    for nid in node_ids:
-        if nid in touched:
-            replicas[nid]._recompute_derived()
+                for nid in holders:
+                    blocks = lists[nid] = replicas[nid].chain(name, patient, create=True)
+                    if pos < len(blocks):
+                        blocks[pos] = good
+                    elif pos == len(blocks):
+                        blocks.append(good)
+                    else:
+                        report.append(RepairEntry(nid, name, coord, "unrepairable"))
+                        continue
+                    touched.add(nid)
+                    report.append(RepairEntry(nid, name, coord, "replaced"))
+    for nid in touched:
+        replicas[nid]._recompute_derived()
     return report
 
 

@@ -14,11 +14,13 @@ main chain and refuses a manifest that lists any other set. A verified
 load (load_checked, and load, which refuses any violation) hashes the
 bytes it read: each block's hash is recomputed from the slices of its
 stored record (blocks.record_hash), never taken from the stored
-self_hash, and verify_tree checks those hashes. load_raw decodes only.
+self_hash, and kept as the block's memo, which verify_tree then checks.
+load_raw decodes only.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from pathlib import Path
 
 from .blocks import (
@@ -38,7 +40,7 @@ from .blocks import (
     record_hash,
 )
 from .errors import CorruptChain, StorageError, TamperedStore
-from .ledger import ChainHashes, Ledger, Violation, verify_tree
+from .ledger import Ledger, Violation, verify_tree
 from .merkle import sha256
 
 META_NAME = "meta"
@@ -127,37 +129,25 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> l
     return items
 
 
-def _read_blocks(
-    directory: Path,
-    name: str,
-    counts: dict[str, int],
-    want: type,
-    hashes: ChainHashes | None,
-    key: tuple[str, int],
-) -> list:
-    """The blocks of one chain file, each of kind want. With hashes, each
-    block's hash is recomputed from the record bytes just read, listed in
-    hashes[key] and kept as the block's memo."""
-    listed = None if hashes is None else hashes.setdefault(key, [])
+def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool) -> list:
+    """The blocks of one chain file, each of kind want. With hashed, each
+    block's memo is its hash recomputed from the record bytes just read."""
 
     def decode(record: bytes):
         block = decode_record(record)
         if not isinstance(block, want):
             raise ValueError(f"{type(block).__name__} record in a {want.__name__} file")
-        if listed is not None:
-            h = record_hash(record, block)
-            object.__setattr__(block, "hash_memo", h)  # a recomputed hash, as cached_hash keeps
-            listed.append(h)
+        if hashed:
+            object.__setattr__(block, "hash_memo", record_hash(record, block))  # as cached_hash keeps it
         return block
 
     return _read_chain(directory, name, counts, decode)
 
 
-def _assemble(directory: Path, hashes: ChainHashes | None = None) -> Ledger:
+def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     """Open only the file names derived from the main chain; the manifest
-    supplies record counts and must list exactly those names. A hashes
-    dict receives the hash of every block, by chain as Ledger.chain names
-    it."""
+    supplies record counts and must list exactly those names. With hashed,
+    every block's memo is its hash recomputed from the bytes read."""
     try:
         meta_bytes = (directory / META_NAME).read_bytes()
     except OSError:
@@ -165,7 +155,7 @@ def _assemble(directory: Path, hashes: ChainHashes | None = None) -> Ledger:
     clock, counts = _decode_meta(meta_bytes)
     if MAIN_NAME not in counts or AUDIT_NAME not in counts:
         raise CorruptChain(META_NAME, 0, "manifest lacks the required files")
-    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashes, ("main", 0))
+    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed)
     notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
     patients = [blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT]
     expected = {MAIN_NAME, AUDIT_NAME} | {
@@ -177,17 +167,17 @@ def _assemble(directory: Path, hashes: ChainHashes | None = None) -> Ledger:
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
-        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashes, ("yellow", p))
-        red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashes, ("red", p))
+        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashed)
+        red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashed)
     return Ledger(main, yellow, red, notes, clock)
 
 
 def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:
     """Reconstruct and verify; the ledger and its violations. verify_tree
-    checks the hashes recomputed from the bytes just read."""
-    hashes: ChainHashes = {}
-    ledger = _assemble(Path(directory), hashes)
-    return ledger, verify_tree(ledger, hashes)
+    checks the memos, which hold the hashes recomputed from the bytes just
+    read."""
+    ledger = _assemble(Path(directory), hashed=True)
+    return ledger, verify_tree(ledger, attrgetter("hash_memo"))
 
 
 def load(directory: str | Path) -> Ledger:

@@ -232,6 +232,56 @@ def test_audit_repair_rewrites_only_the_replaced_replicas(tmp_path, capsys):
         assert {f.parent.name for f in files if f.stat().st_mtime_ns != 10**9} == expected_rewritten
 
 
+def test_audit_repair_refuses_a_directory_given_twice(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
+    run(capsys, "write", "--dir", dirs[0], "--actor", "drb", "--role", "doctor",
+        "--patient", "1", "--entry", "blood_test:only-here")
+    before = {f: f.read_bytes() for d in dirs for f in Path(d).iterdir()}
+    for twice in (
+        [dirs[0], dirs[0] + os.sep, dirs[1]],  # one replica would outvote the other
+        [dirs[0], dirs[0]],
+        [dirs[0], str(Path(dirs[1]) / ".." / "replica1"), dirs[2]],
+    ):
+        assert main(["audit-repair", "--dirs", *twice]) == 2, twice
+        assert "given more than once" in capsys.readouterr().err
+        assert {f: f.read_bytes() for d in dirs for f in Path(d).iterdir()} == before, twice
+
+
+def assert_repaired(capsys, dirs, coords: list[tuple[str, str]]) -> None:
+    """audit-repair replaces exactly these (chain, coord) on the lagging
+    dirs[2], which then verifies and holds the chains of dirs[0]."""
+    expected_out = "".join(f"replaced\t{dirs[2]}\t{chain}\t{coord}\n" for chain, coord in coords)
+    expected_out += f"entries\t{len(coords)}\n"
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, expected_out)
+    assert run(capsys, "verify", "--dir", dirs[2]) == (0, "OK 0 violations\n")
+    healed, good = store.load(dirs[2]), store.load(dirs[0])
+    assert (healed.main_chain, healed.yellow, healed.red) == (good.main_chain, good.yellow, good.red)
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, "entries\t0\n")
+
+
+def test_audit_repair_appends_to_a_replica_two_writes_behind(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
+    for d in dirs[:2]:
+        for payload in ("v2", "v3"):
+            run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor",
+                "--patient", "1", "--entry", f"blood_test:{payload}")
+    assert_repaired(capsys, dirs, [("yellow", "1.2"), ("yellow", "1.3"), ("red", "1.2"), ("red", "1.3")])
+
+
+def test_audit_repair_creates_the_subchains_of_a_missing_patient(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
+    for d in dirs[:2]:
+        run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC002")
+        run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor",
+            "--patient", "2", "--entry", "xray:x1")
+        run(capsys, "read", "--dir", d, "--actor", "drb", "--role", "doctor",
+            "--patient", "2", "--query", "latest")
+    lag = dirs[2]
+    assert sorted(store.load(lag).yellow) == [1]
+    assert_repaired(capsys, dirs, [("main", "2"), ("yellow", "2.1"), ("red", "2.1"), ("red", "2.2")])
+    assert sorted(store.load(lag).yellow) == sorted(store.load(lag).red) == [1, 2]
+
+
 def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, capsys):
     d = init_ledger(tmp_path, capsys)
     run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")

@@ -7,6 +7,7 @@ from medledger import blocks
 from medledger.blocks import block_hash, cached_hash, mutate_block
 from medledger.ledger import Ledger, verify_tree
 from medledger.network import repair_replicas
+from medledger.store import load_raw, persist
 
 from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, count_calls, criterion7_ledger
 
@@ -98,6 +99,43 @@ def test_repair_replicas_never_trusts_the_memo(forge, action):
     expected = [str(e) for e in repair_replicas(_replicas(forge, memo=False))]
     assert len(expected) == 1 and expected[0].startswith(action)
     assert [str(e) for e in repair_replicas(_replicas(forge, memo=True))] == expected
+
+
+def _count_reindexes(monkeypatch) -> list[Ledger]:
+    reindexed: list[Ledger] = []
+    original = Ledger._recompute_derived
+
+    def counting(self):
+        reindexed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Ledger, "_recompute_derived", counting)
+    return reindexed
+
+
+def test_repair_compares_values_and_hashes_only_the_candidate(monkeypatch):
+    replicas = _replicas(("n3",), memo=False)
+    calls = [count_calls(monkeypatch, f) for f in (blocks.encode_record, blocks.decode_record, blocks.block_hash)]
+    reindexed = _count_reindexes(monkeypatch)
+    report = repair_replicas(replicas)
+    assert [str(e) for e in report] == ["replaced node=n3 chain=yellow coord=1.1"]
+    assert [c[0] for c in calls] == [0, 0, 1]
+    assert reindexed == [replicas["n3"]]
+    assert replicas["n3"].yellow[1][0] is replicas["n1"].yellow[1][0]
+
+
+@pytest.mark.parametrize("copies", ["clones", "loaded"])
+def test_repair_of_identical_replicas_hashes_and_reindexes_nothing(monkeypatch, tmp_path, copies):
+    base = criterion7_ledger(42)
+    if copies == "clones":
+        replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
+    else:
+        persist(base, tmp_path)
+        replicas = {nid: load_raw(tmp_path) for nid in ("n1", "n2", "n3")}
+    hashes = count_calls(monkeypatch, blocks.block_hash)
+    reindexed = _count_reindexes(monkeypatch)
+    assert repair_replicas(replicas) == []
+    assert hashes[0] == 0 and reindexed == []
 
 
 # --- hash counts per operation ---------------------------------------------------------

@@ -24,7 +24,16 @@ from medledger.merkle import build_tree, deserialize_proof, prove, serialize_pro
 from medledger.network import parse_script
 from medledger.store import _decode_meta, _encode_meta
 
-from helpers import AUTHORITY, DOCTOR, INVALID, criterion7_ledger, drive, fresh_ledger, scan_report_oracle
+from helpers import (
+    AUTHORITY,
+    DOCTOR,
+    INVALID,
+    block_mutations,
+    criterion7_ledger,
+    drive,
+    fresh_ledger,
+    scan_report_oracle,
+)
 
 KNOWN_TYPES = ["blood_test", "xray", "ecg"]
 
@@ -352,3 +361,44 @@ def test_record_hash_is_block_hash_on_edited_records(record, edits):
 @given(st.binary(max_size=80), st.binary(max_size=80), st.binary(max_size=80))
 def test_three_leaf_root_is_the_merkle_root_of_three_leaves(a, b, c):
     assert three_leaf_root(a, b, c) == build_tree([a, b, c]).root
+
+
+# --- equal blocks are exactly the blocks with equal bytes ---------------------------
+#
+# repair_replicas votes on block values; this law makes that the same vote
+# as one over stored bytes, for every block a ledger can hold.
+
+
+def _canonical(block) -> bool:
+    return decode_record(encode_record(block)) == block
+
+
+def test_every_block_and_every_mutation_compares_as_its_bytes_do():
+    ledger = criterion7_ledger(42)
+    blocks = list(ledger.main_chain)
+    for p in ledger.patients():
+        blocks += ledger.yellow[p] + ledger.red[p]
+    checked = 0
+    for blk in blocks:
+        assert _canonical(blk), blk.coord
+        for field_name, mutated in block_mutations(blk):
+            assert _canonical(mutated), field_name
+            assert (mutated == blk) == (encode_record(mutated) == encode_record(blk)), field_name
+            checked += 1
+    assert checked == 384  # the lines of tests/golden/tree_checks.txt
+
+
+@pytest.mark.parametrize(
+    "field_path, value",
+    [("is_final", 2), ("entries", "list")],
+    ids=["is_final=2", "entries-as-list"],
+)
+def test_a_typed_tamper_leaves_a_canonical_block(field_path, value):
+    ledger = criterion7_ledger(42)
+    honest = ledger.yellow[1][0]
+    if value == "list":
+        value = list(honest.entries)
+    ledger.tamper("yellow", 1, 1, field_path, value)
+    tampered = ledger.yellow[1][0]
+    assert _canonical(tampered)
+    assert (tampered == honest) == (encode_record(tampered) == encode_record(honest))
