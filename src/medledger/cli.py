@@ -60,10 +60,10 @@ def _show_payload(args, payload: bytes) -> str:
 
 def _cmd_init(args) -> int:
     directory = Path(args.dir)
-    if (directory / store.META_NAME).exists():
-        raise StorageError(f"{directory} already holds a ledger")
     catalog = _catalog(args.catalog)
-    with _locked(directory):
+    with _locked(directory):  # under the lock, so a racing init's ledger is never overwritten
+        if (directory / store.META_NAME).exists():
+            raise StorageError(f"{directory} already holds a ledger")
         store.persist(Ledger.genesis(catalog), directory)
     _emit(args, f"initialized ledger at {directory}", ["initialized", str(directory)])
     return 0

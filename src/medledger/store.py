@@ -8,8 +8,10 @@ logical clock and the per-file record counts, guarded by a SHA-256
 checksum, so truncation at a record boundary is just as detectable as a
 flipped byte mid-record.
 
-persist() rewrites every file, then `meta`, on every call; the store is
-not append-only. A load opens only the file names it derives from the
+persist() writes only what the directory does not hold yet, then `meta`:
+a load leaves on the ledger an image of what each file held, and a file
+that only grew since is appended to, so an op writes the records it
+appended. A load opens only the file names it derives from the
 main chain and refuses a manifest that lists any other set. A verified
 load (load_checked, and load, which refuses any violation) hashes the
 bytes it read: each block's hash is recomputed from the slices of its
@@ -90,29 +92,63 @@ def _decode_meta(data: bytes) -> tuple[int, dict[str, int]]:
 
 
 def persist(ledger: Ledger, directory: str | Path) -> None:
-    """Write the whole ledger; byte-identical for identical state."""
+    """Write what the directory does not hold yet, then `meta`; the bytes
+    are those of a whole write, so byte-identical for identical state.
+
+    The image that the ledger's load or last persist left says, per file
+    of one directory, which records it holds and their byte length. A file
+    whose records still begin with those is appended to at that length,
+    truncated there first so that no byte beyond it survives; an unchanged
+    file is not opened. Every other file is written whole: with no image
+    (a fresh ledger, a clone, or a persist that failed), an image of
+    another directory, or a block replaced by tamper or repair. The image
+    is right only under the single-writer rule: nothing else writes the
+    directory between the load and the persist (the CLI lock; Ledger's
+    serialized mutations).
+    """
     directory = Path(directory)
+    image_dir, held = getattr(ledger, "_store_image", None) or (None, {})
+    ledger._store_image = None  # kept only if this persist completes
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        files: list[tuple[str, list[bytes]]] = [
-            (MAIN_NAME, [encode_record(blk) for blk in ledger.main_chain]),
-            (AUDIT_NAME, [encode_note(n) for n in ledger.global_audit]),
+        where = directory.resolve()
+        if image_dir != where:
+            held = {}
+        files = [
+            (MAIN_NAME, ledger.main_chain, encode_record),
+            (AUDIT_NAME, ledger.global_audit, encode_note),
         ]
         for p in sorted(ledger.yellow):
-            files.append((_yellow_name(p), [encode_record(blk) for blk in ledger.yellow[p]]))
-            files.append((_red_name(p), [encode_record(blk) for blk in ledger.red.get(p, [])]))
-        manifest = [(name, len(records)) for name, records in files]
-        for name, records in files:
-            (directory / name).write_bytes(_frame(records))
+            files.append((_yellow_name(p), ledger.yellow[p], encode_record))
+            files.append((_red_name(p), ledger.red.get(p, []), encode_record))
+        image: dict[str, tuple[list, int]] = {}
+        for name, items, encode in files:
+            old, length = held.get(name, (None, 0))
+            if old is None or items[: len(old)] != old:
+                data = _frame([encode(item) for item in items])
+                (directory / name).write_bytes(data)
+                image[name] = (list(items), len(data))
+            elif len(items) > len(old):
+                data = _frame([encode(item) for item in items[len(old) :]])
+                with open(directory / name, "r+b") as f:
+                    f.seek(length)
+                    f.truncate()
+                    f.write(data)
+                image[name] = (list(items), length + len(data))
+            else:
+                image[name] = held[name]
+        manifest = [(name, len(items)) for name, items, _ in files]
         (directory / META_NAME).write_bytes(_encode_meta(ledger.clock, manifest))
     except OSError as exc:
         raise StorageError(f"cannot persist to {directory}: {exc}") from exc
+    ledger._store_image = (where, image)
 
 
-def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> list:
-    """Read and unframe one chain file and decode each record, in one pass.
-    A framing failure, a ValueError from decode, or bytes beyond the
-    manifest's count is CorruptChain at the offset of the record hit."""
+def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, image: dict) -> list:
+    """Read and unframe one chain file and decode each record, in one pass,
+    and record the items and the file's length in image. A framing failure,
+    a ValueError from decode, or bytes beyond the manifest's count is
+    CorruptChain at the offset of the record hit."""
     try:
         r = _Reader((directory / name).read_bytes())
     except OSError:
@@ -126,10 +162,13 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> l
         r.expect_end()
     except ValueError as exc:
         raise CorruptChain(name, offset, str(exc)) from None
+    image[name] = (list(items), offset)
     return items
 
 
-def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool) -> list:
+def _read_blocks(
+    directory: Path, name: str, counts: dict[str, int], image: dict, want: type, hashed: bool
+) -> list:
     """The blocks of one chain file, each of kind want. With hashed, each
     block's memo is its hash recomputed from the record bytes just read."""
 
@@ -141,13 +180,14 @@ def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type,
             object.__setattr__(block, "hash_memo", record_hash(record, block))  # as cached_hash keeps it
         return block
 
-    return _read_chain(directory, name, counts, decode)
+    return _read_chain(directory, name, counts, decode, image)
 
 
 def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     """Open only the file names derived from the main chain; the manifest
     supplies record counts and must list exactly those names. With hashed,
-    every block's memo is its hash recomputed from the bytes read."""
+    every block's memo is its hash recomputed from the bytes read. The
+    ledger keeps the image of what the directory holds, for persist."""
     try:
         meta_bytes = (directory / META_NAME).read_bytes()
     except OSError:
@@ -155,8 +195,9 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     clock, counts = _decode_meta(meta_bytes)
     if MAIN_NAME not in counts or AUDIT_NAME not in counts:
         raise CorruptChain(META_NAME, 0, "manifest lacks the required files")
-    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed)
-    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
+    image: dict[str, tuple[list, int]] = {}
+    main = _read_blocks(directory, MAIN_NAME, counts, image, IdentityBlock, hashed)
+    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note, image)
     patients = [blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT]
     expected = {MAIN_NAME, AUDIT_NAME} | {
         n for p in patients for n in (_yellow_name(p), _red_name(p))
@@ -167,9 +208,11 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
-        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashed)
-        red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashed)
-    return Ledger(main, yellow, red, notes, clock)
+        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, image, MedicalBlock, hashed)
+        red[p] = _read_blocks(directory, _red_name(p), counts, image, LogBlock, hashed)
+    ledger = Ledger(main, yellow, red, notes, clock)
+    ledger._store_image = (directory.resolve(), image)
+    return ledger
 
 
 def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:

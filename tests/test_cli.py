@@ -2,11 +2,12 @@
 equivalence with the library, lock behavior."""
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from medledger import store
+from medledger import cli, store
 from medledger.cli import main
 from medledger.ledger import Credential, Ledger, Role
 
@@ -120,6 +121,26 @@ def test_init_refuses_existing_ledger(tmp_path, capsys):
     d = init_ledger(tmp_path, capsys)
     code = main(["init", "--dir", d, "--catalog", "a:A"])
     assert code == 2
+
+
+def test_init_checks_for_a_ledger_under_the_lock(tmp_path, capsys, monkeypatch):
+    """An init that completes while a second one waits for the lock is not
+    overwritten by the second one's genesis."""
+    d = tmp_path / "ledger"
+    locked = cli._locked
+
+    @contextmanager
+    def racing(directory):
+        monkeypatch.setattr(cli, "_locked", locked)
+        assert main(["init", "--dir", str(d), "--catalog", "first:First"]) == 0
+        with locked(directory):
+            yield
+
+    monkeypatch.setattr(cli, "_locked", racing)
+    assert main(["init", "--dir", str(d), "--catalog", "second:Second"]) == 2
+    assert "already holds a ledger" in capsys.readouterr().err
+    assert store.load(d).active_catalog() == {"first": "First"}
+    assert not (d / ".lock").exists()
 
 
 # every ledger verb once or more: (argv after the verb, human lines, porcelain lines)
@@ -280,6 +301,20 @@ def test_audit_repair_creates_the_subchains_of_a_missing_patient(tmp_path, capsy
     assert sorted(store.load(lag).yellow) == [1]
     assert_repaired(capsys, dirs, [("main", "2"), ("yellow", "2.1"), ("red", "2.1"), ("red", "2.2")])
     assert sorted(store.load(lag).yellow) == sorted(store.load(lag).red) == [1, 2]
+
+
+def test_audit_repair_heals_the_clock_of_a_replica_one_write_behind(tmp_path, capsys):
+    """The healed replica takes the majority's clock, so the same next op
+    stamps the same log block on every replica."""
+    dirs = replica_dirs(tmp_path)
+    write = ["write", "--actor", "drb", "--role", "doctor", "--patient", "1"]
+    for d in dirs[:2]:
+        run(capsys, write[0], "--dir", d, *write[1:], "--entry", "blood_test:v2")
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs)[1].endswith("entries\t2\n")
+    assert len({store.load(d).clock for d in dirs}) == 1
+    for d in dirs:
+        run(capsys, write[0], "--dir", d, *write[1:], "--entry", "xray:v3")
+    assert run(capsys, "audit-repair", "--dirs", *dirs) == (0, "0 repair entries\n")
 
 
 def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, capsys):

@@ -235,3 +235,163 @@ def test_load_checked_reports_what_verify_tree_finds(tmp_path):
     loaded, violations = load_checked(tmp_path)
     assert violations and violations == verify_tree(load_raw(tmp_path))
     assert loaded.snapshot_bytes() == ledger.snapshot_bytes()
+
+
+# --- persist appends: an op writes only the records it appended ----------------
+
+AUTH_FLAGS = ["--actor", "reg", "--role", "authority"]
+DOC_FLAGS = ["--actor", "drb", "--role", "doctor"]
+# every ledger verb on a persisted criterion7_ledger(42), whose patients 1-3
+# are closed and 7, 8 and 10 open; with the exit code each must give
+APPEND_OPS = [
+    (["onboard", *AUTH_FLAGS, "--code", "FC-NEW", "--info", "name=new"], 0),
+    (["write", *DOC_FLAGS, "--patient", "7", "--entry", "blood_test:a", "--entry", "xray:b"], 0),
+    (["read", *DOC_FLAGS, "--patient", "8", "--query", "latest"], 0),
+    (["report", *DOC_FLAGS, "--patient", "8", "--type", "blood_test"], 0),
+    (["change-code", *AUTH_FLAGS, "--patient", "10", "--new-code", "FC-Z"], 0),
+    (["catalog-add", *AUTH_FLAGS, "--entry", "ct:CT scan"], 0),
+    (["write", *DOC_FLAGS, "--patient", "1", "--entry", "blood_test:late"], 1),  # closed
+    (["read", *DOC_FLAGS, "--no-valid", "--patient", "8", "--query", "latest"], 1),
+    (["onboard", *AUTH_FLAGS, "--no-valid", "--code", "FC-BAD"], 1),  # a global audit note
+    (["close", *DOC_FLAGS, "--patient", "7"], 1),  # a doctor may not close
+    (["close", *AUTH_FLAGS, "--patient", "7"], 0),
+]
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _counts(files: dict[str, bytes]) -> dict[str, int]:
+    return store._decode_meta(files["meta"])[1]
+
+
+def test_each_cli_op_appends_its_records_and_rewrites_only_meta(tmp_path, monkeypatch):
+    """The files whose bytes change are meta and the files of the chains
+    that grew (created, for a new patient); a grown file's old bytes are
+    a prefix of its new bytes; each appended record is encoded once."""
+    d = tmp_path / "live"
+    persist(criterion7_ledger(42), d)
+    encoded = count_calls(monkeypatch, blocks.encode_record)
+    noted = count_calls(monkeypatch, blocks.encode_note)
+    for argv, exit_code in APPEND_OPS:
+        before = _files(d)
+        encoded[0] = noted[0] = 0
+        assert main([argv[0], "--dir", str(d), *argv[1:]]) == exit_code, argv
+        after = _files(d)
+        old, new = _counts(before), _counts(after)
+        grown = {name for name in new if new[name] > old.get(name, 0)} | (new.keys() - old.keys())
+        assert {name for name in after if after[name] != before.get(name)} == {"meta"} | grown, argv
+        assert all(after[name].startswith(before[name]) for name in grown & old.keys()), argv
+        appended = {name: new[name] - old.get(name, 0) for name in new}
+        assert noted[0] == appended.pop("audit.global"), argv
+        assert encoded[0] == sum(appended.values()), argv
+    persist(load(d), tmp_path / "fresh")
+    assert store_image(tmp_path / "fresh") == store_image(d)
+
+
+class StoredLedger:
+    """A ledger that lives in a directory: each method call loads it, runs
+    the method and persists it, domain errors included, as the CLI does."""
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+
+    def __getattr__(self, name):
+        ledger = load(self.directory)
+        value = getattr(ledger, name)
+        if not callable(value):
+            return value
+
+        def call(*args, **kwargs):
+            try:
+                return value(*args, **kwargs)
+            finally:
+                persist(ledger, self.directory)
+
+        return call
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_op_by_op_persist_matches_a_fresh_persist(tmp_path, seed):
+    """A seeded op sequence run load -> op -> persist on one directory
+    leaves the bytes that one persist of the final ledger writes, and the
+    state that the same sequence reaches in memory."""
+    live, fresh, memory = tmp_path / "live", tmp_path / "fresh", tmp_path / "memory"
+    persist(fresh_ledger(), live)
+    drive(StoredLedger(live), random.Random(seed), 40)
+    persist(load(live), fresh)
+    in_memory = fresh_ledger()
+    drive(in_memory, random.Random(seed), 40)
+    persist(in_memory, memory)
+    assert store_image(live) == store_image(fresh) == store_image(memory)
+
+
+def test_a_tamper_rewrites_the_tampered_file(tmp_path):
+    d, fresh = tmp_path / "live", tmp_path / "fresh"
+    persist(criterion7_ledger(42), d)
+    expected = load(d)
+    expected.tamper("red", 8, 1, "actor", "mallory")
+    assert main(["tamper", "--dir", str(d), "--chain", "red", "--patient", "8",
+                 "--index", "1", "--field", "actor", "--value", "mallory"]) == 0
+    assert load_raw(d).snapshot_bytes() == expected.snapshot_bytes()
+    persist(expected, fresh)
+    assert store_image(d) == store_image(fresh)
+
+
+def test_audit_repair_of_a_tampered_replica_rewrites_what_it_replaced(tmp_path, capsys):
+    dirs = [tmp_path / f"r{i}" for i in range(3)]
+    for d in dirs:
+        persist(criterion7_ledger(42), d)
+    main(["tamper", "--dir", str(dirs[1]), "--chain", "yellow", "--patient", "1",
+          "--index", "1", "--field", "entry.0.payload", "--value", "forged"])
+    assert main(["audit-repair", "--dirs", *map(str, dirs)]) == 0
+    assert main(["verify", "--dir", str(dirs[1])]) == 0
+    assert capsys.readouterr().out.endswith("1 repair entries\nOK 0 violations\n")
+    assert store_image(dirs[1]) == store_image(dirs[0])
+
+
+def test_a_ledger_persisted_to_another_directory_is_written_whole(tmp_path):
+    """The image of A says nothing about B, even when B holds an older
+    state of the same files."""
+    a, b, fresh = tmp_path / "a", tmp_path / "b", tmp_path / "fresh"
+    ledger = criterion7_ledger(42)
+    persist(ledger, b)
+    ledger.write_record(DOCTOR, 7, [("xray", b"only in a")])
+    persist(ledger, a)
+    moved = load(a)
+    moved.write_record(DOCTOR, 8, [("ecg", b"after the move")])
+    persist(moved, b)
+    persist(moved, fresh)
+    assert store_image(b) == store_image(fresh)
+
+
+def test_a_clone_persisted_to_its_source_is_written_whole(tmp_path):
+    d, fresh = tmp_path / "live", tmp_path / "fresh"
+    persist(criterion7_ledger(42), d)
+    twin = load(d).clone()
+    twin.write_record(DOCTOR, 7, [("xray", b"by the clone")])
+    twin.red[8][0] = blocks.mutate_block(twin.red[8][0], "place", "elsewhere")
+    persist(twin, d)
+    persist(twin, fresh)
+    assert store_image(d) == store_image(fresh)
+    assert load_raw(d).snapshot_bytes() == twin.snapshot_bytes()
+
+
+def test_a_persist_that_fails_before_meta_is_retried_without_a_double_append(tmp_path, monkeypatch):
+    d, fresh = tmp_path / "live", tmp_path / "fresh"
+    persist(criterion7_ledger(42), d)
+    ledger = load(d)
+    ledger.write_record(DOCTOR, 7, [("xray", b"retried")])
+    encode_meta = store._encode_meta
+
+    def full_disk(*args):
+        monkeypatch.setattr(store, "_encode_meta", encode_meta)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(store, "_encode_meta", full_disk)
+    with pytest.raises(StorageError):
+        persist(ledger, d)
+    persist(ledger, d)
+    persist(ledger, fresh)
+    assert store_image(d) == store_image(fresh)
