@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import store
@@ -21,13 +21,14 @@ from .network import Command, SimConfig, repair_replicas, run_scenario, split_to
 
 @contextmanager
 def _locked(directory: Path):
-    """One CLI invocation at a time per ledger directory."""
-    directory.mkdir(parents=True, exist_ok=True)
+    """One CLI invocation at a time per ledger directory, which must exist."""
     lock = directory / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise StorageError(f"ledger directory {directory} is locked ({lock} exists)") from None
+    except FileNotFoundError:
+        raise StorageError(f"no ledger at {directory} (no such directory)") from None
     try:
         os.close(fd)
         yield
@@ -61,6 +62,7 @@ def _show_payload(args, payload: bytes) -> str:
 def _cmd_init(args) -> int:
     directory = Path(args.dir)
     catalog = _catalog(args.catalog)
+    directory.mkdir(parents=True, exist_ok=True)
     with _locked(directory):  # under the lock, so a racing init's ledger is never overwritten
         if (directory / store.META_NAME).exists():
             raise StorageError(f"{directory} already holds a ledger")
@@ -193,12 +195,15 @@ def _cmd_audit_repair(args) -> int:
     for d, path in zip(args.dirs, resolved):
         if resolved.count(path) > 1:  # one replica must not vote twice
             raise CommandError(f"replica directory {d!r} given more than once")
-    replicas = {d: store.load_raw(Path(d)) for d in args.dirs}
-    entries = repair_replicas(replicas)
-    replaced = {e.node for e in entries if e.action == "replaced"}
-    for directory, ledger in replicas.items():
-        if directory in replaced:
-            store.persist(ledger, Path(directory))
+    with ExitStack() as locks:  # every replica locked from its load through its persist
+        for path in sorted(resolved):
+            locks.enter_context(_locked(path))
+        replicas = {d: store.load_raw(Path(d)) for d in args.dirs}
+        entries = repair_replicas(replicas)
+        replaced = {e.node for e in entries if e.action == "replaced"}
+        for directory, ledger in replicas.items():
+            if directory in replaced:
+                store.persist(ledger, Path(directory))
     for e in entries:
         _emit(args, str(e), [e.action, e.node, e.chain, e.coord])
     _emit(args, f"{len(entries)} repair entries", ["entries", str(len(entries))])

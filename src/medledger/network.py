@@ -298,10 +298,11 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     version qualifies only if it is held by at least 51% of replicas AND
     its stored self_hash recomputes with block_hash (no memo is read), so
     a raw tamper cannot vote itself into being the "right" version.
-    Replaced replicas get the winning block object itself, and the
-    logical clock held by a 51% majority, if one is, so that their next
-    op stamps what the others stamp. Divergent positions without a
-    qualifying version are reported unrepairable.
+    Replaced replicas get the winning block object itself, and their
+    logical clock is raised to the one a 51% majority holds, if one does,
+    so that their next op stamps what the others stamp; a clock is never
+    lowered, so no replica stamps a timestamp twice. Divergent positions
+    without a qualifying version are reported unrepairable.
     Replica order (dict order) fixes the report order.
     """
     total = len(replicas)
@@ -348,8 +349,8 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     clocks = [r.clock for r in replicas.values()]
     clock = next((c for c in clocks if repair_majority(clocks.count(c), total)), None)
     for nid in touched:
-        if clock is not None:
-            replicas[nid].clock = clock
+        if clock is not None:  # raised only: a replica ahead keeps the timestamps it used
+            replicas[nid].clock = max(replicas[nid].clock, clock)
         replicas[nid]._recompute_derived()
     return report
 

@@ -97,14 +97,15 @@ def persist(ledger: Ledger, directory: str | Path) -> None:
 
     The image that the ledger's load or last persist left says, per file
     of one directory, which records it holds and their byte length. A file
-    whose records still begin with those is appended to at that length,
-    truncated there first so that no byte beyond it survives; an unchanged
-    file is not opened. Every other file is written whole: with no image
-    (a fresh ledger, a clone, or a persist that failed), an image of
+    whose records still begin with those is cut to that length, so that
+    no byte beyond it survives, and appended to; an unchanged file is not
+    opened. Every other file is the same append at length 0: with no
+    image (a fresh ledger, a clone, or a persist that failed), an image of
     another directory, or a block replaced by tamper or repair. The image
     is right only under the single-writer rule: nothing else writes the
-    directory between the load and the persist (the CLI lock; Ledger's
-    serialized mutations).
+    directory between the load and the persist. Every CLI command that
+    persists holds the directory's lock from its load on; a Ledger's
+    mutations must be serialized.
     """
     directory = Path(directory)
     image_dir, held = getattr(ledger, "_store_image", None) or (None, {})
@@ -125,18 +126,16 @@ def persist(ledger: Ledger, directory: str | Path) -> None:
         for name, items, encode in files:
             old, length = held.get(name, (None, 0))
             if old is None or items[: len(old)] != old:
-                data = _frame([encode(item) for item in items])
-                (directory / name).write_bytes(data)
-                image[name] = (list(items), len(data))
-            elif len(items) > len(old):
-                data = _frame([encode(item) for item in items[len(old) :]])
-                with open(directory / name, "r+b") as f:
-                    f.seek(length)
-                    f.truncate()
-                    f.write(data)
-                image[name] = (list(items), length + len(data))
-            else:
+                old, length = [], 0  # written whole: the append of every record
+            elif len(items) == len(old):
                 image[name] = held[name]
+                continue
+            data = _frame([encode(item) for item in items[len(old) :]])
+            with open(directory / name, "ab") as f:  # positioned at the file's end
+                if f.tell() != length:  # a truncate to the same length still costs an inode update
+                    f.truncate(length)
+                f.write(data)
+            image[name] = (list(items), length + len(data))
         manifest = [(name, len(items)) for name, items, _ in files]
         (directory / META_NAME).write_bytes(_encode_meta(ledger.clock, manifest))
     except OSError as exc:

@@ -75,6 +75,20 @@ def test_missing_ledger_dir_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["write", "--dir", "void", "--actor", "drb", "--role", "doctor", "--patient", "1",
+     "--entry", "blood_test:v1"],
+    ["tamper", "--dir", "void", "--chain", "main", "--index", "0", "--field", "place",
+     "--value", "x"],
+    ["audit-repair", "--dirs", "void", "void2", "void3"],
+])
+def test_a_missing_ledger_dir_is_refused_and_not_created(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "no ledger at" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tamper_then_verify_exits_1_with_violation_lines(tmp_path, capsys):
     d = init_ledger(tmp_path, capsys)
     run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority",
@@ -305,7 +319,9 @@ def test_audit_repair_creates_the_subchains_of_a_missing_patient(tmp_path, capsy
 
 def test_audit_repair_heals_the_clock_of_a_replica_one_write_behind(tmp_path, capsys):
     """The healed replica takes the majority's clock, so the same next op
-    stamps the same log block on every replica."""
+    stamps the same log block on every replica. A replica ahead of the
+    majority that holds a tampered block is healed but keeps its clock,
+    so it never stamps a timestamp twice."""
     dirs = replica_dirs(tmp_path)
     write = ["write", "--actor", "drb", "--role", "doctor", "--patient", "1"]
     for d in dirs[:2]:
@@ -315,6 +331,36 @@ def test_audit_repair_heals_the_clock_of_a_replica_one_write_behind(tmp_path, ca
     for d in dirs:
         run(capsys, write[0], "--dir", d, *write[1:], "--entry", "xray:v3")
     assert run(capsys, "audit-repair", "--dirs", *dirs) == (0, "0 repair entries\n")
+    run(capsys, write[0], "--dir", dirs[0], *write[1:], "--entry", "blood_test:only-here")
+    run(capsys, "tamper", "--dir", dirs[0], "--chain", "yellow", "--patient", "1",
+        "--index", "1", "--field", "entry.0.payload", "--value", "forged")
+    ahead = store.load_raw(dirs[0]).clock
+    code, out = run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs)
+    assert code == 0 and f"replaced\t{dirs[0]}\tyellow\t1.1\n" in out
+    assert store.load(dirs[0]).clock == ahead > store.load(dirs[1]).clock
+
+
+def test_audit_repair_locks_every_replica_from_load_to_persist(tmp_path, capsys, monkeypatch):
+    """A write that comes while audit-repair holds the replicas is refused,
+    so the repair never persists over records it did not load."""
+    dirs = replica_dirs(tmp_path)
+    run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
+        "--index", "1", "--field", "entry.0.payload", "--value", "forged")
+    load_raw = store.load_raw
+    racing_writes = []
+
+    def load_then_race(directory):
+        ledger = load_raw(directory)
+        racing_writes.append(main(["write", "--dir", str(directory), "--actor", "drb",
+                                   "--role", "doctor", "--patient", "1", "--entry", "xray:racing"]))
+        return ledger
+
+    monkeypatch.setattr(store, "load_raw", load_then_race)
+    code, out = run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs)
+    assert (code, out) == (0, f"replaced\t{dirs[2]}\tyellow\t1.1\nentries\t1\n")
+    assert racing_writes == [2, 2, 2]
+    assert len({store.load(d).snapshot_bytes() for d in dirs}) == 1
+    assert not any((Path(d) / ".lock").exists() for d in dirs)
 
 
 def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, capsys):
