@@ -6,7 +6,9 @@ wire formats. tree_checks.txt pins the integrity checker and the ledger's
 derived indexes: regenerate it only from a tree whose checker is trusted,
 and never to make a refactor pass. store_image.txt pins the directory
 store's bytes, `meta` included: regenerate it only from a tree whose store
-encoder is trusted.
+encoder is trusted. decode_outcomes.txt pins every decoder error message
+and offset: regenerate it only from a tree whose decoders are trusted, and
+never to make a decoder rewrite pass.
 """
 
 import sys
@@ -22,7 +24,13 @@ from medledger.store import persist
 HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE.parent))  # the tests' helpers
 
-from helpers import criterion7_ledger, store_image, tree_check_cases  # noqa: E402
+from helpers import (  # noqa: E402
+    criterion7_ledger,
+    criterion7_ledger_with_note,
+    decode_outcome_digests,
+    store_image,
+    tree_check_cases,
+)
 
 LIFECYCLE_CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"))
 
@@ -59,10 +67,16 @@ def write_store_image() -> None:
     (HERE / "store_image.txt").write_text("\n".join(lines) + "\n")
 
 
+def write_decode_outcomes() -> None:
+    lines = decode_outcome_digests(criterion7_ledger_with_note(42))
+    (HERE / "decode_outcomes.txt").write_text("\n".join(lines) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
     write_lifecycle_transcript()
     write_tree_checks()
     write_store_image()
+    write_decode_outcomes()
     print("golden vectors regenerated")

@@ -225,6 +225,16 @@ def criterion7_ledger(seed: int = 42) -> Ledger:
     return ledger
 
 
+def criterion7_ledger_with_note(seed: int = 42) -> Ledger:
+    """criterion7_ledger plus the one global audit note of a refused onboard."""
+    ledger = criterion7_ledger(seed)
+    try:
+        ledger.onboard_patient(INVALID, "FC-X", {})
+    except LedgerError:
+        pass
+    return ledger
+
+
 def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation]]]:
     """One golden line per single-field mutation of every block of the
     ledger, with the violation list it digests.
@@ -266,3 +276,57 @@ def store_image(directory) -> list[str]:
         f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
         for path in sorted(Path(directory).iterdir())
     ]
+
+
+SUBSTITUTES = (0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF)
+
+
+def decode_shapes(ledger: Ledger) -> list[tuple[str, bytes, object]]:
+    """One stored record of each shape the ledger holds, with its name and
+    decoder: the first genesis, patient, fiscal-change and catalog identity
+    block, medical block with a prev_same_type entry, final medical block,
+    log block and global audit note."""
+    from medledger.blocks import decode_note, decode_record, encode_note, encode_record
+
+    yellow = [blk for p in ledger.patients() for blk in ledger.yellow[p]]
+    red = [blk for p in ledger.patients() for blk in ledger.red[p]]
+    by_variant = {}
+    for blk in ledger.main_chain:
+        by_variant.setdefault(blk.variant, blk)
+    picks = [
+        ("genesis", by_variant[IdentityVariant.SYSTEM_GENESIS]),
+        ("patient", by_variant[IdentityVariant.PATIENT]),
+        ("fiscal_change", by_variant[IdentityVariant.FISCAL_CHANGE]),
+        ("catalog", by_variant[IdentityVariant.CATALOG]),
+        ("medical_prev_same_type", next(b for b in yellow if any(e.prev_same_type for e in b.entries))),
+        ("medical_final", next(b for b in yellow if b.is_final)),
+        ("log", red[0]),
+    ]
+    shapes = [(name, encode_record(blk), decode_record) for name, blk in picks]
+    return shapes + [("audit_note", encode_note(ledger.global_audit[0]), decode_note)]
+
+
+def decode_outcome_lines(record: bytes, decode) -> list[str]:
+    """`ok` or the ValueError message of decode on every truncation of the
+    record and on each substitution of SUBSTITUTES and of the byte ^ 1 at
+    every offset."""
+    inputs = [record[:cut] for cut in range(len(record))]
+    for i, old in enumerate(record):
+        inputs += [record[:i] + bytes([value]) + record[i + 1 :] for value in (*SUBSTITUTES, old ^ 1)]
+    lines = []
+    for data in inputs:
+        try:
+            decode(data)
+            lines.append("ok")
+        except ValueError as exc:
+            lines.append(str(exc))
+    return lines
+
+
+def decode_outcome_digests(ledger: Ledger) -> list[str]:
+    """One `name sha256` line per record shape: the digest of its outcome lines."""
+    lines = []
+    for name, record, decode in decode_shapes(ledger):
+        outcomes = "\n".join(decode_outcome_lines(record, decode))
+        lines.append(f"{name} {hashlib.sha256(outcomes.encode()).hexdigest()}")
+    return lines

@@ -27,7 +27,13 @@ from medledger.blocks import (
 from medledger.ledger import Ledger
 from medledger.merkle import ZERO_DIGEST, build_tree
 
-from helpers import CATALOG, block_mutations, criterion7_ledger
+from helpers import (
+    CATALOG,
+    block_mutations,
+    criterion7_ledger,
+    criterion7_ledger_with_note,
+    decode_outcome_digests,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -203,3 +209,11 @@ def test_mutate_block_parses_string_values():
     for field, value in (("timestamp", "-1"), ("timestamp", str(1 << 64)), ("actor", "\udcff")):
         with pytest.raises(ValueError):  # the block encoding cannot hold it
             mutate_block(log, field, value)
+
+
+def test_decoder_outcomes_match_golden():
+    """Every truncation and single-byte substitution of one record of each
+    shape decodes or fails exactly as the pinned decoders did, with the
+    same ValueError message and offset."""
+    expected = (GOLDEN / "decode_outcomes.txt").read_text().splitlines()
+    assert decode_outcome_digests(criterion7_ledger_with_note(42)) == expected
