@@ -19,7 +19,15 @@ Decoding is strict: flags and enum bytes must be canonical values, map
 keys must be sorted and unique, and a record must be consumed exactly.
 Any deviation raises ValueError, which the store maps to CorruptChain.
 The store's record framing and `meta`, and Ledger.snapshot_bytes, use
-these same encoders and _Reader.
+these same encoders, and the framing and `meta` read with the same field
+readers.
+
+Each kind has one decoder that reads its record in one pass: field
+readers return a checked value and the offset after it, and precompiled
+structs unpack the fixed runs (the coordinate header, and the digests
+at fixed offsets from the record's end). Values are built without the
+dataclass __init__, but an identity block still gets a read-only
+personal_info of its own.
 
 Blocks are frozen values (an identity block's personal_info is a
 read-only mapping), so a block's hash is a pure function of its fields.
@@ -37,7 +45,8 @@ bytes do. repair_replicas therefore compares blocks by value.
 
 A verified store load hashes the bytes it read instead: record_hash
 takes the three field groups as slices of the stored record, which are
-exactly field_groups of the decoded block because decoding is canonical.
+exactly field_groups of the decoded block because decoding is strict
+and canonical: a record decodes only if it is the encoding of its block.
 Both hash through three_leaf_root, so both make the same six SHA-256
 calls per block. The store keeps that recomputed hash as the block's
 memo, and verify_tree checks those memos; decode_record never fills the
@@ -224,110 +233,95 @@ def _strmap(m: Mapping[str, str]) -> bytes:
     return bytes(out)
 
 
+_U32 = struct.Struct(">I").unpack_from
+_U64 = struct.Struct(">Q").unpack_from
+_HEAD = struct.Struct(">BIB").unpack_from  # kind, patient, record-index flag
+_TWO_DIGESTS = struct.Struct(f">{DIGEST_SIZE}s{DIGEST_SIZE}s")
+_FOUR_DIGESTS = struct.Struct(f">{DIGEST_SIZE}s{DIGEST_SIZE}s{DIGEST_SIZE}s{DIGEST_SIZE}s")
+
+
 def _truncated(pos: int, n: int) -> ValueError:
     return ValueError(f"truncated record at offset {pos} (need {n} bytes)")
 
 
-_U32 = struct.Struct(">I").unpack_from
-_U64 = struct.Struct(">Q").unpack_from
+# Strict readers of one field at an offset: each returns the value and the
+# offset after it, and raises the ValueError of the first byte it refuses.
 
 
-class _Reader:
-    """Strict cursor over one record; every read is bounds-checked. The
-    store reads every record through here, so each read checks its bounds
-    inline and integers unpack in place with precompiled structs."""
+def _u32_at(data: bytes, pos: int) -> tuple[int, int]:
+    if pos + 4 > len(data):
+        raise _truncated(pos, 4)
+    return _U32(data, pos)[0], pos + 4
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _u64_at(data: bytes, pos: int) -> tuple[int, int]:
+    if pos + 8 > len(data):
+        raise _truncated(pos, 8)
+    return _U64(data, pos)[0], pos + 8
 
-    def take(self, n: int) -> bytes:
-        pos = self.pos
-        end = pos + n
-        if n < 0 or end > len(self.data):
-            raise _truncated(pos, n)
-        self.pos = end
-        return self.data[pos:end]
 
-    def u8(self) -> int:
-        pos = self.pos
-        if pos >= len(self.data):
-            raise _truncated(pos, 1)
-        self.pos = pos + 1
-        return self.data[pos]
+def _blob_at(data: bytes, pos: int) -> tuple[bytes, int]:
+    start = pos + 4
+    if start > len(data):
+        raise _truncated(pos, 4)
+    end = start + _U32(data, pos)[0]
+    if end > len(data):
+        raise _truncated(start, end - start)
+    return data[start:end], end
 
-    def u32(self) -> int:
-        pos = self.pos
-        if pos + 4 > len(self.data):
-            raise _truncated(pos, 4)
-        self.pos = pos + 4
-        return _U32(self.data, pos)[0]
 
-    def u64(self) -> int:
-        pos = self.pos
-        if pos + 8 > len(self.data):
-            raise _truncated(pos, 8)
-        self.pos = pos + 8
-        return _U64(self.data, pos)[0]
+def _text(data: bytes, pos: int) -> tuple[str, int]:
+    # _blob_at's checks, inlined: strings are most of a record's fields
+    start = pos + 4
+    if start > len(data):
+        raise _truncated(pos, 4)
+    end = start + _U32(data, pos)[0]
+    if end > len(data):
+        raise _truncated(start, end - start)
+    try:
+        return data[start:end].decode(), end
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"string at offset {start} is not UTF-8: {exc}") from None
 
-    def string(self) -> str:
-        raw = self.blob()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"string at offset {self.pos - len(raw)} is not UTF-8: {exc}") from None
 
-    def blob(self) -> bytes:
-        data = self.data
-        pos = self.pos
-        start = pos + 4
-        if start > len(data):
-            raise _truncated(pos, 4)
-        end = start + _U32(data, pos)[0]
-        if end > len(data):
-            raise _truncated(start, end - start)
-        self.pos = end
-        return data[start:end]
+def _digest_at(data: bytes, pos: int) -> tuple[Digest, int]:
+    end = pos + DIGEST_SIZE
+    if end > len(data):
+        raise _truncated(pos, DIGEST_SIZE)
+    return data[pos:end], end
 
-    def digest(self) -> Digest:
-        pos = self.pos
-        end = pos + DIGEST_SIZE
-        if end > len(self.data):
-            raise _truncated(pos, DIGEST_SIZE)
-        self.pos = end
-        return self.data[pos:end]
 
-    def member(self, members: dict, what: str):
-        """The value a one-byte code maps to in members."""
-        b = self.u8()
-        try:
-            return members[b]
-        except KeyError:
-            raise ValueError(f"unknown {what} {b:#x}") from None
+def _flag(data: bytes, pos: int) -> tuple[bool, int]:
+    if pos >= len(data):
+        raise _truncated(pos, 1)
+    if data[pos] > 1:
+        raise ValueError(f"non-canonical flag byte {data[pos]:#x} at offset {pos}")
+    return data[pos] == 1, pos + 1
 
-    def flag(self) -> bool:
-        b = self.u8()
-        if b > 1:
-            raise ValueError(f"non-canonical flag byte {b:#x} at offset {self.pos - 1}")
-        return b == 1
 
-    def strmap(self) -> dict[str, str]:
-        count = self.u32()
-        out: dict[str, str] = {}
-        prev_key: str | None = None
-        for _ in range(count):
-            key = self.string()
-            if prev_key is not None and key <= prev_key:
-                raise ValueError(f"map keys not strictly ascending near offset {self.pos}")
-            prev_key = key
-            out[key] = self.string()
-        return out
+def _member(data: bytes, pos: int, members: dict, what: str):
+    """The value the byte at pos maps to in members."""
+    if pos >= len(data):
+        raise _truncated(pos, 1)
+    try:
+        return members[data[pos]], pos + 1
+    except KeyError:
+        raise ValueError(f"unknown {what} {data[pos]:#x}") from None
 
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise ValueError(f"{len(self.data) - self.pos} trailing bytes after offset {self.pos}")
+
+def _expect_end(data: bytes, pos: int) -> None:
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} trailing bytes after offset {pos}")
+
+
+def _digests(data: bytes, pos: int, run: struct.Struct) -> tuple[Digest, ...]:
+    """The digests of run, which must end the record exactly: their offsets
+    are fixed from the record's end."""
+    end = pos + run.size
+    if end > len(data):
+        raise _truncated(pos + (len(data) - pos) // DIGEST_SIZE * DIGEST_SIZE, DIGEST_SIZE)
+    _expect_end(data, end)
+    return run.unpack_from(data, pos)
 
 
 # --- field groups and hashing ----------------------------------------------
@@ -337,26 +331,12 @@ def _coord_bytes(kind: BlockKind, coord: BlockCoord) -> bytes:
     return _u8(kind) + _u32(coord.patient) + _opt_u32(coord.record) + _opt_u32(coord.log)
 
 
-def _read_coord(r: _Reader) -> BlockCoord:
-    patient = r.u32()
-    record = r.u32() if r.flag() else None
-    log = r.u32() if r.flag() else None
-    return BlockCoord(patient, record, log)
-
-
 def _entry_bytes(e: RecordEntry) -> bytes:
     return (
         _string(e.record_type)
         + _blob(e.payload)
         + _opt(None if e.prev_same_type is None else _digest(e.prev_same_type))
     )
-
-
-def _read_entry(r: _Reader) -> RecordEntry:
-    record_type = r.string()
-    payload = r.blob()
-    prev = r.digest() if r.flag() else None
-    return RecordEntry(record_type, payload, prev)
 
 
 def field_groups(block: Block) -> tuple[bytes, bytes, bytes]:
@@ -471,44 +451,96 @@ def encode_record(block: Block) -> bytes:
     return canonical_bytes(block) + _digest(block.self_hash)
 
 
-def _decode_identity(r: _Reader) -> IdentityBlock:
-    coord = _read_coord(r)
-    fiscal_code = r.string()
-    personal_info = r.strmap()
-    variant = r.member(_VARIANTS, "identity variant")
-    fc = None
-    if r.flag():
-        fc = FiscalChange(r.string(), r.string(), r.digest())
-    cat = None
-    if r.flag():
-        entries = tuple((r.string(), r.string()) for _ in range(r.u32()))
-        prev_catalog = r.digest() if r.flag() else None
-        cat = CatalogUpdate(entries, prev_catalog)
-    prev_main = r.digest()
-    return IdentityBlock(coord, fiscal_code, personal_info, prev_main, variant, fc, cat, r.digest())
+def _built(cls, attrs: dict):
+    """A value of the frozen dataclass cls made without its __init__: the
+    decoders pass every field, a block's empty memo too. One update is the
+    fastest fill; it gives the value a dict table of its own, larger than
+    the key-sharing layout that per-field setattr keeps but slower to make."""
+    value = object.__new__(cls)
+    value.__dict__.update(attrs)
+    return value
 
 
-def _decode_medical(r: _Reader) -> MedicalBlock:
-    coord = _read_coord(r)
-    entries = tuple(_read_entry(r) for _ in range(r.u32()))
-    is_final_byte = r.u8()
-    if is_final_byte > 1:
-        raise ValueError(f"non-canonical final flag {is_final_byte:#x}")
-    prev_yellow = r.digest()
-    return MedicalBlock(coord, entries, prev_yellow, is_final_byte == 1, r.digest())
+def _coord(data: bytes) -> tuple[BlockCoord, int]:
+    """The coordinates after a block's kind byte, and the offset after them."""
+    if len(data) < 6:
+        raise _truncated(1, 4) if len(data) < 5 else _truncated(5, 1)
+    _, patient, has_record = _HEAD(data, 0)
+    if has_record > 1:
+        raise ValueError(f"non-canonical flag byte {has_record:#x} at offset 5")
+    record, pos = _u32_at(data, 6) if has_record else (None, 6)
+    has_log, pos = _flag(data, pos)
+    log, pos = _u32_at(data, pos) if has_log else (None, pos)
+    return _built(BlockCoord, {"patient": patient, "record": record, "log": log}), pos
 
 
-def _decode_log(r: _Reader) -> LogBlock:
-    coord = _read_coord(r)
-    event = r.member(_EVENTS, "access event")
-    actor = r.string()
-    timestamp = r.u64()
-    place = r.string()
-    viewed = r.string()
-    h_main = r.digest()
-    h_yellow = r.digest()
-    h_prev_red = r.digest()
-    return LogBlock(coord, event, actor, timestamp, place, viewed, h_main, h_yellow, h_prev_red, r.digest())
+def _decode_identity(data: bytes) -> IdentityBlock:
+    coord, pos = _coord(data)
+    fiscal_code, pos = _text(data, pos)
+    count, pos = _u32_at(data, pos)
+    info: dict[str, str] = {}
+    prev_key = None
+    for _ in range(count):
+        key, pos = _text(data, pos)
+        if prev_key is not None and key <= prev_key:
+            raise ValueError(f"map keys not strictly ascending near offset {pos}")
+        prev_key = key
+        info[key], pos = _text(data, pos)
+    variant, pos = _member(data, pos, _VARIANTS, "identity variant")
+    fc = cat = None
+    present, pos = _flag(data, pos)
+    if present:
+        new_code, pos = _text(data, pos)
+        old_code, pos = _text(data, pos)
+        prev_identity, pos = _digest_at(data, pos)
+        fc = FiscalChange(new_code, old_code, prev_identity)
+    present, pos = _flag(data, pos)
+    if present:
+        count, pos = _u32_at(data, pos)
+        entries = []
+        for _ in range(count):
+            code, pos = _text(data, pos)
+            label, pos = _text(data, pos)
+            entries.append((code, label))
+        present, pos = _flag(data, pos)
+        prev_catalog, pos = _digest_at(data, pos) if present else (None, pos)
+        cat = CatalogUpdate(tuple(entries), prev_catalog)
+    prev_main, self_hash = _digests(data, pos, _TWO_DIGESTS)
+    return _built(IdentityBlock, {"coord": coord, "fiscal_code": fiscal_code, "personal_info": MappingProxyType(info),
+                                  "prev_main": prev_main, "variant": variant, "fiscal_change": fc, "catalog": cat,
+                                  "self_hash": self_hash, "hash_memo": None})  # fmt: skip
+
+
+def _decode_medical(data: bytes) -> MedicalBlock:
+    coord, pos = _coord(data)
+    count, pos = _u32_at(data, pos)
+    entries = []
+    for _ in range(count):
+        record_type, pos = _text(data, pos)
+        payload, pos = _blob_at(data, pos)
+        present, pos = _flag(data, pos)
+        prev, pos = _digest_at(data, pos) if present else (None, pos)
+        entries.append(_built(RecordEntry, {"record_type": record_type, "payload": payload, "prev_same_type": prev}))
+    if pos >= len(data):
+        raise _truncated(pos, 1)
+    if data[pos] > 1:
+        raise ValueError(f"non-canonical final flag {data[pos]:#x}")
+    prev_yellow, self_hash = _digests(data, pos + 1, _TWO_DIGESTS)
+    return _built(MedicalBlock, {"coord": coord, "entries": tuple(entries), "prev_yellow": prev_yellow,
+                                 "is_final": data[pos] == 1, "self_hash": self_hash, "hash_memo": None})  # fmt: skip
+
+
+def _decode_log(data: bytes) -> LogBlock:
+    coord, pos = _coord(data)
+    event, pos = _member(data, pos, _EVENTS, "access event")
+    actor, pos = _text(data, pos)
+    timestamp, pos = _u64_at(data, pos)
+    place, pos = _text(data, pos)
+    viewed, pos = _text(data, pos)
+    h_main, h_yellow, h_prev_red, self_hash = _digests(data, pos, _FOUR_DIGESTS)
+    return _built(LogBlock, {"coord": coord, "event": event, "actor": actor, "timestamp": timestamp,
+                             "place": place, "viewed": viewed, "h_main": h_main, "h_yellow": h_yellow,
+                             "h_prev_red": h_prev_red, "self_hash": self_hash, "hash_memo": None})  # fmt: skip
 
 
 # each byte the decoder accepts for an enum or a block kind, mapped to its
@@ -524,10 +556,8 @@ _BLOCK_DECODERS = {
 
 def decode_record(data: bytes) -> Block:
     """Inverse of encode_record; ValueError on any non-canonical byte."""
-    r = _Reader(data)
-    block = r.member(_BLOCK_DECODERS, "block kind")(r)
-    r.expect_end()
-    return block
+    decode, _ = _member(data, 0, _BLOCK_DECODERS, "block kind")
+    return decode(data)
 
 
 def note_canonical(note: GlobalAuditNote) -> bytes:
@@ -554,17 +584,15 @@ def encode_note(note: GlobalAuditNote) -> bytes:
 
 
 def decode_note(data: bytes) -> GlobalAuditNote:
-    r = _Reader(data)
-    kind = r.u8()
-    if kind != BlockKind.AUDIT_NOTE:
-        raise ValueError(f"not an audit note record (kind {kind:#x})")
-    actor = r.string()
-    timestamp = r.u64()
-    place = r.string()
-    detail = r.string()
-    prev_hash = r.digest()
-    self_hash = r.digest()
-    r.expect_end()
+    if not data:
+        raise _truncated(0, 1)
+    if data[0] != BlockKind.AUDIT_NOTE:
+        raise ValueError(f"not an audit note record (kind {data[0]:#x})")
+    actor, pos = _text(data, 1)
+    timestamp, pos = _u64_at(data, pos)
+    place, pos = _text(data, pos)
+    detail, pos = _text(data, pos)
+    prev_hash, self_hash = _digests(data, pos, _TWO_DIGESTS)
     return GlobalAuditNote(actor, timestamp, place, detail, prev_hash, self_hash)
 
 

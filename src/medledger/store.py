@@ -12,12 +12,16 @@ persist() writes only what the directory does not hold yet, then `meta`:
 a load leaves on the ledger an image of what each file held, and a file
 that only grew since is appended to, so an op writes the records it
 appended. A load opens only the file names it derives from the
-main chain and refuses a manifest that lists any other set. A verified
-load (load_checked, and load, which refuses any violation) hashes the
-bytes it read: each block's hash is recomputed from the slices of its
-stored record (blocks.record_hash), never taken from the stored
+main chain and refuses a manifest that lists any other set. Each stored
+record is decoded once, in one pass (blocks.decode_record: strict field
+readers and precompiled structs, blocks built without their dataclass
+__init__ but with a read-only personal_info of their own). A verified
+load (load_checked, and load, which refuses any violation) also hashes
+the bytes it read: each block's hash is recomputed from the slices of
+its stored record (blocks.record_hash), never taken from the stored
 self_hash, and kept as the block's memo, which verify_tree then checks.
-load_raw decodes only.
+The slices are the block's field groups because decoding is strict and
+canonical. load_raw decodes only.
 """
 
 from __future__ import annotations
@@ -31,10 +35,14 @@ from .blocks import (
     LogBlock,
     MedicalBlock,
     _blob,
-    _Reader,
+    _blob_at,
+    _expect_end,
     _string,
+    _text,
     _u32,
+    _u32_at,
     _u64,
+    _u64_at,
     decode_note,
     decode_record,
     encode_note,
@@ -76,18 +84,24 @@ def _decode_meta(data: bytes) -> tuple[int, dict[str, int]]:
     body, checksum = data[:-32], data[-32:]
     if sha256(body) != checksum:
         raise CorruptChain(META_NAME, len(body), "meta checksum mismatch")
-    r = _Reader(body)
+    pos = len(_MAGIC)  # an error's offset: the field that failed, or the end of a name not UTF-8
     try:
-        if r.take(len(_MAGIC)) != _MAGIC:
+        if body[:pos] != _MAGIC:
             raise ValueError("bad magic")
-        clock = r.u64()
-        manifest = [(r.string(), r.u32()) for _ in range(r.u32())]
-        r.expect_end()
+        clock, pos = _u64_at(body, pos)
+        entries, pos = _u32_at(body, pos)
+        manifest = []
+        for _ in range(entries):
+            start, pos = pos, _blob_at(body, pos)[1]
+            name = _text(body, start)[0]
+            count, pos = _u32_at(body, pos)
+            manifest.append((name, count))
+        _expect_end(body, pos)
         counts = dict(manifest)
         if len(counts) != len(manifest):
             raise ValueError("manifest lists a file twice")
     except ValueError as exc:
-        raise CorruptChain(META_NAME, r.pos, str(exc)) from None
+        raise CorruptChain(META_NAME, pos, str(exc)) from None
     return clock, counts
 
 
@@ -149,16 +163,17 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, imag
     a ValueError from decode, or bytes beyond the manifest's count is
     CorruptChain at the offset of the record hit."""
     try:
-        r = _Reader((directory / name).read_bytes())
+        data = (directory / name).read_bytes()
     except OSError:
         raise StorageError(f"chain file {name} missing from {directory}") from None
     items = []
     offset = 0
     try:
         for _ in range(counts[name]):
-            items.append(decode(r.blob()))
-            offset = r.pos
-        r.expect_end()
+            record, end = _blob_at(data, offset)
+            items.append(decode(record))
+            offset = end
+        _expect_end(data, offset)
     except ValueError as exc:
         raise CorruptChain(name, offset, str(exc)) from None
     image[name] = (list(items), offset)

@@ -19,7 +19,7 @@ from medledger.blocks import (
     MedicalBlock,
     RecordEntry,
 )
-from medledger.errors import LedgerError
+from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
@@ -230,9 +230,9 @@ def criterion7_ledger_with_note(seed: int = 42) -> Ledger:
     ledger = criterion7_ledger(seed)
     try:
         ledger.onboard_patient(INVALID, "FC-X", {})
-    except LedgerError:
-        pass
-    return ledger
+    except AccessDenied:
+        return ledger
+    raise AssertionError("an onboard with an invalid credential was accepted")
 
 
 def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation]]]:

@@ -18,7 +18,7 @@ from medledger.blocks import (
     record_hash,
     three_leaf_root,
 )
-from medledger.errors import AccessDenied, CorruptChain, LedgerError, ScriptError, SubchainClosed
+from medledger.errors import CorruptChain, LedgerError, ScriptError, SubchainClosed
 from medledger.ledger import verify_tree
 from medledger.merkle import build_tree, deserialize_proof, prove, serialize_proof, sha256
 from medledger.network import parse_script
@@ -27,9 +27,9 @@ from medledger.store import _decode_meta, _encode_meta
 from helpers import (
     AUTHORITY,
     DOCTOR,
-    INVALID,
     block_mutations,
     criterion7_ledger,
+    criterion7_ledger_with_note,
     drive,
     fresh_ledger,
     scan_report_oracle,
@@ -215,9 +215,7 @@ def test_snapshot_bytes_identify_state(seed):
 
 
 def _criterion7_records() -> list[bytes]:
-    ledger = criterion7_ledger(42)
-    with pytest.raises(AccessDenied):
-        ledger.onboard_patient(INVALID, "FC-X", {})  # one global audit note
+    ledger = criterion7_ledger_with_note(42)
     blocks = list(ledger.main_chain)
     for p in ledger.patients():
         blocks += ledger.yellow[p] + ledger.red[p]

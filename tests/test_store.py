@@ -3,18 +3,29 @@
 import hashlib
 import random
 import struct
+from dataclasses import replace
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
-from medledger.blocks import block_hash
-from medledger.errors import AccessDenied, CorruptChain, StorageError, TamperedStore
+from medledger.blocks import IdentityBlock, block_hash
+from medledger.errors import CorruptChain, StorageError, TamperedStore
 from medledger.cli import main
 from medledger import blocks, merkle, store
 from medledger.ledger import verify_tree
 from medledger.store import load, load_checked, load_raw, persist
 
-from helpers import AUTHORITY, DOCTOR, INVALID, count_calls, criterion7_ledger, drive, fresh_ledger, store_image
+from helpers import (
+    AUTHORITY,
+    DOCTOR,
+    count_calls,
+    criterion7_ledger,
+    criterion7_ledger_with_note,
+    drive,
+    fresh_ledger,
+    store_image,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -211,20 +222,71 @@ def test_store_image_matches_golden(tmp_path):
 
 def test_load_and_verify_hash_each_stored_block_once(tmp_path, monkeypatch, capsys):
     """Six SHA-256 calls per block (a three-leaf Merkle root) plus one for
-    the meta checksum, and no block_hash call: every hash comes from the
-    record bytes. Audit notes hash with hashlib directly, via note_hash."""
-    ledger = criterion7_ledger(42)
-    with pytest.raises(AccessDenied):
-        ledger.onboard_patient(INVALID, "FC-X", {})  # one global audit note
+    the meta checksum, no block_hash call, and one decode_record call per
+    block record: every hash comes from the record bytes. Audit notes hash
+    with hashlib directly, via note_hash."""
+    ledger = criterion7_ledger_with_note(42)
     persist(ledger, tmp_path)
     n_blocks = len(ledger.main_chain) + sum(len(ledger.yellow[p]) + len(ledger.red[p]) for p in ledger.patients())
     block_hashes = count_calls(monkeypatch, blocks.block_hash)
     sha256_calls = count_calls(monkeypatch, merkle.sha256)
+    decoded = count_calls(monkeypatch, blocks.decode_record)
     for run in (lambda: load(tmp_path), lambda: main(["verify", "--dir", str(tmp_path)])):
-        block_hashes[0] = sha256_calls[0] = 0
+        block_hashes[0] = sha256_calls[0] = decoded[0] = 0
         run()
         assert (block_hashes[0], sha256_calls[0]) == (0, 6 * n_blocks + 1)
+        assert decoded[0] == n_blocks  # one decode per stored block record
     assert capsys.readouterr().out == "OK 0 violations\n"
+
+
+def _stored_blocks(ledger) -> list:
+    out = list(ledger.main_chain)
+    for p in ledger.patients():
+        out += ledger.yellow[p] + ledger.red[p]
+    return out
+
+
+def _driven_ledger():
+    ledger = fresh_ledger()
+    drive(ledger, random.Random(5), 60)
+    return ledger
+
+
+def _typed_vars(value) -> dict:
+    """The value's attributes, memo aside, each with its exact type."""
+    return {k: (type(v), v) for k, v in vars(value).items() if k != "hash_memo"}
+
+
+@pytest.mark.parametrize("build", [lambda: criterion7_ledger(42), _driven_ledger], ids=["criterion7", "driven"])
+def test_decoded_blocks_are_full_values(tmp_path, build):
+    """A loaded block has the attributes, the equality and the repr of the
+    block it was encoded from; an identity block's personal_info is its own
+    read-only mapping; decoding leaves the memo empty and a verified load
+    fills it with the block's hash."""
+    ledger = build()
+    persist(ledger, tmp_path)
+    raw = _stored_blocks(load_raw(tmp_path))
+    checked, violations = load_checked(tmp_path)
+    assert violations == []
+    checked = _stored_blocks(checked)
+    infos = []
+    for original, *loaded in zip(_stored_blocks(ledger), raw, checked, strict=True):
+        for blk in loaded:
+            assert _typed_vars(blk) == _typed_vars(original)
+            assert _typed_vars(blk.coord) == _typed_vars(original.coord)
+            for entry, honest in zip(getattr(blk, "entries", ()), getattr(original, "entries", ()), strict=True):
+                assert _typed_vars(entry) == _typed_vars(honest)
+            assert blk == original and repr(blk) == repr(original)
+            assert replace(blk) == blk and replace(blk, self_hash=bytes(32)) != blk
+            if isinstance(blk, IdentityBlock):
+                assert type(blk.personal_info) is MappingProxyType
+                infos.append(blk.personal_info)
+        assert blocks.decode_record(blocks.encode_record(original)).hash_memo is None
+        # building a Ledger hashes its main chain (cached_hash), so a raw
+        # load leaves a memo on identity blocks only
+        raw_memo = block_hash(original) if isinstance(original, IdentityBlock) else None
+        assert (loaded[0].hash_memo, loaded[1].hash_memo) == (raw_memo, block_hash(original))
+    assert len({id(info) for info in infos}) == len(infos)
 
 
 def test_load_checked_reports_what_verify_tree_finds(tmp_path):
