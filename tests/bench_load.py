@@ -32,8 +32,11 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
 
-from medledger import blocks, ledger as ledger_module, merkle, store  # noqa: E402
-from medledger.ledger import Credential, Ledger, Role  # noqa: E402
+import pytest  # noqa: E402
+
+from helpers import count_calls  # noqa: E402
+from medledger import blocks, merkle, store  # noqa: E402
+from medledger.ledger import Credential, Ledger, Role, verify_tree  # noqa: E402
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
 AUTHORITY = Credential("registry", Role.AUTHORITY)
@@ -79,30 +82,12 @@ def timed(fn, reps: int) -> dict[str, float]:
 
 
 def calls_per_load(directory: Path) -> dict[str, int]:
-    """The merkle.sha256 and decode_record calls of one store.load, counted
-    through every binding of each function in the loaded medledger modules."""
-    counts = {}
-    originals = {"merkle.sha256": merkle.sha256, "blocks.decode_record": blocks.decode_record}
-    patched = []
-    for name, original in originals.items():
-        counts[name] = 0
-
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "medledger" or module_name.startswith("medledger."):
-                for bound, value in list(vars(module).items()):
-                    if value is original:
-                        setattr(module, bound, counting)
-                        patched.append((module, bound, original))
-    try:
+    """The merkle.sha256 and decode_record calls of one store.load."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sha256_calls = count_calls(monkeypatch, merkle.sha256)
+        decoded = count_calls(monkeypatch, blocks.decode_record)
         store.load(directory)
-    finally:
-        for module, bound, original in patched:
-            setattr(module, bound, original)
-    return counts
+    return {"merkle.sha256": sha256_calls[0], "blocks.decode_record": decoded[0]}
 
 
 def bench(patients: int, reps: int) -> dict:
@@ -112,7 +97,6 @@ def bench(patients: int, reps: int) -> dict:
         records = block_records(directory)
         decode = blocks.decode_record
         loaded = store.load(directory)
-        verify = ledger_module.verify_tree
         memo = attrgetter("hash_memo")
         return {
             "patients": patients,
@@ -124,7 +108,7 @@ def bench(patients: int, reps: int) -> dict:
                 "store.load": timed(lambda: store.load(directory), reps),
                 "store.load_raw": timed(lambda: store.load_raw(directory), reps),
                 "decode_record_all": timed(lambda: [decode(r) for r in records], reps),
-                "verify_tree_memos": timed(lambda: verify(loaded, memo), reps),
+                "verify_tree_memos": timed(lambda: verify_tree(loaded, memo), reps),
             },
             "per_load": calls_per_load(directory),
         }

@@ -18,6 +18,10 @@ from medledger.blocks import (
     LogBlock,
     MedicalBlock,
     RecordEntry,
+    decode_note,
+    decode_record,
+    encode_note,
+    encode_record,
 )
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
@@ -286,8 +290,6 @@ def decode_shapes(ledger: Ledger) -> list[tuple[str, bytes, object]]:
     decoder: the first genesis, patient, fiscal-change and catalog identity
     block, medical block with a prev_same_type entry, final medical block,
     log block and global audit note."""
-    from medledger.blocks import decode_note, decode_record, encode_note, encode_record
-
     yellow = [blk for p in ledger.patients() for blk in ledger.yellow[p]]
     red = [blk for p in ledger.patients() for blk in ledger.red[p]]
     by_variant = {}
