@@ -8,7 +8,14 @@ and never to make a refactor pass. store_image.txt pins the directory
 store's bytes, `meta` included: regenerate it only from a tree whose store
 encoder is trusted. decode_outcomes.txt pins every decoder error message
 and offset: regenerate it only from a tree whose decoders are trusted, and
-never to make a decoder rewrite pass.
+never to make a decoder rewrite pass. encode_outcomes.txt pins what
+encode_record, encode_note and mutate_block raise for values the encoding
+cannot hold: regenerate it only from a tree whose encoders are trusted,
+and never to make an encoder rewrite pass.
+
+scenario_digests.txt is not written here: it is the output of
+`python tests/scenarios.py src SEED 300` for seeds 1 to 3, each line
+prefixed with its seed (see tests/scenarios.py).
 """
 
 import sys
@@ -28,6 +35,7 @@ from helpers import (  # noqa: E402
     criterion7_ledger,
     criterion7_ledger_with_note,
     decode_outcome_digests,
+    encode_outcome_lines,
     store_image,
     tree_check_cases,
 )
@@ -72,6 +80,11 @@ def write_decode_outcomes() -> None:
     (HERE / "decode_outcomes.txt").write_text("\n".join(lines) + "\n")
 
 
+def write_encode_outcomes() -> None:
+    lines = encode_outcome_lines(criterion7_ledger_with_note(42))
+    (HERE / "encode_outcomes.txt").write_text("\n".join(lines) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
@@ -79,4 +92,5 @@ if __name__ == "__main__":
     write_tree_checks()
     write_store_image()
     write_decode_outcomes()
+    write_encode_outcomes()
     print("golden vectors regenerated")

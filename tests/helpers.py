@@ -13,6 +13,7 @@ from typing import Iterator
 from medledger.blocks import (
     BlockCoord,
     CatalogUpdate,
+    GlobalAuditNote,
     IdentityBlock,
     IdentityVariant,
     LogBlock,
@@ -22,6 +23,7 @@ from medledger.blocks import (
     decode_record,
     encode_note,
     encode_record,
+    mutate_block,
 )
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
@@ -285,11 +287,11 @@ def store_image(directory) -> list[str]:
 SUBSTITUTES = (0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF)
 
 
-def decode_shapes(ledger: Ledger) -> list[tuple[str, bytes, object]]:
-    """One stored record of each shape the ledger holds, with its name and
-    decoder: the first genesis, patient, fiscal-change and catalog identity
-    block, medical block with a prev_same_type entry, final medical block,
-    log block and global audit note."""
+def record_shapes(ledger: Ledger) -> list[tuple[str, object]]:
+    """One value of each stored shape the ledger holds, with its name: the
+    first genesis, patient, fiscal-change and catalog identity block,
+    medical block with a prev_same_type entry, final medical block, log
+    block and global audit note."""
     yellow = [blk for p in ledger.patients() for blk in ledger.yellow[p]]
     red = [blk for p in ledger.patients() for blk in ledger.red[p]]
     by_variant = {}
@@ -304,8 +306,17 @@ def decode_shapes(ledger: Ledger) -> list[tuple[str, bytes, object]]:
         ("medical_final", next(b for b in yellow if b.is_final)),
         ("log", red[0]),
     ]
-    shapes = [(name, encode_record(blk), decode_record) for name, blk in picks]
-    return shapes + [("audit_note", encode_note(ledger.global_audit[0]), decode_note)]
+    return picks + [("audit_note", ledger.global_audit[0])]
+
+
+def decode_shapes(ledger: Ledger) -> list[tuple[str, bytes, object]]:
+    """The stored record of each of record_shapes, with its name and decoder."""
+    return [
+        (name, encode_note(value), decode_note)
+        if isinstance(value, GlobalAuditNote)
+        else (name, encode_record(value), decode_record)
+        for name, value in record_shapes(ledger)
+    ]
 
 
 def decode_outcome_lines(record: bytes, decode) -> list[str]:
@@ -331,4 +342,104 @@ def decode_outcome_digests(ledger: Ledger) -> list[str]:
     for name, record, decode in decode_shapes(ledger):
         outcomes = "\n".join(decode_outcome_lines(record, decode))
         lines.append(f"{name} {hashlib.sha256(outcomes.encode()).hexdigest()}")
+    return lines
+
+
+# the values each field is given in turn, by the kind of the field, with
+# the name a golden line shows for each
+ENCODE_VALUES = {
+    "int": (("-1", -1), ("2**32", 2**32), ("2**64", 2**64)),
+    "digest": (("digest31", bytes(31)), ("digest33", bytes(33))),
+    "str": (("None", None), ("bytes", b"text"), ("int", 7), ("surrogate", "\udcff")),
+    "payload": (("str", "text"),),
+}
+
+
+def _encode_fields(value) -> list[tuple[str, str, object]]:
+    """(field, kind of field, edit) for every field the encoding of value
+    writes; edit(v) is (the value with v in that field, the mutate_block
+    path and value that make the same edit, or None for an audit note)."""
+
+    def top(name: str):
+        return lambda v: (replace(value, **{name: v}), (name, v))
+
+    def nested(name: str, attr: str):
+        inner = getattr(value, name)
+        return lambda v: top(name)(replace(inner, **{attr: v}))
+
+    if isinstance(value, GlobalAuditNote):
+        return [
+            (name, kind, lambda v, name=name: (replace(value, **{name: v}), None))
+            for name, kind in (("actor", "str"), ("timestamp", "int"), ("place", "str"), ("detail", "str"),
+                               ("prev_hash", "digest"), ("self_hash", "digest"))
+        ]  # fmt: skip
+    out = [(f"coord.{a}", "int", nested("coord", a)) for a in ("patient", "record", "log")]
+    if isinstance(value, IdentityBlock):
+        key, val = next(iter(sorted(value.personal_info.items())), ("name", "x"))
+        out += [
+            ("fiscal_code", "str", top("fiscal_code")),
+            ("personal_info.key", "str", lambda v: top("personal_info")({v: val})),
+            ("personal_info.value", "str", lambda v: (replace(value, personal_info={key: v}), (f"info.{key}", v))),
+            ("variant", "int", top("variant")),
+        ]
+        if value.fiscal_change is not None:
+            out += [(f"fiscal_change.{a}", k, nested("fiscal_change", a))
+                    for a, k in (("new_code", "str"), ("old_code", "str"), ("prev_identity", "digest"))]  # fmt: skip
+        if value.catalog is not None:
+            code, label = value.catalog.entries[0]
+            rest = value.catalog.entries[1:]
+            out += [
+                ("catalog.code", "str", lambda v: top("catalog")(replace(value.catalog, entries=((v, label),) + rest))),
+                ("catalog.label", "str", lambda v: top("catalog")(replace(value.catalog, entries=((code, v),) + rest))),
+                ("catalog.prev_catalog", "digest", nested("catalog", "prev_catalog")),
+            ]
+        out += [("prev_main", "digest", top("prev_main"))]
+    elif isinstance(value, MedicalBlock):
+        for attr, kind in (("record_type", "str"), ("payload", "payload"), ("prev_same_type", "digest")):
+            if value.entries:
+                edit = (lambda v, attr=attr: (
+                    replace(value, entries=(replace(value.entries[0], **{attr: v}),) + value.entries[1:]),
+                    (f"entry.0.{attr}", v),
+                ))  # fmt: skip
+                out.append((f"entry.0.{attr}", kind, edit))
+        out += [("prev_yellow", "digest", top("prev_yellow"))]
+    else:
+        out += [(name, kind, top(name)) for name, kind in (
+            ("event", "int"), ("actor", "str"), ("timestamp", "int"), ("place", "str"), ("viewed", "str"),
+            ("h_main", "digest"), ("h_yellow", "digest"), ("h_prev_red", "digest"))]  # fmt: skip
+    return out + [("self_hash", "digest", top("self_hash"))]
+
+
+def _outcome(call) -> str:
+    """`ok`, or what call raises, as _described."""
+    try:
+        call()
+        return "ok"
+    except Exception as exc:  # every class is part of the pinned contract
+        return _described(exc)
+
+
+def _described(exc: BaseException) -> str:
+    """The exception's class; for one raised `from None` in place of
+    another, that one in parentheses; else for an exact ValueError,
+    medledger's own, its message."""
+    text = type(exc).__name__
+    if exc.__suppress_context__ and exc.__context__ is not None:
+        return f"{text}({_described(exc.__context__)})"
+    return f"{text}: {exc}" if type(exc) is ValueError else text
+
+
+def encode_outcome_lines(ledger: Ledger) -> list[str]:
+    """One line per field of each of record_shapes and value of ENCODE_VALUES:
+    `shape field value encode=<outcome> mutate=<outcome>`, the outcomes of
+    encode_record (encode_note) and of mutate_block; a note has no
+    mutate_block path, shown as `-`."""
+    lines = []
+    for shape, value in record_shapes(ledger):
+        encode = encode_note if isinstance(value, GlobalAuditNote) else encode_record
+        for field, kind, edit in _encode_fields(value):
+            for name, v in ENCODE_VALUES[kind]:
+                edited, path = edit(v)
+                mutated = "-" if path is None else _outcome(lambda: mutate_block(value, *path))
+                lines.append(f"{shape} {field} {name} encode={_outcome(lambda: encode(edited))} mutate={mutated}")
     return lines

@@ -33,6 +33,7 @@ from helpers import (
     criterion7_ledger,
     criterion7_ledger_with_note,
     decode_outcome_digests,
+    encode_outcome_lines,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,3 +218,13 @@ def test_decoder_outcomes_match_golden():
     same ValueError message and offset."""
     expected = (GOLDEN / "decode_outcomes.txt").read_text().splitlines()
     assert decode_outcome_digests(criterion7_ledger_with_note(42)) == expected
+
+
+def test_encoder_outcomes_match_golden():
+    """Every field of one block of each shape and of an audit note, given
+    a value the encoding cannot hold (an integer out of its width, a digest
+    of 31 or 33 bytes, a non-string or unencodable string, a str payload),
+    raises from encode_record/encode_note and mutate_block exactly as the
+    pinned encoders did: the same classes and medledger's own messages."""
+    expected = (GOLDEN / "encode_outcomes.txt").read_text().splitlines()
+    assert encode_outcome_lines(criterion7_ledger_with_note(42)) == expected

@@ -19,6 +19,7 @@ from medledger.network import (
 )
 
 from helpers import CATALOG
+from scenarios import digest as scenario_digest
 from scenarios import run as run_random_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -323,3 +324,12 @@ def test_random_scenarios_end_in_a_transcript_or_a_declared_divergence():
     to seven nodes: a script yields its transcript or stops with ReplicaDivergence."""
     for i in range(300):
         assert run_random_scenario(0, i).startswith(("CONFIG ", "ERROR ReplicaDivergence: "))
+
+
+def test_random_scenarios_match_the_pinned_digests():
+    """The differential of tests/scenarios.py as a gate: seeds 1 to 3, 300
+    scenarios each, end with the pinned transcript or declared error."""
+    expected = (GOLDEN / "scenario_digests.txt").read_text().splitlines()
+    assert len(expected) == 900
+    got = [f"{seed} {i} {scenario_digest(seed, i)}" for seed in (1, 2, 3) for i in range(300)]
+    assert got == expected
