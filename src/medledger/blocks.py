@@ -15,12 +15,20 @@ Encoding primitives, fixed for all platforms:
     list                u32 element count + elements
     string map          u32 count + key/value pairs, keys strictly ascending
 
+Each kind, and the audit note, has one encoder that writes its bytes in
+one pass, with precompiled structs for the fixed runs: the coordinate
+header (four layouts, as the record and the log index are each present
+or absent) and an access attempt's tag, timestamp and string lengths.
+Everything that encodes uses them: field_groups, encode_record,
+block_hash, the store's framing and `meta`, and Ledger.snapshot_bytes. A
+value the encoding cannot hold raises what int.to_bytes, str.encode and
+bytes concatenation raise, never struct.error, or ValueError for a digest
+that is not 32 bytes (pinned by tests/golden/encode_outcomes.txt).
+
 Decoding is strict: flags and enum bytes must be canonical values, map
 keys must be sorted and unique, and a record must be consumed exactly.
 Any deviation raises ValueError, which the store maps to CorruptChain.
-The store's record framing and `meta`, and Ledger.snapshot_bytes, use
-these same encoders, and the framing and `meta` read with the same field
-readers.
+The store's framing and `meta` read with the same field readers.
 
 Each kind has one decoder that reads its record in one pass: field
 readers return a checked value and the offset after it, and precompiled
@@ -32,11 +40,14 @@ personal_info of its own.
 Blocks are frozen values (an identity block's personal_info is a
 read-only mapping), so a block's hash is a pure function of its fields.
 cached_hash computes it once per block object and keeps it in the
-block's hash_memo field; sealed fills the memo with the hash it has just
-computed. The ledger's operations and its derived indexes use
-cached_hash. block_hash always recomputes from the fields; verify_tree
-uses it by default, and repair_replicas on the one candidate version
-at a position where replicas differ.
+block's hash_memo field. A seal hashes once and fills the memo with that
+hash too: the ledger's append paths build each block and its BlockCoord
+once, with __init__, and seal_new seals it in place, since nothing else
+holds it yet; sealed returns a sealed copy made without __init__. The
+ledger's operations and its derived indexes use cached_hash. block_hash
+always recomputes from the fields; verify_tree uses it by default, and
+repair_replicas on the one candidate version at a position where
+replicas differ.
 
 Equal blocks are exactly the blocks with equal records: decoding is
 canonical, and a raw tamper (mutate_block) returns what its record
@@ -187,51 +198,57 @@ class GlobalAuditNote:
 Block = IdentityBlock | MedicalBlock | LogBlock
 
 
-# --- encoding primitives ---------------------------------------------------
+# --- encoding ----------------------------------------------------------------
+
+_U8_PACK = struct.Struct(">B").pack
+_U32_PACK = struct.Struct(">I").pack
+_U64_PACK = struct.Struct(">Q").pack
+# the coordinate header: kind, patient, then the record and the log index,
+# each a presence flag and, if present, the index
+_HEAD_PLAIN = struct.Struct(">BIBB").pack
+_HEAD_RECORD = struct.Struct(">BIBIB").pack
+_HEAD_LOG = struct.Struct(">BIBBI").pack
+_HEAD_BOTH = struct.Struct(">BIBIBI").pack
+# an access attempt's tag and actor length, then its timestamp and place length
+_TAG_LEN = struct.Struct(">BI").pack
+_TIME_LEN = struct.Struct(">QI").pack
 
 
-def _u8(x: int) -> bytes:
-    return x.to_bytes(1, "big")
+def _int_error(*ints: tuple[int, int]) -> Exception:
+    """The error of the first (value, width) that width bytes cannot hold:
+    OverflowError for an integer out of range, AttributeError for a value
+    that is not an integer, as int.to_bytes raises them. A struct raises
+    struct.error for both; the encoders raise this instead."""
+    for value, width in ints:
+        try:
+            value.to_bytes(width, "big")
+        except (AttributeError, OverflowError) as exc:
+            return exc
+    return OverflowError(f"cannot encode {ints!r}")
 
 
-def _u32(x: int) -> bytes:
-    return x.to_bytes(4, "big")
-
-
-def _u64(x: int) -> bytes:
-    return x.to_bytes(8, "big")
-
-
-def _string(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return _u32(len(raw)) + raw
-
-
-def _blob(b: bytes) -> bytes:
-    return _u32(len(b)) + b
-
-
-def _digest(d: Digest) -> bytes:
+def _digest(d: Digest) -> Digest:
     if len(d) != DIGEST_SIZE:
         raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(d)}")
     return d
 
 
-def _opt(encoded: bytes | None) -> bytes:
-    return b"\x00" if encoded is None else b"\x01" + encoded
+def _put_texts(out: list, *texts: str) -> None:
+    """Append each text as a u32 byte length and its UTF-8 bytes."""
+    for text in texts:
+        raw = text.encode()
+        out += (_U32_PACK(len(raw)), raw)
 
 
-def _opt_u32(x: int | None) -> bytes:
-    return _opt(None if x is None else _u32(x))
+def _framed(records) -> bytes:
+    """Each record as a u32 byte length and its bytes, concatenated."""
+    out: list[bytes] = []
+    for record in records:
+        out += (_U32_PACK(len(record)), record)
+    return b"".join(out)
 
 
-def _strmap(m: Mapping[str, str]) -> bytes:
-    out = bytearray(_u32(len(m)))
-    for key in sorted(m):
-        out += _string(key)
-        out += _string(m[key])
-    return bytes(out)
-
+# --- decoding ----------------------------------------------------------------
 
 _U32 = struct.Struct(">I").unpack_from
 _U64 = struct.Struct(">Q").unpack_from
@@ -327,67 +344,88 @@ def _digests(data: bytes, pos: int, run: struct.Struct) -> tuple[Digest, ...]:
 # --- field groups and hashing ----------------------------------------------
 
 
-def _coord_bytes(kind: BlockKind, coord: BlockCoord) -> bytes:
-    return _u8(kind) + _u32(coord.patient) + _opt_u32(coord.record) + _opt_u32(coord.log)
+def _coord_bytes(kind: int, coord: BlockCoord) -> bytes:
+    patient, record, log = coord.patient, coord.record, coord.log
+    try:
+        if record is None:
+            return _HEAD_PLAIN(kind, patient, 0, 0) if log is None else _HEAD_LOG(kind, patient, 0, 1, log)
+        return _HEAD_RECORD(kind, patient, 1, record, 0) if log is None else _HEAD_BOTH(kind, patient, 1, record, 1, log)
+    except struct.error:
+        pass  # raised outside the handler, so that it is exactly what to_bytes raises
+    raise _int_error((patient, 4), *((i, 4) for i in (record, log) if i is not None))
 
 
-def _entry_bytes(e: RecordEntry) -> bytes:
-    return (
-        _string(e.record_type)
-        + _blob(e.payload)
-        + _opt(None if e.prev_same_type is None else _digest(e.prev_same_type))
-    )
+def _attempt(tag: int, actor: str, timestamp: int, place: str, text: str) -> bytes:
+    """The payload of a log block (tag: its event) and the body of an audit
+    note (tag: its kind): u8 tag, actor, u64 timestamp, place, text."""
+    a, p, t = actor.encode(), place.encode(), text.encode()
+    try:
+        return _TAG_LEN(tag, len(a)) + a + _TIME_LEN(timestamp, len(p)) + p + _U32_PACK(len(t)) + t
+    except struct.error:
+        pass
+    raise _int_error((tag, 1), (timestamp, 8))
+
+
+def _identity_groups(block: IdentityBlock) -> tuple[bytes, bytes, bytes]:
+    info = block.personal_info
+    out: list[bytes] = []
+    _put_texts(out, block.fiscal_code)
+    out.append(_U32_PACK(len(info)))
+    for key in sorted(info):
+        _put_texts(out, key, info[key])
+    try:
+        variant = _U8_PACK(block.variant)
+    except struct.error:
+        variant = b""
+    if not variant:
+        raise _int_error((block.variant, 1))
+    out.append(variant)
+    fc = block.fiscal_change
+    if fc is None:
+        out.append(b"\x00")
+    else:
+        out.append(b"\x01")
+        _put_texts(out, fc.new_code, fc.old_code)
+        out.append(_digest(fc.prev_identity))
+    cat = block.catalog
+    if cat is None:
+        out.append(b"\x00")
+    else:
+        out += (b"\x01", _U32_PACK(len(cat.entries)))
+        for code, label in cat.entries:
+            _put_texts(out, code, label)
+        out.append(b"\x00" if cat.prev_catalog is None else b"\x01" + _digest(cat.prev_catalog))
+    return _coord_bytes(BlockKind.IDENTITY, block.coord), b"".join(out), _digest(block.prev_main)
+
+
+def _medical_groups(block: MedicalBlock) -> tuple[bytes, bytes, bytes]:
+    out = [_U32_PACK(len(block.entries))]
+    for e in block.entries:
+        t, payload, prev = e.record_type.encode(), e.payload, e.prev_same_type
+        out.append(
+            _U32_PACK(len(t)) + t + _U32_PACK(len(payload)) + payload
+            + (b"\x00" if prev is None else b"\x01" + _digest(prev))
+        )  # fmt: skip
+    out.append(b"\x01" if block.is_final else b"\x00")
+    return _coord_bytes(BlockKind.MEDICAL, block.coord), b"".join(out), _digest(block.prev_yellow)
+
+
+def _log_groups(block: LogBlock) -> tuple[bytes, bytes, bytes]:
+    payload = _attempt(block.event, block.actor, block.timestamp, block.place, block.viewed)
+    links = _digest(block.h_main) + _digest(block.h_yellow) + _digest(block.h_prev_red)
+    return _coord_bytes(BlockKind.LOG, block.coord), payload, links
+
+
+# the one encoder of each block kind
+_FIELD_GROUPS = {IdentityBlock: _identity_groups, MedicalBlock: _medical_groups, LogBlock: _log_groups}
 
 
 def field_groups(block: Block) -> tuple[bytes, bytes, bytes]:
     """The three Merkle leaves: kind+coordinates, payload fields, link digests."""
-    if isinstance(block, IdentityBlock):
-        fc = block.fiscal_change
-        cat = block.catalog
-        payload = (
-            _string(block.fiscal_code)
-            + _strmap(block.personal_info)
-            + _u8(block.variant)
-            + _opt(
-                None
-                if fc is None
-                else _string(fc.new_code) + _string(fc.old_code) + _digest(fc.prev_identity)
-            )
-            + _opt(
-                None
-                if cat is None
-                else _u32(len(cat.entries))
-                + b"".join(_string(c) + _string(l) for c, l in cat.entries)
-                + _opt(None if cat.prev_catalog is None else _digest(cat.prev_catalog))
-            )
-        )
-        return (
-            _coord_bytes(BlockKind.IDENTITY, block.coord),
-            payload,
-            _digest(block.prev_main),
-        )
-    if isinstance(block, MedicalBlock):
-        payload = (
-            _u32(len(block.entries))
-            + b"".join(_entry_bytes(e) for e in block.entries)
-            + _u8(1 if block.is_final else 0)
-        )
-        return (
-            _coord_bytes(BlockKind.MEDICAL, block.coord),
-            payload,
-            _digest(block.prev_yellow),
-        )
-    if isinstance(block, LogBlock):
-        payload = (
-            _u8(block.event)
-            + _string(block.actor)
-            + _u64(block.timestamp)
-            + _string(block.place)
-            + _string(block.viewed)
-        )
-        links = _digest(block.h_main) + _digest(block.h_yellow) + _digest(block.h_prev_red)
-        return (_coord_bytes(BlockKind.LOG, block.coord), payload, links)
-    raise TypeError(f"not a block: {type(block).__name__}")
+    encode = _FIELD_GROUPS.get(type(block))
+    if encode is None:
+        raise TypeError(f"not a block: {type(block).__name__}")
+    return encode(block)
 
 
 def canonical_bytes(block: Block) -> bytes:
@@ -434,13 +472,26 @@ def cached_hash(block: Block) -> Digest:
     return h
 
 
+def seal_new(block: Block) -> Block:
+    """Seal, in place, a block just built that nothing else holds yet: its
+    self_hash and its memo become its hash, computed once. Returns it."""
+    h = block_hash(block)
+    object.__setattr__(block, "self_hash", h)
+    object.__setattr__(block, "hash_memo", h)
+    return block
+
+
 def sealed(block: Block) -> Block:
     """Copy of the block with self_hash set to its recomputed hash, which
-    also fills its memo."""
-    h = block_hash(block)
-    out = replace(block, self_hash=h)
-    object.__setattr__(out, "hash_memo", h)
-    return out
+    also fills its memo. The copy is made without the dataclass __init__,
+    by per-field setattr, which keeps the compact layout __init__ gives."""
+    out = object.__new__(type(block))
+    for name in _FIELD_NAMES[type(block)]:
+        object.__setattr__(out, name, getattr(block, name))
+    return seal_new(out)
+
+
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (IdentityBlock, MedicalBlock, LogBlock)}
 
 
 # --- stored records ----------------------------------------------------------
@@ -448,7 +499,7 @@ def sealed(block: Block) -> Block:
 
 def encode_record(block: Block) -> bytes:
     """Canonical bytes plus the stored self_hash; the unit of persistence."""
-    return canonical_bytes(block) + _digest(block.self_hash)
+    return b"".join(field_groups(block)) + _digest(block.self_hash)
 
 
 def _built(cls, attrs: dict):
@@ -562,11 +613,7 @@ def decode_record(data: bytes) -> Block:
 
 def note_canonical(note: GlobalAuditNote) -> bytes:
     return (
-        _u8(BlockKind.AUDIT_NOTE)
-        + _string(note.actor)
-        + _u64(note.timestamp)
-        + _string(note.place)
-        + _string(note.detail)
+        _attempt(BlockKind.AUDIT_NOTE, note.actor, note.timestamp, note.place, note.detail)
         + _digest(note.prev_hash)
     )
 

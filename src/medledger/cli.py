@@ -125,12 +125,12 @@ def _cmd_ledger(args) -> int:
         key, val = split_token(token, "=", "KEY=VALUE")
         pairs.append(("info." + key, val))
     command = Command(args.verb, args.actor, Role(args.role), args.valid, tuple(pairs))
-    command.parse(args.place)  # a malformed command never touches the store
+    parsed = command.parse(args.place)  # a malformed command never touches the store
     directory = Path(args.dir)
     with _locked(directory):
         ledger = store.load(directory)
         try:
-            result = command.run(ledger, args.place)
+            result = command.run(ledger, parsed)
         except LedgerError as exc:
             store.persist(ledger, directory)
             print(f"ERROR {type(exc).__name__}: {exc}")

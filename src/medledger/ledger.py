@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import blocks as b
 from .blocks import (
@@ -30,6 +30,7 @@ from .blocks import (
     RecordEntry,
     block_hash,
     cached_hash,
+    seal_new,
     sealed,
     sealed_note,
 )
@@ -112,7 +113,7 @@ class Ledger:
     @classmethod
     def genesis(cls, catalog_entries: Iterable[tuple[str, str]]) -> "Ledger":
         """Fresh ledger whose genesis block carries the initial catalog."""
-        entries = tuple(catalog_entries)
+        entries = tuple((code, label) for code, label in catalog_entries)
         if not entries:
             raise ValueError("genesis catalog must not be empty")
         codes = [c for c, _ in entries]
@@ -221,15 +222,13 @@ class Ledger:
 
     def snapshot_bytes(self) -> bytes:
         """Full deterministic serialization; equal bytes means equal state."""
-        out = [b._u64(self.clock), b._u32(len(self.main_chain))]
-        out += [b._blob(b.encode_record(blk)) for blk in self.main_chain]
+        out = [b._U64_PACK(self.clock), b._U32_PACK(len(self.main_chain))]
+        out.append(b._framed([b.encode_record(blk) for blk in self.main_chain]))
         for p in sorted(self.yellow):
-            out.append(b._u32(p))
+            out.append(b._U32_PACK(p))
             for chain in (self.yellow[p], self.red[p]):
-                out.append(b._u32(len(chain)))
-                out += [b._blob(b.encode_record(blk)) for blk in chain]
-        out.append(b._u32(len(self.global_audit)))
-        out += [b._blob(b.encode_note(note)) for note in self.global_audit]
+                out += (b._U32_PACK(len(chain)), b._framed([b.encode_record(blk) for blk in chain]))
+        out += (b._U32_PACK(len(self.global_audit)), b._framed([b.encode_note(n) for n in self.global_audit]))
         return b"".join(out)
 
     def state_digest(self) -> str:
@@ -274,7 +273,7 @@ class Ledger:
         latest = self._latest_yellow(p)
         record_index = latest.coord.record if latest is not None else None
         h_yellow = cached_hash(latest) if latest is not None else ZERO_DIGEST
-        log = sealed(
+        log = seal_new(
             LogBlock(
                 coord=BlockCoord(p, record_index, len(chain) + 1),
                 event=event,
@@ -321,8 +320,9 @@ class Ledger:
         raise AccessDenied(f"role {cred.role.value} may not {action}")
 
     def _append_main(self, owner: int | None, **fields) -> IdentityBlock:
-        """Seal, link, append and index one main-chain block."""
-        block = sealed(
+        """Seal, link, append and index one main-chain block; it keeps a
+        read-only copy of the personal_info it is given."""
+        block = seal_new(
             IdentityBlock(
                 coord=BlockCoord(len(self.main_chain)), prev_main=cached_hash(self.main_chain[-1]), **fields
             )
@@ -334,7 +334,7 @@ class Ledger:
     def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
         """Seal, link and append one block to the patient's medical chain."""
         chain = self.yellow[p]
-        block = sealed(
+        block = seal_new(
             MedicalBlock(
                 coord=BlockCoord(p, len(chain) + 1),
                 entries=entries,
@@ -365,7 +365,7 @@ class Ledger:
         self,
         cred: Credential,
         patient: int,
-        entries: list[tuple[str, bytes]],
+        entries: Sequence[tuple[str, bytes]],
         place: str = "local",
     ) -> tuple[MedicalBlock, LogBlock]:
         """Append one medical block and its write log atomically."""
@@ -453,7 +453,7 @@ class Ledger:
         return block
 
     def update_catalog(
-        self, cred: Credential, new_entries: list[tuple[str, str]], place: str = "local"
+        self, cred: Credential, new_entries: Sequence[tuple[str, str]], place: str = "local"
     ) -> IdentityBlock:
         """Append a catalog block linking back to the current catalog head."""
         if not new_entries:
@@ -470,7 +470,7 @@ class Ledger:
             fiscal_code="",
             personal_info={},
             variant=IdentityVariant.CATALOG,
-            catalog=CatalogUpdate(tuple(new_entries), self.catalog_head),
+            catalog=CatalogUpdate(tuple((code, label) for code, label in new_entries), self.catalog_head),
         )
 
     def assemble_report(

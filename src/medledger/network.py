@@ -94,23 +94,24 @@ class Command:
         except ValueError:
             raise CommandError(f"patient {text!r} is not an integer") from None
 
-    def entries(self, shape: str) -> list[tuple[str, str]]:
+    def entries(self, shape: str) -> tuple[tuple[str, str], ...]:
         tokens = [val for k, val in self.args if k == "entry"]
         if not tokens:
             raise CommandError(f"command {self.verb!r} has no entry=")
-        return [split_token(token, ":", shape) for token in tokens]
+        return tuple(split_token(token, ":", shape) for token in tokens)
 
     def info(self) -> dict[str, str]:
         return {k[len("info.") :]: val for k, val in self.args if k.startswith("info.")}
 
     def parse(self, place: str) -> tuple:
-        """The typed arguments of the verb's Ledger method, between the
-        credential and the place.
+        """All the arguments of the verb's Ledger method: the credential,
+        the typed arguments, and the place.
 
         Refuses with CommandError an unknown verb, a missing key, a
         non-integer patient, a token without its separator, an empty entry
         list and a string that does not encode as UTF-8; nothing that
-        depends on the ledger's state is checked here.
+        depends on the ledger's state is checked here. The arguments may be
+        shared by many ledgers: no Ledger operation keeps a mutable one.
         """
         if self.verb not in VERBS:
             raise CommandError(f"unknown command verb {self.verb!r}")
@@ -119,16 +120,16 @@ class Command:
                 text.encode("utf-8")
             except UnicodeEncodeError:
                 raise CommandError(f"{text!r} does not encode as UTF-8") from None
-        return VERBS[self.verb].parse(self)
+        return (self.cred(), *VERBS[self.verb].parse(self), place)
 
-    def run(self, ledger: Ledger, place: str):
-        """Parse, then call the verb's Ledger method; returns its raw result."""
-        typed = self.parse(place)
-        return getattr(ledger, VERBS[self.verb].method)(self.cred(), *typed, place)
+    def run(self, ledger: Ledger, parsed: tuple):
+        """Call the verb's Ledger method with the arguments parse returned;
+        returns its raw result."""
+        return getattr(ledger, VERBS[self.verb].method)(*parsed)
 
-    def apply(self, ledger: Ledger, place: str) -> str:
+    def apply(self, ledger: Ledger, parsed: tuple) -> str:
         """Run against a replica; returns a short result summary."""
-        return VERBS[self.verb].summary(self.run(ledger, place))
+        return VERBS[self.verb].summary(self.run(ledger, parsed))
 
     def render_args(self) -> str:
         return " ".join(f"{k}={val}" for k, val in self.args)
@@ -149,7 +150,7 @@ VERBS = {
     "onboard": Verb("onboard_patient", lambda c: (c.need("code"), c.info()), lambda p: f"patient:{p}"),
     "write": Verb(
         "write_record",
-        lambda c: (c.patient(), [(t, p.encode()) for t, p in c.entries("TYPE:PAYLOAD")]),
+        lambda c: (c.patient(), tuple((t, p.encode()) for t, p in c.entries("TYPE:PAYLOAD"))),
         lambda r: f"medical:{_label(r[0])} log:{_label(r[1])}",
     ),
     "read": Verb(
@@ -238,7 +239,7 @@ class Network:
         # honest nodes confirm exactly the well-formed commands: domain
         # errors are valid transitions, since they append audit evidence
         try:
-            command.parse(node_id)
+            parsed = command.parse(node_id)
             well_formed = True
         except CommandError:
             well_formed = False
@@ -255,18 +256,19 @@ class Network:
         committed = well_formed and quorum_commits(confirmations, len(self.approved))
         outcome, result = "rejected", ""
         if committed:
-            outcome, result = self._apply_everywhere(command, node_id)
+            outcome, result = self._apply_everywhere(command, parsed)
         return Proposal(
             self.seq, node_id, command, tuple(votes), committed, outcome, result
         )
 
-    def _apply_everywhere(self, command: Command, place: str) -> tuple[str, str]:
-        """Apply on every replica, then refuse an outcome that differs from
-        the first replica's, naming the first node that diverged."""
+    def _apply_everywhere(self, command: Command, parsed: tuple) -> tuple[str, str]:
+        """Apply the command, parsed once, on every replica, then refuse an
+        outcome that differs from the first replica's, naming the first
+        node that diverged."""
         outcomes: list[tuple[str, str]] = []
         for nid in self.approved:
             try:
-                outcomes.append(("ok", command.apply(self.nodes[nid].replica, place)))
+                outcomes.append(("ok", command.apply(self.nodes[nid].replica, parsed)))
             except LedgerError as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
         for nid, this in zip(self.approved, outcomes):

@@ -21,7 +21,8 @@ the bytes it read: each block's hash is recomputed from the slices of
 its stored record (blocks.record_hash), never taken from the stored
 self_hash, and kept as the block's memo, which verify_tree then checks.
 The slices are the block's field groups because decoding is strict and
-canonical. load_raw decodes only.
+canonical. load_raw decodes, and hashes the same way only the main chain,
+whose hashes the ledger's derived indexes need; nothing is re-encoded.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from .blocks import (
     IdentityVariant,
     LogBlock,
     MedicalBlock,
-    _blob,
+    _U32_PACK,
+    _U64_PACK,
     _blob_at,
     _expect_end,
-    _string,
+    _framed,
+    _put_texts,
     _text,
-    _u32,
     _u32_at,
-    _u64,
     _u64_at,
     decode_note,
     decode_record,
@@ -67,13 +68,12 @@ def _red_name(p: int) -> str:
     return f"p{p}.red.chain"
 
 
-def _frame(records: list[bytes]) -> bytes:
-    return b"".join(_blob(r) for r in records)
-
-
 def _encode_meta(clock: int, manifest: list[tuple[str, int]]) -> bytes:
-    entries = b"".join(_string(name) + _u32(count) for name, count in manifest)
-    body = _MAGIC + _u64(clock) + _u32(len(manifest)) + entries
+    out = [_MAGIC, _U64_PACK(clock), _U32_PACK(len(manifest))]
+    for name, count in manifest:
+        _put_texts(out, name)
+        out.append(_U32_PACK(count))
+    body = b"".join(out)
     return body + sha256(body)
 
 
@@ -144,7 +144,7 @@ def persist(ledger: Ledger, directory: str | Path) -> None:
             elif len(items) == len(old):
                 image[name] = held[name]
                 continue
-            data = _frame([encode(item) for item in items[len(old) :]])
+            data = _framed([encode(item) for item in items[len(old) :]])
             with open(directory / name, "ab") as f:  # positioned at the file's end
                 if f.tell() != length:  # a truncate to the same length still costs an inode update
                     f.truncate(length)
@@ -199,9 +199,11 @@ def _read_blocks(
 
 def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     """Open only the file names derived from the main chain; the manifest
-    supplies record counts and must list exactly those names. With hashed,
-    every block's memo is its hash recomputed from the bytes read. The
-    ledger keeps the image of what the directory holds, for persist."""
+    supplies record counts and must list exactly those names. The memo of
+    each main-chain block, and with hashed of every block, is its hash
+    recomputed from the bytes read, so that building the Ledger re-encodes
+    nothing. The ledger keeps the image of what the directory holds, for
+    persist."""
     try:
         meta_bytes = (directory / META_NAME).read_bytes()
     except OSError:
@@ -210,7 +212,7 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     if MAIN_NAME not in counts or AUDIT_NAME not in counts:
         raise CorruptChain(META_NAME, 0, "manifest lacks the required files")
     image: dict[str, tuple[list, int]] = {}
-    main = _read_blocks(directory, MAIN_NAME, counts, image, IdentityBlock, hashed)
+    main = _read_blocks(directory, MAIN_NAME, counts, image, IdentityBlock, hashed=True)
     notes = _read_chain(directory, AUDIT_NAME, counts, decode_note, image)
     patients = [blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT]
     expected = {MAIN_NAME, AUDIT_NAME} | {
@@ -246,5 +248,6 @@ def load(directory: str | Path) -> Ledger:
 
 
 def load_raw(directory: str | Path) -> Ledger:
-    """Reconstruct without verification; for tamper tooling and repair."""
+    """Reconstruct without verification; for tamper tooling and repair.
+    Only the main chain is hashed, from its record bytes."""
     return _assemble(Path(directory))

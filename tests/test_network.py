@@ -305,6 +305,33 @@ def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):
     assert (calls["apply"], calls["clone"]) == (15, 0)
 
 
+def test_a_committed_onboard_gives_each_replica_its_own_read_only_personal_info(monkeypatch):
+    """A commit parses its command once and hands the same arguments to
+    every replica; each identity block still holds a read-only copy of
+    personal_info of its own, which no later change to the parsed
+    arguments reaches."""
+    parsed = []
+    original = Command.parse
+
+    def recorded(self, place):
+        parsed.append(original(self, place))
+        return parsed[-1]
+
+    monkeypatch.setattr(Command, "parse", recorded)
+    net = make_net(5)
+    assert net.propose("n1", ONBOARD).result == "patient:1"
+    assert len(parsed) == 1
+    info = parsed[0][2]
+    info["name"] = "Eve"
+    anchors = [node.replica.main_chain[1] for node in net.nodes.values()]
+    assert len({id(blk) for blk in anchors}) == len({id(blk.personal_info) for blk in anchors}) == 5
+    for blk in anchors:
+        assert dict(blk.personal_info) == {"name": "Mario"}
+        with pytest.raises(TypeError):
+            blk.personal_info["name"] = "Eve"
+    assert all(verify_tree(node.replica) == [] for node in net.nodes.values())
+
+
 def test_a_divergent_replica_does_not_stop_the_others_applying():
     """The genesis tamper on n2 makes its write fail while n1's succeeds;
     the commit still applies on every replica before the divergence is raised."""

@@ -282,11 +282,25 @@ def test_decoded_blocks_are_full_values(tmp_path, build):
                 assert type(blk.personal_info) is MappingProxyType
                 infos.append(blk.personal_info)
         assert blocks.decode_record(blocks.encode_record(original)).hash_memo is None
-        # building a Ledger hashes its main chain (cached_hash), so a raw
-        # load leaves a memo on identity blocks only
+        # a raw load hashes only its main chain, which the Ledger's derived
+        # indexes need, so it leaves a memo on identity blocks only
         raw_memo = block_hash(original) if isinstance(original, IdentityBlock) else None
         assert (loaded[0].hash_memo, loaded[1].hash_memo) == (raw_memo, block_hash(original))
     assert len({id(info) for info in infos}) == len(infos)
+
+
+def test_load_raw_hashes_the_main_chain_from_its_record_bytes(tmp_path, monkeypatch):
+    """A raw load makes no block_hash call: each main-chain memo, which the
+    Ledger's derived indexes read, is recomputed from the record bytes, with
+    six SHA-256 calls per identity block, and equals block_hash of its block."""
+    ledger = criterion7_ledger_with_note(42)
+    persist(ledger, tmp_path)
+    block_hashes = count_calls(monkeypatch, blocks.block_hash)
+    sha256_calls = count_calls(monkeypatch, merkle.sha256)
+    raw = load_raw(tmp_path)
+    assert (block_hashes[0], sha256_calls[0]) == (0, 6 * len(ledger.main_chain) + 1)
+    assert [blk.hash_memo for blk in raw.main_chain] == [block_hash(blk) for blk in raw.main_chain]
+    assert raw.snapshot_bytes() == ledger.snapshot_bytes()
 
 
 def test_load_checked_reports_what_verify_tree_finds(tmp_path):
