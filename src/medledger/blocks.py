@@ -214,17 +214,25 @@ _TAG_LEN = struct.Struct(">BI").pack
 _TIME_LEN = struct.Struct(">QI").pack
 
 
-def _int_error(*ints: tuple[int, int]) -> Exception:
-    """The error of the first (value, width) that width bytes cannot hold:
-    OverflowError for an integer out of range, AttributeError for a value
-    that is not an integer, as int.to_bytes raises them. A struct raises
-    struct.error for both; the encoders raise this instead."""
-    for value, width in ints:
+def _int_error(value) -> Exception:
+    """What int.to_bytes raises for the first integer field of value, in
+    encoding order, that its width cannot hold: OverflowError for an
+    integer out of range, AttributeError for a value that is not one. The
+    structs raise struct.error for both; the encoders raise this instead,
+    outside the handler, so that it is exactly that error."""
+    ints = []
+    if hasattr(value, "coord"):
+        c = value.coord
+        ints += [(c.patient, 4)] + [(i, 4) for i in (c.record, c.log) if i is not None]
+    for name, width in (("variant", 1), ("event", 1), ("timestamp", 8)):
+        if hasattr(value, name):
+            ints.append((getattr(value, name), width))
+    for i, width in ints:
         try:
-            value.to_bytes(width, "big")
+            i.to_bytes(width, "big")
         except (AttributeError, OverflowError) as exc:
             return exc
-    return OverflowError(f"cannot encode {ints!r}")
+    return OverflowError(f"an integer field of {value!r} does not fit its width")
 
 
 def _digest(d: Digest) -> Digest:
@@ -346,24 +354,16 @@ def _digests(data: bytes, pos: int, run: struct.Struct) -> tuple[Digest, ...]:
 
 def _coord_bytes(kind: int, coord: BlockCoord) -> bytes:
     patient, record, log = coord.patient, coord.record, coord.log
-    try:
-        if record is None:
-            return _HEAD_PLAIN(kind, patient, 0, 0) if log is None else _HEAD_LOG(kind, patient, 0, 1, log)
-        return _HEAD_RECORD(kind, patient, 1, record, 0) if log is None else _HEAD_BOTH(kind, patient, 1, record, 1, log)
-    except struct.error:
-        pass  # raised outside the handler, so that it is exactly what to_bytes raises
-    raise _int_error((patient, 4), *((i, 4) for i in (record, log) if i is not None))
+    if record is None:
+        return _HEAD_PLAIN(kind, patient, 0, 0) if log is None else _HEAD_LOG(kind, patient, 0, 1, log)
+    return _HEAD_RECORD(kind, patient, 1, record, 0) if log is None else _HEAD_BOTH(kind, patient, 1, record, 1, log)
 
 
 def _attempt(tag: int, actor: str, timestamp: int, place: str, text: str) -> bytes:
     """The payload of a log block (tag: its event) and the body of an audit
     note (tag: its kind): u8 tag, actor, u64 timestamp, place, text."""
     a, p, t = actor.encode(), place.encode(), text.encode()
-    try:
-        return _TAG_LEN(tag, len(a)) + a + _TIME_LEN(timestamp, len(p)) + p + _U32_PACK(len(t)) + t
-    except struct.error:
-        pass
-    raise _int_error((tag, 1), (timestamp, 8))
+    return _TAG_LEN(tag, len(a)) + a + _TIME_LEN(timestamp, len(p)) + p + _U32_PACK(len(t)) + t
 
 
 def _identity_groups(block: IdentityBlock) -> tuple[bytes, bytes, bytes]:
@@ -373,13 +373,7 @@ def _identity_groups(block: IdentityBlock) -> tuple[bytes, bytes, bytes]:
     out.append(_U32_PACK(len(info)))
     for key in sorted(info):
         _put_texts(out, key, info[key])
-    try:
-        variant = _U8_PACK(block.variant)
-    except struct.error:
-        variant = b""
-    if not variant:
-        raise _int_error((block.variant, 1))
-    out.append(variant)
+    out.append(_U8_PACK(block.variant))
     fc = block.fiscal_change
     if fc is None:
         out.append(b"\x00")
@@ -425,7 +419,11 @@ def field_groups(block: Block) -> tuple[bytes, bytes, bytes]:
     encode = _FIELD_GROUPS.get(type(block))
     if encode is None:
         raise TypeError(f"not a block: {type(block).__name__}")
-    return encode(block)
+    try:
+        return encode(block)
+    except struct.error:
+        pass
+    raise _int_error(block)
 
 
 def canonical_bytes(block: Block) -> bytes:
@@ -612,10 +610,11 @@ def decode_record(data: bytes) -> Block:
 
 
 def note_canonical(note: GlobalAuditNote) -> bytes:
-    return (
-        _attempt(BlockKind.AUDIT_NOTE, note.actor, note.timestamp, note.place, note.detail)
-        + _digest(note.prev_hash)
-    )
+    try:
+        return _attempt(BlockKind.AUDIT_NOTE, note.actor, note.timestamp, note.place, note.detail) + _digest(note.prev_hash)
+    except struct.error:
+        pass
+    raise _int_error(note)
 
 
 def note_hash(note: GlobalAuditNote) -> Digest:
