@@ -23,7 +23,9 @@ Everything that encodes uses them: field_groups, encode_record,
 block_hash, the store's framing and `meta`, and Ledger.snapshot_bytes. A
 value the encoding cannot hold raises what int.to_bytes, str.encode and
 bytes concatenation raise, never struct.error, or ValueError for a digest
-that is not 32 bytes (pinned by tests/golden/encode_outcomes.txt).
+that is not 32 bytes (pinned by tests/golden/encode_outcomes.txt). The
+encoders read the fields in a fixed order, a kind's payload before its
+coordinates, so of two bad fields the first in that order raises.
 
 Decoding is strict: flags and enum bytes must be canonical values, map
 keys must be sorted and unique, and a record must be consumed exactly.
@@ -42,12 +44,11 @@ read-only mapping), so a block's hash is a pure function of its fields.
 cached_hash computes it once per block object and keeps it in the
 block's hash_memo field. A seal hashes once and fills the memo with that
 hash too: the ledger's append paths build each block and its BlockCoord
-once, with __init__, and seal_new seals it in place, since nothing else
-holds it yet; sealed returns a sealed copy made without __init__. The
-ledger's operations and its derived indexes use cached_hash. block_hash
-always recomputes from the fields; verify_tree uses it by default, and
-repair_replicas on the one candidate version at a position where
-replicas differ.
+once, with __init__, and sealed seals it in place, since nothing else
+holds it yet. The ledger's operations and its derived indexes use
+cached_hash. block_hash always recomputes from the fields; verify_tree
+uses it by default, and repair_replicas on the one candidate version at
+a position where replicas differ.
 
 Equal blocks are exactly the blocks with equal records: decoding is
 canonical, and a raw tamper (mutate_block) returns what its record
@@ -209,9 +210,6 @@ _HEAD_PLAIN = struct.Struct(">BIBB").pack
 _HEAD_RECORD = struct.Struct(">BIBIB").pack
 _HEAD_LOG = struct.Struct(">BIBBI").pack
 _HEAD_BOTH = struct.Struct(">BIBIBI").pack
-# an access attempt's tag and actor length, then its timestamp and place length
-_TAG_LEN = struct.Struct(">BI").pack
-_TIME_LEN = struct.Struct(">QI").pack
 
 
 def _int_error(value) -> Exception:
@@ -219,14 +217,13 @@ def _int_error(value) -> Exception:
     encoding order, that its width cannot hold: OverflowError for an
     integer out of range, AttributeError for a value that is not one. The
     structs raise struct.error for both; the encoders raise this instead,
-    outside the handler, so that it is exactly that error."""
-    ints = []
+    outside the handler, so that it is exactly that error. Every kind
+    encodes its payload's integers before its coordinates."""
+    ints = [(getattr(value, name), width) for name, width in (("variant", 1), ("event", 1), ("timestamp", 8))
+            if hasattr(value, name)]  # fmt: skip
     if hasattr(value, "coord"):
         c = value.coord
         ints += [(c.patient, 4)] + [(i, 4) for i in (c.record, c.log) if i is not None]
-    for name, width in (("variant", 1), ("event", 1), ("timestamp", 8)):
-        if hasattr(value, name):
-            ints.append((getattr(value, name), width))
     for i, width in ints:
         try:
             i.to_bytes(width, "big")
@@ -361,9 +358,13 @@ def _coord_bytes(kind: int, coord: BlockCoord) -> bytes:
 
 def _attempt(tag: int, actor: str, timestamp: int, place: str, text: str) -> bytes:
     """The payload of a log block (tag: its event) and the body of an audit
-    note (tag: its kind): u8 tag, actor, u64 timestamp, place, text."""
-    a, p, t = actor.encode(), place.encode(), text.encode()
-    return _TAG_LEN(tag, len(a)) + a + _TIME_LEN(timestamp, len(p)) + p + _U32_PACK(len(t)) + t
+    note (tag: its kind): u8 tag, actor, u64 timestamp, place, text, each
+    encoded in that order, so that the first bad field raises."""
+    head = _U8_PACK(tag)
+    a = actor.encode()
+    time = _U64_PACK(timestamp)
+    p, t = place.encode(), text.encode()
+    return head + _U32_PACK(len(a)) + a + time + _U32_PACK(len(p)) + p + _U32_PACK(len(t)) + t
 
 
 def _identity_groups(block: IdentityBlock) -> tuple[bytes, bytes, bytes]:
@@ -470,26 +471,13 @@ def cached_hash(block: Block) -> Digest:
     return h
 
 
-def seal_new(block: Block) -> Block:
+def sealed(block: Block) -> Block:
     """Seal, in place, a block just built that nothing else holds yet: its
     self_hash and its memo become its hash, computed once. Returns it."""
     h = block_hash(block)
     object.__setattr__(block, "self_hash", h)
     object.__setattr__(block, "hash_memo", h)
     return block
-
-
-def sealed(block: Block) -> Block:
-    """Copy of the block with self_hash set to its recomputed hash, which
-    also fills its memo. The copy is made without the dataclass __init__,
-    by per-field setattr, which keeps the compact layout __init__ gives."""
-    out = object.__new__(type(block))
-    for name in _FIELD_NAMES[type(block)]:
-        object.__setattr__(out, name, getattr(block, name))
-    return seal_new(out)
-
-
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (IdentityBlock, MedicalBlock, LogBlock)}
 
 
 # --- stored records ----------------------------------------------------------

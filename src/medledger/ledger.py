@@ -30,7 +30,6 @@ from .blocks import (
     RecordEntry,
     block_hash,
     cached_hash,
-    seal_new,
     sealed,
     sealed_note,
 )
@@ -273,7 +272,7 @@ class Ledger:
         latest = self._latest_yellow(p)
         record_index = latest.coord.record if latest is not None else None
         h_yellow = cached_hash(latest) if latest is not None else ZERO_DIGEST
-        log = seal_new(
+        log = sealed(
             LogBlock(
                 coord=BlockCoord(p, record_index, len(chain) + 1),
                 event=event,
@@ -322,7 +321,7 @@ class Ledger:
     def _append_main(self, owner: int | None, **fields) -> IdentityBlock:
         """Seal, link, append and index one main-chain block; it keeps a
         read-only copy of the personal_info it is given."""
-        block = seal_new(
+        block = sealed(
             IdentityBlock(
                 coord=BlockCoord(len(self.main_chain)), prev_main=cached_hash(self.main_chain[-1]), **fields
             )
@@ -334,7 +333,7 @@ class Ledger:
     def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
         """Seal, link and append one block to the patient's medical chain."""
         chain = self.yellow[p]
-        block = seal_new(
+        block = sealed(
             MedicalBlock(
                 coord=BlockCoord(p, len(chain) + 1),
                 entries=entries,

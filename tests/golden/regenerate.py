@@ -11,7 +11,8 @@ and offset: regenerate it only from a tree whose decoders are trusted, and
 never to make a decoder rewrite pass. encode_outcomes.txt pins what
 encode_record, encode_note and mutate_block raise for values the encoding
 cannot hold: regenerate it only from a tree whose encoders are trusted,
-and never to make an encoder rewrite pass.
+and never to make an encoder rewrite pass. encode_pair_outcomes.txt pins,
+as one digest per record shape, which of two such fields raises first.
 
 scenario_digests.txt is not written here: it is the output of
 `python tests/scenarios.py src SEED 300` for seeds 1 to 3, each line
@@ -36,6 +37,7 @@ from helpers import (  # noqa: E402
     criterion7_ledger_with_note,
     decode_outcome_digests,
     encode_outcome_lines,
+    encode_pair_outcome_digests,
     store_image,
     tree_check_cases,
 )
@@ -85,6 +87,11 @@ def write_encode_outcomes() -> None:
     (HERE / "encode_outcomes.txt").write_text("\n".join(lines) + "\n")
 
 
+def write_encode_pair_outcomes() -> None:
+    lines = encode_pair_outcome_digests(criterion7_ledger_with_note(42))
+    (HERE / "encode_pair_outcomes.txt").write_text("\n".join(lines) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
@@ -93,4 +100,5 @@ if __name__ == "__main__":
     write_store_image()
     write_decode_outcomes()
     write_encode_outcomes()
+    write_encode_pair_outcomes()
     print("golden vectors regenerated")

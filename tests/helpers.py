@@ -443,3 +443,24 @@ def encode_outcome_lines(ledger: Ledger) -> list[str]:
                 mutated = "-" if path is None else _outcome(lambda: mutate_block(value, *path))
                 lines.append(f"{shape} {field} {name} encode={_outcome(lambda: encode(edited))} mutate={mutated}")
     return lines
+
+
+def encode_pair_outcome_digests(ledger: Ledger) -> list[str]:
+    """One `shape sha256` line per shape of record_shapes: the digest of the
+    outcome of encode_record (encode_note) on the value with two of its
+    fields given values of ENCODE_VALUES, for every pair of fields, in
+    encoding order, and of values. Of two bad fields, one raises first."""
+    lines = []
+    for shape, value in record_shapes(ledger):
+        encode = encode_note if isinstance(value, GlobalAuditNote) else encode_record
+        outcomes = []
+        for i, (field, kind, edit) in enumerate(_encode_fields(value)):
+            for name, v in ENCODE_VALUES[kind]:
+                edited = edit(v)[0]
+                for field2, kind2, edit2 in _encode_fields(edited)[i + 1 :]:
+                    for name2, v2 in ENCODE_VALUES[kind2]:
+                        twice = edit2(v2)[0]
+                        outcomes.append(f"{field} {name} {field2} {name2} {_outcome(lambda: encode(twice))}")
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        lines.append(f"{shape} {digest}")
+    return lines

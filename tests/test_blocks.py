@@ -34,6 +34,7 @@ from helpers import (
     criterion7_ledger_with_note,
     decode_outcome_digests,
     encode_outcome_lines,
+    encode_pair_outcome_digests,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -228,3 +229,11 @@ def test_encoder_outcomes_match_golden():
     pinned encoders did: the same classes and medledger's own messages."""
     expected = (GOLDEN / "encode_outcomes.txt").read_text().splitlines()
     assert encode_outcome_lines(criterion7_ledger_with_note(42)) == expected
+
+
+def test_the_first_of_two_bad_fields_raises_as_the_pinned_encoders_did():
+    """Given two fields it cannot hold, every pair of fields and values of
+    test_encoder_outcomes_match_golden, encode_record/encode_note raises
+    what the pinned encoders raised: the fields are read in the same order."""
+    expected = (GOLDEN / "encode_pair_outcomes.txt").read_text().splitlines()
+    assert encode_pair_outcome_digests(criterion7_ledger_with_note(42)) == expected
