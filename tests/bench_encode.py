@@ -9,7 +9,9 @@ Builds, in memory, the two set-ups of the benchmark's workloads:
 
 It then times, over REPS samples (each the mean of a batch of calls):
 
-- sealed            one call per block kind, on a block of the set-up
+- sealed            one call per block kind, on a block of the set-up: the
+                    seal of the ledger's append paths (resealing a sealed
+                    block sets the hash it holds)
 - block_hash_all    block_hash over every block of long_history
 - verify_tree       default verify_tree (recomputing every hash) of long_history
 - propose_write     a 15-replica Network.propose of a one-entry write
