@@ -11,7 +11,7 @@ from medledger import cli, store
 from medledger.cli import main
 from medledger.ledger import Credential, Ledger, Role
 
-from helpers import CATALOG
+from helpers import CATALOG, count_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -361,6 +361,60 @@ def test_audit_repair_locks_every_replica_from_load_to_persist(tmp_path, capsys,
     assert racing_writes == [2, 2, 2]
     assert len({store.load(d).snapshot_bytes() for d in dirs}) == 1
     assert not any((Path(d) / ".lock").exists() for d in dirs)
+
+
+def _tree(dirs) -> dict[Path, bytes]:
+    """Every file of the directories, lock files included, by path."""
+    return {f: f.read_bytes() for d in dirs for f in Path(d).iterdir()}
+
+
+def test_tamper_on_a_locked_directory_exits_2_with_the_store_unchanged(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
+    tamper = ["tamper", "--chain", "yellow", "--patient", "1", "--index", "1",
+              "--field", "entry.0.payload", "--value", "forged"]
+    (Path(dirs[0]) / ".lock").touch()
+    before = _tree(dirs[:1])
+    assert main([tamper[0], "--dir", dirs[0], *tamper[1:]]) == 2
+    assert "is locked" in capsys.readouterr().err
+    assert _tree(dirs[:1]) == before
+    assert main([tamper[0], "--dir", dirs[1], *tamper[1:]]) == 0  # the same tamper, unlocked
+
+
+@pytest.mark.parametrize("locked", [0, 1, 2])
+def test_audit_repair_with_one_replica_locked_exits_2_with_every_replica_unchanged(tmp_path, capsys, locked):
+    """The replicas before the locked one in path order were locked and are
+    released; the foreign lock file is the only one left."""
+    dirs = replica_dirs(tmp_path)
+    run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
+        "--index", "1", "--field", "entry.0.payload", "--value", "forged")
+    (Path(dirs[locked]) / ".lock").touch()
+    before = _tree(dirs)
+    assert main(["audit-repair", "--dirs", *dirs]) == 2
+    assert "is locked" in capsys.readouterr().err
+    assert _tree(dirs) == before
+    assert [d for d in dirs if (Path(d) / ".lock").exists()] == [dirs[locked]]
+
+
+def test_commands_load_and_persist_through_the_store_module_bindings(tmp_path, capsys, monkeypatch):
+    """perfbench spans store.load, store.load_raw and store.persist by
+    replacing their module bindings, so each command must call them there."""
+    dirs = replica_dirs(tmp_path)
+    calls = {name: count_calls(monkeypatch, getattr(store, name)) for name in ("load", "load_raw", "persist")}
+
+    def counted(*argv) -> dict[str, int]:
+        for count in calls.values():
+            count[0] = 0
+        assert main(list(argv)) == 0, argv
+        return {name: count[0] for name, count in calls.items()}
+
+    assert counted("init", "--dir", str(tmp_path / "new"), "--catalog", "a:A") == {
+        "load": 0, "load_raw": 0, "persist": 1}
+    assert counted("tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1", "--index", "1",
+                   "--field", "entry.0.payload", "--value", "forged") == {"load": 0, "load_raw": 1, "persist": 1}
+    assert counted("audit-repair", "--dirs", *dirs) == {"load": 0, "load_raw": 3, "persist": 1}
+    assert counted("write", "--dir", dirs[0], "--actor", "drb", "--role", "doctor", "--patient", "1",
+                   "--entry", "xray:v2") == {"load": 1, "load_raw": 0, "persist": 1}
+    capsys.readouterr()
 
 
 def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, capsys):
