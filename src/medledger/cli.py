@@ -8,35 +8,14 @@ tab-separated fields for scripting.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import store
 from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
 from .ledger import Ledger, Role
 from .network import Command, SimConfig, repair_replicas, run_scenario, split_token
-
-
-@contextmanager
-def _locked(directory: Path):
-    """One CLI invocation at a time per ledger directory, which must exist."""
-    lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StorageError(f"ledger directory {directory} is locked ({lock} exists)") from None
-    except FileNotFoundError:
-        raise StorageError(f"no ledger at {directory} (no such directory)") from None
-    try:
-        os.close(fd)
-        yield
-    finally:
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
 
 
 def _catalog(tokens: list[str]) -> list[tuple[str, str]]:
@@ -61,12 +40,7 @@ def _show_payload(args, payload: bytes) -> str:
 
 def _cmd_init(args) -> int:
     directory = Path(args.dir)
-    catalog = _catalog(args.catalog)
-    directory.mkdir(parents=True, exist_ok=True)
-    with _locked(directory):  # under the lock, so a racing init's ledger is never overwritten
-        if (directory / store.META_NAME).exists():
-            raise StorageError(f"{directory} already holds a ledger")
-        store.persist(Ledger.genesis(catalog), directory)
+    store.create(Ledger.genesis(_catalog(args.catalog)), directory)
     _emit(args, f"initialized ledger at {directory}", ["initialized", str(directory)])
     return 0
 
@@ -116,8 +90,8 @@ _ARG_KEYS = ("code", "patient", "query", "type", "new_code")
 
 
 def _cmd_ledger(args) -> int:
-    """Every ledger verb: parse, lock, load, apply, render, persist. The
-    store is persisted after a domain error too (failed attempts must
+    """Every ledger verb: parse, then in one store session apply, render
+    and commit. A domain error is committed too (failed attempts must
     reach the audit chain)."""
     pairs = [(key, str(getattr(args, key))) for key in _ARG_KEYS if hasattr(args, key)]
     pairs += [("entry", token) for token in getattr(args, "entry", [])]
@@ -126,18 +100,15 @@ def _cmd_ledger(args) -> int:
         pairs.append(("info." + key, val))
     command = Command(args.verb, args.actor, Role(args.role), args.valid, tuple(pairs))
     parsed = command.parse(args.place)  # a malformed command never touches the store
-    directory = Path(args.dir)
-    with _locked(directory):
-        ledger = store.load(directory)
+    with store.session(args.dir) as (ledger, commit):
         try:
             result = command.run(ledger, parsed)
-        except LedgerError as exc:
-            store.persist(ledger, directory)
-            print(f"ERROR {type(exc).__name__}: {exc}")
-            return 1
+        except LedgerError:
+            commit()
+            raise  # main prints it and exits 1
         _RENDER[args.verb](args, result)
-        store.persist(ledger, directory)
-        return 0
+        commit()
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -152,14 +123,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tamper(args) -> int:
-    directory = Path(args.dir)
-    with _locked(directory):
-        ledger = store.load_raw(directory)
+    with store.session(args.dir, raw=True) as (ledger, commit):
         try:
             ledger.tamper(args.chain, args.patient, args.index, args.field, args.value)
         except (NoSuchBlock, ValueError) as exc:
-            raise StorageError(f"cannot tamper with {directory}: {exc}") from None
-        store.persist(ledger, directory)
+            raise StorageError(f"cannot tamper with {Path(args.dir)}: {exc}") from None
+        commit()
     _emit(
         args,
         f"tampered {args.chain} block {args.index} field {args.field}",
@@ -195,15 +164,15 @@ def _cmd_audit_repair(args) -> int:
     for d, path in zip(args.dirs, resolved):
         if resolved.count(path) > 1:  # one replica must not vote twice
             raise CommandError(f"replica directory {d!r} given more than once")
-    with ExitStack() as locks:  # every replica locked from its load through its persist
-        for path in sorted(resolved):
-            locks.enter_context(_locked(path))
-        replicas = {d: store.load_raw(Path(d)) for d in args.dirs}
-        entries = repair_replicas(replicas)
+    with ExitStack() as stack:  # every replica's session open from its load through its commit
+        replicas, commits = {}, {}
+        for path, d in sorted(zip(resolved, args.dirs)):  # locked in path order
+            replicas[d], commits[d] = stack.enter_context(store.session(path, raw=True))
+        entries = repair_replicas({d: replicas[d] for d in args.dirs})
         replaced = {e.node for e in entries if e.action == "replaced"}
-        for directory, ledger in replicas.items():
-            if directory in replaced:
-                store.persist(ledger, Path(directory))
+        for d in args.dirs:
+            if d in replaced:
+                commits[d]()
     for e in entries:
         _emit(args, str(e), [e.action, e.node, e.chain, e.coord])
     _emit(args, f"{len(entries)} repair entries", ["entries", str(len(entries))])

@@ -91,7 +91,7 @@ class Ledger:
     """Single-writer state machine over the block tree.
 
     Mutating operations must be serialized by the caller (the simulator
-    or the CLI lock); blocks themselves are immutable values.
+    or a store.session); blocks themselves are immutable values.
     """
 
     def __init__(

@@ -8,14 +8,13 @@ logical clock and the per-file record counts, guarded by a SHA-256
 checksum, so truncation at a record boundary is just as detectable as a
 flipped byte mid-record.
 
-persist() writes only what the directory does not hold yet, then `meta`:
-a load leaves on the ledger an image of what each file held, and a file
-that only grew since is appended to, so an op writes the records it
-appended. A load opens only the file names it derives from the
-main chain and refuses a manifest that lists any other set. Each stored
-record is decoded once, in one pass (blocks.decode_record: strict field
-readers and precompiled structs, blocks built without their dataclass
-__init__ but with a read-only personal_info of their own). A verified
+A session (store.session) is the single writer: it holds the directory's
+lock from its load through its commits, each of which appends only what
+the ledger appended since. A load opens only the file names it derives
+from the main chain and refuses a manifest that lists any other set.
+Each stored record is decoded once, in one pass (blocks.decode_record:
+strict field readers and precompiled structs, blocks built without their
+dataclass __init__ but with a read-only personal_info of their own). A verified
 load (load_checked, and load, which refuses any violation) also hashes
 the bytes it read: each block's hash is recomputed from the slices of
 its stored record (blocks.record_hash), never taken from the stored
@@ -27,6 +26,8 @@ whose hashes the ledger's derived indexes need; nothing is re-encoded.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from operator import attrgetter
 from pathlib import Path
 
@@ -105,63 +106,51 @@ def _decode_meta(data: bytes) -> tuple[int, dict[str, int]]:
     return clock, counts
 
 
-def persist(ledger: Ledger, directory: str | Path) -> None:
+def _files(ledger: Ledger) -> list[tuple[str, list, object]]:
+    """(file name, items, encoder) of every file of the ledger's directory."""
+    files = [(MAIN_NAME, ledger.main_chain, encode_record), (AUDIT_NAME, ledger.global_audit, encode_note)]
+    for p in sorted(ledger.yellow):
+        files.append((_yellow_name(p), ledger.yellow[p], encode_record))
+        files.append((_red_name(p), ledger.red.get(p, []), encode_record))
+    return files
+
+
+def persist(ledger: Ledger, directory: str | Path, held: dict[str, list] | None = None) -> None:
     """Write what the directory does not hold yet, then `meta`; the bytes
     are those of a whole write, so byte-identical for identical state.
 
-    The image that the ledger's load or last persist left says, per file
-    of one directory, which records it holds and their byte length. A file
-    whose records still begin with those is cut to that length, so that
-    no byte beyond it survives, and appended to; an unchanged file is not
-    opened. Every other file is the same append at length 0: with no
-    image (a fresh ledger, a clone, or a persist that failed), an image of
-    another directory, or a block replaced by tamper or repair. The image
-    is right only under the single-writer rule: nothing else writes the
-    directory between the load and the persist. Every CLI command that
-    persists holds the directory's lock from its load on; a Ledger's
-    mutations must be serialized.
+    held is the image a session keeps: the records each file holds. A
+    file whose records still begin with those is appended to at its end,
+    which is where the load stopped reading; an unchanged file is not
+    opened. Every other file, and every file when held is None, is
+    written whole.
     """
     directory = Path(directory)
-    image_dir, held = getattr(ledger, "_store_image", None) or (None, {})
-    ledger._store_image = None  # kept only if this persist completes
+    held = held or {}
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        where = directory.resolve()
-        if image_dir != where:
-            held = {}
-        files = [
-            (MAIN_NAME, ledger.main_chain, encode_record),
-            (AUDIT_NAME, ledger.global_audit, encode_note),
-        ]
-        for p in sorted(ledger.yellow):
-            files.append((_yellow_name(p), ledger.yellow[p], encode_record))
-            files.append((_red_name(p), ledger.red.get(p, []), encode_record))
-        image: dict[str, tuple[list, int]] = {}
+        files = _files(ledger)
         for name, items, encode in files:
-            old, length = held.get(name, (None, 0))
+            old = held.get(name)
             if old is None or items[: len(old)] != old:
-                old, length = [], 0  # written whole: the append of every record
+                old = []  # written whole: the append of every record
             elif len(items) == len(old):
-                image[name] = held[name]
                 continue
             data = _framed([encode(item) for item in items[len(old) :]])
             with open(directory / name, "ab") as f:  # positioned at the file's end
-                if f.tell() != length:  # a truncate to the same length still costs an inode update
-                    f.truncate(length)
+                if not old and f.tell():  # a truncate to the same length still costs an inode update
+                    f.truncate(0)
                 f.write(data)
-            image[name] = (list(items), length + len(data))
         manifest = [(name, len(items)) for name, items, _ in files]
         (directory / META_NAME).write_bytes(_encode_meta(ledger.clock, manifest))
     except OSError as exc:
         raise StorageError(f"cannot persist to {directory}: {exc}") from exc
-    ledger._store_image = (where, image)
 
 
-def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, image: dict) -> list:
-    """Read and unframe one chain file and decode each record, in one pass,
-    and record the items and the file's length in image. A framing failure,
-    a ValueError from decode, or bytes beyond the manifest's count is
-    CorruptChain at the offset of the record hit."""
+def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> list:
+    """Read and unframe one chain file and decode each record, in one pass.
+    A framing failure, a ValueError from decode, or bytes beyond the
+    manifest's count is CorruptChain at the offset of the record hit."""
     try:
         data = (directory / name).read_bytes()
     except OSError:
@@ -176,13 +165,10 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, imag
         _expect_end(data, offset)
     except ValueError as exc:
         raise CorruptChain(name, offset, str(exc)) from None
-    image[name] = (list(items), offset)
     return items
 
 
-def _read_blocks(
-    directory: Path, name: str, counts: dict[str, int], image: dict, want: type, hashed: bool
-) -> list:
+def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool) -> list:
     """The blocks of one chain file, each of kind want. With hashed, each
     block's memo is its hash recomputed from the record bytes just read."""
 
@@ -194,7 +180,7 @@ def _read_blocks(
             object.__setattr__(block, "hash_memo", record_hash(record, block))  # as cached_hash keeps it
         return block
 
-    return _read_chain(directory, name, counts, decode, image)
+    return _read_chain(directory, name, counts, decode)
 
 
 def _assemble(directory: Path, hashed: bool = False) -> Ledger:
@@ -202,8 +188,7 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     supplies record counts and must list exactly those names. The memo of
     each main-chain block, and with hashed of every block, is its hash
     recomputed from the bytes read, so that building the Ledger re-encodes
-    nothing. The ledger keeps the image of what the directory holds, for
-    persist."""
+    nothing."""
     try:
         meta_bytes = (directory / META_NAME).read_bytes()
     except OSError:
@@ -211,9 +196,8 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     clock, counts = _decode_meta(meta_bytes)
     if MAIN_NAME not in counts or AUDIT_NAME not in counts:
         raise CorruptChain(META_NAME, 0, "manifest lacks the required files")
-    image: dict[str, tuple[list, int]] = {}
-    main = _read_blocks(directory, MAIN_NAME, counts, image, IdentityBlock, hashed=True)
-    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note, image)
+    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed=True)
+    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
     patients = [blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT]
     expected = {MAIN_NAME, AUDIT_NAME} | {
         n for p in patients for n in (_yellow_name(p), _red_name(p))
@@ -224,11 +208,9 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
-        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, image, MedicalBlock, hashed)
-        red[p] = _read_blocks(directory, _red_name(p), counts, image, LogBlock, hashed)
-    ledger = Ledger(main, yellow, red, notes, clock)
-    ledger._store_image = (directory.resolve(), image)
-    return ledger
+        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashed)
+        red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashed)
+    return Ledger(main, yellow, red, notes, clock)
 
 
 def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:
@@ -251,3 +233,51 @@ def load_raw(directory: str | Path) -> Ledger:
     """Reconstruct without verification; for tamper tooling and repair.
     Only the main chain is hashed, from its record bytes."""
     return _assemble(Path(directory))
+
+
+@contextmanager
+def _locked(directory: Path):
+    """One CLI invocation at a time per ledger directory, which must exist."""
+    lock = directory / ".lock"
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise StorageError(f"ledger directory {directory} is locked ({lock} exists)") from None
+    except FileNotFoundError:
+        raise StorageError(f"no ledger at {directory} (no such directory)") from None
+    try:
+        os.close(fd)
+        yield
+    finally:
+        with suppress(OSError):
+            os.unlink(lock)
+
+
+@contextmanager
+def session(directory: str | Path, raw: bool = False):
+    """Yield (ledger, commit) under the directory's lock: the ledger loaded
+    verified (raw: not, for tamper tooling and repair), and a commit that
+    appends to the image of what each file holds, as the load read it or
+    the last commit wrote it. A failed commit leaves no image: the next
+    one writes whole."""
+    directory = Path(directory)
+    with _locked(directory):
+        ledger = (load_raw if raw else load)(directory)
+        held = [{name: list(items) for name, items, _ in _files(ledger)}]
+
+        def commit() -> None:
+            image, held[0] = held[0], {}
+            persist(ledger, directory, image)
+            held[0] = {name: list(items) for name, items, _ in _files(ledger)}
+
+        yield ledger, commit
+
+
+def create(ledger: Ledger, directory: str | Path) -> None:
+    """Persist a new ledger under the directory's lock, refusing a directory that holds one."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    with _locked(directory):
+        if (directory / META_NAME).exists():
+            raise StorageError(f"{directory} already holds a ledger")
+        persist(ledger, directory)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from medledger import cli, store
+from medledger import store
 from medledger.cli import main
 from medledger.ledger import Credential, Ledger, Role
 
@@ -141,16 +141,16 @@ def test_init_checks_for_a_ledger_under_the_lock(tmp_path, capsys, monkeypatch):
     """An init that completes while a second one waits for the lock is not
     overwritten by the second one's genesis."""
     d = tmp_path / "ledger"
-    locked = cli._locked
+    locked = store._locked
 
     @contextmanager
     def racing(directory):
-        monkeypatch.setattr(cli, "_locked", locked)
+        monkeypatch.setattr(store, "_locked", locked)
         assert main(["init", "--dir", str(d), "--catalog", "first:First"]) == 0
         with locked(directory):
             yield
 
-    monkeypatch.setattr(cli, "_locked", racing)
+    monkeypatch.setattr(store, "_locked", racing)
     assert main(["init", "--dir", str(d), "--catalog", "second:Second"]) == 2
     assert "already holds a ledger" in capsys.readouterr().err
     assert store.load(d).active_catalog() == {"first": "First"}

@@ -13,7 +13,7 @@ from medledger.blocks import IdentityBlock, block_hash
 from medledger.errors import CorruptChain, StorageError, TamperedStore
 from medledger.cli import main
 from medledger import blocks, merkle, store
-from medledger.ledger import verify_tree
+from medledger.ledger import Ledger, verify_tree
 from medledger.store import load, load_checked, load_raw, persist
 
 from helpers import (
@@ -367,23 +367,23 @@ def test_each_cli_op_appends_its_records_and_rewrites_only_meta(tmp_path, monkey
 
 
 class StoredLedger:
-    """A ledger that lives in a directory: each method call loads it, runs
-    the method and persists it, domain errors included, as the CLI does."""
+    """A ledger that lives in a directory: each method call opens a store
+    session, runs the method on its ledger and commits, domain errors
+    included, as the CLI does."""
 
     def __init__(self, directory: Path):
         self.directory = directory
 
     def __getattr__(self, name):
-        ledger = load(self.directory)
-        value = getattr(ledger, name)
-        if not callable(value):
-            return value
+        if not callable(getattr(Ledger, name, None)):
+            return getattr(load(self.directory), name)
 
         def call(*args, **kwargs):
-            try:
-                return value(*args, **kwargs)
-            finally:
-                persist(ledger, self.directory)
+            with store.session(self.directory) as (ledger, commit):
+                try:
+                    return getattr(ledger, name)(*args, **kwargs)
+                finally:
+                    commit()
 
         return call
 
@@ -455,19 +455,39 @@ def test_a_clone_persisted_to_its_source_is_written_whole(tmp_path):
 
 
 def test_a_persist_that_fails_before_meta_is_retried_without_a_double_append(tmp_path, monkeypatch):
+    """The failed commit appended its records but not meta; the session's
+    next commit must not append them again."""
     d, fresh = tmp_path / "live", tmp_path / "fresh"
     persist(criterion7_ledger(42), d)
-    ledger = load(d)
-    ledger.write_record(DOCTOR, 7, [("xray", b"retried")])
     encode_meta = store._encode_meta
 
     def full_disk(*args):
         monkeypatch.setattr(store, "_encode_meta", encode_meta)
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(store, "_encode_meta", full_disk)
-    with pytest.raises(StorageError):
-        persist(ledger, d)
-    persist(ledger, d)
+    with store.session(d) as (ledger, commit):
+        ledger.write_record(DOCTOR, 7, [("xray", b"retried")])
+        monkeypatch.setattr(store, "_encode_meta", full_disk)
+        with pytest.raises(StorageError):
+            commit()
+        commit()
+    persist(ledger, fresh)
+    assert store_image(d) == store_image(fresh)
+
+
+def test_a_session_commits_twice_by_appending_to_what_it_last_wrote(tmp_path, monkeypatch):
+    d, fresh = tmp_path / "live", tmp_path / "fresh"
+    persist(criterion7_ledger(42), d)
+    encoded = count_calls(monkeypatch, blocks.encode_record)
+    with store.session(d) as (ledger, commit):
+        for payload in (b"first", b"second"):
+            before = _files(d)
+            encoded[0] = 0
+            ledger.write_record(DOCTOR, 7, [("xray", payload)])
+            commit()
+            after = _files(d)
+            assert encoded[0] == 2  # the medical block and its log block
+            assert {name for name in after if after[name] != before[name]} == {"meta", "p7.yellow.chain", "p7.red.chain"}
+    assert not (d / ".lock").exists()
     persist(ledger, fresh)
     assert store_image(d) == store_image(fresh)
