@@ -428,8 +428,8 @@ def test_audit_repair_of_a_tampered_replica_rewrites_what_it_replaced(tmp_path, 
 
 
 def test_a_ledger_persisted_to_another_directory_is_written_whole(tmp_path):
-    """The image of A says nothing about B, even when B holds an older
-    state of the same files."""
+    """A persist with no session's image writes whole, even when B holds
+    an older state of the same files."""
     a, b, fresh = tmp_path / "a", tmp_path / "b", tmp_path / "fresh"
     ledger = criterion7_ledger(42)
     persist(ledger, b)
