@@ -90,9 +90,9 @@ _ARG_KEYS = ("code", "patient", "query", "type", "new_code")
 
 
 def _cmd_ledger(args) -> int:
-    """Every ledger verb: parse, then in one store session apply, render
-    and commit. A domain error is committed too (failed attempts must
-    reach the audit chain)."""
+    """Every ledger verb: parse, apply and commit in one store session,
+    then render what was committed. A domain error is committed too
+    (failed attempts must reach the audit chain)."""
     pairs = [(key, str(getattr(args, key))) for key in _ARG_KEYS if hasattr(args, key)]
     pairs += [("entry", token) for token in getattr(args, "entry", [])]
     for token in getattr(args, "info", []):
@@ -106,8 +106,8 @@ def _cmd_ledger(args) -> int:
         except LedgerError:
             commit()
             raise  # main prints it and exits 1
-        _RENDER[args.verb](args, result)
         commit()
+    _RENDER[args.verb](args, result)
     return 0
 
 

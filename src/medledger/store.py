@@ -9,7 +9,7 @@ checksum, so truncation at a record boundary is just as detectable as a
 flipped byte mid-record.
 
 A session (store.session) is the single writer: it holds the directory's
-lock from its load through its commits, each of which appends only what
+flock from its load through its commits, each of which appends only what
 the ledger appended since. A load opens only the file names it derives
 from the main chain and refuses a manifest that lists any other set.
 Each stored record is decoded once, in one pass (blocks.decode_record:
@@ -26,8 +26,9 @@ whose hashes the ledger's derived indexes need; nothing is re-encoded.
 
 from __future__ import annotations
 
+import fcntl
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from operator import attrgetter
 from pathlib import Path
 
@@ -237,20 +238,19 @@ def load_raw(directory: str | Path) -> Ledger:
 
 @contextmanager
 def _locked(directory: Path):
-    """One CLI invocation at a time per ledger directory, which must exist."""
-    lock = directory / ".lock"
+    """One command at a time per existing directory: flock(2), dropped when the process exits."""
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StorageError(f"ledger directory {directory} is locked ({lock} exists)") from None
+        fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     except FileNotFoundError:
         raise StorageError(f"no ledger at {directory} (no such directory)") from None
     try:
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StorageError(f"ledger directory {directory} is locked by another command") from None
         yield
     finally:
-        with suppress(OSError):
-            os.unlink(lock)
+        os.close(fd)
 
 
 @contextmanager

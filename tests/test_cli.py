@@ -2,6 +2,9 @@
 equivalence with the library, lock behavior."""
 
 import os
+import select
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -124,11 +127,98 @@ def test_porcelain_output_is_tab_separated(tmp_path, capsys):
     assert lines[0] == "1.1\tblood_test\t" + b"v1".hex()
 
 
-def test_lock_file_blocks_concurrent_use(tmp_path, capsys):
+def test_a_held_lock_blocks_concurrent_use(tmp_path, capsys):
     d = init_ledger(tmp_path, capsys)
-    (Path(d) / ".lock").touch()
-    code = main(["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC1"])
-    assert code == 2
+    with store._locked(Path(d)):
+        before = _tree([d])
+        code = main(["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC1"])
+        assert code == 2
+        assert "is locked" in capsys.readouterr().err
+        assert _tree([d]) == before
+
+
+def assert_unlocked(*dirs) -> None:
+    """Each directory's lock was released: it can be taken again."""
+    for d in dirs:
+        with store._locked(Path(d)):
+            pass
+
+
+# holds a store session on the directory argv[1] until it is killed
+HOLD_SESSION = """
+import sys, time
+from medledger import store
+with store.session(sys.argv[1]):
+    print("ready", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_a_lock_holder_killed_with_sigkill_leaves_the_directory_unlocked(tmp_path, capsys):
+    d = init_ledger(tmp_path, capsys)
+    run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
+    write = ["write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1", "--entry", "xray:v1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(store.__file__).resolve().parents[1])}
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_SESSION, d], stdout=subprocess.PIPE, env=env)
+    try:
+        assert select.select([holder.stdout], [], [], 30)[0], "the holder never became ready"
+        assert holder.stdout.readline() == b"ready\n"
+        assert main(write) == 2
+        assert "is locked" in capsys.readouterr().err
+        holder.kill()
+        holder.wait()
+        assert run(capsys, *write) == (0, "medical block 1.1 written, log 1.1.1\n")
+        assert len(store.load(d).yellow[1]) == 1
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+
+
+def test_a_stray_lock_file_blocks_nothing_and_no_command_adds_a_file(tmp_path, capsys, monkeypatch):
+    """The lock is the directory itself: a file named .lock (here in the
+    tampered and repaired replica) is just a file, and while a command
+    commits, its directory holds what it held before."""
+    dirs = replica_dirs(tmp_path)
+    (Path(dirs[2]) / ".lock").touch()
+    listing = {Path(d).resolve(): sorted(os.listdir(d)) for d in dirs}
+    persist = store.persist
+    unchanged_at_commit = []
+
+    def listing_persist(ledger, directory, held=None):
+        unchanged_at_commit.append(sorted(os.listdir(directory)) == listing[Path(directory).resolve()])
+        persist(ledger, directory, held)
+
+    monkeypatch.setattr(store, "persist", listing_persist)
+    doctor = ["--actor", "drb", "--role", "doctor", "--patient", "1"]
+    for argv in (
+        ["tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1", "--index", "1",
+         "--field", "entry.0.payload", "--value", "forged"],
+        ["audit-repair", "--dirs", *dirs],
+        ["write", "--dir", dirs[0], *doctor, "--entry", "xray:v2"],
+        ["read", "--dir", dirs[0], *doctor, "--query", "latest"],
+        ["verify", "--dir", dirs[0]],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert unchanged_at_commit == [True] * 4  # tamper, the one repaired replica, write, read
+    assert {Path(d).resolve(): sorted(os.listdir(d)) for d in dirs} == listing
+
+
+def test_a_failed_commit_prints_no_success_line(tmp_path, capsys, monkeypatch):
+    """A verb's result is rendered only once its commit has returned."""
+    d = init_ledger(tmp_path, capsys)
+    run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(store, "_encode_meta", full_disk)
+    code = main(["write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1",
+                 "--entry", "xray:v1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR StorageError: cannot persist to ")
 
 
 def test_init_refuses_existing_ledger(tmp_path, capsys):
@@ -154,7 +244,7 @@ def test_init_checks_for_a_ledger_under_the_lock(tmp_path, capsys, monkeypatch):
     assert main(["init", "--dir", str(d), "--catalog", "second:Second"]) == 2
     assert "already holds a ledger" in capsys.readouterr().err
     assert store.load(d).active_catalog() == {"first": "First"}
-    assert not (d / ".lock").exists()
+    assert_unlocked(d)
 
 
 # every ledger verb once or more: (argv after the verb, human lines, porcelain lines)
@@ -360,11 +450,11 @@ def test_audit_repair_locks_every_replica_from_load_to_persist(tmp_path, capsys,
     assert (code, out) == (0, f"replaced\t{dirs[2]}\tyellow\t1.1\nentries\t1\n")
     assert racing_writes == [2, 2, 2]
     assert len({store.load(d).snapshot_bytes() for d in dirs}) == 1
-    assert not any((Path(d) / ".lock").exists() for d in dirs)
+    assert_unlocked(*dirs)
 
 
 def _tree(dirs) -> dict[Path, bytes]:
-    """Every file of the directories, lock files included, by path."""
+    """Every file of the directories, by path."""
     return {f: f.read_bytes() for d in dirs for f in Path(d).iterdir()}
 
 
@@ -372,27 +462,27 @@ def test_tamper_on_a_locked_directory_exits_2_with_the_store_unchanged(tmp_path,
     dirs = replica_dirs(tmp_path)
     tamper = ["tamper", "--chain", "yellow", "--patient", "1", "--index", "1",
               "--field", "entry.0.payload", "--value", "forged"]
-    (Path(dirs[0]) / ".lock").touch()
-    before = _tree(dirs[:1])
-    assert main([tamper[0], "--dir", dirs[0], *tamper[1:]]) == 2
-    assert "is locked" in capsys.readouterr().err
-    assert _tree(dirs[:1]) == before
+    with store._locked(Path(dirs[0])):
+        before = _tree(dirs[:1])
+        assert main([tamper[0], "--dir", dirs[0], *tamper[1:]]) == 2
+        assert "is locked" in capsys.readouterr().err
+        assert _tree(dirs[:1]) == before
     assert main([tamper[0], "--dir", dirs[1], *tamper[1:]]) == 0  # the same tamper, unlocked
 
 
 @pytest.mark.parametrize("locked", [0, 1, 2])
 def test_audit_repair_with_one_replica_locked_exits_2_with_every_replica_unchanged(tmp_path, capsys, locked):
     """The replicas before the locked one in path order were locked and are
-    released; the foreign lock file is the only one left."""
+    released, so each can be locked again while the foreign lock is held."""
     dirs = replica_dirs(tmp_path)
     run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
         "--index", "1", "--field", "entry.0.payload", "--value", "forged")
-    (Path(dirs[locked]) / ".lock").touch()
-    before = _tree(dirs)
-    assert main(["audit-repair", "--dirs", *dirs]) == 2
-    assert "is locked" in capsys.readouterr().err
-    assert _tree(dirs) == before
-    assert [d for d in dirs if (Path(d) / ".lock").exists()] == [dirs[locked]]
+    with store._locked(Path(dirs[locked])):
+        before = _tree(dirs)
+        assert main(["audit-repair", "--dirs", *dirs]) == 2
+        assert "is locked" in capsys.readouterr().err
+        assert _tree(dirs) == before
+        assert_unlocked(*(d for d in dirs if d != dirs[locked]))
 
 
 def test_commands_load_and_persist_through_the_store_module_bindings(tmp_path, capsys, monkeypatch):
