@@ -397,18 +397,19 @@ class Ledger:
         """Return matching entries; the read itself appends a log block.
 
         query is a record type, or "latest" for the newest non-final
-        block's entries. Works on closed patients.
+        block's entries. Works on closed patients. A typed read is one pass
+        over the medical chain and hashes only what its log block links.
         """
         tick = self._admit("read", cred, patient, place)
+        chain = self.yellow.get(patient, [])
         matches: list[tuple[BlockCoord, RecordEntry]] = []
         if query == "latest":
-            for blk in reversed(self.yellow.get(patient, [])):
+            for blk in reversed(chain):
                 if not blk.is_final:
                     matches = [(blk.coord, e) for e in blk.entries]
                     break
         else:
-            for blk in self.yellow.get(patient, []):
-                matches += [(blk.coord, e) for e in blk.entries if e.record_type == query]
+            matches = [(blk.coord, e) for blk in chain for e in blk.entries if e.record_type == query]
         log = self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"READ:{query}"
         )
@@ -476,19 +477,31 @@ class Ledger:
         self, cred: Credential, patient: int, record_type: str, place: str = "local"
     ) -> list[tuple[BlockCoord, bytes]]:
         """History of one record type, newest first, by following the typed
-        backlinks from the most recent occurrence. One log block total."""
+        backlinks from the most recent occurrence. One log block total.
+
+        One pass over the medical chain lists the entries of the type. When
+        each holder's first typed entry links to the next older holder (one
+        memoized hash per holder), following the links visits exactly that
+        list, newest first. Only when a link skips the next older holder (a
+        tampered chain) is a hash map of the chain built: the report keeps
+        the holders down to the newest such link and follows the links as
+        they are from there.
+        """
         tick = self._admit("report", cred, patient, place)
         chain = self.yellow.get(patient, [])
-        by_hash = {cached_hash(blk): blk for blk in chain}
-        report: list[tuple[BlockCoord, bytes]] = []
-        cursor, hops = _newest_with_type(chain, record_type), 0
-        while cursor is not None and hops <= len(chain):
-            typed = [e for e in cursor.entries if e.record_type == record_type]
-            for e in reversed(typed):
-                report.append((cursor.coord, e.payload))
-            nxt = typed[0].prev_same_type if typed else None
-            cursor = by_hash.get(nxt) if nxt else None
-            hops += 1
+        typed = [(blk, e) for blk in chain for e in blk.entries if e.record_type == record_type]
+        report = [(blk.coord, e.payload) for blk, e in reversed(typed)]
+        older, broken, holders = None, None, 0
+        for n, (blk, e) in enumerate(typed):
+            if blk is not older:
+                if e.prev_same_type != (None if older is None else cached_hash(older)):
+                    broken = n, holders, e.prev_same_type
+                holders += 1
+                older = blk
+        if broken is not None:
+            n, older_holders, link = broken
+            del report[len(typed) - n :]
+            report += _follow_backlinks(chain, record_type, link, holders - older_holders)
         self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"REPORT:{record_type}"
         )
@@ -551,6 +564,25 @@ def _catalog_walk(
         walk.append(catalogs[cursor])
         cursor = walk[-1].catalog.prev_catalog or ZERO_DIGEST
     return walk, cursor
+
+
+def _follow_backlinks(
+    chain: list[MedicalBlock], record_type: str, link: Digest | None, hops: int
+) -> list[tuple[BlockCoord, bytes]]:
+    """The report entries reached from link through a hash map of the chain,
+    after hops holders already walked. A tampered link may point anywhere,
+    so the walk stops after len(chain) + 1 holders in all."""
+    by_hash = {cached_hash(blk): blk for blk in chain}
+    found: list[tuple[BlockCoord, bytes]] = []
+    cursor = by_hash.get(link) if link else None
+    while cursor is not None and hops <= len(chain):
+        typed = [e for e in cursor.entries if e.record_type == record_type]
+        for e in reversed(typed):
+            found.append((cursor.coord, e.payload))
+        nxt = typed[0].prev_same_type if typed else None
+        cursor = by_hash.get(nxt) if nxt else None
+        hops += 1
+    return found
 
 
 def _newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:

@@ -22,7 +22,8 @@ tracemalloc size of the long_history ledger. It prints one JSON object.
 
     python tests/bench_encode.py SRC [REPS]
 
-SRC is the `src` directory of the checkout to import medledger from.
+SRC is the `src` directory of the checkout to import medledger from; REPS
+(at least 2, default 15) is the number of samples per timing.
 """
 
 from __future__ import annotations
@@ -82,8 +83,13 @@ def sampled(fn, reps: int, batch: int) -> dict[str, float]:
         for _ in range(batch):
             fn()
         samples.append((time.perf_counter() - start) * 1000 / batch)
+    return quartiles(samples, 5)
+
+
+def quartiles(samples: list[float], digits: int) -> dict[str, float]:
+    """p25/p50/p75 of two or more samples, rounded to digits."""
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"p25": round(q1, 5), "p50": round(median, 5), "p75": round(q3, 5)}
+    return {"p25": round(q1, digits), "p50": round(median, digits), "p75": round(q3, digits)}
 
 
 def counted(fn) -> dict[str, int]:
@@ -133,4 +139,8 @@ def bench(reps: int) -> dict:
 
 
 if __name__ == "__main__":
-    print(json.dumps(bench(int(sys.argv[2]) if len(sys.argv) > 2 else 15), indent=2))
+    reps = int(sys.argv[2]) if len(sys.argv) > 2 else 15
+    if reps < 2:
+        print("usage: python tests/bench_encode.py SRC [REPS]; REPS must be at least 2", file=sys.stderr)
+        sys.exit(2)
+    print(json.dumps(bench(reps), indent=2))

@@ -14,14 +14,14 @@ the counts, and the size of the store.
 
     python tests/bench_load.py SRC [PATIENTS] [REPS]
 
-SRC is the `src` directory of the checkout to import medledger from.
+SRC is the `src` directory of the checkout to import medledger from; REPS
+(at least 2, default 15) is the number of timed repetitions.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import statistics
 import struct
 import sys
 import tempfile
@@ -34,6 +34,7 @@ if __name__ == "__main__":
 
 import pytest  # noqa: E402
 
+from bench_encode import quartiles  # noqa: E402
 from helpers import count_calls  # noqa: E402
 from medledger import blocks, merkle, store  # noqa: E402
 from medledger.ledger import Credential, Ledger, Role, verify_tree  # noqa: E402
@@ -77,8 +78,7 @@ def timed(fn, reps: int) -> dict[str, float]:
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1000)
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"p25": round(q1, 2), "p50": round(median, 2), "p75": round(q3, 2)}
+    return quartiles(samples, 2)
 
 
 def calls_per_load(directory: Path) -> dict[str, int]:
@@ -117,4 +117,7 @@ def bench(patients: int, reps: int) -> dict:
 if __name__ == "__main__":
     patients = int(sys.argv[2]) if len(sys.argv) > 2 else 200
     reps = int(sys.argv[3]) if len(sys.argv) > 3 else 15
+    if reps < 2:
+        print("usage: python tests/bench_load.py SRC [PATIENTS] [REPS]; REPS must be at least 2", file=sys.stderr)
+        sys.exit(2)
     print(json.dumps(bench(patients, reps), indent=2))

@@ -19,6 +19,7 @@ from medledger.blocks import (
     LogBlock,
     MedicalBlock,
     RecordEntry,
+    cached_hash,
     decode_note,
     decode_record,
     encode_note,
@@ -27,6 +28,7 @@ from medledger.blocks import (
 )
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
+from medledger.merkle import ZERO_DIGEST
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
 
@@ -122,6 +124,81 @@ def scan_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[B
             if e.record_type == record_type:
                 found.append((blk.coord, e.payload))
     return list(reversed(found))
+
+
+def per_block_read_oracle(ledger: Ledger, p: int, query: str) -> list[tuple[BlockCoord, RecordEntry]]:
+    """read_record's matches as one comprehension per block computed them."""
+    matches: list[tuple[BlockCoord, RecordEntry]] = []
+    if query == "latest":
+        for blk in reversed(ledger.yellow.get(p, [])):
+            if not blk.is_final:
+                matches = [(blk.coord, e) for e in blk.entries]
+                break
+    else:
+        for blk in ledger.yellow.get(p, []):
+            matches += [(blk.coord, e) for e in blk.entries if e.record_type == query]
+    return matches
+
+
+def by_hash_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:
+    """assemble_report's result as a walk through a hash map of the whole
+    medical chain computed it, from the newest holder of the type and for
+    at most len(chain) + 1 holders."""
+    chain = ledger.yellow.get(p, [])
+    by_hash = {cached_hash(blk): blk for blk in chain}
+    report: list[tuple[BlockCoord, bytes]] = []
+    cursor = next(
+        (blk for blk in reversed(chain) if any(e.record_type == record_type for e in blk.entries)), None
+    )
+    hops = 0
+    while cursor is not None and hops <= len(chain):
+        typed = [e for e in cursor.entries if e.record_type == record_type]
+        for e in reversed(typed):
+            report.append((cursor.coord, e.payload))
+        nxt = typed[0].prev_same_type if typed else None
+        cursor = by_hash.get(nxt) if nxt else None
+        hops += 1
+    return report
+
+
+HISTORY_TYPES = ("blood_test", "xray", "ecg")
+
+
+def tampered_history(rng: random.Random) -> tuple[Ledger, int]:
+    """One patient whose medical chain holds 2-8 blocks of 1-3 entries,
+    types often repeated within a block, then 0-3 raw tampers of an
+    entry's prev_same_type, record_type or payload.
+
+    A link is tampered to None, the zero digest, or the hash of an older
+    block, the same block or a newer one. Honest hashes cannot close a
+    cycle of links: a link would have to name a hash that depends on it.
+    So half the tampers keep the block's old hash as its memo, as a second
+    preimage would, and a link to a newer holder then closes a cycle that
+    runs to the report's hop bound."""
+    ledger = fresh_ledger()
+    p = ledger.onboard_patient(AUTHORITY, "FC000001", {"name": "n"})
+    for _ in range(rng.randint(2, 8)):
+        entries = [
+            (rng.choice(HISTORY_TYPES[:2]), f"v{rng.randrange(100)}".encode()) for _ in range(rng.randint(1, 3))
+        ]
+        ledger.write_record(DOCTOR, p, entries)
+    chain = ledger.yellow[p]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(chain))
+        old = chain[k]
+        i = rng.randrange(len(old.entries))
+        field = rng.choice(["prev_same_type"] * 4 + ["record_type", "payload"])
+        if field == "prev_same_type":
+            older, newer = rng.choice(chain[: k + 1]), rng.choice(chain[k:])
+            value = rng.choice([None, ZERO_DIGEST, cached_hash(older), cached_hash(newer)])
+        elif field == "record_type":
+            value = rng.choice(HISTORY_TYPES)
+        else:
+            value = f"w{rng.randrange(100)}".encode()
+        ledger.tamper("yellow", p, k + 1, f"entry.{i}.{field}", value)
+        if rng.random() < 0.5:
+            object.__setattr__(chain[k], "hash_memo", cached_hash(old))
+    return ledger, p
 
 
 # --- systematic single-field mutations ----------------------------------------

@@ -1,6 +1,8 @@
 """The per-block hash memo: sound for every block object, never trusted by
 verification or repair, and the source of the per-operation hash counts."""
 
+import random
+
 import pytest
 
 from medledger import blocks
@@ -181,3 +183,36 @@ def test_block_hash_calls_per_operation_are_flat_in_patients_and_history(hash_ca
         counts[verb] = hash_calls[0] - before
     assert counts == EXPECTED
     assert verify_tree(ledger) == []
+
+
+@pytest.fixture(scope="module")
+def long_history() -> Ledger:
+    """One patient of the long_history benchmark's size: 1200 one-entry
+    writes of three types and a read after every second write."""
+    rng = random.Random(1)
+    ledger = Ledger.genesis(CATALOG)
+    p = ledger.onboard_patient(AUTHORITY, "FC00001", {"name": "n"})
+    for w in range(1200):
+        ledger.write_record(DOCTOR, p, [(rng.choice(CATALOG)[0], f"v{w}".encode())])
+        if w % 2 == 1:
+            ledger.read_record(DOCTOR, p, "latest")
+    return ledger
+
+
+@pytest.mark.parametrize("record_type", [code for code, _ in CATALOG])
+def test_a_report_hashes_one_link_per_holder_and_a_typed_read_only_its_log_links(
+    monkeypatch, long_history, record_type
+):
+    ledger = long_history.clone()
+    holders = sum(any(e.record_type == record_type for e in blk.entries) for blk in ledger.yellow[1])
+    assert 300 < holders < len(ledger.yellow[1])
+    calls = count_calls(monkeypatch, cached_hash)
+    report = ledger.assemble_report(DOCTOR, 1, record_type)
+    # the holders' links but the oldest's, and the three links of the log
+    # block; a hash map of the 1200-block chain would cost 1200 more
+    assert calls[0] == holders + 2
+    assert len(report) == holders
+    calls[0] = 0
+    matches, _ = ledger.read_record(DOCTOR, 1, record_type)
+    assert calls[0] == 3
+    assert len(matches) == holders

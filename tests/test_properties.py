@@ -1,6 +1,7 @@
 """Invariants over randomized operation sequences and generated blocks."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from medledger.blocks import (
     BlockKind,
     IdentityVariant,
     block_hash,
+    cached_hash,
     decode_note,
     decode_record,
     encode_note,
@@ -27,12 +29,16 @@ from medledger.store import _decode_meta, _encode_meta
 from helpers import (
     AUTHORITY,
     DOCTOR,
+    HISTORY_TYPES,
     block_mutations,
+    by_hash_report_oracle,
     criterion7_ledger,
     criterion7_ledger_with_note,
     drive,
     fresh_ledger,
+    per_block_read_oracle,
     scan_report_oracle,
+    tampered_history,
 )
 
 KNOWN_TYPES = ["blood_test", "xray", "ecg"]
@@ -181,6 +187,39 @@ def test_report_equals_linear_scan_for_all_patients_and_types(seed):
         for record_type in sorted(types | {"never_recorded"}):
             expected = scan_report_oracle(ledger, p, record_type)
             assert ledger.assemble_report(DOCTOR, p, record_type) == expected
+
+
+def test_reads_and_reports_equal_the_per_block_and_by_hash_walks_on_tampered_chains():
+    """Exactness law: a read returns what one comprehension per block
+    returned, and a report what the walk through a hash map of the whole
+    chain returned, on seeded chains with tampered links, types and
+    payloads (tests/scenarios.py never tampers these fields, so its
+    golden digests do not reach the report's fallback walk).
+
+    The law is restricted to chains whose block hashes are pairwise
+    distinct. With two equal hashes the map keeps only the newer block,
+    while the report checks a link against the holder it expects, so the
+    two may part. Every chain a verified load accepts has distinct hashes,
+    and so does every chain a CLI or sim tamper can make: a block's
+    coordinate is its position, and a string tamper cannot change one.
+    """
+    seen: Counter[str] = Counter()
+    for seed in range(1500):
+        ledger, p = tampered_history(random.Random(seed))
+        chain = ledger.yellow[p]
+        if len({cached_hash(blk) for blk in chain}) < len(chain):
+            continue
+        for query in HISTORY_TYPES + ("latest", "never_recorded"):
+            expected = per_block_read_oracle(ledger, p, query)
+            assert ledger.read_record(DOCTOR, p, query)[0] == expected, (seed, query)
+        for record_type in HISTORY_TYPES + ("never_recorded",):
+            expected = by_hash_report_oracle(ledger, p, record_type)
+            assert ledger.assemble_report(DOCTOR, p, record_type) == expected, (seed, record_type)
+            scanned = scan_report_oracle(ledger, p, record_type)
+            seen["cycle" if len(expected) > len(scanned) else "broken" if expected != scanned else "intact"] += 1
+    # every way a walk can end is exercised: intact links, a link that
+    # skips or leaves the holders, and a cycle that runs to the hop bound
+    assert min(seen["intact"], seen["broken"], seen["cycle"]) >= 50, seen
 
 
 @settings(max_examples=40, deadline=None)
