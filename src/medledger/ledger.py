@@ -61,6 +61,10 @@ class Credential:
     valid: bool = True
 
 
+# looked up once: every index rebuild (a load, a repair, a clone) tests
+# each main-chain block, and an enum member lookup is slow
+_PATIENT, _FISCAL_CHANGE = IdentityVariant.PATIENT, IdentityVariant.FISCAL_CHANGE
+
 # the access policy, op -> (roles granted, whether a patient may act on
 # their own record, the action a refused role "may not" do)
 _ACCESS: dict[str, tuple[tuple[Role, ...], bool, str]] = {
@@ -152,30 +156,28 @@ class Ledger:
     def _index(self, block: IdentityBlock, owner: int | None) -> None:
         """Apply one main-chain block, in chain order, to the anchor,
         active-code and catalog-head indexes; owner is the patient whose
-        identity lineage holds it, or None."""
+        identity lineage holds it, or None. An anchored patient always
+        has both subchains, empty until the first access."""
         if block.catalog is not None:
             self.catalog_head = cached_hash(block)
             self._catalog = None
         if owner is None:
             return
-        if block.variant == IdentityVariant.FISCAL_CHANGE:
+        if block.variant == _FISCAL_CHANGE:
             self._active_codes.pop(self._anchor[owner].fiscal_code, None)
         self._anchor[owner] = block
         self._active_codes[block.fiscal_code] = owner
+        self.yellow.setdefault(owner, [])
+        self.red.setdefault(owner, [])
 
     def clone(self) -> "Ledger":
-        """Snapshot copy; shares the immutable blocks, copies the containers."""
-        dup = Ledger.__new__(Ledger)
-        dup.main_chain = list(self.main_chain)
-        dup.yellow = {p: list(c) for p, c in self.yellow.items()}
-        dup.red = {p: list(c) for p, c in self.red.items()}
-        dup.global_audit = list(self.global_audit)
-        dup.clock = self.clock
-        dup._anchor = dict(self._anchor)
-        dup._active_codes = dict(self._active_codes)
-        dup.catalog_head = self.catalog_head
-        dup._catalog = self._catalog  # never changed in place, only replaced
-        dup.closed = set(self.closed)
+        """Snapshot copy; shares the immutable blocks, copies the containers
+        and rebuilds the derived indexes from them. The cached catalog, never
+        changed in place, is shared while the rebuilt head is the same."""
+        yellow, red = ({p: list(c) for p, c in table.items()} for table in (self.yellow, self.red))
+        dup = Ledger(list(self.main_chain), yellow, red, list(self.global_audit), self.clock)
+        if dup.catalog_head == self.catalog_head:
+            dup._catalog = self._catalog
         return dup
 
     def chain(self, name: str, patient: int, create: bool = False) -> list[b.Block]:
@@ -266,7 +268,7 @@ class Ledger:
     ) -> LogBlock:
         """Append one log block cross-hashing the current anchor and latest
         medical block. coord.record is set iff a medical block is referenced."""
-        chain = self.red.setdefault(p, [])
+        chain = self.red[p]
         h_prev = self._tip(chain, p)
         anchor_hash = cached_hash(self._anchor[p]) if chain else h_prev  # a first log follows the anchor
         latest = self._latest_yellow(p)
@@ -356,8 +358,6 @@ class Ledger:
             raise DuplicateIdentity(f"fiscal code {fiscal_code!r} already active")
         p = len(self.main_chain)
         self._append_main(p, fiscal_code=fiscal_code, personal_info=personal_info, variant=IdentityVariant.PATIENT)
-        self.yellow[p] = []
-        self.red[p] = []
         return p
 
     def write_record(
@@ -529,9 +529,9 @@ def _main_facts(
     for i, blk in enumerate(main):
         h = main_hashes[i]
         owner = None
-        if blk.variant == IdentityVariant.PATIENT:
+        if blk.variant == _PATIENT:
             owner = blk.coord.patient
-        elif blk.variant == IdentityVariant.FISCAL_CHANGE:
+        elif blk.variant == _FISCAL_CHANGE:
             if blk.fiscal_change is None:
                 violations.append(
                     Violation("MAIN", str(i), "variant_payload", "fiscal_change without payload")

@@ -1,0 +1,241 @@
+"""Per-layer costs of medledger, for two checkouts to compare.
+
+    python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]
+
+SRC is the `src` directory of the checkout to import medledger from. REPS
+(at least 2, default 15) is the number of samples per timing, each the
+mean time of a batch of calls; PATIENTS (default 200) sizes the store of
+the load section. Leading integers are REPS, then PATIENTS; the words
+after them name the sections to run, all three by default. One section
+prints its JSON object alone, several print one object keyed by section.
+
+load (the figures of BENCH_decode.json) persists a seeded store of
+PATIENTS patients, each with six writes of 1-2 entries and three reads.
+It times store.load (read, decode, hash each record, verify_tree),
+store.load_raw (read and decode only), decode_record over every stored
+block record already in memory, and verify_tree over the memos a verified
+load left; it counts the merkle.sha256 and decode_record calls of one
+store.load.
+
+encode (BENCH_encode.json) and access (BENCH_access.json) build two
+in-memory ledgers: long_history, 4 patients each with 1200 one-entry
+writes and a read after every second write; and replicated_sim, 200
+patients with two writes each, every 25th closed. encode times a seal of
+each block kind, block_hash over every block of long_history, its
+default verify_tree (recomputing every hash), and a 15-replica
+Network.propose of a write and of a read; it counts their block_hash and
+merkle.sha256 calls and reports the tracemalloc size of long_history.
+access times read_record of one type and of "latest", assemble_report and
+write_record on patient 1 of each ledger, each sample on a fresh clone,
+and counts their cached_hash and block_hash calls.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import random
+import statistics
+import struct
+import sys
+import tempfile
+import time
+import tracemalloc
+from operator import attrgetter
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, sys.argv[1])
+
+import pytest  # noqa: E402
+
+from helpers import AUTHORITY, DOCTOR, count_calls  # noqa: E402
+from helpers import CATALOG as STORE_CATALOG  # noqa: E402
+from medledger import blocks, merkle, store  # noqa: E402
+from medledger.ledger import Ledger, verify_tree  # noqa: E402
+from medledger.network import Command, Network, SimConfig  # noqa: E402
+
+CATALOG = STORE_CATALOG + (("mri", "MRI"),)
+TYPES = tuple(code for code, _ in STORE_CATALOG)
+NODES = 15
+PATIENT, TYPE = 1, "xray"
+USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2"
+
+
+def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict[str, float]:
+    """p25/p50/p75 over reps samples of the mean time in ms of batch calls
+    of fn(*args), rounded to digits; each sample first makes its own args
+    with fresh(), untimed."""
+    samples = []
+    for _ in range(reps):
+        args = fresh()
+        start = time.perf_counter()
+        for _ in range(batch):
+            fn(*args)
+        samples.append((time.perf_counter() - start) * 1000 / batch)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"p25": round(q1, digits), "p50": round(median, digits), "p75": round(q3, digits)}
+
+
+def counted(fn, *originals, fresh=tuple) -> dict[str, int]:
+    """The calls of each original, keyed "module.name", in one call of
+    fn(*fresh()); fresh() itself is not counted."""
+    args = fresh()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = {f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}": count_calls(monkeypatch, f) for f in originals}
+        fn(*args)
+    return {name: calls[0] for name, calls in counts.items()}
+
+
+# -- load ----------------------------------------------------------------------
+
+
+def build_store(patients: int, seed: int = 1) -> Ledger:
+    """Onboard each patient, then six writes of 1-2 entries and three reads."""
+    rng = random.Random(seed)
+    ledger = Ledger.genesis(STORE_CATALOG)
+    for n in range(patients):
+        p = ledger.onboard_patient(AUTHORITY, f"FC{n:06d}", {"name": f"n{rng.randrange(10**6)}"})
+        for _ in range(6):
+            entries = [(rng.choice(TYPES), f"v{rng.randrange(1000)}".encode()) for _ in range(rng.randint(1, 2))]
+            ledger.write_record(DOCTOR, p, entries)
+        for _ in range(3):
+            ledger.read_record(DOCTOR, p, rng.choice(TYPES + ("latest",)))
+    return ledger
+
+
+def block_records(directory: Path) -> list[bytes]:
+    """Every record of the store's block files, unframed."""
+    records = []
+    for path in sorted(directory.glob("*.chain")):
+        data = path.read_bytes()
+        pos = 0
+        while pos < len(data):
+            (n,) = struct.unpack_from(">I", data, pos)
+            records.append(data[pos + 4 : pos + 4 + n])
+            pos += 4 + n
+    return records
+
+
+def load_section(reps: int, patients: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        store.persist(build_store(patients), directory)
+        records = block_records(directory)
+        decode = blocks.decode_record
+        loaded = store.load(directory)
+        memo = attrgetter("hash_memo")
+        timings = {
+            "store.load": lambda: store.load(directory),
+            "store.load_raw": lambda: store.load_raw(directory),
+            "decode_record_all": lambda: [decode(r) for r in records],
+            "verify_tree_memos": lambda: verify_tree(loaded, memo),
+        }
+        return {
+            "patients": patients,
+            "files": sum(1 for _ in directory.iterdir()),
+            "bytes": sum(path.stat().st_size for path in directory.iterdir()),
+            "block_records": len(records),
+            "reps": reps,
+            "ms": {name: sampled(fn, reps, digits=2) for name, fn in timings.items()},
+            "per_load": counted(lambda: store.load(directory), merkle.sha256, blocks.decode_record),
+        }
+
+
+# -- encode and access -----------------------------------------------------------
+
+
+def build(patients: int, writes: int, close_every: int = 0, seed: int = 1) -> Ledger:
+    """Onboard each patient, write, read "latest" after every second write,
+    and close every close_every-th patient."""
+    rng = random.Random(seed)
+    ledger = Ledger.genesis(CATALOG)
+    for i in range(patients):
+        p = ledger.onboard_patient(AUTHORITY, f"FC{i:06d}", {"name": f"n{rng.randrange(10**6)}"})
+        for w in range(writes):
+            ledger.write_record(DOCTOR, p, [(rng.choice(TYPES), f"v{rng.randrange(10**6)}".encode())])
+            if w % 2 == 1:
+                ledger.read_record(DOCTOR, p, "latest")
+        if close_every and p % close_every == 0:
+            ledger.close_subchain(AUTHORITY, p)
+    return ledger
+
+
+def encode_section(reps: int, patients: int) -> dict:
+    tracemalloc.start()
+    long_history = build(4, 1200)
+    long_history_bytes = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    history_blocks = list(long_history.main_chain)
+    for p in long_history.patients():
+        history_blocks += long_history.yellow[p] + long_history.red[p]
+    by_kind = {
+        "identity": long_history.main_chain[1],
+        "medical": long_history.yellow[1][-1],
+        "log": long_history.red[1][-1],
+    }
+    base = build(200, 2, close_every=25)
+    net = Network(SimConfig(NODES, seed=1), CATALOG)
+    for node in net.nodes.values():
+        node.replica = base.clone()
+    proposer = iter(net.approved * 10**6)
+    write = Command("write", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("entry", "xray:v1")))
+    read = Command("read", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("query", "latest")))
+
+    ops = {f"sealed_{kind}": (lambda blk=blk: blocks.sealed(blk), 2000) for kind, blk in by_kind.items()}
+    ops["block_hash_all"] = (lambda: [blocks.block_hash(blk) for blk in history_blocks], 1)
+    ops["verify_tree"] = (lambda: verify_tree(long_history), 1)
+    ops["propose_write"] = (lambda: net.propose(next(proposer), write), 20)
+    ops["propose_read"] = (lambda: net.propose(next(proposer), read), 20)
+    return {
+        "reps": reps,
+        "long_history_blocks": len(history_blocks),
+        "long_history_tracemalloc_mb": round(long_history_bytes / 1e6, 3),
+        "ms": {name: sampled(fn, reps, batch) for name, (fn, batch) in ops.items()},
+        "calls": {name: counted(fn, blocks.block_hash, merkle.sha256) for name, (fn, _) in ops.items()},
+    }
+
+
+ACCESS_OPS = {
+    "read_typed": (lambda led: led.read_record(DOCTOR, PATIENT, TYPE), 50),
+    "read_latest": (lambda led: led.read_record(DOCTOR, PATIENT, "latest"), 200),
+    "report": (lambda led: led.assemble_report(DOCTOR, PATIENT, TYPE), 50),
+    "write": (lambda led: led.write_record(DOCTOR, PATIENT, [(TYPE, b"v")]), 200),
+}
+
+
+def access_section(reps: int, patients: int) -> dict:
+    ledgers = {"long_history": build(4, 1200), "replicated_sim": build(200, 2, close_every=25)}
+    runs = {
+        f"{name}.{op_name}": (op, batch, lambda led=led: (led.clone(),))
+        for name, led in ledgers.items()
+        for op_name, (op, batch) in ACCESS_OPS.items()
+    }
+    return {
+        "reps": reps,
+        "medical_blocks": {name: len(led.yellow[PATIENT]) for name, led in ledgers.items()},
+        "ms": {name: sampled(op, reps, batch, fresh) for name, (op, batch, fresh) in runs.items()},
+        "calls": {
+            name: counted(op, blocks.cached_hash, blocks.block_hash, fresh=fresh) for name, (op, _, fresh) in runs.items()
+        },
+    }
+
+
+SECTIONS = {"load": load_section, "encode": encode_section, "access": access_section}
+
+
+def main(argv: list[str]) -> int:
+    """argv: the arguments after SRC."""
+    numbers = [int(arg) for arg in itertools.takewhile(str.isdigit, argv[:2])]
+    reps, patients = numbers + [15, 200][len(numbers) :]
+    sections = argv[len(numbers) :] or list(SECTIONS)
+    if reps < 2 or not set(sections) <= SECTIONS.keys():
+        print(f"{USAGE}, and each SECTION one of {', '.join(SECTIONS)}", file=sys.stderr)
+        return 2
+    results = {name: SECTIONS[name](reps, patients) for name in sections}
+    print(json.dumps(results[sections[0]] if len(sections) == 1 else results, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[2:]))

@@ -14,7 +14,7 @@ from medledger import store
 from medledger.cli import main
 from medledger.ledger import Credential, Ledger, Role
 
-from helpers import CATALOG, count_calls
+from helpers import CATALOG, count_calls, store_image
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -405,6 +405,23 @@ def test_audit_repair_creates_the_subchains_of_a_missing_patient(tmp_path, capsy
     assert sorted(store.load(lag).yellow) == [1]
     assert_repaired(capsys, dirs, [("main", "2"), ("yellow", "2.1"), ("red", "2.1"), ("red", "2.2")])
     assert sorted(store.load(lag).yellow) == sorted(store.load(lag).red) == [1, 2]
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["onboarded", "read"])
+def test_audit_repair_gives_a_missing_patient_with_no_record_both_subchains(tmp_path, capsys, read):
+    """A patient onboarded on two of three fresh replicas, with no medical
+    block and at most a read, is healed onto the third with both subchain
+    files, so the third loads, verifies and holds the same bytes."""
+    dirs = [str(tmp_path / name) for name in "abc"]
+    for d in dirs:
+        assert run(capsys, "init", "--dir", d, "--catalog", "blood_test:Blood test")[0] == 0
+    for d in dirs[:2]:
+        run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
+        if read:
+            run(capsys, "read", "--dir", d, "--actor", "drb", "--role", "doctor",
+                "--patient", "1", "--query", "latest")
+    assert_repaired(capsys, dirs, [("main", "1")] + [("red", "1.1")] * read)
+    assert store_image(dirs[0]) == store_image(dirs[1]) == store_image(dirs[2])
 
 
 def test_audit_repair_heals_the_clock_of_a_replica_one_write_behind(tmp_path, capsys):

@@ -445,6 +445,20 @@ def test_a_raw_tamper_of_a_catalog_block_changes_what_the_replica_accepts():
     honest.write_record(DOCTOR, p, [("mri", b"scan-2")])
 
 
+def test_a_clone_of_a_tampered_ledger_takes_the_catalog_head_of_its_chain():
+    """A clone rebuilds the catalog head from the chain it copies, so after
+    a raw tamper of a catalog block it resolves the catalog afresh, not
+    from the walk its source cached at the stale head."""
+    ledger = fresh_ledger()
+    block = ledger.update_catalog(AUTHORITY, [("mri", "MRI scan")])
+    ledger.tamper("main", 0, block.coord.patient, "fiscal_code", "forged")
+    assert ledger.active_catalog() == {}  # cached at the stale head
+    twin = ledger.clone()
+    rebuilt = ledger_mod.Ledger(ledger.main_chain, ledger.yellow, ledger.red, ledger.global_audit, ledger.clock)
+    assert twin.catalog_head == rebuilt.catalog_head != ledger.catalog_head
+    assert twin.active_catalog() == rebuilt.active_catalog() != {}
+
+
 def test_catalog_chain_traverses_to_genesis():
     ledger = fresh_ledger()
     ledger.update_catalog(AUTHORITY, [("mri", "MRI scan")])

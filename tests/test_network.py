@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from medledger import store
 from medledger.errors import NotAuthorized, ReplicaDivergence, ScriptError
 from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
@@ -15,10 +16,11 @@ from medledger.network import (
     parse_script,
     quorum_commits,
     repair_majority,
+    repair_replicas,
     run_scenario,
 )
 
-from helpers import CATALOG
+from helpers import AUTHORITY, CATALOG
 from scenarios import digest as scenario_digest
 from scenarios import run as run_random_scenario
 
@@ -170,6 +172,21 @@ def test_three_identical_tampers_of_five_are_unrepairable():
     assert [str(e) for e in report] == ["unrepairable node=* chain=yellow coord=1.1"]
     assert net.nodes["n1"].replica.snapshot_bytes() == honest  # honest replicas untouched
     assert net.nodes["n5"].replica.snapshot_bytes() == honest
+
+
+def test_repair_gives_a_replica_missing_a_patient_both_subchains(tmp_path):
+    """An onboarding that two replicas of three applied is appended to the
+    third together with the patient's empty subchains, so every replica
+    persists to a store that loads back to the same state."""
+    base = Ledger.genesis(CATALOG)
+    replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
+    for nid in ("n1", "n2"):
+        replicas[nid].onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    assert [str(e) for e in repair_replicas(replicas)] == ["replaced node=n3 chain=main coord=1"]
+    assert (replicas["n3"].yellow, replicas["n3"].red) == ({1: []}, {1: []})
+    for nid, replica in replicas.items():
+        store.persist(replica, tmp_path / nid)
+        assert store.load(tmp_path / nid).snapshot_bytes() == replicas["n1"].snapshot_bytes()
 
 
 def test_drop_rate_zero_commits_every_valid_command():

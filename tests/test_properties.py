@@ -247,6 +247,24 @@ def test_snapshot_bytes_identify_state(seed):
         assert ledger.snapshot_bytes() != twin.snapshot_bytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 30))
+def test_a_clone_rebuilds_the_derived_state_its_source_kept_op_by_op(seed, n_ops):
+    """clone() rebuilds the anchors, active codes, catalog head and closed
+    set from the chains it copies; they equal what the source's ops kept
+    up, and ops on the clone leave the source as it was."""
+    ledger = fresh_ledger()
+    drive(ledger, random.Random(seed), n_ops)
+    twin = ledger.clone()
+    assert (twin._anchor, twin._active_codes) == (ledger._anchor, ledger._active_codes)
+    assert (twin.catalog_head, twin.closed) == (ledger.catalog_head, ledger.closed)
+    assert twin.active_catalog() == ledger.active_catalog()
+    before = ledger.snapshot_bytes()
+    assert twin.snapshot_bytes() == before
+    drive(twin, random.Random(seed + 1), 5)
+    assert ledger.snapshot_bytes() == before
+
+
 # --- decoders are total and canonical ----------------------------------------
 #
 # On any input each decoder returns or raises its declared error, and every
