@@ -15,7 +15,7 @@ from pathlib import Path
 from . import store
 from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
 from .ledger import Ledger, Role
-from .network import Command, SimConfig, repair_replicas, run_scenario, split_token
+from .network import DEFAULT_CATALOG, Command, SimConfig, repair_replicas, run_scenario, split_token
 
 
 def _catalog(tokens: list[str]) -> list[tuple[str, str]]:
@@ -149,8 +149,8 @@ def _cmd_sim(args) -> int:
         byzantine=frozenset(args.byzantine.split(",")) if args.byzantine else frozenset(),
         drop_rate=args.drop_rate,
     )
-    catalog = _catalog(args.catalog or ["general:General checkup"])
-    transcript = run_scenario(config, script, tuple(catalog))
+    catalog = tuple(_catalog(args.catalog)) if args.catalog else DEFAULT_CATALOG
+    transcript = run_scenario(config, script, catalog)
     if args.out:
         Path(args.out).write_text(transcript, encoding="utf-8")
         print(f"transcript written to {args.out}")

@@ -531,17 +531,13 @@ def _main_facts(
         owner = None
         if blk.variant == _PATIENT:
             owner = blk.coord.patient
-        elif blk.variant == _FISCAL_CHANGE:
-            if blk.fiscal_change is None:
+        elif blk.variant == _FISCAL_CHANGE and blk.fiscal_change is not None:
+            # one without a payload owns nothing; verify_tree's variant check reports it
+            owner = owner_by_hash.get(blk.fiscal_change.prev_identity)
+            if owner is None:
                 violations.append(
-                    Violation("MAIN", str(i), "variant_payload", "fiscal_change without payload")
+                    Violation("MAIN", str(i), "identity_lineage", "prev_identity unresolved")
                 )
-            else:
-                owner = owner_by_hash.get(blk.fiscal_change.prev_identity)
-                if owner is None:
-                    violations.append(
-                        Violation("MAIN", str(i), "identity_lineage", "prev_identity unresolved")
-                    )
         if owner is not None:
             owner_by_hash[h] = owner
         owners.append(owner)

@@ -10,8 +10,9 @@ flipped byte mid-record.
 
 A session (store.session) is the single writer: it holds the directory's
 flock from its load through its commits, each of which appends only what
-the ledger appended since. A load opens only the file names it derives
-from the main chain and refuses a manifest that lists any other set.
+the ledger appended since. A load opens what persist listed: main.chain,
+audit.global and both files of each patient the manifest names; it
+refuses any other listing, and a ledger that anchors an unlisted patient.
 Each stored record is decoded once, in one pass (blocks.decode_record:
 strict field readers and precompiled structs, blocks built without their
 dataclass __init__ but with a read-only personal_info of their own). A verified
@@ -34,7 +35,6 @@ from pathlib import Path
 
 from .blocks import (
     IdentityBlock,
-    IdentityVariant,
     LogBlock,
     MedicalBlock,
     _U32_PACK,
@@ -68,6 +68,14 @@ def _yellow_name(p: int) -> str:
 
 def _red_name(p: int) -> str:
     return f"p{p}.red.chain"
+
+
+def _expect_listed(counts: dict[str, int], patients) -> None:
+    """Refuse a manifest that does not list exactly main.chain, audit.global and both files of each patient."""
+    expected = {MAIN_NAME, AUDIT_NAME} | {n for p in patients for n in (_yellow_name(p), _red_name(p))}
+    if counts.keys() != expected:
+        odd = sorted(counts.keys() ^ expected)
+        raise CorruptChain(META_NAME, 0, f"manifest does not list exactly the chain files: {odd}")
 
 
 def _encode_meta(clock: int, manifest: list[tuple[str, int]]) -> bytes:
@@ -185,9 +193,9 @@ def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type,
 
 
 def _assemble(directory: Path, hashed: bool = False) -> Ledger:
-    """Open only the file names derived from the main chain; the manifest
-    supplies record counts and must list exactly those names. The memo of
-    each main-chain block, and with hashed of every block, is its hash
+    """Open the files persist wrote, as its manifest lists them; a patient
+    listed but not anchored is verify_tree's to report. The memo of each
+    main-chain block, and with hashed of every block, is its hash
     recomputed from the bytes read, so that building the Ledger re-encodes
     nothing."""
     try:
@@ -195,23 +203,19 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     except OSError:
         raise StorageError(f"no ledger at {directory} ({META_NAME} missing)") from None
     clock, counts = _decode_meta(meta_bytes)
-    if MAIN_NAME not in counts or AUDIT_NAME not in counts:
-        raise CorruptChain(META_NAME, 0, "manifest lacks the required files")
+    numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
+    patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
+    _expect_listed(counts, patients)  # so each name is _yellow_name or _red_name of its number
     main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed=True)
     notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
-    patients = [blk.coord.patient for blk in main if blk.variant == IdentityVariant.PATIENT]
-    expected = {MAIN_NAME, AUDIT_NAME} | {
-        n for p in patients for n in (_yellow_name(p), _red_name(p))
-    }
-    if counts.keys() != expected:
-        odd = sorted(counts.keys() ^ expected)
-        raise CorruptChain(META_NAME, 0, f"manifest does not list exactly the chain files: {odd}")
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
         yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashed)
         red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashed)
-    return Ledger(main, yellow, red, notes, clock)
+    ledger = Ledger(main, yellow, red, notes, clock)
+    _expect_listed(counts, ledger.yellow)  # the lineage rule may anchor a patient the manifest does not name
+    return ledger
 
 
 def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:

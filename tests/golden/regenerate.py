@@ -66,7 +66,7 @@ def write_lifecycle_transcript() -> None:
 
 
 def write_tree_checks() -> None:
-    lines = [line for line, _ in tree_check_cases(criterion7_ledger(42))]
+    lines = [line for line, _, _ in tree_check_cases(criterion7_ledger(42))]
     (HERE / "tree_checks.txt").write_text("\n".join(lines) + "\n")
 
 

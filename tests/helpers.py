@@ -318,9 +318,9 @@ def criterion7_ledger_with_note(seed: int = 42) -> Ledger:
     raise AssertionError("an onboard with an invalid credential was accepted")
 
 
-def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation]]]:
+def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation], Ledger]]:
     """One golden line per single-field mutation of every block of the
-    ledger, with the violation list it digests.
+    ledger, with the violation list it digests and the rebuilt ledger.
 
     The line reads `chain patient position field sha256`, the position
     being the main-chain index or the 1-based medical/log index. The
@@ -350,7 +350,7 @@ def tree_check_cases(ledger: Ledger) -> Iterator[tuple[str, list[Violation]]]:
             )
             text = "\n".join(map(str, violations)) + "\n--\n" + repr(indexes)
             digest = hashlib.sha256(text.encode()).hexdigest()
-            yield f"{chain} {p} {index} {field_name} {digest}", violations
+            yield f"{chain} {p} {index} {field_name} {digest}", violations, rebuilt
 
 
 def store_image(directory) -> list[str]:

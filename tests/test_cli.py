@@ -424,6 +424,54 @@ def test_audit_repair_gives_a_missing_patient_with_no_record_both_subchains(tmp_
     assert store_image(dirs[0]) == store_image(dirs[1]) == store_image(dirs[2])
 
 
+def lineage_replicas(tmp_path, capsys) -> list[str]:
+    """Three replicas built by the same commands: main holds the genesis,
+    patient 1's onboarding, its fiscal change and a catalog block."""
+    dirs = [str(tmp_path / name) for name in "abc"]
+    for d in dirs:
+        for argv in (
+            ["init", "--dir", d, "--catalog", "blood_test:Blood test"],
+            ["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001"],
+            ["write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1",
+             "--entry", "blood_test:v1"],
+            ["change-code", "--dir", d, "--actor", "reg", "--role", "authority", "--patient", "1",
+             "--new-code", "FC002"],
+            ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority", "--entry", "xray:X-ray"],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+    return dirs
+
+
+@pytest.mark.parametrize("variant", ["catalog", "fiscal_change", "system_genesis"])
+def test_a_tampered_onboarding_variant_is_located_and_repaired(tmp_path, capsys, variant):
+    """An onboarding block that no longer reads as one leaves patient 1's
+    files listed but unanchored: the load still opens them, verify locates
+    the tamper, and audit-repair heals the replica to the others' bytes."""
+    dirs = lineage_replicas(tmp_path, capsys)
+    assert run(capsys, "tamper", "--dir", dirs[2], "--chain", "main", "--index", "1",
+               "--field", "variant", "--value", variant)[0] == 0
+    code, out = run(capsys, "verify", "--dir", dirs[2])
+    assert code == 1 and "MAIN 1 self_hash" in out.splitlines()[0]
+    assert run(capsys, "audit-repair", "--dirs", *dirs)[0] == 0
+    for d in dirs:
+        assert run(capsys, "verify", "--dir", d) == (0, "OK 0 violations\n")
+    assert store_image(dirs[0]) == store_image(dirs[1]) == store_image(dirs[2])
+
+
+def test_a_fiscal_change_tampered_into_an_onboarding_is_refused(tmp_path, capsys):
+    """Out of reach of the manifest rule: the tamper anchors a patient 2
+    that persist never gave files, so every load refuses the store and
+    names the files it lacks."""
+    d = lineage_replicas(tmp_path, capsys)[0]
+    assert run(capsys, "tamper", "--dir", d, "--chain", "main", "--index", "2",
+               "--field", "variant", "--value", "patient")[0] == 0
+    assert main(["verify", "--dir", d]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR CorruptChain: meta @ 0: manifest does not list exactly the chain files: "
+        "['p2.red.chain', 'p2.yellow.chain']\n"
+    )
+
+
 def test_audit_repair_heals_the_clock_of_a_replica_one_write_behind(tmp_path, capsys):
     """The healed replica takes the majority's clock, so the same next op
     stamps the same log block on every replica. A replica ahead of the
@@ -576,6 +624,17 @@ def test_sim_on_one_node_rejects_a_malformed_command(tmp_path, capsys):
     code, out = run(capsys, "sim", "--nodes", "1", "--script", str(path))
     assert code == 0
     assert "REJECT seq=1 yes=1 n=1" in out.splitlines() and "APPLY" not in out
+
+
+def test_sim_without_a_catalog_runs_on_the_default_one(tmp_path, capsys):
+    path = tmp_path / "s.script"
+    path.write_text("1 n1 onboard actor=reg role=authority code=FC001\n"
+                    "2 n2 write actor=drb role=doctor patient=1 entry=general:v1\n")
+    argv = ["sim", "--nodes", "3", "--script", str(path)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0].endswith(" catalog=general:General checkup")
+    assert run(capsys, *argv, "--catalog", "general:General checkup") == (0, out)
 
 
 def test_duplicate_genesis_catalog_code_is_a_usage_error(tmp_path, capsys):

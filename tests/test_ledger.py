@@ -17,6 +17,7 @@ from medledger.errors import (
     UnknownRecordType,
 )
 from medledger import ledger as ledger_mod
+from medledger import store
 from medledger.ledger import verify_tree
 from medledger.merkle import ZERO_DIGEST
 
@@ -605,14 +606,29 @@ def test_log_before_any_medical_block_has_zero_h_yellow_and_verifies():
     assert verify_tree(ledger) == []
 
 
-def test_tree_checks_match_golden():
+def test_tree_checks_match_golden(tmp_path):
     """Every single-field mutation of every block of the criterion-7 ledger
-    gives the violations and rebuilt indexes frozen in tree_checks.txt."""
+    gives the violations and rebuilt indexes frozen in tree_checks.txt. The
+    rebuilt ledger, persisted, loads back with exactly those violations:
+    a load reads the files persist wrote, whatever a tamper did to the
+    main chain's lineage."""
     golden = (GOLDEN / "tree_checks.txt").read_text().splitlines()
     cases = list(tree_check_cases(criterion7_ledger(42)))
     assert len(cases) == len(golden) == 384
-    for (line, violations), expected in zip(cases, golden):
+    for i, ((line, violations, rebuilt), expected) in enumerate(zip(cases, golden)):
         assert line == expected, "\n".join(map(str, violations))
+        store.persist(rebuilt, tmp_path / str(i))
+        assert store.load_checked(tmp_path / str(i))[1] == violations, line
+
+
+def test_a_fiscal_change_block_without_payload_is_reported_once():
+    """verify_tree's variant check reports the missing payload; the lineage
+    pass gives the block no owner and adds no second line."""
+    ledger = fresh_ledger()
+    ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    ledger.tamper("main", 0, 1, "variant", "fiscal_change")
+    payload = [str(v) for v in verify_tree(ledger) if v.check == "variant_payload"]
+    assert payload == ["MAIN 1 variant_payload bad fiscal-change payload"]
 
 
 def test_violation_renders_as_chain_coord_check_detail():

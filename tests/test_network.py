@@ -189,6 +189,21 @@ def test_repair_gives_a_replica_missing_a_patient_both_subchains(tmp_path):
         assert store.load(tmp_path / nid).snapshot_bytes() == replicas["n1"].snapshot_bytes()
 
 
+def test_repair_past_an_unrepairable_position_heals_no_replica_across_the_gap():
+    """b's forged main 2 leaves no 51% version there; past it, a and b
+    agree on main 3, which c cannot take without main 2. Both positions
+    are reported, and c keeps the blocks it had."""
+    base = Ledger.genesis(CATALOG)
+    replicas = {nid: base.clone() for nid in "abc"}
+    for nid, count in (("a", 3), ("b", 3), ("c", 1)):
+        for n in range(1, count + 1):
+            replicas[nid].onboard_patient(AUTHORITY, f"FC00{n}", {"name": "Mario"})
+    replicas["b"].tamper("main", 0, 2, "fiscal_code", "FORGED")
+    report = [str(e) for e in repair_replicas(replicas)]
+    assert report == ["unrepairable node=* chain=main coord=2", "unrepairable node=c chain=main coord=3"]
+    assert len(replicas["c"].main_chain) == 2
+
+
 def test_drop_rate_zero_commits_every_valid_command():
     script = (GOLDEN / "lifecycle.script").read_text()
     transcript = run_scenario(SimConfig(node_count=5, seed=3), script, CATALOG)

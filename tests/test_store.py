@@ -188,13 +188,17 @@ CRAFTED_MANIFESTS = {
     "count-one-above": lambda m: _recount(m, "p1.red.chain", +1),
     "count-one-below": lambda m: _recount(m, "p1.red.chain", -1),
     "listed-twice": lambda m: [("p1.red.chain", 0)] + m,
+    "zero-padded-pair": lambda m: m + [("p01.yellow.chain", 0), ("p01.red.chain", 0)],
+    "number-past-u32-digits": lambda m: m + [(f"p{'9' * 5000}.{c}.chain", 0) for c in ("yellow", "red")],
+    "pair-without-files": lambda m: m + [("p2.yellow.chain", 0), ("p2.red.chain", 0)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(CRAFTED_MANIFESTS))
 def test_crafted_manifest_is_refused_and_verify_exits_2(tmp_path, case):
     """A checksum-valid meta whose manifest does not match the chain files
-    is a declared store error: the store opens only the names it derives."""
+    is a declared store error: the store opens main.chain, audit.global and
+    both files of each patient listed, under the names persist writes."""
     ledger = small_fixture()
     persist(ledger, tmp_path)
     manifest = [
@@ -209,6 +213,27 @@ def test_crafted_manifest_is_refused_and_verify_exits_2(tmp_path, case):
     with pytest.raises((CorruptChain, StorageError)):
         load_raw(tmp_path)
     assert main(["verify", "--dir", str(tmp_path)]) == 2
+
+
+def test_a_log_file_copied_over_a_medical_file_is_refused_and_verify_exits_2(tmp_path, capsys):
+    """Each record must decode to the block kind of its file: a red chain
+    under a yellow name, with a meta whose counts match, is CorruptChain
+    at the first record."""
+    ledger = small_fixture()
+    persist(ledger, tmp_path)
+    (tmp_path / "p1.yellow.chain").write_bytes((tmp_path / "p1.red.chain").read_bytes())
+    manifest = [
+        ("main.chain", len(ledger.main_chain)),
+        ("audit.global", len(ledger.global_audit)),
+        ("p1.yellow.chain", len(ledger.red[1])),
+        ("p1.red.chain", len(ledger.red[1])),
+    ]
+    (tmp_path / "meta").write_bytes(store._encode_meta(ledger.clock, manifest))
+    with pytest.raises(CorruptChain) as refused:
+        load_raw(tmp_path)
+    assert str(refused.value) == "p1.yellow.chain @ 0: LogBlock record in a MedicalBlock file"
+    assert main(["verify", "--dir", str(tmp_path)]) == 2
+    assert "LogBlock record in a MedicalBlock file" in capsys.readouterr().err
 
 
 def test_store_image_matches_golden(tmp_path):
