@@ -660,8 +660,6 @@ def _parse_value(current, text: str):
                 raise ValueError(f"digest value must be {DIGEST_SIZE} hex bytes")
             return raw
         return text.encode("utf-8")
-    if isinstance(current, str):
-        return text
     raise ValueError(f"cannot parse a value for field of type {type(current).__name__}")
 
 

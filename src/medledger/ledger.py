@@ -247,10 +247,6 @@ class Ledger:
         identity block, the genesis anchor of both subchains."""
         return cached_hash(chain[-1] if chain else self._anchor[p])
 
-    def _latest_yellow(self, p: int) -> MedicalBlock | None:
-        chain = self.yellow.get(p)
-        return chain[-1] if chain else None
-
     def _note(self, actor: str, tick: int, place: str, detail: str) -> None:
         prev = self.global_audit[-1].self_hash if self.global_audit else ZERO_DIGEST
         self.global_audit.append(
@@ -268,23 +264,19 @@ class Ledger:
     ) -> LogBlock:
         """Append one log block cross-hashing the current anchor and latest
         medical block. coord.record is set iff a medical block is referenced."""
-        chain = self.red[p]
-        h_prev = self._tip(chain, p)
-        anchor_hash = cached_hash(self._anchor[p]) if chain else h_prev  # a first log follows the anchor
-        latest = self._latest_yellow(p)
-        record_index = latest.coord.record if latest is not None else None
-        h_yellow = cached_hash(latest) if latest is not None else ZERO_DIGEST
+        chain, medical = self.red[p], self.yellow[p]
+        latest = medical[-1] if medical else None
         log = sealed(
             LogBlock(
-                coord=BlockCoord(p, record_index, len(chain) + 1),
+                coord=BlockCoord(p, None if latest is None else latest.coord.record, len(chain) + 1),
                 event=event,
                 actor=cred.actor_id,
                 timestamp=tick,
                 place=place,
                 viewed=viewed,
-                h_main=anchor_hash,
-                h_yellow=h_yellow,
-                h_prev_red=h_prev,
+                h_main=cached_hash(self._anchor[p]),
+                h_yellow=ZERO_DIGEST if latest is None else cached_hash(latest),
+                h_prev_red=self._tip(chain, p),
             )
         )
         chain.append(log)
@@ -380,9 +372,13 @@ class Ledger:
                 self._fail(patient, cred, tick, place, f"UNKNOWN_TYPE:{record_type}")
                 raise UnknownRecordType(f"record type {record_type!r} not in catalog")
         chain = self.yellow[patient]
+        # each entry links to the newest earlier holder of its type: the
+        # typed read's scan, run newest first and stopped at the first holder
         built = tuple(
             RecordEntry(
-                t, payload, None if (newest := _newest_with_type(chain, t)) is None else cached_hash(newest)
+                t,
+                payload,
+                next((cached_hash(blk) for blk in reversed(chain) for e in blk.entries if e.record_type == t), None),
             )
             for t, payload in entries
         )
@@ -579,14 +575,6 @@ def _follow_backlinks(
         cursor = by_hash.get(nxt) if nxt else None
         hops += 1
     return found
-
-
-def _newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:
-    """The newest block of a medical chain holding an entry of this type."""
-    return next(
-        (blk for blk in reversed(chain) if any(e.record_type == record_type for e in blk.entries)),
-        None,
-    )
 
 
 # --- whole-tree verification ---------------------------------------------------

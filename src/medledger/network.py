@@ -64,6 +64,15 @@ def split_token(token: str, sep: str, shape: str) -> tuple[str, str]:
     return left, right
 
 
+def require_utf8(texts) -> None:
+    """Refuse with CommandError the first string that does not encode as UTF-8."""
+    for text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CommandError(f"{text!r} does not encode as UTF-8") from None
+
+
 @dataclass(frozen=True)
 class Command:
     """One ledger operation as carried by a proposal.
@@ -115,11 +124,7 @@ class Command:
         """
         if self.verb not in VERBS:
             raise CommandError(f"unknown command verb {self.verb!r}")
-        for text in (self.actor, place, *(s for pair in self.args for s in pair)):
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise CommandError(f"{text!r} does not encode as UTF-8") from None
+        require_utf8((self.actor, place, *(s for pair in self.args for s in pair)))
         return (self.cred(), *VERBS[self.verb].parse(self), place)
 
     def run(self, ledger: Ledger, parsed: tuple):

@@ -25,9 +25,11 @@ each block kind, block_hash over every block of long_history, its
 default verify_tree (recomputing every hash), and a 15-replica
 Network.propose of a write and of a read; it counts their block_hash and
 merkle.sha256 calls and reports the tracemalloc size of long_history.
-access times read_record of one type and of "latest", assemble_report and
-write_record on patient 1 of each ledger, each sample on a fresh clone,
-and counts their cached_hash and block_hash calls.
+access times read_record of one type and of "latest", assemble_report,
+write_record of a type already written and write_record of mri, a catalog
+type never written, on patient 1 of each ledger, each sample on a fresh
+clone, and counts their cached_hash and block_hash calls. A write of mri
+is timed once per clone: after it, mri is the newest block's type.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from medledger.network import Command, Network, SimConfig  # noqa: E402
 CATALOG = STORE_CATALOG + (("mri", "MRI"),)
 TYPES = tuple(code for code, _ in STORE_CATALOG)
 NODES = 15
-PATIENT, TYPE = 1, "xray"
+PATIENT, TYPE, NEW_TYPE = 1, "xray", "mri"
 USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2"
 
 
@@ -201,6 +203,7 @@ ACCESS_OPS = {
     "read_latest": (lambda led: led.read_record(DOCTOR, PATIENT, "latest"), 200),
     "report": (lambda led: led.assemble_report(DOCTOR, PATIENT, TYPE), 50),
     "write": (lambda led: led.write_record(DOCTOR, PATIENT, [(TYPE, b"v")]), 200),
+    "write_new_type": (lambda led: led.write_record(DOCTOR, PATIENT, [(NEW_TYPE, b"v")]), 1),
 }
 
 

@@ -140,6 +140,16 @@ def per_block_read_oracle(ledger: Ledger, p: int, query: str) -> list[tuple[Bloc
     return matches
 
 
+def newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:
+    """The newest block of a medical chain holding an entry of this type,
+    as a write once found its typed backlink: a newest-first scan that
+    tests each block with a generator and any()."""
+    return next(
+        (blk for blk in reversed(chain) if any(e.record_type == record_type for e in blk.entries)),
+        None,
+    )
+
+
 def by_hash_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:
     """assemble_report's result as a walk through a hash map of the whole
     medical chain computed it, from the newest holder of the type and for
@@ -147,9 +157,7 @@ def by_hash_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tupl
     chain = ledger.yellow.get(p, [])
     by_hash = {cached_hash(blk): blk for blk in chain}
     report: list[tuple[BlockCoord, bytes]] = []
-    cursor = next(
-        (blk for blk in reversed(chain) if any(e.record_type == record_type for e in blk.entries)), None
-    )
+    cursor = newest_with_type(chain, record_type)
     hops = 0
     while cursor is not None and hops <= len(chain):
         typed = [e for e in cursor.entries if e.record_type == record_type]

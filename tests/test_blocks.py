@@ -11,6 +11,7 @@ from medledger.blocks import (
     BlockCoord,
     CatalogUpdate,
     FiscalChange,
+    GlobalAuditNote,
     IdentityBlock,
     IdentityVariant,
     LogBlock,
@@ -118,6 +119,8 @@ def test_block_hash_is_merkle_root_over_hand_built_groups():
     g3 = D1 + D2 + D3
     assert field_groups(log) == (g1, g2, g3)
     assert block_hash(log) == build_tree([g1, g2, g3]).root
+    with pytest.raises(TypeError, match="not a block: GlobalAuditNote"):
+        field_groups(GlobalAuditNote("a", 1, "n1", "x", ZERO_DIGEST))
 
 
 def test_block_hash_stable_and_sensitive():

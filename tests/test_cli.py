@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from medledger import store
+from medledger.blocks import AccessEvent
 from medledger.cli import main
 from medledger.ledger import Credential, Ledger, Role
 
@@ -111,6 +112,36 @@ def test_tamper_then_verify_exits_1_with_violation_lines(tmp_path, capsys):
     assert code == 1
     assert "YELLOW 1.1 self_hash" in out
     assert out.strip().endswith("violations")
+
+
+# "chain field value" of a tamper of block 1 (patient 1) -> (exit code, the
+# field's value as a raw load reads it back, or the error after the store path)
+TAMPERS = {
+    "bool": ("yellow is_final false", 0, False),
+    "event": ("red event read", 0, AccessEvent.READ),
+    "bad-event": ("red event bogus", 2, "unknown access event 'bogus'"),
+    "bad-variant": ("main variant bogus", 2, "unknown identity variant 'bogus'"),
+    "short-digest": ("yellow prev_yellow 00", 2, "digest value must be 32 hex bytes"),
+    "coord": ("yellow coord 1", 2, "cannot parse a value for field of type BlockCoord"),
+}
+
+
+@pytest.mark.parametrize("tamper, code, outcome", TAMPERS.values(), ids=list(TAMPERS))
+def test_tamper_parses_each_field_type_or_leaves_the_store_as_it_was(tmp_path, capsys, tamper, code, outcome):
+    d = init_ledger(tmp_path, capsys)
+    run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
+    run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1", "--entry", "xray:v1")
+    before = store_image(d)
+    chain, field, value = tamper.split()
+    flags = ["--chain", chain, "--patient", "1", "--index", "1", "--field", field, "--value", value]
+    assert main(["tamper", "--dir", d, *flags]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert getattr(store.load_raw(d).chain(chain, 1)[0], field) == outcome
+    else:
+        assert captured.err == f"ERROR StorageError: cannot tamper with {d}: {outcome}\n"
+        assert store_image(d) == before
 
 
 def test_porcelain_output_is_tab_separated(tmp_path, capsys):
@@ -606,8 +637,9 @@ def test_sim_script_error_exits_2(tmp_path, capsys):
         (["--byzantine", "n9"], b"", "ERROR ConfigError: byzantine nodes not on the approved list: ['n9']"),
         (["--nodes", "0"], b"", "ERROR ConfigError: simulation needs at least one node"),
         ([], b"# ok\n1 n1 onboard code=\xff\n", "ERROR ScriptError: line 2: not UTF-8"),
+        ([], b"1 n1 onboard role=nurse code=FC1\n", "ERROR ScriptError: line 1: unknown role 'nurse'"),
     ],
-    ids=["drop-rate", "byzantine", "no-nodes", "not-utf8"],
+    ids=["drop-rate", "byzantine", "no-nodes", "not-utf8", "unknown-role"],
 )
 def test_sim_usage_errors_exit_2_with_an_error_line(tmp_path, capsys, flags, script, error):
     path = tmp_path / "s.script"
@@ -616,6 +648,20 @@ def test_sim_usage_errors_exit_2_with_an_error_line(tmp_path, capsys, flags, scr
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", error + "\n")
+
+
+@pytest.mark.parametrize("verb", ["init", "sim"])
+def test_a_catalog_token_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys, verb):
+    """A non-UTF-8 argv byte reaches the CLI as a lone surrogate, which no
+    block encoding can hold: it is a usage error, like a malformed entry."""
+    script = tmp_path / "s.script"
+    script.write_text("")
+    fresh = tmp_path / "fresh"
+    argv = {"init": ["--dir", str(fresh)], "sim": ["--nodes", "3", "--script", str(script)]}[verb]
+    assert main([verb, *argv, "--catalog", "gen\udcff:label"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "ERROR CommandError: 'gen\\udcff:label' does not encode as UTF-8\n")
+    assert not fresh.exists()
 
 
 def test_sim_on_one_node_rejects_a_malformed_command(tmp_path, capsys):

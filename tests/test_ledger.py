@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from medledger.blocks import AccessEvent, IdentityVariant, block_hash, sealed
+from medledger.blocks import AccessEvent, CatalogUpdate, IdentityVariant, block_hash, sealed
 from medledger.errors import (
     AccessDenied,
     DuplicateCatalogCode,
@@ -18,7 +18,7 @@ from medledger.errors import (
 )
 from medledger import ledger as ledger_mod
 from medledger import store
-from medledger.ledger import verify_tree
+from medledger.ledger import Ledger, verify_tree
 from medledger.merkle import ZERO_DIGEST
 
 from helpers import (
@@ -253,6 +253,28 @@ def test_each_refusal_leaves_exactly_one_audit_record(refuse, error, grows, deta
     assert verify_tree(ledger) == []
 
 
+# calls refused for their arguments alone, before the clock ticks
+MALFORMED_CALLS = {
+    "genesis-empty": (lambda led, p: Ledger.genesis([]), ValueError),
+    "genesis-duplicate-code": (
+        lambda led, p: Ledger.genesis([("a", "A"), ("b", "B"), ("a", "C")]), DuplicateCatalogCode
+    ),
+    "write-no-entries": (lambda led, p: led.write_record(DOCTOR, p, []), ValueError),
+    "catalog-no-entries": (lambda led, p: led.update_catalog(AUTHORITY, []), ValueError),
+    "unknown-chain": (lambda led, p: led.chain("blue", p), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", MALFORMED_CALLS.values(), ids=list(MALFORMED_CALLS))
+def test_a_call_malformed_in_its_arguments_changes_nothing(call, error):
+    ledger = fresh_ledger()
+    p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    before = ledger.snapshot_bytes()
+    with pytest.raises(error):
+        call(ledger, p)
+    assert ledger.snapshot_bytes() == before
+
+
 def test_duplicate_active_fiscal_code_rejected():
     ledger = fresh_ledger()
     ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
@@ -482,8 +504,6 @@ def test_catalog_duplicate_code_rejected():
     ledger = fresh_ledger()
     with pytest.raises(DuplicateCatalogCode):
         ledger.update_catalog(AUTHORITY, [("xray", "again")])
-    with pytest.raises(ValueError):
-        ledger.update_catalog(AUTHORITY, [])
 
 
 def test_report_matches_linear_scan_oracle():
@@ -619,6 +639,22 @@ def test_tree_checks_match_golden(tmp_path):
         assert line == expected, "\n".join(map(str, violations))
         store.persist(rebuilt, tmp_path / str(i))
         assert store.load_checked(tmp_path / str(i))[1] == violations, line
+
+
+@pytest.mark.parametrize(
+    "main, violation",
+    [
+        ([], "MAIN - structure empty main chain"),
+        ([sealed(replace(fresh_ledger().main_chain[0], catalog=None))], "MAIN 0 genesis genesis carries no catalog"),
+        (
+            [sealed(replace(fresh_ledger().main_chain[0], catalog=CatalogUpdate((), None)))],
+            "MAIN 0 genesis genesis carries no catalog",
+        ),
+    ],
+    ids=["empty", "no-catalog", "empty-catalog"],
+)
+def test_a_tree_without_a_genesis_catalog_is_one_violation(main, violation):
+    assert list(map(str, verify_tree(Ledger(main, {}, {}, [], 1)))) == [violation]
 
 
 def test_a_fiscal_change_block_without_payload_is_reported_once():

@@ -146,6 +146,8 @@ def test_verify_malformed_path_is_false_not_error():
     root = tree.root
     assert not verify(b"L1", MerkleProof(0, ((b"short", "right"),)), root)
     assert not verify(b"L1", MerkleProof(0, ((H(b"L2"), "up"),)), root)
+    assert not verify(b"L1", MerkleProof(0, (H(b"L2"),)), root)  # a step that is not a pair
+    assert not verify(b"L1", MerkleProof(0, ((H(b"L2"), "right", "right"),)), root)
     assert not verify(b"L1", prove(tree, 0), b"not-a-digest")
 
 

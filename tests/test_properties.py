@@ -36,6 +36,7 @@ from helpers import (
     criterion7_ledger_with_note,
     drive,
     fresh_ledger,
+    newest_with_type,
     per_block_read_oracle,
     scan_report_oracle,
     tampered_history,
@@ -220,6 +221,57 @@ def test_reads_and_reports_equal_the_per_block_and_by_hash_walks_on_tampered_cha
     # every way a walk can end is exercised: intact links, a link that
     # skips or leaves the holders, and a cycle that runs to the hop bound
     assert min(seen["intact"], seen["broken"], seen["cycle"]) >= 50, seen
+
+
+def test_a_write_links_each_entry_to_the_newest_earlier_holder_of_its_type():
+    """Every entry a write appends links to the hash of the block the
+    newest-first oracle finds in the chain as it stood before the write,
+    or to None when it finds none. The histories mix writes of 1-3
+    entries that often repeat a type, types with no earlier entry, raw
+    tampers of an earlier entry's record_type or payload, and closes: a
+    write after a close appends nothing, and a close whose final marker
+    is tampered open and rebuilt by a clone leaves an entry-less block
+    for later scans to pass over."""
+    seen: Counter[str] = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        ledger = fresh_ledger()
+        p = ledger.onboard_patient(AUTHORITY, "FC000001", {"name": "n"})
+        for _ in range(rng.randint(1, 12)):
+            filled = [k for k, blk in enumerate(ledger.yellow[p]) if blk.entries]
+            action = rng.choices(["write", "tamper", "close"], weights=[8, 3, 1])[0]
+            if action == "tamper" and filled:
+                k = rng.choice(filled)
+                i = rng.randrange(len(ledger.yellow[p][k].entries))
+                value = rng.choice(HISTORY_TYPES) if rng.random() < 0.5 else f"w{rng.randrange(9)}".encode()
+                field = "record_type" if isinstance(value, str) else "payload"
+                ledger.tamper("yellow", p, k + 1, f"entry.{i}.{field}", value)
+                seen["tamper"] += 1
+                continue
+            if action == "close" and p not in ledger.closed:
+                ledger.close_subchain(AUTHORITY, p)
+                seen["close"] += 1
+                if rng.random() < 0.5:  # reopen: tamper the marker, rebuild the closed set
+                    ledger.tamper("yellow", p, len(ledger.yellow[p]), "is_final", "false")
+                    ledger = ledger.clone()
+                    seen["reopened"] += 1
+                continue
+            entries = [(rng.choice(HISTORY_TYPES), b"v") for _ in range(rng.randint(1, 3))]
+            before = list(ledger.yellow[p])
+            if p in ledger.closed:
+                with pytest.raises(SubchainClosed):
+                    ledger.write_record(DOCTOR, p, entries)
+                assert ledger.yellow[p] == before
+                seen["refused"] += 1
+                continue
+            holders = [newest_with_type(before, t) for t, _ in entries]
+            medical, _ = ledger.write_record(DOCTOR, p, entries)
+            expected = [None if holder is None else cached_hash(holder) for holder in holders]
+            assert [e.prev_same_type for e in medical.entries] == expected, seed
+            seen.update("no_earlier_entry" if holder is None else "linked" for holder in holders)
+            seen["repeated_type"] += len({t for t, _ in entries}) < len(entries)
+            seen["past_an_empty_block"] += any(not blk.entries for blk in before)
+    assert min(seen.values()) >= 30 and len(seen) == 8, seen
 
 
 @settings(max_examples=40, deadline=None)

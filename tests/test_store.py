@@ -179,6 +179,28 @@ def _recount(manifest, name, delta):
     return [(n, count + delta if n == name else count) for n, count in manifest]
 
 
+def _info_pairs(*pairs: str) -> bytes:
+    """personal_info key/value strings as a stored map lists them, count omitted."""
+    return b"".join(struct.pack(">I", len(text)) + text.encode() for text in pairs)
+
+
+@pytest.mark.parametrize("stored", [("kb", "vb", "ka", "va"), ("ka", "va", "ka", "vb")], ids=["unsorted", "repeated"])
+def test_an_identity_record_with_unordered_info_keys_is_refused_and_verify_exits_2(tmp_path, capsys, stored):
+    """The stored map of personal_info lists its keys strictly ascending, so
+    an identity record has one encoding; any other order is corruption."""
+    ledger = fresh_ledger()
+    ledger.onboard_patient(AUTHORITY, "FC001", {"ka": "va", "kb": "vb"})
+    persist(ledger, tmp_path)
+    main_chain = tmp_path / "main.chain"
+    data = main_chain.read_bytes()
+    assert data.count(_info_pairs("ka", "va", "kb", "vb")) == 1
+    main_chain.write_bytes(data.replace(_info_pairs("ka", "va", "kb", "vb"), _info_pairs(*stored)))
+    with pytest.raises(CorruptChain, match="map keys not strictly ascending"):
+        load_raw(tmp_path)
+    assert main(["verify", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("ERROR CorruptChain: main.chain @ ")
+
+
 CRAFTED_MANIFESTS = {
     "no-main-chain": lambda m: [(n, c) for n, c in m if n != "main.chain"],
     "stray-patient-file": lambda m: m + [("p99.red.chain", 0)],
