@@ -427,11 +427,6 @@ def field_groups(block: Block) -> tuple[bytes, bytes, bytes]:
     raise _int_error(block)
 
 
-def canonical_bytes(block: Block) -> bytes:
-    """Deterministic encoding of everything except self_hash."""
-    return b"".join(field_groups(block))
-
-
 def three_leaf_root(a: bytes, b: bytes, c: bytes) -> Digest:
     """merkle.build_tree([a, b, c]).root, by the same six sha256 calls: the
     three leaves, the pair (a, b), the odd tail c paired with itself, and
@@ -633,34 +628,44 @@ def decode_note(data: bytes) -> GlobalAuditNote:
 # --- targeted field edits (tamper tooling) ------------------------------------
 
 
-def _parse_value(current, text: str):
-    """Parse a CLI/script value string into the type of the field it replaces."""
+# the fields whose tamper value is a digest in hex
+_DIGEST_FIELDS = {"prev_main", "prev_yellow", "prev_same_type", "h_main", "h_yellow", "h_prev_red", "self_hash"}
+_ENUM_NAMES = {AccessEvent: "access event", IdentityVariant: "identity variant"}
+
+
+def _parse_value(name: str, current, text: str):
+    """Parse a CLI/script value string for the field name: a digest from hex,
+    a payload as UTF-8 text, any other field by the type of its current value."""
+    if name in _DIGEST_FIELDS:
+        raw = bytes.fromhex(text)
+        if len(raw) != DIGEST_SIZE:
+            raise ValueError(f"digest value must be {DIGEST_SIZE} hex bytes")
+        return raw
+    if name == "payload":
+        return text.encode("utf-8")
     if isinstance(current, bool):
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {text!r}")
-    if isinstance(current, int) and not isinstance(current, IntEnum):
+    if isinstance(current, IntEnum):
+        try:
+            return type(current)[text.upper()]
+        except KeyError:
+            raise ValueError(f"unknown {_ENUM_NAMES[type(current)]} {text!r}") from None
+    if isinstance(current, int):
         return int(text)
-    if isinstance(current, AccessEvent):
-        try:
-            return AccessEvent[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown access event {text!r}") from None
-    if isinstance(current, IdentityVariant):
-        try:
-            return IdentityVariant[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown identity variant {text!r}") from None
-    if isinstance(current, bytes):
-        if len(current) == DIGEST_SIZE:
-            raw = bytes.fromhex(text)
-            if len(raw) != DIGEST_SIZE:
-                raise ValueError(f"digest value must be {DIGEST_SIZE} hex bytes")
-            return raw
-        return text.encode("utf-8")
     raise ValueError(f"cannot parse a value for field of type {type(current).__name__}")
+
+
+def _replaced(target, name: str, value):
+    """A copy of the frozen target with its field name set to value; a
+    string for a field that holds no string is parsed for that field first."""
+    current = getattr(target, name)
+    if isinstance(value, str) and not isinstance(current, str):
+        value = _parse_value(name, current, value)
+    return replace(target, **{name: value})
 
 
 def _encodable(block: Block) -> Block:
@@ -678,36 +683,23 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
     This is a raw edit that bypasses sealing, the tool for tamper
     injection. Paths: a top-level field name other than hash_memo,
     ``info.<key>``, ``entry.<i>.payload`` / ``entry.<i>.record_type`` /
-    ``entry.<i>.prev_same_type``. String values are parsed to the field's
-    type; already-typed values pass through. The result is what the
+    ``entry.<i>.prev_same_type``. String values are parsed for the field
+    they replace; already-typed values pass through. The result is what the
     block's record decodes to, so a value the record cannot hold (a
     negative timestamp, a string that is not UTF-8, an unknown event
     number) raises ValueError, and every tampered block still hashes.
     """
     parts = field_path.split(".")
     if parts[0] == "info" and isinstance(block, IdentityBlock) and len(parts) == 2:
-        info = dict(block.personal_info)
-        info[parts[1]] = value
-        return _encodable(replace(block, personal_info=info))
-    if (
-        parts[0] == "entry"
-        and isinstance(block, MedicalBlock)
-        and len(parts) == 3
-        and parts[2] in ("payload", "record_type", "prev_same_type")
-    ):
+        return _encodable(replace(block, personal_info={**block.personal_info, parts[1]: value}))
+    entry_path = len(parts) == 3 and parts[0] == "entry" and parts[2] in {f.name for f in fields(RecordEntry)}
+    if entry_path and isinstance(block, MedicalBlock):
         idx = int(parts[1])
         if not 0 <= idx < len(block.entries):
             raise NoSuchBlock(f"no entry {idx} in block {block.coord.label()}")
-        entry = block.entries[idx]
-        current = getattr(entry, parts[2])
-        if isinstance(value, str) and not isinstance(current, str):
-            value = _parse_value(current if current is not None else ZERO_DIGEST, value)
         entries = list(block.entries)
-        entries[idx] = replace(entry, **{parts[2]: value})
+        entries[idx] = _replaced(entries[idx], parts[2], value)
         return _encodable(replace(block, entries=tuple(entries)))
     if len(parts) == 1 and parts[0] in {f.name for f in fields(block) if f.init}:
-        current = getattr(block, parts[0])
-        if isinstance(value, str) and not isinstance(current, str):
-            value = _parse_value(current, value)
-        return _encodable(replace(block, **{parts[0]: value}))
+        return _encodable(_replaced(block, parts[0], value))
     raise ValueError(f"unknown field path {field_path!r} for {type(block).__name__}")

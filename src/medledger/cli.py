@@ -14,16 +14,16 @@ from pathlib import Path
 
 from . import store
 from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
-from .ledger import Ledger, Role
+from .ledger import Ledger, Role, require_code
 from .network import DEFAULT_CATALOG, Command, SimConfig, repair_replicas, require_utf8, run_scenario, split_token
 
 
 def _catalog(tokens: list[str]) -> list[tuple[str, str]]:
-    """The CODE:LABEL pairs of a genesis catalog; a token that is not UTF-8
-    or a repeated code is a usage error."""
+    """The CODE:LABEL pairs of a genesis catalog; a token that is not UTF-8,
+    a reserved code or a repeated code is a usage error."""
     require_utf8(tokens)
     catalog = [split_token(token, ":", "CODE:LABEL") for token in tokens]
-    codes = [code for code, _ in catalog]
+    codes = [require_code(code, catalog=True) for code, _ in catalog]
     for code in codes:
         if codes.count(code) > 1:
             raise CommandError(f"catalog code {code!r} given more than once")

@@ -83,7 +83,7 @@ class TamperedStore(StorageError):
 
 class CommandError(ValueError):
     """Malformed command: unknown verb, missing or unparsable argument,
-    or a string that does not encode as UTF-8."""
+    a string that does not encode as UTF-8, or a code the ledger reserves."""
 
 
 class ConfigError(ValueError):

@@ -35,6 +35,7 @@ from .blocks import (
 )
 from .errors import (
     AccessDenied,
+    CommandError,
     DuplicateCatalogCode,
     DuplicateIdentity,
     NoChange,
@@ -59,6 +60,16 @@ class Credential:
     actor_id: str
     role: Role
     valid: bool = True
+
+
+def require_code(code: str, catalog: bool = False) -> str:
+    """code, or CommandError (a ValueError) if the ledger uses it for
+    something else: the genesis and catalog blocks carry the empty fiscal
+    code, an empty catalog code names no type, and a read of 'latest' asks
+    for the newest block of any type. catalog: code is a catalog code."""
+    if code == "" or (catalog and code == "latest"):
+        raise CommandError(f"{'catalog' if catalog else 'fiscal'} code {code!r} is reserved")
+    return code
 
 
 # looked up once: every index rebuild (a load, a repair, a clone) tests
@@ -119,7 +130,7 @@ class Ledger:
         entries = tuple((code, label) for code, label in catalog_entries)
         if not entries:
             raise ValueError("genesis catalog must not be empty")
-        codes = [c for c, _ in entries]
+        codes = [require_code(c, catalog=True) for c, _ in entries]
         if len(set(codes)) != len(codes):
             raise DuplicateCatalogCode("genesis catalog has duplicate codes")
         genesis = sealed(
@@ -344,6 +355,7 @@ class Ledger:
         self, cred: Credential, fiscal_code: str, personal_info: dict[str, str], place: str = "local"
     ) -> int:
         """Register a patient; the new identity block anchors both subchains."""
+        require_code(fiscal_code)
         tick = self._admit("onboard", cred, None, place)
         if fiscal_code in self._active_codes:
             self._note(cred.actor_id, tick, place, "DUPLICATE_IDENTITY:onboard")
@@ -429,6 +441,7 @@ class Ledger:
 
         Nothing already appended is touched, so the chain never ruptures.
         """
+        require_code(new_code)
         tick = self._admit("change_code", cred, patient, place)
         old = self._anchor[patient]
         if new_code == old.fiscal_code:
@@ -454,9 +467,9 @@ class Ledger:
         """Append a catalog block linking back to the current catalog head."""
         if not new_entries:
             raise ValueError("catalog update needs at least one (code, label) entry")
+        fresh = [require_code(c, catalog=True) for c, _ in new_entries]
         tick = self._admit("catalog", cred, None, place)
         known = self.active_catalog()
-        fresh = [c for c, _ in new_entries]
         for code in fresh:
             if code in known or fresh.count(code) > 1:
                 self._note(cred.actor_id, tick, place, f"DUPLICATE_CODE:catalog:{code}")

@@ -29,7 +29,7 @@ from .errors import (
     ReplicaDivergence,
     ScriptError,
 )
-from .ledger import Credential, Ledger, Role
+from .ledger import Credential, Ledger, Role, require_code
 
 DEFAULT_CATALOG = (("general", "General checkup"),)
 MAJORITY_PERCENT = 51  # a commit needs strictly more, a repair at least this share
@@ -118,8 +118,8 @@ class Command:
 
         Refuses with CommandError an unknown verb, a missing key, a
         non-integer patient, a token without its separator, an empty entry
-        list and a string that does not encode as UTF-8; nothing that
-        depends on the ledger's state is checked here. The arguments may be
+        list, a string that does not encode as UTF-8 and a reserved code
+        (require_code); nothing that depends on the ledger's state is checked here. The arguments may be
         shared by many ledgers: no Ledger operation keeps a mutable one.
         """
         if self.verb not in VERBS:
@@ -152,7 +152,7 @@ def _label(block: Block) -> str:
 
 # the only dispatch of a ledger operation, for the network and the CLI alike
 VERBS = {
-    "onboard": Verb("onboard_patient", lambda c: (c.need("code"), c.info()), lambda p: f"patient:{p}"),
+    "onboard": Verb("onboard_patient", lambda c: (require_code(c.need("code")), c.info()), lambda p: f"patient:{p}"),
     "write": Verb(
         "write_record",
         lambda c: (c.patient(), tuple((t, p.encode()) for t, p in c.entries("TYPE:PAYLOAD"))),
@@ -167,10 +167,14 @@ VERBS = {
     "close": Verb("close_subchain", lambda c: (c.patient(),), lambda b: f"final:{_label(b)}"),
     "change-code": Verb(
         "change_fiscal_code",
-        lambda c: (c.patient(), c.need("new_code")),
+        lambda c: (c.patient(), require_code(c.need("new_code"))),
         lambda b: f"identity:{_label(b)}",
     ),
-    "catalog-add": Verb("update_catalog", lambda c: (c.entries("CODE:LABEL"),), lambda b: f"catalog:{_label(b)}"),
+    "catalog-add": Verb(
+        "update_catalog",
+        lambda c: (tuple((require_code(code, catalog=True), label) for code, label in c.entries("CODE:LABEL")),),
+        lambda b: f"catalog:{_label(b)}",
+    ),
 }
 
 
@@ -185,12 +189,8 @@ class Proposal:
     result: str
 
     @property
-    def confirmers(self) -> frozenset[str]:
-        return frozenset(nid for nid, vote in self.votes if vote == "yes")
-
-    @property
     def confirmations(self) -> int:
-        return len(self.confirmers)
+        return sum(vote == "yes" for _, vote in self.votes)
 
 
 @dataclass(frozen=True)
@@ -447,28 +447,17 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
     ]
     for step in steps:
         if step.verb == "tamper":
+            arg = dict(reversed(step.params))  # the first value of each key
+            chain, field = arg.get("chain"), arg.get("field")
+            patient, index = arg.get("patient", "0"), arg.get("index", "0")
             try:
-                net.tamper(
-                    step.node,
-                    _first(step.params, "chain") or "",
-                    int(_first(step.params, "patient", "0")),
-                    int(_first(step.params, "index", "0")),
-                    _first(step.params, "field") or "",
-                    _first(step.params, "value") or "",
-                )
+                net.tamper(step.node, chain or "", int(patient), int(index), field or "", arg.get("value") or "")
                 status = "ok"
             except (NoSuchBlock, ValueError) as exc:
                 status = f"error:{type(exc).__name__}"
             lines.append(
-                "TAMPER tick={} node={} chain={} patient={} index={} field={} status={}".format(
-                    step.tick,
-                    step.node,
-                    _first(step.params, "chain"),
-                    _first(step.params, "patient", "0"),
-                    _first(step.params, "index", "0"),
-                    _first(step.params, "field"),
-                    status,
-                )
+                f"TAMPER tick={step.tick} node={step.node} chain={chain} patient={patient} index={index} "
+                f"field={field} status={status}"
             )
             continue
         if step.verb == "audit-repair":

@@ -18,7 +18,6 @@ from medledger.blocks import (
     MedicalBlock,
     RecordEntry,
     block_hash,
-    canonical_bytes,
     decode_record,
     encode_record,
     field_groups,
@@ -86,14 +85,14 @@ def make_log(**overrides) -> LogBlock:
 def test_canonical_bytes_deterministic():
     a = make_identity()
     b = make_identity()
-    assert canonical_bytes(a) == canonical_bytes(b)
+    assert encode_record(a) == encode_record(b)
     assert a == b
 
 
 def test_canonical_bytes_differ_when_a_field_differs():
     a = make_identity()
     b = make_identity(personal_info={"name": "Maria", "surname": "Rossi"})
-    assert canonical_bytes(a) != canonical_bytes(b)
+    assert encode_record(a)[:-32] != encode_record(b)[:-32]  # the bytes before the stored self_hash
 
 
 def test_golden_genesis_record():

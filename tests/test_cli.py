@@ -114,10 +114,16 @@ def test_tamper_then_verify_exits_1_with_violation_lines(tmp_path, capsys):
     assert out.strip().endswith("violations")
 
 
+# the payload of block 1's entry, exactly as long as a digest
+PAYLOAD = "hb 13.9 g/dL; wbc 6.1; plt 250k."
 # "chain field value" of a tamper of block 1 (patient 1) -> (exit code, the
 # field's value as a raw load reads it back, or the error after the store path)
 TAMPERS = {
     "bool": ("yellow is_final false", 0, False),
+    "bad-bool": ("yellow is_final maybe", 2, "not a boolean: 'maybe'"),
+    "payload-text": ("yellow entry.0.payload forged", 0, b"forged"),
+    "payload-hex-text": (f"yellow entry.0.payload {'ab' * 32}", 0, b"ab" * 32),
+    "unlinked-backlink": (f"yellow entry.0.prev_same_type {'ab' * 32}", 0, bytes.fromhex("ab" * 32)),
     "event": ("red event read", 0, AccessEvent.READ),
     "bad-event": ("red event bogus", 2, "unknown access event 'bogus'"),
     "bad-variant": ("main variant bogus", 2, "unknown identity variant 'bogus'"),
@@ -130,7 +136,7 @@ TAMPERS = {
 def test_tamper_parses_each_field_type_or_leaves_the_store_as_it_was(tmp_path, capsys, tamper, code, outcome):
     d = init_ledger(tmp_path, capsys)
     run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
-    run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1", "--entry", "xray:v1")
+    run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1", "--entry", f"xray:{PAYLOAD}")
     before = store_image(d)
     chain, field, value = tamper.split()
     flags = ["--chain", chain, "--patient", "1", "--index", "1", "--field", field, "--value", value]
@@ -138,7 +144,11 @@ def test_tamper_parses_each_field_type_or_leaves_the_store_as_it_was(tmp_path, c
     captured = capsys.readouterr()
     if code == 0:
         assert captured.err == ""
-        assert getattr(store.load_raw(d).chain(chain, 1)[0], field) == outcome
+        block = store.load_raw(d).chain(chain, 1)[0]
+        if field.startswith("entry."):
+            _, i, field = field.split(".")
+            block = block.entries[int(i)]
+        assert getattr(block, field) == outcome
     else:
         assert captured.err == f"ERROR StorageError: cannot tamper with {d}: {outcome}\n"
         assert store_image(d) == before
@@ -615,12 +625,18 @@ def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, caps
          "--info", "name"],
         ["read", "--dir", d, "--actor", "\udcff", "--role", "doctor", "--patient", "1",
          "--query", "latest"],
+        # the codes the ledger already uses for something else
+        ["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", ""],
+        ["change-code", "--dir", d, "--actor", "reg", "--role", "authority", "--patient", "1", "--new-code", ""],
+        ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority", "--entry", ":Empty"],
+        ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority", "--entry", "latest:Latest"],
     ):
         assert main(argv) == 2, argv
         assert {f.name: f.read_bytes() for f in Path(d).iterdir()} == before, argv
     fresh = tmp_path / "fresh"
-    assert main(["init", "--dir", str(fresh), "--catalog", "blood_test"]) == 2
-    assert not (fresh / "meta").exists()
+    for catalog in (["blood_test"], [":"], ["latest:L", "xray:X"]):
+        assert main(["init", "--dir", str(fresh), *(f"--catalog={token}" for token in catalog)]) == 2, catalog
+        assert not fresh.exists(), catalog
 
 
 def test_sim_script_error_exits_2(tmp_path, capsys):

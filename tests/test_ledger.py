@@ -261,6 +261,13 @@ MALFORMED_CALLS = {
     ),
     "write-no-entries": (lambda led, p: led.write_record(DOCTOR, p, []), ValueError),
     "catalog-no-entries": (lambda led, p: led.update_catalog(AUTHORITY, []), ValueError),
+    # the codes the ledger already uses for something else
+    "genesis-empty-code": (lambda led, p: Ledger.genesis([("", "")]), ValueError),
+    "genesis-latest-code": (lambda led, p: Ledger.genesis([("latest", "L"), ("xray", "X")]), ValueError),
+    "onboard-empty-code": (lambda led, p: led.onboard_patient(AUTHORITY, "", {}), ValueError),
+    "change-to-empty-code": (lambda led, p: led.change_fiscal_code(AUTHORITY, p, ""), ValueError),
+    "catalog-empty-code": (lambda led, p: led.update_catalog(AUTHORITY, [("", "Empty")]), ValueError),
+    "catalog-latest-code": (lambda led, p: led.update_catalog(AUTHORITY, [("latest", "Latest")]), ValueError),
     "unknown-chain": (lambda led, p: led.chain("blue", p), ValueError),
 }
 

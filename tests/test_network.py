@@ -252,10 +252,12 @@ def test_scripted_tamper_and_repair_round_trip():
 1 n1 onboard actor=reg role=authority valid=1 code=FC001 info.name=Mario
 2 n2 write actor=drb role=doctor valid=1 patient=1 entry=blood_test:v1
 3 n3 tamper chain=yellow patient=1 index=1 field=entry.0.payload value=forged
-4 n1 audit-repair
+4 n2 tamper chain=yellow patient= index=1 field=entry.0.payload value=forged
+5 n1 audit-repair
 """
     transcript = run_scenario(SimConfig(node_count=5, seed=5), script, CATALOG)
     assert "TAMPER tick=3 node=n3 chain=yellow patient=1 index=1 field=entry.0.payload status=ok" in transcript
+    assert "TAMPER tick=4 node=n2 chain=yellow patient= index=1 field=entry.0.payload status=error:ValueError" in transcript
     assert "REPAIR node=n3 chain=yellow coord=1.1 action=replaced" in transcript
     finals = {line.split("state=")[1] for line in transcript.splitlines() if line.startswith("FINAL")}
     assert len(finals) == 1
@@ -303,6 +305,10 @@ MALFORMED = {
     "token-without-separator": Command("write", "drb", Role.DOCTOR, True, (("patient", "1"), ("entry", "blood_test"))),
     "empty-entry-list": Command("write", "drb", Role.DOCTOR, True, (("patient", "1"),)),
     "not-utf8": Command("read", "\udcff", Role.DOCTOR, True, (("patient", "1"), ("query", "latest"))),
+    "empty-code": Command("onboard", "reg", Role.AUTHORITY, True, (("code", ""),)),
+    "empty-new-code": Command("change-code", "reg", Role.AUTHORITY, True, (("patient", "1"), ("new_code", ""))),
+    "empty-catalog-code": Command("catalog-add", "reg", Role.AUTHORITY, True, (("entry", ":Empty"),)),
+    "latest-catalog-code": Command("catalog-add", "reg", Role.AUTHORITY, True, (("entry", "latest:Latest"),)),
 }
 
 
