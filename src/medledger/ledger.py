@@ -7,6 +7,15 @@ or not, appends exactly one log block to the patient's red chain, so the
 red chain only ever grows. Failed attempts that cannot be anchored to a
 patient (unknown index, denied onboarding) land in a ledger-level audit
 note chain instead.
+
+Besides the chains, a Ledger keeps derived state rebuilt from them: the
+anchors, active codes, catalog head and closed set, the active catalog,
+and a per-patient type index (record type -> its (block, entry) holders
+in chain order). The type index is built on a patient's first typed op
+(a write's backlink lookup, a typed read, a report), extended by each
+medical append, shared by clones, and dropped by a tamper and by every
+rebuild (a load, a repair). Derived state is never evidence: verify_tree
+and repair read only the chains.
 """
 
 from __future__ import annotations
@@ -71,6 +80,9 @@ def require_code(code: str, catalog: bool = False) -> str:
         raise CommandError(f"{'catalog' if catalog else 'fiscal'} code {code!r} is reserved")
     return code
 
+
+# a patient's type index: record type -> its (block, entry) holders, oldest first
+TypeIndex = dict[str, tuple[tuple[MedicalBlock, RecordEntry], ...]]
 
 # looked up once: every index rebuild (a load, a repair, a clone) tests
 # each main-chain block, and an enum member lookup is slow
@@ -148,7 +160,8 @@ class Ledger:
     # -- derived state ------------------------------------------------------
 
     def _recompute_derived(self) -> None:
-        """Rebuild anchor/code/closed/catalog indexes from the chains.
+        """Rebuild anchor/code/closed/catalog indexes from the chains, and
+        drop every type index (each is built again on its first use).
 
         Tolerant of inconsistent chains (tampered replicas must still be
         representable); verify_tree reports what is broken.
@@ -163,6 +176,7 @@ class Ledger:
         self.closed: set[int] = {
             p for p, chain in self.yellow.items() if chain and chain[-1].is_final
         }
+        self._typed: dict[int, TypeIndex] = {}
 
     def _index(self, block: IdentityBlock, owner: int | None) -> None:
         """Apply one main-chain block, in chain order, to the anchor,
@@ -183,12 +197,15 @@ class Ledger:
 
     def clone(self) -> "Ledger":
         """Snapshot copy; shares the immutable blocks, copies the containers
-        and rebuilds the derived indexes from them. The cached catalog, never
-        changed in place, is shared while the rebuilt head is the same."""
+        and rebuilds the derived indexes from them. The cached catalog and
+        the type indexes, never changed in place, are shared: the catalog
+        while the rebuilt head is the same, each type index as it is, since
+        the copied medical chains are the ones it was built from."""
         yellow, red = ({p: list(c) for p, c in table.items()} for table in (self.yellow, self.red))
         dup = Ledger(list(self.main_chain), yellow, red, list(self.global_audit), self.clock)
         if dup.catalog_head == self.catalog_head:
             dup._catalog = self._catalog
+        dup._typed = dict(self._typed)
         return dup
 
     def chain(self, name: str, patient: int, create: bool = False) -> list[b.Block]:
@@ -206,7 +223,9 @@ class Ledger:
         index is the main-chain position for chain="main", else the
         1-based record/log index. The stored self_hash and the derived
         indexes are left stale, but the active catalog is resolved again,
-        so a tampered catalog block changes what this replica accepts.
+        so a tampered catalog block changes what this replica accepts, and
+        the patient's type index is dropped, so their next typed op sees
+        the tampered entries.
         """
         blocks = self.chain(chain, patient)
         pos = index if chain == "main" else index - 1
@@ -214,6 +233,7 @@ class Ledger:
             raise NoSuchBlock(f"no {chain} block {index} for patient {patient}")
         blocks[pos] = b.mutate_block(blocks[pos], field_path, value)
         self._catalog = None
+        self._typed.pop(patient, None)
 
     def patients(self) -> list[int]:
         return sorted(self._anchor)
@@ -305,8 +325,10 @@ class Ledger:
         """Tick the clock and admit op under _ACCESS; returns the tick.
 
         Refuses, with one audit record, an unknown patient, then an invalid
-        credential, then a role that op does not grant. patient is None for
-        onboarding and catalog updates.
+        credential, then a role that op does not grant. A patient acts on
+        their own record only under its fiscal code, and the reserved empty
+        code identifies no patient, even one a store kept from before it was
+        refused. patient is None for onboarding and catalog updates.
         """
         tick = self._tick()
         if patient is not None and patient not in self._anchor:
@@ -316,9 +338,8 @@ class Ledger:
             self._fail(patient, cred, tick, place, f"DENIED:{op}:invalid_credential")
             raise AccessDenied(f"invalid credential for {cred.actor_id}")
         roles, own_record, action = _ACCESS[op]
-        if cred.role in roles or (
-            own_record and cred.role == Role.PATIENT and self._anchor[patient].fiscal_code == cred.actor_id
-        ):
+        own = own_record and cred.role == Role.PATIENT and cred.actor_id != ""
+        if cred.role in roles or (own and self._anchor[patient].fiscal_code == cred.actor_id):
             return tick
         self._fail(patient, cred, tick, place, f"DENIED:{op}:role_{cred.role.value}")
         raise AccessDenied(f"role {cred.role.value} may not {action}")
@@ -335,8 +356,21 @@ class Ledger:
         self._index(block, owner)
         return block
 
+    def _types(self, p: int) -> TypeIndex:
+        """The patient's type index, built by one pass over their medical
+        chain on first use. It is never changed in place: clones share it."""
+        index = self._typed.get(p)
+        if index is None:
+            grouped: dict[str, list[tuple[MedicalBlock, RecordEntry]]] = {}
+            for blk in self.yellow.get(p, []):
+                for e in blk.entries:
+                    grouped.setdefault(e.record_type, []).append((blk, e))
+            index = self._typed[p] = {t: tuple(holders) for t, holders in grouped.items()}
+        return index
+
     def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
-        """Seal, link and append one block to the patient's medical chain."""
+        """Seal, link and append one block to the patient's medical chain,
+        and extend their type index, if built, with a new copy."""
         chain = self.yellow[p]
         block = sealed(
             MedicalBlock(
@@ -347,6 +381,11 @@ class Ledger:
             )
         )
         chain.append(block)
+        index = self._typed.get(p)
+        if index is not None and entries:
+            index = self._typed[p] = dict(index)
+            for e in entries:
+                index[e.record_type] = index.get(e.record_type, ()) + ((block, e),)
         return block
 
     # -- public operations -----------------------------------------------------
@@ -383,15 +422,11 @@ class Ledger:
             if record_type not in catalog:
                 self._fail(patient, cred, tick, place, f"UNKNOWN_TYPE:{record_type}")
                 raise UnknownRecordType(f"record type {record_type!r} not in catalog")
-        chain = self.yellow[patient]
-        # each entry links to the newest earlier holder of its type: the
-        # typed read's scan, run newest first and stopped at the first holder
+        # each entry links to the newest holder of its type before this
+        # write, so entries of one type in one block share their backlink
+        index = self._types(patient)
         built = tuple(
-            RecordEntry(
-                t,
-                payload,
-                next((cached_hash(blk) for blk in reversed(chain) for e in blk.entries if e.record_type == t), None),
-            )
+            RecordEntry(t, payload, cached_hash(index[t][-1][0]) if t in index else None)
             for t, payload in entries
         )
         medical = self._append_medical(patient, built, is_final=False)
@@ -405,19 +440,19 @@ class Ledger:
         """Return matching entries; the read itself appends a log block.
 
         query is a record type, or "latest" for the newest non-final
-        block's entries. Works on closed patients. A typed read is one pass
-        over the medical chain and hashes only what its log block links.
+        block's entries. Works on closed patients. A typed read lists the
+        holders of its type from the patient's type index, so it costs the
+        size of its result, and hashes only what its log block links.
         """
         tick = self._admit("read", cred, patient, place)
-        chain = self.yellow.get(patient, [])
         matches: list[tuple[BlockCoord, RecordEntry]] = []
         if query == "latest":
-            for blk in reversed(chain):
+            for blk in reversed(self.yellow.get(patient, [])):
                 if not blk.is_final:
                     matches = [(blk.coord, e) for e in blk.entries]
                     break
         else:
-            matches = [(blk.coord, e) for blk in chain for e in blk.entries if e.record_type == query]
+            matches = [(blk.coord, e) for blk, e in self._types(patient).get(query, ())]
         log = self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"READ:{query}"
         )
@@ -488,17 +523,17 @@ class Ledger:
         """History of one record type, newest first, by following the typed
         backlinks from the most recent occurrence. One log block total.
 
-        One pass over the medical chain lists the entries of the type. When
-        each holder's first typed entry links to the next older holder (one
+        The patient's type index lists the entries of the type. When each
+        holder's first typed entry links to the next older holder (one
         memoized hash per holder), following the links visits exactly that
-        list, newest first. Only when a link skips the next older holder (a
-        tampered chain) is a hash map of the chain built: the report keeps
-        the holders down to the newest such link and follows the links as
-        they are from there.
+        list, newest first; so an intact history costs the size of the
+        report. Only when a link skips the next older holder (a tampered
+        chain) is a hash map of the chain built: the report keeps the
+        holders down to the newest such link and follows the links as they
+        are from there.
         """
         tick = self._admit("report", cred, patient, place)
-        chain = self.yellow.get(patient, [])
-        typed = [(blk, e) for blk in chain for e in blk.entries if e.record_type == record_type]
+        typed = self._types(patient).get(record_type, ())
         report = [(blk.coord, e.payload) for blk, e in reversed(typed)]
         older, broken, holders = None, None, 0
         for n, (blk, e) in enumerate(typed):
@@ -510,7 +545,7 @@ class Ledger:
         if broken is not None:
             n, older_holders, link = broken
             del report[len(typed) - n :]
-            report += _follow_backlinks(chain, record_type, link, holders - older_holders)
+            report += _follow_backlinks(self.yellow[patient], record_type, link, holders - older_holders)
         self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"REPORT:{record_type}"
         )

@@ -30,6 +30,9 @@ write_record of a type already written and write_record of mri, a catalog
 type never written, on patient 1 of each ledger, each sample on a fresh
 clone, and counts their cached_hash and block_hash calls. A write of mri
 is timed once per clone: after it, mri is the newest block's type.
+read_typed_after_write times one typed read per clone, right after an
+untimed write of that type: the write replaced the patient's type index
+the clone shared with its source, and the read uses the new one.
 """
 
 from __future__ import annotations
@@ -198,21 +201,38 @@ def encode_section(reps: int, patients: int) -> dict:
     }
 
 
+def read_typed(led: Ledger):
+    return led.read_record(DOCTOR, PATIENT, TYPE)
+
+
+def write(led: Ledger):
+    return led.write_record(DOCTOR, PATIENT, [(TYPE, b"v")])
+
+
+# op -> (the timed call, calls per sample, whether its clone is written once first)
 ACCESS_OPS = {
-    "read_typed": (lambda led: led.read_record(DOCTOR, PATIENT, TYPE), 50),
-    "read_latest": (lambda led: led.read_record(DOCTOR, PATIENT, "latest"), 200),
-    "report": (lambda led: led.assemble_report(DOCTOR, PATIENT, TYPE), 50),
-    "write": (lambda led: led.write_record(DOCTOR, PATIENT, [(TYPE, b"v")]), 200),
-    "write_new_type": (lambda led: led.write_record(DOCTOR, PATIENT, [(NEW_TYPE, b"v")]), 1),
+    "read_typed": (read_typed, 50, False),
+    "read_latest": (lambda led: led.read_record(DOCTOR, PATIENT, "latest"), 200, False),
+    "report": (lambda led: led.assemble_report(DOCTOR, PATIENT, TYPE), 50, False),
+    "write": (write, 200, False),
+    "write_new_type": (lambda led: led.write_record(DOCTOR, PATIENT, [(NEW_TYPE, b"v")]), 1, False),
+    "read_typed_after_write": (read_typed, 1, True),
 }
+
+
+def fresh_clone(led: Ledger, written: bool) -> tuple[Ledger]:
+    dup = led.clone()
+    if written:
+        write(dup)
+    return (dup,)
 
 
 def access_section(reps: int, patients: int) -> dict:
     ledgers = {"long_history": build(4, 1200), "replicated_sim": build(200, 2, close_every=25)}
     runs = {
-        f"{name}.{op_name}": (op, batch, lambda led=led: (led.clone(),))
+        f"{name}.{op_name}": (op, batch, lambda led=led, written=written: fresh_clone(led, written))
         for name, led in ledgers.items()
-        for op_name, (op, batch) in ACCESS_OPS.items()
+        for op_name, (op, batch, written) in ACCESS_OPS.items()
     }
     return {
         "reps": reps,

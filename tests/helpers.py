@@ -25,6 +25,7 @@ from medledger.blocks import (
     encode_note,
     encode_record,
     mutate_block,
+    sealed,
 )
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
@@ -99,6 +100,19 @@ def drive(ledger: Ledger, rng: random.Random, n_ops: int, place: str = "test") -
     return verbs
 
 
+def empty_code_ledger() -> Ledger:
+    """A ledger whose patient 1 holds the reserved empty fiscal code and one
+    xray record, as a store kept from before onboarding refused that code
+    loads it: the identity block is sealed and the tree verifies."""
+    genesis = fresh_ledger().main_chain[0]
+    identity = sealed(
+        IdentityBlock(BlockCoord(1), "", {"name": "n"}, cached_hash(genesis), IdentityVariant.PATIENT)
+    )
+    ledger = Ledger([genesis, identity], {}, {}, [], clock=1)
+    ledger.write_record(DOCTOR, 1, [("xray", b"secret")])
+    return ledger
+
+
 def count_calls(monkeypatch, original) -> list[int]:
     """Count calls to a medledger function through every binding of it in
     the loaded medledger modules; the count is the list's one element."""
@@ -138,6 +152,28 @@ def per_block_read_oracle(ledger: Ledger, p: int, query: str) -> list[tuple[Bloc
         for blk in ledger.yellow.get(p, []):
             matches += [(blk.coord, e) for e in blk.entries if e.record_type == query]
     return matches
+
+
+def grouped_scan(chain: list[MedicalBlock]) -> dict[str, list[tuple[int, int]]]:
+    """Each record type of a medical chain -> the ids of its (block, entry)
+    holders in chain order: a type index as a fresh pass builds it, by
+    identity, so an index that kept a replaced block never equals it."""
+    grouped: dict[str, list[tuple[int, int]]] = {}
+    for blk in chain:
+        for e in blk.entries:
+            grouped.setdefault(e.record_type, []).append((id(blk), id(e)))
+    return grouped
+
+
+def stale_type_indexes(ledger: Ledger) -> list[int]:
+    """The patients whose built type index differs from a fresh grouping
+    scan of their medical chain."""
+    return [
+        p
+        for p, index in ledger._typed.items()
+        if {t: [(id(blk), id(e)) for blk, e in holders] for t, holders in index.items()}
+        != grouped_scan(ledger.yellow.get(p, []))
+    ]
 
 
 def newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:

@@ -15,7 +15,7 @@ from medledger.blocks import AccessEvent
 from medledger.cli import main
 from medledger.ledger import Credential, Ledger, Role
 
-from helpers import CATALOG, count_calls, store_image
+from helpers import CATALOG, count_calls, empty_code_ledger, store_image
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +65,18 @@ def test_invalid_credential_exits_1(tmp_path, capsys):
     code, out = run(capsys, "onboard", "--dir", d, "--actor", "eve", "--role", "authority",
                     "--no-valid", "--code", "FC666")
     assert code == 1 and "AccessDenied" in out
+
+
+def test_the_empty_actor_never_reads_a_stored_record_kept_under_the_empty_code(tmp_path, capsys):
+    d = tmp_path / "ledger"
+    store.create(empty_code_ledger(), d)
+    before = store.load(d).red[1]
+    code, out = run(capsys, "read", "--dir", str(d), "--actor", "", "--role", "patient",
+                    "--patient", "1", "--query", "latest")
+    assert code == 1 and "AccessDenied" in out and "secret" not in out
+    after = store.load(d).red[1]
+    assert after[:-1] == before and len(after) == len(before) + 1
+    assert (after[-1].event, after[-1].viewed) == (AccessEvent.FAILED_ATTEMPT, "DENIED:read:role_patient")
 
 
 def test_unknown_arguments_exit_2(tmp_path, capsys):

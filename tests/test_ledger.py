@@ -18,7 +18,7 @@ from medledger.errors import (
 )
 from medledger import ledger as ledger_mod
 from medledger import store
-from medledger.ledger import Ledger, verify_tree
+from medledger.ledger import Credential, Ledger, Role, verify_tree
 from medledger.merkle import ZERO_DIGEST
 
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     INVALID,
     count_calls,
     criterion7_ledger,
+    empty_code_ledger,
     fresh_ledger,
     patient_cred,
     scan_report_oracle,
@@ -364,6 +365,26 @@ def test_patient_may_read_own_record_only():
     with pytest.raises(AccessDenied):
         ledger.read_record(own, p2, "latest")
     assert ledger.red[p2][-1].event == AccessEvent.FAILED_ATTEMPT
+
+
+def test_the_empty_actor_never_acts_on_a_record_kept_under_the_empty_code():
+    """The reserved empty code identifies no patient: a patient credential
+    with the empty actor is refused on a record that a ledger kept under
+    that code, with one failed-attempt log and no global note each."""
+    ledger = empty_code_ledger()
+    assert verify_tree(ledger) == []
+    nobody = Credential("", Role.PATIENT)
+    for op in ("read", "report"):
+        red, notes = list(ledger.red[1]), len(ledger.global_audit)
+        with pytest.raises(AccessDenied):
+            if op == "read":
+                ledger.read_record(nobody, 1, "latest")
+            else:
+                ledger.assemble_report(nobody, 1, "xray")
+        assert ledger.red[1][:-1] == red and len(ledger.global_audit) == notes
+        assert ledger.red[1][-1].event == AccessEvent.FAILED_ATTEMPT
+        assert ledger.red[1][-1].viewed == f"DENIED:{op}:role_patient"
+    assert ledger.read_record(DOCTOR, 1, "xray")[0][0][1].payload == b"secret"
 
 
 def test_consecutive_reads_get_consecutive_log_indices():

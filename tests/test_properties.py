@@ -23,7 +23,7 @@ from medledger.blocks import (
 from medledger.errors import CorruptChain, LedgerError, ScriptError, SubchainClosed
 from medledger.ledger import verify_tree
 from medledger.merkle import build_tree, deserialize_proof, prove, serialize_proof, sha256
-from medledger.network import parse_script
+from medledger.network import parse_script, repair_replicas
 from medledger.store import _decode_meta, _encode_meta
 
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     newest_with_type,
     per_block_read_oracle,
     scan_report_oracle,
+    stale_type_indexes,
     tampered_history,
 )
 
@@ -51,6 +52,7 @@ def test_tree_stays_verified_under_random_operations(seed, n_ops):
     ledger = fresh_ledger()
     drive(ledger, random.Random(seed), n_ops)
     assert verify_tree(ledger) == []
+    assert stale_type_indexes(ledger) == []
 
 
 class AuditProbe:
@@ -272,6 +274,179 @@ def test_a_write_links_each_entry_to_the_newest_earlier_holder_of_its_type():
             seen["repeated_type"] += len({t for t, _ in entries}) < len(entries)
             seen["past_an_empty_block"] += any(not blk.entries for blk in before)
     assert min(seen.values()) >= 30 and len(seen) == 8, seen
+
+
+def _random_write(ledger, p: int, rng: random.Random, seen: Counter) -> None:
+    """A write of 1-3 entries that often repeat a type, each checked to
+    link to the newest earlier holder the newest-first oracle finds."""
+    entries = [(rng.choice(HISTORY_TYPES), f"v{rng.randrange(100)}".encode()) for _ in range(rng.randint(1, 3))]
+    before = list(ledger.yellow[p])
+    try:
+        medical, _ = ledger.write_record(DOCTOR, p, entries)
+    except SubchainClosed:
+        seen["refused"] += 1
+        return
+    holders = [newest_with_type(before, t) for t, _ in entries]
+    assert [e.prev_same_type for e in medical.entries] == [h and cached_hash(h) for h in holders]
+    seen["repeated_type"] += len({t for t, _ in entries}) < len(entries)
+    seen["no_earlier_entry"] += None in holders
+
+
+def _random_tamper(ledger, p: int, rng: random.Random, seen: Counter) -> None:
+    """A raw tamper of one entry's record_type, payload or prev_same_type,
+    the link set to None or the hash of any block of the chain."""
+    chain = ledger.yellow[p]
+    filled = [k for k, blk in enumerate(chain) if blk.entries]
+    if not filled:
+        return
+    k = rng.choice(filled)
+    i = rng.randrange(len(chain[k].entries))
+    field = rng.choice(["record_type", "payload", "prev_same_type"])
+    if field == "record_type":
+        value = rng.choice(HISTORY_TYPES)
+    elif field == "payload":
+        value = f"w{rng.randrange(100)}".encode()
+    else:
+        value = rng.choice([None] + [cached_hash(blk) for blk in chain])
+    ledger.tamper("yellow", p, k + 1, f"entry.{i}.{field}", value)
+    seen["tamper." + field] += 1
+
+
+def _typed_op(ledger, p: int, query: str, seen: Counter) -> None:
+    """A read of query, or for a record type also a report, checked
+    against the per-block read and the by-hash report walk."""
+    assert ledger.read_record(DOCTOR, p, query)[0] == per_block_read_oracle(ledger, p, query)
+    if query != "latest":
+        report = ledger.assemble_report(DOCTOR, p, query)
+        assert report == by_hash_report_oracle(ledger, p, query)
+        seen["report.broken" if report != scan_report_oracle(ledger, p, query) else "report.intact"] += 1
+
+
+def test_the_type_index_equals_a_fresh_scan_and_reads_and_reports_their_oracles_after_every_op():
+    """Exactness law for the type index: after every op of seeded
+    sequences that mix writes, typed and latest reads, reports, closes,
+    raw tampers, clones and a majority repair over three clones, every
+    built type index equals a fresh grouping scan of its chain, and every
+    read and report equals the per-block and by-hash oracles."""
+    seen: Counter[str] = Counter()
+    for seed in range(250):
+        rng = random.Random(seed)
+        ledger = fresh_ledger()
+        patients = [ledger.onboard_patient(AUTHORITY, f"FC{n:03d}", {"name": "n"}) for n in range(2)]
+        ledgers = [ledger]
+        for _ in range(rng.randint(5, 25)):
+            ledger = rng.choice(ledgers)
+            p = rng.choice(patients)
+            action = rng.choices(["write", "read", "tamper", "close", "clone", "repair"], weights=[10, 8, 3, 1, 2, 1])[0]
+            if action == "write":
+                _random_write(ledger, p, rng, seen)
+            elif action == "read":
+                _typed_op(ledger, p, rng.choice(HISTORY_TYPES + ("latest", "never_recorded")), seen)
+            elif action == "tamper":
+                _random_tamper(ledger, p, rng, seen)
+            elif action == "close" and p not in ledger.closed:
+                ledger.close_subchain(AUTHORITY, p)
+            elif action == "clone":
+                seen["clone.shared_index"] += bool(ledger._typed)
+                ledgers = (ledgers + [ledger.clone()])[-3:]
+            elif action == "repair":
+                replicas = {f"r{j}": ledger.clone() for j in range(3)}
+                tampered = replicas[rng.choice(sorted(replicas))]
+                _random_tamper(tampered, p, rng, seen)
+                _typed_op(tampered, p, rng.choice(HISTORY_TYPES), seen)  # builds the index repair must drop
+                repaired = [e for e in repair_replicas(replicas) if e.action == "replaced"]
+                seen["repair.replaced"] += bool(repaired)
+                ledgers = list(replicas.values())
+            for each in ledgers:
+                assert stale_type_indexes(each) == [], (seed, action)
+            seen[action] += 1
+        for each in ledgers:
+            for p in patients:
+                for query in HISTORY_TYPES + ("latest",):
+                    _typed_op(each, p, query, seen)
+            assert stale_type_indexes(each) == [], seed
+    assert min(seen.values()) >= 20 and len(seen) == 16, seen
+
+
+def _typed_view(ledger, patients: list[int]) -> list:
+    """Every typed read and report of the patients."""
+    return [
+        (ledger.read_record(DOCTOR, p, t)[0], ledger.assemble_report(DOCTOR, p, t))
+        for p in patients
+        for t in HISTORY_TYPES
+    ]
+
+
+def test_a_clone_and_its_source_never_see_each_others_writes_closes_or_tampers():
+    """Isolation law: a clone shares its source's type indexes, yet writes,
+    closes and tampers on either one leave the other's typed reads and
+    reports as they were."""
+    seen: Counter[str] = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        source = fresh_ledger()
+        patients = [source.onboard_patient(AUTHORITY, f"FC{n:03d}", {"name": "n"}) for n in range(2)]
+        for _ in range(rng.randint(2, 10)):
+            _random_write(source, rng.choice(patients), rng, seen)
+        twin = source.clone()
+        pair = [(twin, source), (source, twin)]
+        for changed, other in pair if rng.random() < 0.5 else pair[::-1]:
+            before = _typed_view(other, patients)
+            for _ in range(rng.randint(1, 6)):
+                p = rng.choice(patients)
+                action = rng.choices(["write", "close", "tamper"], weights=[6, 1, 3])[0]
+                if action == "write":
+                    _random_write(changed, p, rng, seen)
+                elif action == "close" and p not in changed.closed:
+                    changed.close_subchain(AUTHORITY, p)
+                    seen["close"] += 1
+                elif action == "tamper":
+                    _random_tamper(changed, p, rng, seen)
+            assert _typed_view(other, patients) == before, seed
+            assert stale_type_indexes(changed) == stale_type_indexes(other) == [], seed
+    assert seen["close"] >= 20 and min(seen[f"tamper.{f}"] for f in ("record_type", "payload", "prev_same_type")) >= 20
+
+
+def _corrupted_type_indexes(ledger, how: str) -> None:
+    """Replace every patient's type index with a wrong one: empty, each
+    type's holders reversed, or each type given another type's holders."""
+    for p in ledger.patients():
+        index = ledger._types(p)
+        if how == "empty":
+            ledger._typed[p] = {}
+        elif how == "reversed":
+            ledger._typed[p] = {t: holders[::-1] for t, holders in index.items()}
+        else:
+            types = sorted(index)
+            ledger._typed[p] = {t: index[types[n - 1]] for n, t in enumerate(types)}
+
+
+def test_verify_tree_and_repair_read_no_type_index():
+    """Evidence law: derived state is never evidence. verify_tree and
+    repair_replicas return the same violations and repair entries when
+    every type index has been replaced by a wrong one, on honest trees and
+    on trees with tampered entries."""
+    seen: Counter[str] = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        ledger = fresh_ledger()
+        drive(ledger, rng, 25)
+        for _ in range(rng.randint(0, 3)):
+            _random_tamper(ledger, rng.choice(ledger.patients()), rng, seen)
+        replicas = {f"r{j}": ledger.clone() for j in range(3)}
+        _random_tamper(replicas["r0"], rng.choice(ledger.patients()), rng, seen)
+        violations = verify_tree(ledger)
+        repaired = repair_replicas({nid: r.clone() for nid, r in replicas.items()})
+        seen["violations" if violations else "intact"] += 1
+        for how in ("empty", "reversed", "rotated"):
+            corrupted = ledger.clone()
+            _corrupted_type_indexes(corrupted, how)
+            assert verify_tree(corrupted) == violations, (seed, how)
+            others = {nid: r.clone() for nid, r in replicas.items()}
+            for r in others.values():
+                _corrupted_type_indexes(r, how)
+            assert repair_replicas(others) == repaired, (seed, how)
+    assert min(seen["violations"], seen["intact"]) >= 10, seen
 
 
 @settings(max_examples=40, deadline=None)
