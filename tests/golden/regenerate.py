@@ -13,6 +13,8 @@ encode_record, encode_note and mutate_block raise for values the encoding
 cannot hold: regenerate it only from a tree whose encoders are trusted,
 and never to make an encoder rewrite pass. encode_pair_outcomes.txt pins,
 as one digest per record shape, which of two such fields raises first.
+cost_counts.txt pins the cached_hash, block_hash and SHA-256 calls of the
+ops of helpers.cost_count_lines: a change that moves one says why.
 
 scenario_digests.txt is not written here: it is the output of
 `python tests/scenarios.py src SEED 300` for seeds 1 to 3, each line
@@ -37,6 +39,7 @@ from helpers import (  # noqa: E402
     criterion7_ledger_with_note,
     decode_outcome_digests,
     encode_outcome_lines,
+    cost_count_lines,
     encode_pair_outcome_digests,
     store_image,
     tree_check_cases,
@@ -92,6 +95,10 @@ def write_encode_pair_outcomes() -> None:
     (HERE / "encode_pair_outcomes.txt").write_text("\n".join(lines) + "\n")
 
 
+def write_cost_counts() -> None:
+    (HERE / "cost_counts.txt").write_text("\n".join(cost_count_lines()) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
@@ -101,4 +108,5 @@ if __name__ == "__main__":
     write_decode_outcomes()
     write_encode_outcomes()
     write_encode_pair_outcomes()
+    write_cost_counts()
     print("golden vectors regenerated")

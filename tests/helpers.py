@@ -10,6 +10,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
+import pytest
+
+from medledger import blocks, merkle
 from medledger.blocks import (
     BlockCoord,
     CatalogUpdate,
@@ -30,6 +33,7 @@ from medledger.blocks import (
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
 from medledger.merkle import ZERO_DIGEST
+from medledger.network import Command, Network, SimConfig
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
 
@@ -128,6 +132,53 @@ def count_calls(monkeypatch, original) -> list[int]:
                 if value is original:
                     monkeypatch.setattr(module, bound, counting)
     return calls
+
+
+def long_history_ledger() -> Ledger:
+    """One patient of the long_history benchmark's size: 1200 one-entry
+    writes of three types and a read after every second write."""
+    rng = random.Random(1)
+    ledger = Ledger.genesis(CATALOG)
+    p = ledger.onboard_patient(AUTHORITY, "FC00001", {"name": "n"})
+    for w in range(1200):
+        ledger.write_record(DOCTOR, p, [(rng.choice(CATALOG)[0], f"v{w}".encode())])
+        if w % 2 == 1:
+            ledger.read_record(DOCTOR, p, "latest")
+    return ledger
+
+
+def _command(cred: Credential, verb: str, **args: str) -> Command:
+    return Command(verb, cred.actor_id, cred.role, cred.valid, tuple(args.items()))
+
+
+def cost_count_lines() -> list[str]:
+    """One golden line "OP COUNTER CALLS" per op and counter: the
+    cached_hash, block_hash and merkle.sha256 calls of a write, a typed
+    read, a latest read and a report on patient 1 of long_history_ledger,
+    each on a fresh clone, and of a 3-node Network.propose of a write and
+    then of a read. Counts only: they are exact on any machine."""
+    history = long_history_ledger()
+    net = Network(SimConfig(3, seed=1), CATALOG)
+    net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
+    ops = {
+        "long_history.write": lambda led: led.write_record(DOCTOR, 1, [("xray", b"v")]),
+        "long_history.read": lambda led: led.read_record(DOCTOR, 1, "xray"),
+        "long_history.read_latest": lambda led: led.read_record(DOCTOR, 1, "latest"),
+        "long_history.report": lambda led: led.assemble_report(DOCTOR, 1, "xray"),
+        "network3.propose_write": lambda _: net.propose("n1", _command(DOCTOR, "write", patient="1", entry="xray:v")),
+        "network3.propose_read": lambda _: net.propose("n1", _command(DOCTOR, "read", patient="1", query="xray")),
+    }
+    lines = []
+    for name, op in ops.items():
+        led = history.clone()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = {
+                f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}": count_calls(monkeypatch, f)
+                for f in (blocks.cached_hash, blocks.block_hash, merkle.sha256)
+            }
+            op(led)
+        lines += [f"{name} {counter} {calls[0]}" for counter, calls in counts.items()]
+    return lines
 
 
 def scan_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:

@@ -1,7 +1,7 @@
 """The per-block hash memo: sound for every block object, never trusted by
 verification or repair, and the source of the per-operation hash counts."""
 
-import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +11,18 @@ from medledger.ledger import Ledger, verify_tree
 from medledger.network import repair_replicas
 from medledger.store import load_raw, persist
 
-from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, count_calls, criterion7_ledger
+from helpers import (
+    AUTHORITY,
+    CATALOG,
+    DOCTOR,
+    block_mutations,
+    cost_count_lines,
+    count_calls,
+    criterion7_ledger,
+    long_history_ledger,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def every_block(ledger: Ledger):
@@ -187,16 +198,7 @@ def test_block_hash_calls_per_operation_are_flat_in_patients_and_history(hash_ca
 
 @pytest.fixture(scope="module")
 def long_history() -> Ledger:
-    """One patient of the long_history benchmark's size: 1200 one-entry
-    writes of three types and a read after every second write."""
-    rng = random.Random(1)
-    ledger = Ledger.genesis(CATALOG)
-    p = ledger.onboard_patient(AUTHORITY, "FC00001", {"name": "n"})
-    for w in range(1200):
-        ledger.write_record(DOCTOR, p, [(rng.choice(CATALOG)[0], f"v{w}".encode())])
-        if w % 2 == 1:
-            ledger.read_record(DOCTOR, p, "latest")
-    return ledger
+    return long_history_ledger()
 
 
 @pytest.mark.parametrize("record_type", [code for code, _ in CATALOG])
@@ -216,3 +218,10 @@ def test_a_report_hashes_one_link_per_holder_and_a_typed_read_only_its_log_links
     matches, _ = ledger.read_record(DOCTOR, 1, record_type)
     assert calls[0] == 3
     assert len(matches) == holders
+
+
+def test_cost_counts_match_golden():
+    """The exact hash and SHA-256 calls of each op of cost_count_lines, as
+    tests/golden/cost_counts.txt pins them; a change that moves a count
+    shows the move as a diff of that file."""
+    assert cost_count_lines() == (GOLDEN / "cost_counts.txt").read_text().splitlines()
