@@ -15,10 +15,10 @@ and never to make an encoder rewrite pass. encode_pair_outcomes.txt pins,
 as one digest per record shape, which of two such fields raises first.
 cost_counts.txt pins the cached_hash, block_hash and SHA-256 calls of the
 ops of helpers.cost_count_lines: a change that moves one says why.
-
-scenario_digests.txt is not written here: it is the output of
-`python tests/scenarios.py src SEED 300` for seeds 1 to 3, each line
-prefixed with its seed (see tests/scenarios.py).
+scenario_digests.txt pins the outcome of each of the 900 seeded network
+scenarios of tests/scenarios.py, one digest a line; the same lines, per
+seed and without the prefix, come from `python tests/scenarios.py SRC SEED
+300` for comparing two checkouts.
 """
 
 import sys
@@ -44,6 +44,7 @@ from helpers import (  # noqa: E402
     store_image,
     tree_check_cases,
 )
+from scenarios import golden_lines as scenario_golden_lines  # noqa: E402
 
 LIFECYCLE_CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"))
 
@@ -99,6 +100,10 @@ def write_cost_counts() -> None:
     (HERE / "cost_counts.txt").write_text("\n".join(cost_count_lines()) + "\n")
 
 
+def write_scenario_digests() -> None:
+    (HERE / "scenario_digests.txt").write_text("\n".join(scenario_golden_lines()) + "\n")
+
+
 if __name__ == "__main__":
     write_proof_vectors()
     write_genesis_vector()
@@ -109,4 +114,5 @@ if __name__ == "__main__":
     write_encode_outcomes()
     write_encode_pair_outcomes()
     write_cost_counts()
+    write_scenario_digests()
     print("golden vectors regenerated")

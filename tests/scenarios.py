@@ -11,8 +11,8 @@ can be compared line by line:
 
 SRC is the `src` directory of the checkout to import medledger from.
 tests/golden/scenario_digests.txt holds these lines for seeds 1 to 3 and
-300 scenarios each, every line prefixed with its seed; a tier-1 test
-compares them.
+300 scenarios each, every line prefixed with its seed (golden_lines);
+tests/golden/regenerate.py writes it and a tier-1 test compares it.
 """
 
 from __future__ import annotations
@@ -124,6 +124,12 @@ def digest(seed: int, index: int) -> str:
     except Exception as exc:  # an undeclared error is a result to diff, not a crash
         outcome = f"UNDECLARED {type(exc).__name__}: {exc}\n"
     return hashlib.sha256(outcome.encode()).hexdigest()[:32]
+
+
+def golden_lines() -> list[str]:
+    """The lines of tests/golden/scenario_digests.txt: "SEED INDEX DIGEST"
+    for seeds 1 to 3, 300 scenarios each."""
+    return [f"{seed} {i} {digest(seed, i)}" for seed in (1, 2, 3) for i in range(300)]
 
 
 if __name__ == "__main__":
