@@ -11,11 +11,11 @@ note chain instead.
 Besides the chains, a Ledger keeps derived state rebuilt from them: the
 anchors, active codes, catalog head and closed set, the active catalog,
 and a per-patient type index (record type -> its (block, entry) holders
-in chain order). The type index is built on a patient's first typed op
-(a write's backlink lookup, a typed read, a report), extended by each
-medical append, shared by clones, and dropped by a tamper and by every
-rebuild (a load, a repair). Derived state is never evidence: verify_tree
-and repair read only the chains.
+in chain order, and whether their typed backlinks were found intact). It
+is built on a patient's first typed op (a write's backlink lookup, a
+typed read, a report), extended by each medical append, shared by clones,
+and dropped by a tamper and by every rebuild (a load, a repair). Derived
+state is never evidence: verify_tree and repair read only the chains.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ def require_code(code: str, catalog: bool = False) -> str:
     return code
 
 
-# a patient's type index: record type -> its (block, entry) holders, oldest first
-TypeIndex = dict[str, tuple[tuple[MedicalBlock, RecordEntry], ...]]
+# a patient's type index: record type -> (its (block, entry) holders, oldest
+# first; whether each holder's first entry of it links to the holder before)
+TypeIndex = dict[str, tuple[tuple[tuple[MedicalBlock, RecordEntry], ...], bool]]
 
 # looked up once: every index rebuild (a load, a repair, a clone) tests
 # each main-chain block, and an enum member lookup is slow
@@ -357,15 +358,21 @@ class Ledger:
         return block
 
     def _types(self, p: int) -> TypeIndex:
-        """The patient's type index, built by one pass over their medical
-        chain on first use. It is never changed in place: clones share it."""
+        """The patient's type index, built on first use by one pass over
+        their medical chain that also checks each holder's link (one
+        memoized hash). It is never changed in place: clones share it."""
         index = self._typed.get(p)
         if index is None:
             grouped: dict[str, list[tuple[MedicalBlock, RecordEntry]]] = {}
+            linked: dict[str, bool] = {}
             for blk in self.yellow.get(p, []):
                 for e in blk.entries:
-                    grouped.setdefault(e.record_type, []).append((blk, e))
-            index = self._typed[p] = {t: tuple(holders) for t, holders in grouped.items()}
+                    t, holders = e.record_type, grouped.setdefault(e.record_type, [])
+                    if not holders or holders[-1][0] is not blk:  # blk's first entry of type t
+                        older = cached_hash(holders[-1][0]) if holders else None
+                        linked[t] = linked.get(t, True) and e.prev_same_type == older
+                    holders.append((blk, e))
+            index = self._typed[p] = {t: (tuple(holders), linked[t]) for t, holders in grouped.items()}
         return index
 
     def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
@@ -383,9 +390,12 @@ class Ledger:
         chain.append(block)
         index = self._typed.get(p)
         if index is not None and entries:
+            # no link to check: write_record links each entry to the newest
+            # holder this index lists, and a close appends no entries
             index = self._typed[p] = dict(index)
             for e in entries:
-                index[e.record_type] = index.get(e.record_type, ()) + ((block, e),)
+                holders, linked = index.get(e.record_type, ((), True))
+                index[e.record_type] = (holders + ((block, e),), linked)
         return block
 
     # -- public operations -----------------------------------------------------
@@ -426,7 +436,7 @@ class Ledger:
         # write, so entries of one type in one block share their backlink
         index = self._types(patient)
         built = tuple(
-            RecordEntry(t, payload, cached_hash(index[t][-1][0]) if t in index else None)
+            RecordEntry(t, payload, cached_hash(index[t][0][-1][0]) if t in index else None)
             for t, payload in entries
         )
         medical = self._append_medical(patient, built, is_final=False)
@@ -452,7 +462,7 @@ class Ledger:
                     matches = [(blk.coord, e) for e in blk.entries]
                     break
         else:
-            matches = [(blk.coord, e) for blk, e in self._types(patient).get(query, ())]
+            matches = [(blk.coord, e) for blk, e in self._types(patient).get(query, ((), True))[0]]
         log = self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"READ:{query}"
         )
@@ -523,29 +533,16 @@ class Ledger:
         """History of one record type, newest first, by following the typed
         backlinks from the most recent occurrence. One log block total.
 
-        The patient's type index lists the entries of the type. When each
-        holder's first typed entry links to the next older holder (one
-        memoized hash per holder), following the links visits exactly that
-        list, newest first; so an intact history costs the size of the
-        report. Only when a link skips the next older holder (a tampered
-        chain) is a hash map of the chain built: the report keeps the
-        holders down to the newest such link and follows the links as they
-        are from there.
+        When the type index found the type's holders linked, those links
+        visit exactly its holders, so the report lists them, at the cost of
+        its size; otherwise (a tampered chain) it walks the links.
         """
         tick = self._admit("report", cred, patient, place)
-        typed = self._types(patient).get(record_type, ())
-        report = [(blk.coord, e.payload) for blk, e in reversed(typed)]
-        older, broken, holders = None, None, 0
-        for n, (blk, e) in enumerate(typed):
-            if blk is not older:
-                if e.prev_same_type != (None if older is None else cached_hash(older)):
-                    broken = n, holders, e.prev_same_type
-                holders += 1
-                older = blk
-        if broken is not None:
-            n, older_holders, link = broken
-            del report[len(typed) - n :]
-            report += _follow_backlinks(self.yellow[patient], record_type, link, holders - older_holders)
+        holders, linked = self._types(patient).get(record_type, ((), True))
+        if linked:
+            report = [(blk.coord, e.payload) for blk, e in reversed(holders)]
+        else:
+            report = _follow_backlinks(self.yellow[patient], record_type, holders[-1][0])
         self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"REPORT:{record_type}"
         )
@@ -607,20 +604,19 @@ def _catalog_walk(
 
 
 def _follow_backlinks(
-    chain: list[MedicalBlock], record_type: str, link: Digest | None, hops: int
+    chain: list[MedicalBlock], record_type: str, newest: MedicalBlock
 ) -> list[tuple[BlockCoord, bytes]]:
-    """The report entries reached from link through a hash map of the chain,
-    after hops holders already walked. A tampered link may point anywhere,
-    so the walk stops after len(chain) + 1 holders in all."""
+    """The report entries of the holders reached from newest by the typed
+    backlinks, through a hash map of the chain. A tampered link may point
+    anywhere, so the walk stops after len(chain) + 1 holders."""
     by_hash = {cached_hash(blk): blk for blk in chain}
     found: list[tuple[BlockCoord, bytes]] = []
-    cursor = by_hash.get(link) if link else None
+    cursor, hops = newest, 0
     while cursor is not None and hops <= len(chain):
         typed = [e for e in cursor.entries if e.record_type == record_type]
         for e in reversed(typed):
             found.append((cursor.coord, e.payload))
-        nxt = typed[0].prev_same_type if typed else None
-        cursor = by_hash.get(nxt) if nxt else None
+        cursor = by_hash.get(typed[0].prev_same_type) if typed else None
         hops += 1
     return found
 

@@ -216,15 +216,31 @@ def grouped_scan(chain: list[MedicalBlock]) -> dict[str, list[tuple[int, int]]]:
     return grouped
 
 
+def links_intact(chain: list[MedicalBlock], record_type: str) -> bool:
+    """Whether each block of a medical chain holding the type links, by its
+    first entry of the type, to the block holding it before (None for the
+    first), checked against cached_hash of that block."""
+    older = None
+    for blk in chain:
+        first = next((e for e in blk.entries if e.record_type == record_type), None)
+        if first is not None:
+            if first.prev_same_type != (None if older is None else cached_hash(older)):
+                return False
+            older = blk
+    return True
+
+
 def stale_type_indexes(ledger: Ledger) -> list[int]:
     """The patients whose built type index differs from a fresh grouping
-    scan of their medical chain."""
-    return [
-        p
-        for p, index in ledger._typed.items()
-        if {t: [(id(blk), id(e)) for blk, e in holders] for t, holders in index.items()}
-        != grouped_scan(ledger.yellow.get(p, []))
-    ]
+    scan of their medical chain, or whose linked flag for a type differs
+    from a fresh links_intact check."""
+    stale = []
+    for p, index in ledger._typed.items():
+        chain = ledger.yellow.get(p, [])
+        holders = {t: [(id(blk), id(e)) for blk, e in typed] for t, (typed, _) in index.items()}
+        if holders != grouped_scan(chain) or any(linked != links_intact(chain, t) for t, (_, linked) in index.items()):
+            stale.append(p)
+    return stale
 
 
 def newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:

@@ -196,13 +196,14 @@ def test_reads_and_reports_equal_the_per_block_and_by_hash_walks_on_tampered_cha
     """Exactness law: a read returns what one comprehension per block
     returned, and a report what the walk through a hash map of the whole
     chain returned, on seeded chains with tampered links, types and
-    payloads (tests/scenarios.py never tampers these fields, so its
-    golden digests do not reach the report's fallback walk).
+    payloads. This law is what reaches the report's walk of the links:
+    tests/scenarios.py tampers entry payloads too, but none of its 900
+    pinned scenarios runs a report on a type whose links a tamper broke.
 
     The law is restricted to chains whose block hashes are pairwise
     distinct. With two equal hashes the map keeps only the newer block,
-    while the report checks a link against the holder it expects, so the
-    two may part. Every chain a verified load accepts has distinct hashes,
+    while the type index checks a link against the holder it expects, so
+    the two may part. Every chain a verified load accepts has distinct hashes,
     and so does every chain a CLI or sim tamper can make: a block's
     coordinate is its position, and a string tamper cannot change one.
     """
@@ -409,13 +410,14 @@ def test_a_clone_and_its_source_never_see_each_others_writes_closes_or_tampers()
 
 def _corrupted_type_indexes(ledger, how: str) -> None:
     """Replace every patient's type index with a wrong one: empty, each
-    type's holders reversed, or each type given another type's holders."""
+    type's holders reversed and its linked flag negated, or each type given
+    another type's holders and flag."""
     for p in ledger.patients():
         index = ledger._types(p)
         if how == "empty":
             ledger._typed[p] = {}
         elif how == "reversed":
-            ledger._typed[p] = {t: holders[::-1] for t, holders in index.items()}
+            ledger._typed[p] = {t: (holders[::-1], not linked) for t, (holders, linked) in index.items()}
         else:
             types = sorted(index)
             ledger._typed[p] = {t: index[types[n - 1]] for n, t in enumerate(types)}
