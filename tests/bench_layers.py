@@ -52,9 +52,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
 
-import pytest  # noqa: E402
-
-from helpers import AUTHORITY, DOCTOR, count_calls  # noqa: E402
+from helpers import AUTHORITY, DOCTOR, counted  # noqa: E402
 from helpers import CATALOG as STORE_CATALOG  # noqa: E402
 from medledger import blocks, merkle, store  # noqa: E402
 from medledger.ledger import Ledger, verify_tree  # noqa: E402
@@ -80,16 +78,6 @@ def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict
         samples.append((time.perf_counter() - start) * 1000 / batch)
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {"p25": round(q1, digits), "p50": round(median, digits), "p75": round(q3, digits)}
-
-
-def counted(fn, *originals, fresh=tuple) -> dict[str, int]:
-    """The calls of each original, keyed "module.name", in one call of
-    fn(*fresh()); fresh() itself is not counted."""
-    args = fresh()
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        counts = {f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}": count_calls(monkeypatch, f) for f in originals}
-        fn(*args)
-    return {name: calls[0] for name, calls in counts.items()}
 
 
 # -- load ----------------------------------------------------------------------

@@ -35,11 +35,11 @@ HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE.parent))  # the tests' helpers
 
 from helpers import (  # noqa: E402
+    cost_count_lines,
     criterion7_ledger,
     criterion7_ledger_with_note,
     decode_outcome_digests,
     encode_outcome_lines,
-    cost_count_lines,
     encode_pair_outcome_digests,
     store_image,
     tree_check_cases,

@@ -151,34 +151,39 @@ def _command(cred: Credential, verb: str, **args: str) -> Command:
     return Command(verb, cred.actor_id, cred.role, cred.valid, tuple(args.items()))
 
 
+def counted(fn, *originals, fresh=tuple) -> dict[str, int]:
+    """The calls of each original, keyed "module.name", in one call of
+    fn(*fresh()); fresh() itself is not counted."""
+    args = fresh()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = {f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}": count_calls(monkeypatch, f) for f in originals}
+        fn(*args)
+    return {name: calls[0] for name, calls in counts.items()}
+
+
 def cost_count_lines() -> list[str]:
     """One golden line "OP COUNTER CALLS" per op and counter: the
     cached_hash, block_hash and merkle.sha256 calls of a write, a typed
     read, a latest read and a report on patient 1 of long_history_ledger,
     each on a fresh clone, and of a 3-node Network.propose of a write and
     then of a read. Counts only: they are exact on any machine."""
+    counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
-    net = Network(SimConfig(3, seed=1), CATALOG)
-    net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
-    ops = {
+    on_clone = {
         "long_history.write": lambda led: led.write_record(DOCTOR, 1, [("xray", b"v")]),
         "long_history.read": lambda led: led.read_record(DOCTOR, 1, "xray"),
         "long_history.read_latest": lambda led: led.read_record(DOCTOR, 1, "latest"),
         "long_history.report": lambda led: led.assemble_report(DOCTOR, 1, "xray"),
-        "network3.propose_write": lambda _: net.propose("n1", _command(DOCTOR, "write", patient="1", entry="xray:v")),
-        "network3.propose_read": lambda _: net.propose("n1", _command(DOCTOR, "read", patient="1", query="xray")),
     }
-    lines = []
-    for name, op in ops.items():
-        led = history.clone()
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            counts = {
-                f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}": count_calls(monkeypatch, f)
-                for f in (blocks.cached_hash, blocks.block_hash, merkle.sha256)
-            }
-            op(led)
-        lines += [f"{name} {counter} {calls[0]}" for counter, calls in counts.items()]
-    return lines
+    counts = {name: counted(op, *counters, fresh=lambda: (history.clone(),)) for name, op in on_clone.items()}
+    net = Network(SimConfig(3, seed=1), CATALOG)
+    net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
+    on_network = {
+        "network3.propose_write": lambda: net.propose("n1", _command(DOCTOR, "write", patient="1", entry="xray:v")),
+        "network3.propose_read": lambda: net.propose("n1", _command(DOCTOR, "read", patient="1", query="xray")),
+    }
+    counts |= {name: counted(op, *counters) for name, op in on_network.items()}
+    return [f"{name} {counter} {calls}" for name, by_counter in counts.items() for counter, calls in by_counter.items()]
 
 
 def scan_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:
