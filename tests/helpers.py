@@ -161,21 +161,36 @@ def counted(fn, *originals, fresh=tuple) -> dict[str, int]:
     return {name: calls[0] for name, calls in counts.items()}
 
 
+def rebuilt(ledger: Ledger) -> Ledger:
+    """A Ledger rebuilt from copies of the ledger's chains, as a load or a
+    repair leaves one: same blocks, hash memos set, no type index built."""
+    yellow, red = ({p: list(c) for p, c in table.items()} for table in (ledger.yellow, ledger.red))
+    return Ledger(list(ledger.main_chain), yellow, red, list(ledger.global_audit), ledger.clock)
+
+
 def cost_count_lines() -> list[str]:
     """One golden line "OP COUNTER CALLS" per op and counter: the
     cached_hash, block_hash and merkle.sha256 calls of a write, a typed
     read, a latest read and a report on patient 1 of long_history_ledger,
-    each on a fresh clone, and of a 3-node Network.propose of a write and
-    then of a read. Counts only: they are exact on any machine."""
+    each on a fresh clone; of a report, a typed read and a write on a
+    fresh Ledger rebuilt from its chains, its first typed op; and of a
+    3-node Network.propose of a write and then of a read. Counts only:
+    they are exact on any machine."""
     counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
-    on_clone = {
-        "long_history.write": lambda led: led.write_record(DOCTOR, 1, [("xray", b"v")]),
-        "long_history.read": lambda led: led.read_record(DOCTOR, 1, "xray"),
-        "long_history.read_latest": lambda led: led.read_record(DOCTOR, 1, "latest"),
-        "long_history.report": lambda led: led.assemble_report(DOCTOR, 1, "xray"),
+    ops = {
+        "write": lambda led: led.write_record(DOCTOR, 1, [("xray", b"v")]),
+        "read": lambda led: led.read_record(DOCTOR, 1, "xray"),
+        "read_latest": lambda led: led.read_record(DOCTOR, 1, "latest"),
+        "report": lambda led: led.assemble_report(DOCTOR, 1, "xray"),
     }
-    counts = {name: counted(op, *counters, fresh=lambda: (history.clone(),)) for name, op in on_clone.items()}
+    counts = {
+        f"long_history.{name}": counted(op, *counters, fresh=lambda: (history.clone(),)) for name, op in ops.items()
+    }
+    counts |= {
+        f"long_history.{name}_rebuilt": counted(ops[name], *counters, fresh=lambda: (rebuilt(history),))
+        for name in ("report", "read", "write")
+    }
     net = Network(SimConfig(3, seed=1), CATALOG)
     net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
     on_network = {
