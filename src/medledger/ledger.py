@@ -11,11 +11,14 @@ note chain instead.
 Besides the chains, a Ledger keeps derived state rebuilt from them: the
 anchors, active codes, catalog head and closed set, the active catalog,
 and a per-patient type index (record type -> its (block, entry) holders
-in chain order, and whether their typed backlinks were found intact). It
-is built on a patient's first typed op (a write's backlink lookup, a
-typed read, a report), extended by each medical append, shared by clones,
-and dropped by a tamper and by every rebuild (a load, a repair). Derived
-state is never evidence: verify_tree and repair read only the chains.
+in chain order). It is built on a patient's first typed op (a write's
+backlink lookup, a typed read, a report), extended by each medical
+append, shared by clones, and dropped by a tamper and by every rebuild (a
+load, a repair). Derived state is never evidence: repair reads only the
+chains, and verify_tree reads the chains and compares two derived facts
+with them, the catalog head (catalog_head) and the closed set
+(closed_flag). The typed backlinks are tamper evidence that verify_tree
+checks; reads and reports list the index's holders and never follow them.
 """
 
 from __future__ import annotations
@@ -81,9 +84,8 @@ def require_code(code: str, catalog: bool = False) -> str:
     return code
 
 
-# a patient's type index: record type -> (its (block, entry) holders, oldest
-# first; whether each holder's first entry of it links to the holder before)
-TypeIndex = dict[str, tuple[tuple[tuple[MedicalBlock, RecordEntry], ...], bool]]
+# a patient's type index: record type -> its (block, entry) holders, oldest first
+TypeIndex = dict[str, tuple[tuple[MedicalBlock, RecordEntry], ...]]
 
 # looked up once: every index rebuild (a load, a repair, a clone) tests
 # each main-chain block, and an enum member lookup is slow
@@ -359,25 +361,22 @@ class Ledger:
 
     def _types(self, p: int) -> TypeIndex:
         """The patient's type index, built on first use by one pass over
-        their medical chain that also checks each holder's link (one
-        memoized hash). It is never changed in place: clones share it."""
+        their medical chain that groups its entries by record type; it
+        hashes nothing. It is never changed in place: clones share it."""
         index = self._typed.get(p)
         if index is None:
             grouped: dict[str, list[tuple[MedicalBlock, RecordEntry]]] = {}
-            linked: dict[str, bool] = {}
             for blk in self.yellow.get(p, []):
                 for e in blk.entries:
-                    t, holders = e.record_type, grouped.setdefault(e.record_type, [])
-                    if not holders or holders[-1][0] is not blk:  # blk's first entry of type t
-                        older = cached_hash(holders[-1][0]) if holders else None
-                        linked[t] = linked.get(t, True) and e.prev_same_type == older
-                    holders.append((blk, e))
-            index = self._typed[p] = {t: (tuple(holders), linked[t]) for t, holders in grouped.items()}
+                    grouped.setdefault(e.record_type, []).append((blk, e))
+            index = self._typed[p] = {t: tuple(holders) for t, holders in grouped.items()}
         return index
 
     def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
-        """Seal, link and append one block to the patient's medical chain,
-        and extend their type index, if built, with a new copy."""
+        """Seal, link and append one block to the patient's medical chain.
+        If their type index is built, replace it with a copy that lists
+        the block as the newest holder of each of its entries' types; a
+        clone sharing the old index keeps it."""
         chain = self.yellow[p]
         block = sealed(
             MedicalBlock(
@@ -390,12 +389,9 @@ class Ledger:
         chain.append(block)
         index = self._typed.get(p)
         if index is not None and entries:
-            # no link to check: write_record links each entry to the newest
-            # holder this index lists, and a close appends no entries
             index = self._typed[p] = dict(index)
             for e in entries:
-                holders, linked = index.get(e.record_type, ((), True))
-                index[e.record_type] = (holders + ((block, e),), linked)
+                index[e.record_type] = index.get(e.record_type, ()) + ((block, e),)
         return block
 
     # -- public operations -----------------------------------------------------
@@ -436,7 +432,7 @@ class Ledger:
         # write, so entries of one type in one block share their backlink
         index = self._types(patient)
         built = tuple(
-            RecordEntry(t, payload, cached_hash(index[t][0][-1][0]) if t in index else None)
+            RecordEntry(t, payload, cached_hash(index[t][-1][0]) if t in index else None)
             for t, payload in entries
         )
         medical = self._append_medical(patient, built, is_final=False)
@@ -462,7 +458,7 @@ class Ledger:
                     matches = [(blk.coord, e) for e in blk.entries]
                     break
         else:
-            matches = [(blk.coord, e) for blk, e in self._types(patient).get(query, ((), True))[0]]
+            matches = [(blk.coord, e) for blk, e in self._types(patient).get(query, ())]
         log = self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"READ:{query}"
         )
@@ -530,19 +526,18 @@ class Ledger:
     def assemble_report(
         self, cred: Credential, patient: int, record_type: str, place: str = "local"
     ) -> list[tuple[BlockCoord, bytes]]:
-        """History of one record type, newest first, by following the typed
-        backlinks from the most recent occurrence. One log block total.
+        """History of one record type: every entry of it in the patient's
+        medical chain, newest first, with its block's coordinate. One log
+        block total.
 
-        When the type index found the type's holders linked, those links
-        visit exactly its holders, so the report lists them, at the cost of
-        its size; otherwise (a tampered chain) it walks the links.
+        The report lists the type's holders from the patient's type index,
+        so it costs the size of its result. On every chain verify_tree
+        accepts, these are exactly the entries the typed backlinks reach
+        from the newest one; a tampered link hides none of them.
         """
         tick = self._admit("report", cred, patient, place)
-        holders, linked = self._types(patient).get(record_type, ((), True))
-        if linked:
-            report = [(blk.coord, e.payload) for blk, e in reversed(holders)]
-        else:
-            report = _follow_backlinks(self.yellow[patient], record_type, holders[-1][0])
+        holders = self._types(patient).get(record_type, ())
+        report = [(blk.coord, e.payload) for blk, e in reversed(holders)]
         self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"REPORT:{record_type}"
         )
@@ -601,24 +596,6 @@ def _catalog_walk(
         walk.append(catalogs[cursor])
         cursor = walk[-1].catalog.prev_catalog or ZERO_DIGEST
     return walk, cursor
-
-
-def _follow_backlinks(
-    chain: list[MedicalBlock], record_type: str, newest: MedicalBlock
-) -> list[tuple[BlockCoord, bytes]]:
-    """The report entries of the holders reached from newest by the typed
-    backlinks, through a hash map of the chain. A tampered link may point
-    anywhere, so the walk stops after len(chain) + 1 holders."""
-    by_hash = {cached_hash(blk): blk for blk in chain}
-    found: list[tuple[BlockCoord, bytes]] = []
-    cursor, hops = newest, 0
-    while cursor is not None and hops <= len(chain):
-        typed = [e for e in cursor.entries if e.record_type == record_type]
-        for e in reversed(typed):
-            found.append((cursor.coord, e.payload))
-        cursor = by_hash.get(typed[0].prev_same_type) if typed else None
-        hops += 1
-    return found
 
 
 # --- whole-tree verification ---------------------------------------------------

@@ -236,31 +236,15 @@ def grouped_scan(chain: list[MedicalBlock]) -> dict[str, list[tuple[int, int]]]:
     return grouped
 
 
-def links_intact(chain: list[MedicalBlock], record_type: str) -> bool:
-    """Whether each block of a medical chain holding the type links, by its
-    first entry of the type, to the block holding it before (None for the
-    first), checked against cached_hash of that block."""
-    older = None
-    for blk in chain:
-        first = next((e for e in blk.entries if e.record_type == record_type), None)
-        if first is not None:
-            if first.prev_same_type != (None if older is None else cached_hash(older)):
-                return False
-            older = blk
-    return True
-
-
 def stale_type_indexes(ledger: Ledger) -> list[int]:
     """The patients whose built type index differs from a fresh grouping
-    scan of their medical chain, or whose linked flag for a type differs
-    from a fresh links_intact check."""
-    stale = []
-    for p, index in ledger._typed.items():
-        chain = ledger.yellow.get(p, [])
-        holders = {t: [(id(blk), id(e)) for blk, e in typed] for t, (typed, _) in index.items()}
-        if holders != grouped_scan(chain) or any(linked != links_intact(chain, t) for t, (_, linked) in index.items()):
-            stale.append(p)
-    return stale
+    scan of their medical chain."""
+    return [
+        p
+        for p, index in ledger._typed.items()
+        if {t: [(id(blk), id(e)) for blk, e in typed] for t, typed in index.items()}
+        != grouped_scan(ledger.yellow.get(p, []))
+    ]
 
 
 def newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBlock | None:
@@ -273,25 +257,6 @@ def newest_with_type(chain: list[MedicalBlock], record_type: str) -> MedicalBloc
     )
 
 
-def by_hash_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:
-    """assemble_report's result as a walk through a hash map of the whole
-    medical chain computed it, from the newest holder of the type and for
-    at most len(chain) + 1 holders."""
-    chain = ledger.yellow.get(p, [])
-    by_hash = {cached_hash(blk): blk for blk in chain}
-    report: list[tuple[BlockCoord, bytes]] = []
-    cursor = newest_with_type(chain, record_type)
-    hops = 0
-    while cursor is not None and hops <= len(chain):
-        typed = [e for e in cursor.entries if e.record_type == record_type]
-        for e in reversed(typed):
-            report.append((cursor.coord, e.payload))
-        nxt = typed[0].prev_same_type if typed else None
-        cursor = by_hash.get(nxt) if nxt else None
-        hops += 1
-    return report
-
-
 HISTORY_TYPES = ("blood_test", "xray", "ecg")
 
 
@@ -301,11 +266,7 @@ def tampered_history(rng: random.Random) -> tuple[Ledger, int]:
     entry's prev_same_type, record_type or payload.
 
     A link is tampered to None, the zero digest, or the hash of an older
-    block, the same block or a newer one. Honest hashes cannot close a
-    cycle of links: a link would have to name a hash that depends on it.
-    So half the tampers keep the block's old hash as its memo, as a second
-    preimage would, and a link to a newer holder then closes a cycle that
-    runs to the report's hop bound."""
+    block, the same block or a newer one."""
     ledger = fresh_ledger()
     p = ledger.onboard_patient(AUTHORITY, "FC000001", {"name": "n"})
     for _ in range(rng.randint(2, 8)):
@@ -316,8 +277,7 @@ def tampered_history(rng: random.Random) -> tuple[Ledger, int]:
     chain = ledger.yellow[p]
     for _ in range(rng.randint(0, 3)):
         k = rng.randrange(len(chain))
-        old = chain[k]
-        i = rng.randrange(len(old.entries))
+        i = rng.randrange(len(chain[k].entries))
         field = rng.choice(["prev_same_type"] * 4 + ["record_type", "payload"])
         if field == "prev_same_type":
             older, newer = rng.choice(chain[: k + 1]), rng.choice(chain[k:])
@@ -327,8 +287,6 @@ def tampered_history(rng: random.Random) -> tuple[Ledger, int]:
         else:
             value = f"w{rng.randrange(100)}".encode()
         ledger.tamper("yellow", p, k + 1, f"entry.{i}.{field}", value)
-        if rng.random() < 0.5:
-            object.__setattr__(chain[k], "hash_memo", cached_hash(old))
     return ledger, p
 
 

@@ -25,7 +25,6 @@ from helpers import (
     AUTHORITY,
     DOCTOR,
     INVALID,
-    by_hash_report_oracle,
     count_calls,
     criterion7_ledger,
     empty_code_ledger,
@@ -568,31 +567,30 @@ def test_report_on_closed_patient_returns_full_history():
     assert [payload for _, payload in report] == [b"b2", b"b1"]
 
 
-def test_a_report_walks_the_links_after_a_broken_one_also_after_a_write_and_in_a_clone(monkeypatch):
-    """A tampered link clears its type's linked flag when the type index is
-    built again. A later write and a clone keep the flag cleared, so each
-    report walks the links, equals the by-hash walk and lists fewer entries
-    than the holders: the tamper cut the history at block 2."""
+def test_a_report_lists_every_holder_after_a_broken_link_also_after_a_write_and_in_a_clone():
+    """A tampered typed backlink hides no entry: verify_tree locates it
+    (and the next holder's link to the block whose hash it changed), and a
+    report lists every holder of the type, newest first, on the tampered
+    ledger, after a later write and in a clone of it."""
     ledger = fresh_ledger()
     p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
     for v in range(4):
         ledger.write_record(DOCTOR, p, [("xray", b"x%d" % v)])
     ledger.tamper("yellow", p, 2, "entry.0.prev_same_type", None)
-    walks = count_calls(monkeypatch, ledger_mod._follow_backlinks)
+    assert [v.coord for v in verify_tree(ledger) if v.check == "entry_backlink"] == ["1.2", "1.3"]
 
     def reported(led) -> list[bytes]:
         report = led.assemble_report(DOCTOR, p, "xray")
-        assert report == by_hash_report_oracle(led, p, "xray")
+        assert report == scan_report_oracle(led, p, "xray")
         return [payload for _, payload in report]
 
-    assert reported(ledger) == [b"x3", b"x2"]
+    assert reported(ledger) == [b"x3", b"x2", b"x1", b"x0"]
     ledger.write_record(DOCTOR, p, [("xray", b"x4")])
     twin = ledger.clone()
-    assert reported(ledger) == reported(twin) == [b"x4", b"x3", b"x2"]
+    assert reported(ledger) == reported(twin) == [b"x4", b"x3", b"x2", b"x1", b"x0"]
     twin.write_record(DOCTOR, p, [("xray", b"x5")])
-    assert reported(twin) == [b"x5", b"x4", b"x3", b"x2"]
-    assert reported(ledger) == [b"x4", b"x3", b"x2"]
-    assert walks[0] == 5
+    assert reported(twin) == [b"x5", b"x4", b"x3", b"x2", b"x1", b"x0"]
+    assert reported(ledger) == [b"x4", b"x3", b"x2", b"x1", b"x0"]
 
 
 def test_unknown_patient_writes_global_audit_note():

@@ -263,6 +263,23 @@ def test_scripted_tamper_and_repair_round_trip():
     assert len(finals) == 1
 
 
+def test_a_tampered_typed_backlink_on_one_replica_changes_no_report():
+    """A report lists every entry of its type on every replica, so a node
+    whose typed backlink was rewritten to the zero digest commits the
+    same report as the others instead of diverging from them."""
+    writes = "".join(
+        f"{n + 2} n1 write actor=drb role=doctor valid=1 patient=1 entry=xray:v{n}\n" for n in range(3)
+    )
+    script = f"""
+1 n1 onboard actor=reg role=authority valid=1 code=FC001 info.name=Mario
+{writes}5 n2 tamper chain=yellow patient=1 index=2 field=entry.0.prev_same_type value={"00" * 32}
+6 n3 report actor=drb role=doctor valid=1 patient=1 type=xray
+"""
+    transcript = run_scenario(SimConfig(node_count=3, seed=1), script, CATALOG)
+    assert "TAMPER tick=5 node=n2 chain=yellow patient=1 index=2 field=entry.0.prev_same_type status=ok" in transcript
+    assert transcript.splitlines()[-4] == "APPLY seq=5 outcome=ok result=entries:3"
+
+
 def test_heavy_drops_reject_some_commands_deterministically():
     script = (GOLDEN / "lifecycle.script").read_text()
     transcript = run_scenario(SimConfig(node_count=5, seed=13, drop_rate=0.6), script, CATALOG)
