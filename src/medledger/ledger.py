@@ -647,7 +647,7 @@ def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = No
     owners, catalogs, last_catalog, lineage_violations = _main_facts(main, main_hashes)
     if catalogs and ledger.catalog_head != last_catalog:
         v.append(Violation("MAIN", "-", "catalog_head", "head does not match last catalog block"))
-    stop = _catalog_walk(catalogs, ledger.catalog_head)[1]
+    stop = _catalog_walk(catalogs, last_catalog)[1]
     if stop != ZERO_DIGEST and stop not in catalogs:
         v.append(Violation("MAIN", "-", "catalog_chain", f"dangling catalog link {stop.hex()[:12]}"))
 

@@ -611,6 +611,26 @@ def test_multiple_entries_of_same_type_in_one_block_share_backlink():
     assert [payload for _, payload in report] == [b"e3", b"e2", b"e1"]
 
 
+def test_verify_tree_walks_the_catalog_chain_from_its_newest_catalog_block():
+    """verify_tree walks the catalog links from the newest catalog block
+    the chain holds, not from the ledger's catalog head. After a raw tamper
+    of the newest catalog block in memory, the stale head is reported once,
+    as catalog_head, and not again as a dangling link that no block holds;
+    a dangling link the chain holds is still reported."""
+    ledger = fresh_ledger()
+    block = ledger.update_catalog(AUTHORITY, [("mri", "MRI scan")])
+    ledger.tamper("main", 0, block.coord.patient, "fiscal_code", "forged")
+    stale = [
+        "MAIN 1 self_hash stored hash does not recompute",
+        "MAIN - catalog_head head does not match last catalog block",
+    ]
+    assert [str(v) for v in verify_tree(ledger)] == stale
+    dangling = bytes(32)[:-1] + b"\x01"
+    ledger.main_chain[1] = replace(block, catalog=replace(block.catalog, prev_catalog=dangling))
+    held = f"MAIN - catalog_chain dangling catalog link {dangling.hex()[:12]}"
+    assert [str(v) for v in verify_tree(ledger)] == stale + [held]
+
+
 def test_verify_tree_clean_after_mixed_operations():
     ledger = fresh_ledger()
     p = ledger.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
