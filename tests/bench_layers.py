@@ -33,6 +33,9 @@ is timed once per clone: after it, mri is the newest block's type.
 read_typed_after_write times one typed read per clone, right after an
 untimed write of that type: the write replaced the patient's type index
 the clone shared with its source, and the read uses the new one.
+report_rebuilt times one report per sample on a Ledger rebuilt from the
+chains, as a load or a repair leaves one; the rebuild is untimed, and the
+report is the first typed op, so it builds the patient's type index.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
 
-from helpers import AUTHORITY, DOCTOR, counted  # noqa: E402
+from helpers import AUTHORITY, DOCTOR, counted, rebuilt  # noqa: E402
 from helpers import CATALOG as STORE_CATALOG  # noqa: E402
 from medledger import blocks, merkle, store  # noqa: E402
 from medledger.ledger import Ledger, verify_tree  # noqa: E402
@@ -197,30 +200,34 @@ def write(led: Ledger):
     return led.write_record(DOCTOR, PATIENT, [(TYPE, b"v")])
 
 
-# op -> (the timed call, calls per sample, whether its clone is written once first)
-ACCESS_OPS = {
-    "read_typed": (read_typed, 50, False),
-    "read_latest": (lambda led: led.read_record(DOCTOR, PATIENT, "latest"), 200, False),
-    "report": (lambda led: led.assemble_report(DOCTOR, PATIENT, TYPE), 50, False),
-    "write": (write, 200, False),
-    "write_new_type": (lambda led: led.write_record(DOCTOR, PATIENT, [(NEW_TYPE, b"v")]), 1, False),
-    "read_typed_after_write": (read_typed, 1, True),
-}
+def report(led: Ledger):
+    return led.assemble_report(DOCTOR, PATIENT, TYPE)
 
 
-def fresh_clone(led: Ledger, written: bool) -> tuple[Ledger]:
+def written_clone(led: Ledger) -> Ledger:
     dup = led.clone()
-    if written:
-        write(dup)
-    return (dup,)
+    write(dup)
+    return dup
+
+
+# op -> (the timed call, calls per sample, the untimed copy of the ledger each sample runs on)
+ACCESS_OPS = {
+    "read_typed": (read_typed, 50, Ledger.clone),
+    "read_latest": (lambda led: led.read_record(DOCTOR, PATIENT, "latest"), 200, Ledger.clone),
+    "report": (report, 50, Ledger.clone),
+    "write": (write, 200, Ledger.clone),
+    "write_new_type": (lambda led: led.write_record(DOCTOR, PATIENT, [(NEW_TYPE, b"v")]), 1, Ledger.clone),
+    "read_typed_after_write": (read_typed, 1, written_clone),
+    "report_rebuilt": (report, 1, rebuilt),
+}
 
 
 def access_section(reps: int, patients: int) -> dict:
     ledgers = {"long_history": build(4, 1200), "replicated_sim": build(200, 2, close_every=25)}
     runs = {
-        f"{name}.{op_name}": (op, batch, lambda led=led, written=written: fresh_clone(led, written))
+        f"{name}.{op_name}": (op, batch, lambda led=led, copy=copy: (copy(led),))
         for name, led in ledgers.items()
-        for op_name, (op, batch, written) in ACCESS_OPS.items()
+        for op_name, (op, batch, copy) in ACCESS_OPS.items()
     }
     return {
         "reps": reps,

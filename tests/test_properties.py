@@ -408,10 +408,13 @@ def _corrupted_type_indexes(ledger, how: str) -> None:
 
 
 def test_verify_tree_and_repair_read_no_type_index():
-    """Evidence law: derived state is never evidence. verify_tree and
+    """Evidence law: the type index is never evidence. verify_tree and
     repair_replicas return the same violations and repair entries when
     every type index has been replaced by a wrong one, on honest trees and
-    on trees with tampered entries."""
+    on trees with tampered entries. Repair reads only the chains;
+    verify_tree also reads two derived facts, the catalog head and the
+    closed set, and only to compare them with the chains (its catalog_head
+    and closed_flag checks)."""
     seen: Counter[str] = Counter()
     for seed in range(60):
         rng = random.Random(seed)
