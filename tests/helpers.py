@@ -174,8 +174,9 @@ def cost_count_lines() -> list[str]:
     read, a latest read and a report on patient 1 of long_history_ledger,
     each on a fresh clone; of a report, a typed read and a write on a
     fresh Ledger rebuilt from its chains, its first typed op; and of a
-    3-node Network.propose of a write and then of a read. Counts only:
-    they are exact on any machine."""
+    Network.propose of a write, a typed read, a report and a write that
+    the catalog refuses, in that order, on one 3-node and one 15-node
+    network. Counts only: they are exact on any machine."""
     counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
     ops = {
@@ -191,13 +192,19 @@ def cost_count_lines() -> list[str]:
         f"long_history.{name}_rebuilt": counted(ops[name], *counters, fresh=lambda: (rebuilt(history),))
         for name in ("report", "read", "write")
     }
-    net = Network(SimConfig(3, seed=1), CATALOG)
-    net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
-    on_network = {
-        "network3.propose_write": lambda: net.propose("n1", _command(DOCTOR, "write", patient="1", entry="xray:v")),
-        "network3.propose_read": lambda: net.propose("n1", _command(DOCTOR, "read", patient="1", query="xray")),
+    proposals = {
+        "write": _command(DOCTOR, "write", patient="1", entry="xray:v"),
+        "read": _command(DOCTOR, "read", patient="1", query="xray"),
+        "report": _command(DOCTOR, "report", patient="1", type="xray"),
+        "refused_write": _command(DOCTOR, "write", patient="1", entry="unknown:v"),
     }
-    counts |= {name: counted(op, *counters) for name, op in on_network.items()}
+    for nodes in (3, 15):
+        net = Network(SimConfig(nodes, seed=1), CATALOG)
+        net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
+        counts |= {
+            f"network{nodes}.propose_{name}": counted(net.propose, *counters, fresh=lambda c=command: ("n1", c))
+            for name, command in proposals.items()
+        }
     return [f"{name} {counter} {calls}" for name, by_counter in counts.items() for counter, calls in by_counter.items()]
 
 
