@@ -15,7 +15,16 @@ from pathlib import Path
 from . import store
 from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
 from .ledger import Ledger, Role, require_code
-from .network import DEFAULT_CATALOG, Command, SimConfig, repair_replicas, require_utf8, run_scenario, split_token
+from .network import (
+    DEFAULT_CATALOG,
+    Command,
+    SimConfig,
+    canonical_int,
+    repair_replicas,
+    require_utf8,
+    run_scenario,
+    split_token,
+)
 
 
 def _catalog(tokens: list[str]) -> list[tuple[str, str]]:
@@ -125,9 +134,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tamper(args) -> int:
+    try:
+        patient, index = canonical_int(args.patient), canonical_int(args.index)
+    except ValueError as exc:
+        raise CommandError(f"tamper {exc}") from None
     with store.session(args.dir, raw=True) as (ledger, commit):
         try:
-            ledger.tamper(args.chain, args.patient, args.index, args.field, args.value)
+            ledger.tamper(args.chain, patient, index, args.field, args.value)
         except (NoSuchBlock, ValueError) as exc:
             raise StorageError(f"cannot tamper with {Path(args.dir)}: {exc}") from None
         commit()
@@ -197,7 +210,7 @@ def _ledger_verb(sub, verb: str, help_text: str, patient: bool = True) -> argpar
     )
     parser.add_argument("--place", default="cli", help="node identifier recorded in logs")
     if patient:
-        parser.add_argument("--patient", type=int, required=True)
+        parser.add_argument("--patient", required=True)  # Command.patient parses it
     parser.set_defaults(fn=_cmd_ledger)
     return parser
 
@@ -243,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tamper", help="raw-edit one stored block (integrity testing)")
     p.add_argument("--dir", required=True)
     p.add_argument("--chain", required=True, choices=["main", "yellow", "red"])
-    p.add_argument("--patient", type=int, default=0)
-    p.add_argument("--index", type=int, required=True, help="main position or 1-based record/log index")
+    p.add_argument("--patient", default="0")
+    p.add_argument("--index", required=True, help="main position or 1-based record/log index")
     p.add_argument("--field", required=True)
     p.add_argument("--value", required=True)
     p.set_defaults(fn=_cmd_tamper)

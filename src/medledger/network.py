@@ -64,6 +64,16 @@ def split_token(token: str, sep: str, shape: str) -> tuple[str, str]:
     return left, right
 
 
+def canonical_int(text: str) -> int:
+    """The integer text names, or ValueError: only the text str() writes
+    for an integer names one, so "1_0", "+1", " 1", "01" and digits of
+    other scripts, which int() reads, name none."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not an integer")
+    return value
+
+
 def require_utf8(texts) -> None:
     """Refuse with CommandError the first string that does not encode as UTF-8."""
     for text in texts:
@@ -99,7 +109,7 @@ class Command:
     def patient(self) -> int:
         text = self.need("patient")
         try:
-            return int(text)
+            return canonical_int(text)
         except ValueError:
             raise CommandError(f"patient {text!r} is not an integer") from None
 
@@ -269,13 +279,28 @@ class Network:
     def _apply_everywhere(self, command: Command, parsed: tuple) -> tuple[str, str]:
         """Apply the command, parsed once, on every replica, then refuse an
         outcome that differs from the first replica's, naming the first
-        node that diverged."""
+        node that diverged.
+
+        The first replica seals the blocks it appends. They are offered, in
+        seal order, to each other replica while it applies, and a replica
+        takes one only where it built a block equal to it field for field
+        (Ledger._seal); a replica that diverged seals its own. So a commit
+        costs one seal per appended block, whatever the node count, and
+        honest replicas share each committed block object."""
         outcomes: list[tuple[str, str]] = []
+        offered: list[Block] = []
         for nid in self.approved:
+            replica = self.nodes[nid].replica
+            done: list[Block] = []
+            replica._seal_share = (offered, done)
             try:
-                outcomes.append(("ok", command.apply(self.nodes[nid].replica, parsed)))
+                outcomes.append(("ok", command.apply(replica, parsed)))
             except LedgerError as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
+            finally:
+                replica._seal_share = None
+            if len(outcomes) == 1:
+                offered = done
         for nid, this in zip(self.approved, outcomes):
             if this != outcomes[0]:
                 raise ReplicaDivergence(
@@ -451,7 +476,8 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
             chain, field = arg.get("chain"), arg.get("field")
             patient, index = arg.get("patient", "0"), arg.get("index", "0")
             try:
-                net.tamper(step.node, chain or "", int(patient), int(index), field or "", arg.get("value") or "")
+                where = canonical_int(patient), canonical_int(index)
+                net.tamper(step.node, chain or "", *where, field or "", arg.get("value") or "")
                 status = "ok"
             except (NoSuchBlock, ValueError) as exc:
                 status = f"error:{type(exc).__name__}"

@@ -18,6 +18,7 @@ from medledger.ledger import Credential, Ledger, Role
 from helpers import CATALOG, count_calls, empty_code_ledger, store_image
 
 GOLDEN = Path(__file__).parent / "golden"
+NOT_CANONICAL = ("1_0", "+1", " 1", "01", "\u0663")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -642,6 +643,13 @@ def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, caps
         ["change-code", "--dir", d, "--actor", "reg", "--role", "authority", "--patient", "1", "--new-code", ""],
         ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority", "--entry", ":Empty"],
         ["catalog-add", "--dir", d, "--actor", "reg", "--role", "authority", "--entry", "latest:Latest"],
+        # int() reads each of these, but only the text str() writes names a patient or an index
+        *(["write", "--dir", d, "--actor", "drb", "--role", "doctor", f"--patient={text}", "--entry", "blood_test:v"]
+          for text in NOT_CANONICAL),
+        *(["tamper", "--dir", d, "--chain", "main", f"--patient={text}", "--index", "1", "--field", "place",
+           "--value", "x"] for text in NOT_CANONICAL),
+        *(["tamper", "--dir", d, "--chain", "main", f"--index={text}", "--field", "fiscal_code", "--value", "x"]
+          for text in NOT_CANONICAL),
     ):
         assert main(argv) == 2, argv
         assert {f.name: f.read_bytes() for f in Path(d).iterdir()} == before, argv
@@ -649,6 +657,13 @@ def test_malformed_command_tokens_exit_2_with_the_store_unchanged(tmp_path, caps
     for catalog in (["blood_test"], [":"], ["latest:L", "xray:X"]):
         assert main(["init", "--dir", str(fresh), *(f"--catalog={token}" for token in catalog)]) == 2, catalog
         assert not fresh.exists(), catalog
+
+
+def test_a_patient_of_minus_one_is_parsed_and_refused_as_unknown(tmp_path, capsys):
+    d = init_ledger(tmp_path, capsys)
+    code, out = run(capsys, "write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "-1",
+                    "--entry", "blood_test:v")
+    assert code == 1 and out.startswith("ERROR UnknownPatient")
 
 
 def test_sim_script_error_exits_2(tmp_path, capsys):

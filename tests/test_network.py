@@ -1,5 +1,6 @@
 """Quorum arithmetic, tamper locality, majority repair, scenario determinism."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -7,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from medledger import store
-from medledger.errors import NotAuthorized, ReplicaDivergence, ScriptError
+from medledger.blocks import block_hash
+from medledger.errors import LedgerError, NoSuchBlock, NotAuthorized, ReplicaDivergence, ScriptError
 from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
     Command,
     Network,
     SimConfig,
+    _step_command,
     parse_script,
     quorum_commits,
     repair_majority,
@@ -23,6 +26,7 @@ from medledger.network import (
 from helpers import AUTHORITY, CATALOG
 from scenarios import golden_lines as scenario_golden_lines
 from scenarios import run as run_random_scenario
+from scenarios import scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -314,6 +318,8 @@ def test_structurally_malformed_command_is_refused_and_rejected():
     assert proposal.confirmations == 1  # only the proposer's implicit vote
 
 
+NOT_CANONICAL = ("1_0", "+1", " 1", "01", "\u0663")
+
 # one command per refusal of the parse; each would reach the ledger otherwise
 MALFORMED = {
     "unknown-verb": Command("frobnicate", "drb", Role.DOCTOR, True, (("patient", "1"),)),
@@ -326,6 +332,10 @@ MALFORMED = {
     "empty-new-code": Command("change-code", "reg", Role.AUTHORITY, True, (("patient", "1"), ("new_code", ""))),
     "empty-catalog-code": Command("catalog-add", "reg", Role.AUTHORITY, True, (("entry", ":Empty"),)),
     "latest-catalog-code": Command("catalog-add", "reg", Role.AUTHORITY, True, (("entry", "latest:Latest"),)),
+} | {
+    # int() reads each of these, but only the text str() writes names an index
+    f"patient-{text!r}": Command("read", "drb", Role.DOCTOR, True, (("patient", text), ("query", "latest")))
+    for text in NOT_CANONICAL
 }
 
 
@@ -341,6 +351,26 @@ def test_malformed_command_gets_no_honest_vote_and_changes_no_replica(command):
         assert [vote for nid, vote in proposal.votes if nid != proposer] == ["no"] * (n - 1)
         assert not proposal.committed and proposal.outcome == "rejected"
         assert {nid: node.replica.snapshot_bytes() for nid, node in net.nodes.items()} == before
+
+
+def test_only_the_text_str_writes_names_a_patient():
+    """A patient of -1 parses, and the ledger refuses it as unknown; a
+    sim line whose patient is not canonical gets no honest vote, and a
+    tamper directive naming one changes nothing."""
+    net = make_net(3)
+    proposal = net.propose("n1", Command("read", "drb", Role.DOCTOR, True, (("patient", "-1"), ("query", "latest"))))
+    assert proposal.committed and proposal.outcome == "UnknownPatient"
+    for text in (t for t in NOT_CANONICAL if " " not in t):  # a script line splits at spaces
+        script = (
+            "1 n1 onboard actor=reg role=authority code=FC001\n"
+            f"2 n1 write actor=drb role=doctor patient={text} entry=blood_test:v\n"
+            f"3 n2 tamper chain=red patient={text} index=1 field=place value=x\n"
+            f"4 n2 tamper chain=red patient=1 index={text} field=place value=x\n"
+        )
+        lines = run_scenario(SimConfig(node_count=3, seed=1), script, CATALOG).splitlines()
+        assert "REJECT seq=2 yes=1 n=3" in lines
+        assert [line.rsplit(" ", 1)[1] for line in lines if line.startswith("TAMPER")] == ["status=error:ValueError"] * 2
+        assert len({line.split("state=")[1] for line in lines if line.startswith("FINAL")}) == 1
 
 
 def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):
@@ -360,11 +390,11 @@ def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):
     assert (calls["apply"], calls["clone"]) == (15, 0)
 
 
-def test_a_committed_onboard_gives_each_replica_its_own_read_only_personal_info(monkeypatch):
+def test_a_committed_onboard_shares_one_identity_block_with_a_read_only_copy_of_personal_info(monkeypatch):
     """A commit parses its command once and hands the same arguments to
-    every replica; each identity block still holds a read-only copy of
-    personal_info of its own, which no later change to the parsed
-    arguments reaches."""
+    every replica; the replicas build equal identity blocks and share the
+    first replica's, which holds a read-only copy of personal_info that no
+    later change to the parsed arguments reaches."""
     parsed = []
     original = Command.parse
 
@@ -379,7 +409,8 @@ def test_a_committed_onboard_gives_each_replica_its_own_read_only_personal_info(
     info = parsed[0][2]
     info["name"] = "Eve"
     anchors = [node.replica.main_chain[1] for node in net.nodes.values()]
-    assert len({id(blk) for blk in anchors}) == len({id(blk.personal_info) for blk in anchors}) == 5
+    assert len({id(blk) for blk in anchors}) == 1
+    assert anchors[0].personal_info is not info
     for blk in anchors:
         assert dict(blk.personal_info) == {"name": "Mario"}
         with pytest.raises(TypeError):
@@ -414,3 +445,121 @@ def test_random_scenarios_match_the_pinned_digests():
     expected = (GOLDEN / "scenario_digests.txt").read_text().splitlines()
     assert len(expected) == 900
     assert scenario_golden_lines() == expected
+
+
+# --- one seal per committed block -------------------------------------------------
+
+
+def _blocks(ledger: Ledger) -> list:
+    """Every block of the ledger's chains."""
+    subchains = (blk for table in (ledger.yellow, ledger.red) for chain in table.values() for blk in chain)
+    return [*ledger.main_chain, *subchains]
+
+
+class Replay:
+    """A Network and, beside it, one Ledger per node that takes every step
+    on its own and is never offered a block: an independent apply."""
+
+    def __init__(self, config: SimConfig):
+        self.net = Network(config, CATALOG)
+        self.alone = {nid: Ledger.genesis(CATALOG) for nid in self.net.approved}
+
+    def ledgers(self, node: str) -> tuple[Ledger, Ledger]:
+        return self.net.nodes[node].replica, self.alone[node]
+
+    def propose(self, proposer: str, command: Command) -> dict[str, list]:
+        """Propose the command and apply it on the lone ledgers if it
+        commits; then each replica must equal its lone ledger and every memo
+        must equal block_hash recomputed. Returns the blocks each node
+        appended."""
+        before = {nid: {id(blk) for blk in _blocks(node.replica)} for nid, node in self.net.nodes.items()}
+        try:
+            committed = self.net.propose(proposer, command).committed
+        except NotAuthorized:
+            committed = False
+        except ReplicaDivergence:
+            committed = True
+        if committed:
+            parsed = command.parse(proposer)
+            for ledger in self.alone.values():
+                try:
+                    command.apply(ledger, parsed)
+                except LedgerError:
+                    pass
+        appended = {}
+        for nid, node in self.net.nodes.items():
+            assert node.replica.snapshot_bytes() == self.alone[nid].snapshot_bytes(), nid
+            assert all(blk.hash_memo in (None, block_hash(blk)) for blk in _blocks(node.replica)), nid
+            appended[nid] = [blk for blk in _blocks(node.replica) if id(blk) not in before[nid]]
+        return appended
+
+    def step(self, step) -> None:
+        """One step of a scenario script."""
+        if step.verb == "tamper":
+            arg = dict(reversed(step.params))
+            where = (arg["chain"], int(arg["patient"]), int(arg["index"]), arg["field"], arg["value"])
+            for ledger in self.ledgers(step.node) if step.node in self.alone else ():
+                try:
+                    ledger.tamper(*where)
+                except (NoSuchBlock, ValueError):
+                    pass
+        elif step.verb == "audit-repair":
+            assert self.net.audit_and_repair() == repair_replicas(self.alone)
+        else:
+            self.propose(step.node, _step_command(step))
+
+
+def _raw_tamper(node: str, *where):
+    return lambda replay: [ledger.tamper(*where) for ledger in replay.ledgers(node)]
+
+
+def _clock_ahead(node: str, ticks: int):
+    def bump(replay: Replay) -> None:
+        for ledger in replay.ledgers(node):
+            ledger.clock += ticks
+
+    return bump
+
+
+XRAY_WRITE = Command("write", "drb", Role.DOCTOR, True, (("patient", "1"), ("entry", "xray:v3")))
+# a fault of n1, the replica applied first, whose sealed blocks the others are
+# offered, and a command each of whose blocks it then builds differently
+FIRST_REPLICA_FAULTS = {
+    # the tips agree, but the typed backlink of the next xray entry does not
+    "block-below-its-tip": (_raw_tamper("n1", "yellow", 1, 1, "entry.0.payload", "forged"), XRAY_WRITE),
+    "clock": (_clock_ahead("n1", 3), Command("read", "drb", Role.DOCTOR, True, (("patient", "1"), ("query", "xray")))),
+    # the genesis catalog no longer resolves, so n1 refuses the write
+    "catalog": (_raw_tamper("n1", "main", 0, 0, "fiscal_code", "forged"), XRAY_WRITE),
+}
+
+
+@pytest.mark.parametrize("fault, command", list(FIRST_REPLICA_FAULTS.values()), ids=list(FIRST_REPLICA_FAULTS))
+def test_a_replica_takes_the_first_replicas_block_only_where_it_built_an_equal_one(fault, command):
+    """Honest replicas share the blocks of each commit with n1. After a
+    fault of n1, each other replica seals its own blocks, which equal those
+    of an independent apply."""
+    replay = Replay(SimConfig(4))
+    replay.propose("n1", ONBOARD)
+    for entry in ("xray:v1", "blood_test:v2"):
+        appended = replay.propose("n2", Command("write", "drb", Role.DOCTOR, True, (("patient", "1"), ("entry", entry))))
+        assert len(appended["n1"]) == 2
+        assert all(list(map(id, blocks)) == list(map(id, appended["n1"])) for blocks in appended.values())
+    fault(replay)
+    appended = replay.propose("n2", command)
+    sealed_by = {nid: {id(blk) for blk in blocks} for nid, blocks in appended.items()}
+    assert all(not sealed_by[a] & sealed_by[b] for a, b in (("n1", "n2"), ("n1", "n3"), ("n2", "n3"), ("n3", "n4")))
+    assert appended["n2"] == appended["n3"] == appended["n4"] != appended["n1"]
+
+
+def test_every_replica_equals_an_independent_apply_after_every_proposal():
+    """Seeded scenarios (drops, byzantine nodes, malformed commands, raw
+    tampers, repairs) with n1 sometimes pushed ahead in time: after every
+    step each replica equals a ledger that applied every step on its own."""
+    for index in range(40):
+        config, script = scenario(4, index)
+        replay = Replay(config)
+        rng = random.Random(index)
+        for step in parse_script(script):
+            if rng.random() < 0.05:
+                _clock_ahead("n1", rng.randint(1, 3))(replay)
+            replay.step(step)
