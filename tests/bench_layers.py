@@ -22,9 +22,11 @@ in-memory ledgers: long_history, 4 patients each with 1200 one-entry
 writes and a read after every second write; and replicated_sim, 200
 patients with two writes each, every 25th closed. encode times a seal of
 each block kind, block_hash over every block of long_history, its
-default verify_tree (recomputing every hash), and a 15-replica
-Network.propose of a write and of a read; it counts their block_hash and
-merkle.sha256 calls and reports the tracemalloc size of long_history.
+default verify_tree (recomputing every hash), and a Network.propose of a
+write and of a read on 15 replicas (propose_write, propose_read), on 3
+(propose_write_3, propose_read_3) and on 5 (propose_write_5,
+propose_read_5); it counts their block_hash and merkle.sha256 calls and
+reports the tracemalloc size of long_history.
 access times read_record of one type and of "latest", assemble_report,
 write_record of a type already written and write_record of mri, a catalog
 type never written, on patient 1 of each ledger, each sample on a fresh
@@ -171,18 +173,20 @@ def encode_section(reps: int, patients: int) -> dict:
         "log": long_history.red[1][-1],
     }
     base = build(200, 2, close_every=25)
-    net = Network(SimConfig(NODES, seed=1), CATALOG)
-    for node in net.nodes.values():
-        node.replica = base.clone()
-    proposer = iter(net.approved * 10**6)
     write = Command("write", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("entry", "xray:v1")))
     read = Command("read", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("query", "latest")))
 
     ops = {f"sealed_{kind}": (lambda blk=blk: blocks.sealed(blk), 2000) for kind, blk in by_kind.items()}
     ops["block_hash_all"] = (lambda: [blocks.block_hash(blk) for blk in history_blocks], 1)
     ops["verify_tree"] = (lambda: verify_tree(long_history), 1)
-    ops["propose_write"] = (lambda: net.propose(next(proposer), write), 20)
-    ops["propose_read"] = (lambda: net.propose(next(proposer), read), 20)
+    # the 15-node keys keep their names, so BENCH_encode.json stays reproducible
+    for nodes, suffix in ((NODES, ""), (3, "_3"), (5, "_5")):
+        net = Network(SimConfig(nodes, seed=1), CATALOG)
+        for node in net.nodes.values():
+            node.replica = base.clone()
+        proposer = itertools.cycle(net.approved)  # round robin, as every sample shares it
+        for name, command in (("write", write), ("read", read)):
+            ops[f"propose_{name}{suffix}"] = (lambda n=net, p=proposer, c=command: n.propose(next(p), c), 20)
     return {
         "reps": reps,
         "long_history_blocks": len(history_blocks),
