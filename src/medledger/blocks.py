@@ -45,10 +45,12 @@ cached_hash computes it once per block object and keeps it in the
 block's hash_memo field. A seal hashes once and fills the memo with that
 hash too: the ledger's append paths build each block and its BlockCoord
 once, with __init__, and sealed seals it in place, since nothing else
-holds it yet. The ledger's operations and its derived indexes use
-cached_hash. block_hash always recomputes from the fields; verify_tree
-uses it by default, and repair_replicas on the one candidate version at
-a position where replicas differ.
+holds it yet; while the network applies a commit, a replica takes instead
+the equal block the first replica sealed (Ledger._seal). The ledger's
+operations and its derived indexes use cached_hash. block_hash always
+recomputes from the fields; verify_tree uses it by default, and
+repair_replicas on the one candidate version at a position where replicas
+differ.
 
 Equal blocks are exactly the blocks with equal records: decoding is
 canonical, and a raw tamper (mutate_block) returns what its record

@@ -4,10 +4,14 @@ Fixed membership: the approved-node list never changes and only listed
 nodes may propose. A proposal commits when strictly more than 51% of all
 approved nodes confirm it (exact integer arithmetic, the proposer
 counts); committed commands apply to every replica in the same order, so
-honest replicas stay bit-identical. Byzantine nodes refuse confirmations;
-state divergence is injected only through tamper(). audit_and_repair
-replaces any block that differs from a valid version held by at least
-51% of nodes; below a majority two versions could both qualify.
+honest replicas stay bit-identical. A commit is sealed once: each
+replica builds the blocks the command appends and takes the first
+replica's block, an immutable value, only after checking that it equals
+its own field for field; a replica that diverged seals its own.
+Byzantine nodes refuse confirmations; state divergence is injected only
+through tamper(). audit_and_repair replaces any block that differs from
+a valid version held by at least 51% of nodes; below a majority two
+versions could both qualify.
 
 Everything is driven by a logical clock and one seeded RNG (message
 drops), so a (config, script) pair always yields the same transcript.
@@ -127,7 +131,7 @@ class Command:
         the typed arguments, and the place.
 
         Refuses with CommandError an unknown verb, a missing key, a
-        non-integer patient, a token without its separator, an empty entry
+        patient not written as str writes an integer, a token without its separator, an empty entry
         list, a string that does not encode as UTF-8 and a reserved code
         (require_code); nothing that depends on the ledger's state is checked here. The arguments may be
         shared by many ledgers: no Ledger operation keeps a mutable one.

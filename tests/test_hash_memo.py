@@ -8,7 +8,7 @@ import pytest
 from medledger import blocks
 from medledger.blocks import block_hash, cached_hash, mutate_block
 from medledger.ledger import Ledger, verify_tree
-from medledger.network import repair_replicas
+from medledger.network import Command, Network, SimConfig, repair_replicas
 from medledger.store import load_raw, persist
 
 from helpers import (
@@ -18,6 +18,7 @@ from helpers import (
     block_mutations,
     cost_count_lines,
     count_calls,
+    counted,
     criterion7_ledger,
     long_history_ledger,
 )
@@ -223,3 +224,23 @@ def test_cost_counts_match_golden():
     tests/golden/cost_counts.txt pins them; a change that moves a count
     shows the move as a diff of that file."""
     assert cost_count_lines() == (GOLDEN / "cost_counts.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("nodes", [1, 3, 5, 15])
+def test_a_committed_proposal_seals_each_block_it_appends_once(nodes):
+    """Whatever the node count, the block_hash calls of a committed
+    proposal equal the blocks it appends on one replica: 2 for a write, 1
+    for a read, a report or a write the catalog refuses."""
+    net = Network(SimConfig(nodes, seed=1), CATALOG)
+    net.propose("n1", Command("onboard", AUTHORITY.actor_id, AUTHORITY.role, True, (("code", "FC00001"),)))
+    replica = net.nodes["n1"].replica
+    for verb, arg, appended in (
+        ("write", ("entry", "xray:v"), 2),
+        ("read", ("query", "xray"), 1),
+        ("report", ("type", "xray"), 1),
+        ("write", ("entry", "unknown:v"), 1),
+    ):
+        before = len(list(every_block(replica)))
+        command = Command(verb, DOCTOR.actor_id, DOCTOR.role, True, (("patient", "1"), arg))
+        assert counted(net.propose, blocks.block_hash, fresh=lambda: ("n1", command)) == {"blocks.block_hash": appended}
+        assert len(list(every_block(replica))) - before == appended
