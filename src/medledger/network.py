@@ -292,7 +292,7 @@ class Network:
         costs one seal per appended block, whatever the node count, and
         honest replicas share each committed block object."""
         outcomes: list[tuple[str, str]] = []
-        offered: list[Block] = []
+        offered: list[Block] = []  # the first replica's seals, once it has applied
         for nid in self.approved:
             replica = self.nodes[nid].replica
             done: list[Block] = []
@@ -303,7 +303,7 @@ class Network:
                 outcomes.append((type(exc).__name__, str(exc)))
             finally:
                 replica._seal_share = None
-            if len(outcomes) == 1:
+            if nid == self.approved[0]:
                 offered = done
         for nid, this in zip(self.approved, outcomes):
             if this != outcomes[0]:
