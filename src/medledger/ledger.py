@@ -297,8 +297,9 @@ class Ledger:
             if block == hint:
                 done.append(hint)
                 return hint
-        done.append(sealed(block))
-        return done[-1]
+        block = sealed(block)
+        done.append(block)
+        return block
 
     def _tick(self) -> int:
         t = self.clock
