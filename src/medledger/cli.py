@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tamper)
 
     p = sub.add_parser("sim", help="run a scripted network scenario")
-    p.add_argument("--nodes", type=int, required=True)
+    p.add_argument("--nodes", type=canonical_int, required=True)
     p.add_argument("--script", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=canonical_int, default=0)
     p.add_argument("--drop-rate", type=float, default=0.0)
     p.add_argument("--byzantine", default="", help="comma-separated node ids")
     p.add_argument("--catalog", action="append", metavar="CODE:LABEL")

@@ -11,7 +11,9 @@ its own field for field; a replica that diverged seals its own.
 Byzantine nodes refuse confirmations; state divergence is injected only
 through tamper(). audit_and_repair replaces any block that differs from
 a valid version held by at least 51% of nodes; below a majority two
-versions could both qualify.
+versions could both qualify. It votes only where a replica holds a
+different block object than the first replica, or lacks a block, so a
+repair costs the damage, not the length of the chains.
 
 Everything is driven by a logical clock and one seeded RNG (message
 drops), so a (config, script) pair always yields the same transcript.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_not
 from typing import Any, Callable, NamedTuple
 
 from .blocks import Block, block_hash
@@ -330,8 +334,12 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
 
     Equal blocks encode to equal bytes, so this is a vote over stored
     blocks. A chain whose block lists are equal on every replica is
-    skipped; clones share their blocks, so that costs almost nothing. A
-    version qualifies only if it is held by at least 51% of replicas AND
+    skipped; clones share their blocks, so that costs almost nothing. In
+    a chain that differs, the vote runs only where some replica holds a
+    different block object than the first replica, and past the shortest
+    list: where every replica holds the same object there is one version,
+    so a forged block costs one vote, not one per block of its chain.
+    A version qualifies only if it is held by at least 51% of replicas AND
     its stored self_hash recomputes with block_hash (no memo is read), so
     a raw tamper cannot vote itself into being the "right" version.
     Replaced replicas get the winning block object itself, and their
@@ -346,12 +354,22 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     chains = [("main", 0)] + [(name, p) for p in patients for name in ("yellow", "red")]
     report: list[RepairEntry] = []
     touched: set[str] = set()
+    tables = {name: [getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")}
     for name, patient in chains:
-        lists = {nid: r.chain(name, patient) for nid, r in replicas.items()}
-        first = next(iter(lists.values()))
-        if all(blocks == first for blocks in lists.values()):
+        if name == "main":
+            held = [r.main_chain for r in replicas.values()]
+        else:
+            held = [table.get(patient, []) for table in tables[name]]
+        first = held[0]
+        if held.count(first) == total:  # every replica's list equals the first's
             continue
-        for pos in range(max(map(len, lists.values()))):
+        lists = dict(zip(replicas, held))
+        lengths = list(map(len, held))
+        candidates = set(range(min(lengths), max(lengths)))
+        for blocks in held[1:]:
+            candidates.update(compress(count(), map(is_not, first, blocks)))
+        # ascending, so a replica short of the tail is appended to one position after another
+        for pos in sorted(candidates):
             versions: list[tuple[Block | None, list[str]]] = []  # None: the replica lacks it
             for nid, blocks in lists.items():
                 blk = blocks[pos] if pos < len(blocks) else None
@@ -409,7 +427,8 @@ _DIRECTIVE_VERBS = {"tamper", "audit-repair"}
 def parse_script(text: str) -> list[ScriptStep]:
     """Parse the line-oriented scenario format: `tick node verb key=value...`.
 
-    Blank lines and #-comments are skipped; ticks must be strictly
+    Blank lines and #-comments are skipped; a tick is written as str
+    writes an integer (canonical_int), and ticks must be strictly
     increasing.
     """
     steps: list[ScriptStep] = []
@@ -422,7 +441,7 @@ def parse_script(text: str) -> list[ScriptStep]:
         if len(fields) < 3:
             raise ScriptError(line_no, "expected: tick node verb [key=value ...]")
         try:
-            tick = int(fields[0])
+            tick = canonical_int(fields[0])
         except ValueError:
             raise ScriptError(line_no, f"tick {fields[0]!r} is not an integer") from None
         if tick <= last_tick:

@@ -6,7 +6,7 @@ SRC is the `src` directory of the checkout to import medledger from. REPS
 (at least 2, default 15) is the number of samples per timing, each the
 mean time of a batch of calls; PATIENTS (default 200) sizes the store of
 the load section. Leading integers are REPS, then PATIENTS; the words
-after them name the sections to run, all three by default. One section
+after them name the sections to run, all four by default. One section
 prints its JSON object alone, several print one object keyed by section.
 
 load (the figures of BENCH_decode.json) persists a seeded store of
@@ -38,6 +38,12 @@ the clone shared with its source, and the read uses the new one.
 report_rebuilt times one report per sample on a Ledger rebuilt from the
 chains, as a load or a repair leaves one; the rebuild is untimed, and the
 report is the first typed op, so it builds the patient's type index.
+
+repair (BENCH_repair_scan.json) times network.repair_replicas on 3
+clones of long_history with one seeded raw tamper (a medical payload or
+a log's actor) and on 15 clones of replicated_sim with two, each tamper
+on its own clone, the last first; each sample makes its clones untimed.
+It counts the block_hash and merkle.sha256 calls of one repair.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from helpers import AUTHORITY, DOCTOR, counted, rebuilt  # noqa: E402
 from helpers import CATALOG as STORE_CATALOG  # noqa: E402
 from medledger import blocks, merkle, store  # noqa: E402
 from medledger.ledger import Ledger, verify_tree  # noqa: E402
-from medledger.network import Command, Network, SimConfig  # noqa: E402
+from medledger.network import Command, Network, SimConfig, repair_replicas  # noqa: E402
 
 CATALOG = STORE_CATALOG + (("mri", "MRI"),)
 TYPES = tuple(code for code, _ in STORE_CATALOG)
@@ -243,7 +249,52 @@ def access_section(reps: int, patients: int) -> dict:
     }
 
 
-SECTIONS = {"load": load_section, "encode": encode_section, "access": access_section}
+# -- repair ----------------------------------------------------------------------
+
+
+def forged(ledger: Ledger, rng: random.Random) -> tuple[str, int, int, str]:
+    """A raw tamper of one seeded block: (chain, patient, 0-based position,
+    field), a medical block's first payload or a log block's actor."""
+    p = rng.choice(ledger.patients())
+    if rng.random() < 0.5:
+        return "yellow", p, rng.randrange(len(ledger.yellow[p])), "entry.0.payload"
+    return "red", p, rng.randrange(len(ledger.red[p])), "actor"
+
+
+def tampered_clones(base: Ledger, count: int, tampers: list[tuple[str, int, int, str]]) -> dict[str, Ledger]:
+    """count clones of base, each tamper applied raw to its own clone, the
+    last clones first: the first replica, which repair scans against, is
+    honest."""
+    replicas = {f"n{k}": base.clone() for k in range(1, count + 1)}
+    for replica, (chain, p, pos, field) in zip(reversed(replicas.values()), tampers):
+        held = replica.chain(chain, p)
+        held[pos] = blocks.mutate_block(held[pos], field, "forged")
+    return replicas
+
+
+def repair_section(reps: int, patients: int) -> dict:
+    rng = random.Random(1)
+    long_history, sim = build(4, 1200), build(200, 2, close_every=25)
+    # case -> the ledger cloned, the number of clones and the tampers
+    setups = {
+        "long_history": (long_history, 3, [forged(long_history, rng)]),
+        "replicated_sim": (sim, NODES, [forged(sim, rng) for _ in range(2)]),
+    }
+    fresh = {name: lambda setup=setup: (tampered_clones(*setup),) for name, setup in setups.items()}
+    return {
+        "reps": reps,
+        "tampers": {
+            name: [f"{chain} {p}.{pos + 1} {field}" for chain, p, pos, field in tampers]
+            for name, (_, _, tampers) in setups.items()
+        },
+        "ms": {name: sampled(repair_replicas, reps, fresh=make) for name, make in fresh.items()},
+        "calls": {
+            name: counted(repair_replicas, blocks.block_hash, merkle.sha256, fresh=make) for name, make in fresh.items()
+        },
+    }
+
+
+SECTIONS = {"load": load_section, "encode": encode_section, "access": access_section, "repair": repair_section}
 
 
 def main(argv: list[str]) -> int:

@@ -22,6 +22,7 @@ from medledger.blocks import (
     LogBlock,
     MedicalBlock,
     RecordEntry,
+    block_hash,
     cached_hash,
     decode_note,
     decode_record,
@@ -33,7 +34,7 @@ from medledger.blocks import (
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
 from medledger.merkle import ZERO_DIGEST
-from medledger.network import Command, Network, SimConfig
+from medledger.network import Command, Network, RepairEntry, SimConfig, repair_majority, repair_replicas
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
 
@@ -134,17 +135,26 @@ def count_calls(monkeypatch, original) -> list[int]:
     return calls
 
 
-def long_history_ledger() -> Ledger:
-    """One patient of the long_history benchmark's size: 1200 one-entry
-    writes of three types and a read after every second write."""
+def long_history_ledger(writes: int = 1200) -> Ledger:
+    """One patient of the long_history benchmark's size by default: 1200
+    one-entry writes of three types and a read after every second write."""
     rng = random.Random(1)
     ledger = Ledger.genesis(CATALOG)
     p = ledger.onboard_patient(AUTHORITY, "FC00001", {"name": "n"})
-    for w in range(1200):
+    for w in range(writes):
         ledger.write_record(DOCTOR, p, [(rng.choice(CATALOG)[0], f"v{w}".encode())])
         if w % 2 == 1:
             ledger.read_record(DOCTOR, p, "latest")
     return ledger
+
+
+def forged_log_replicas(history: Ledger) -> dict[str, Ledger]:
+    """Three clones of the history, the third with the middle access log of
+    patient 1 forged raw: one block to repair on a chain of any length."""
+    replicas = {nid: history.clone() for nid in ("n1", "n2", "n3")}
+    logs = replicas["n3"].red[1]
+    logs[len(logs) // 2] = blocks.mutate_block(logs[len(logs) // 2], "actor", "forged")
+    return replicas
 
 
 def _command(cred: Credential, verb: str, **args: str) -> Command:
@@ -173,10 +183,11 @@ def cost_count_lines() -> list[str]:
     cached_hash, block_hash and merkle.sha256 calls of a write, a typed
     read, a latest read and a report on patient 1 of long_history_ledger,
     each on a fresh clone; of a report, a typed read and a write on a
-    fresh Ledger rebuilt from its chains, its first typed op; and of a
-    Network.propose of a write, a typed read, a report and a write that
-    the catalog refuses, in that order, on one 3-node and one 15-node
-    network. Counts only: they are exact on any machine."""
+    fresh Ledger rebuilt from its chains, its first typed op; of a repair
+    of its forged_log_replicas; and of a Network.propose of a write, a
+    typed read, a report and a write that the catalog refuses, in that
+    order, on one 3-node and one 15-node network. Counts only: they are
+    exact on any machine."""
     counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
     ops = {
@@ -198,6 +209,7 @@ def cost_count_lines() -> list[str]:
         "report": _command(DOCTOR, "report", patient="1", type="xray"),
         "refused_write": _command(DOCTOR, "write", patient="1", entry="unknown:v"),
     }
+    counts["long_history.repair"] = counted(repair_replicas, *counters, fresh=lambda: (forged_log_replicas(history),))
     for nodes in (3, 15):
         net = Network(SimConfig(nodes, seed=1), CATALOG)
         net.propose("n1", _command(AUTHORITY, "onboard", code="FC00001"))
@@ -206,6 +218,60 @@ def cost_count_lines() -> list[str]:
             for name, command in proposals.items()
         }
     return [f"{name} {counter} {calls}" for name, by_counter in counts.items() for counter, calls in by_counter.items()]
+
+
+def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntry]:
+    """network.repair_replicas as it voted at every position of a chain
+    that differs anywhere: the same vote, hash check, clock rule and report
+    order, with no scan for the positions where replicas hold different
+    block objects."""
+    total = len(replicas)
+    patients = sorted({p for r in replicas.values() for p in set(r.yellow) | set(r.red)})
+    chains = [("main", 0)] + [(name, p) for p in patients for name in ("yellow", "red")]
+    report: list[RepairEntry] = []
+    touched: set[str] = set()
+    for name, patient in chains:
+        lists = {nid: r.chain(name, patient) for nid, r in replicas.items()}
+        first = next(iter(lists.values()))
+        if all(held == first for held in lists.values()):
+            continue
+        for pos in range(max(map(len, lists.values()))):
+            versions: list[tuple[object, list[str]]] = []  # None: the replica lacks it
+            for nid, held in lists.items():
+                blk = held[pos] if pos < len(held) else None
+                holders = next((h for v, h in versions if v == blk), None)
+                if holders is None:
+                    versions.append((blk, [nid]))
+                else:
+                    holders.append(nid)
+            if len(versions) == 1:
+                continue
+            coord = str(pos) if name == "main" else f"{patient}.{pos + 1}"
+            good = next((blk for blk, holders in versions if repair_majority(len(holders), total)), None)
+            if good is None or good.self_hash != block_hash(good):
+                report.append(RepairEntry("*", name, coord, "unrepairable"))
+                continue
+            for blk, holders in versions:
+                if blk is good:
+                    continue
+                for nid in holders:
+                    held = lists[nid] = replicas[nid].chain(name, patient, create=True)
+                    if pos < len(held):
+                        held[pos] = good
+                    elif pos == len(held):
+                        held.append(good)
+                    else:
+                        report.append(RepairEntry(nid, name, coord, "unrepairable"))
+                        continue
+                    touched.add(nid)
+                    report.append(RepairEntry(nid, name, coord, "replaced"))
+    clocks = [r.clock for r in replicas.values()]
+    clock = next((c for c in clocks if repair_majority(clocks.count(c), total)), None)
+    for nid in touched:
+        if clock is not None:
+            replicas[nid].clock = max(replicas[nid].clock, clock)
+        replicas[nid]._recompute_derived()
+    return report
 
 
 def scan_report_oracle(ledger: Ledger, p: int, record_type: str) -> list[tuple[BlockCoord, bytes]]:

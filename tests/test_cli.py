@@ -681,8 +681,10 @@ def test_sim_script_error_exits_2(tmp_path, capsys):
         (["--nodes", "0"], b"", "ERROR ConfigError: simulation needs at least one node"),
         ([], b"# ok\n1 n1 onboard code=\xff\n", "ERROR ScriptError: line 2: not UTF-8"),
         ([], b"1 n1 onboard role=nurse code=FC1\n", "ERROR ScriptError: line 1: unknown role 'nurse'"),
+        ([], b"1 n1 onboard code=FC1\n0_2 n1 onboard code=FC2\n",
+         "ERROR ScriptError: line 2: tick '0_2' is not an integer"),
     ],
-    ids=["drop-rate", "byzantine", "no-nodes", "not-utf8", "unknown-role"],
+    ids=["drop-rate", "byzantine", "no-nodes", "not-utf8", "unknown-role", "tick"],
 )
 def test_sim_usage_errors_exit_2_with_an_error_line(tmp_path, capsys, flags, script, error):
     path = tmp_path / "s.script"
@@ -691,6 +693,19 @@ def test_sim_usage_errors_exit_2_with_an_error_line(tmp_path, capsys, flags, scr
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", error + "\n")
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--seed"])
+@pytest.mark.parametrize("value", ["0_1", "+1", "01", "\u0663"])
+def test_a_sim_integer_not_written_as_str_writes_one_is_a_usage_error(tmp_path, capsys, flag, value):
+    path = tmp_path / "s.script"
+    path.write_text("1 n1 onboard actor=reg role=authority code=FC001\n")
+    argv = {"--nodes": ["--nodes", value], "--seed": ["--nodes", "3", "--seed", value]}[flag]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sim", "--script", str(path), *argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: argument {flag}: invalid canonical_int value: {value!r}\n")
 
 
 @pytest.mark.parametrize("verb", ["init", "sim"])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from medledger import blocks
-from medledger.blocks import block_hash, cached_hash, mutate_block
+from medledger.blocks import IdentityBlock, LogBlock, MedicalBlock, block_hash, cached_hash, mutate_block
 from medledger.ledger import Ledger, verify_tree
 from medledger.network import Command, Network, SimConfig, repair_replicas
 from medledger.store import load_raw, persist
@@ -20,6 +20,7 @@ from helpers import (
     count_calls,
     counted,
     criterion7_ledger,
+    forged_log_replicas,
     long_history_ledger,
 )
 
@@ -136,6 +137,28 @@ def test_repair_compares_values_and_hashes_only_the_candidate(monkeypatch):
     assert [c[0] for c in calls] == [0, 0, 1]
     assert reindexed == [replicas["n3"]]
     assert replicas["n3"].yellow[1][0] is replicas["n1"].yellow[1][0]
+
+
+def test_repair_of_one_forged_log_compares_block_values_a_constant_number_of_times(monkeypatch):
+    """The vote runs only where a replica holds a different block object,
+    so a history 30 times longer costs no more value comparisons."""
+    compares = [0]
+    for cls in (IdentityBlock, MedicalBlock, LogBlock):
+
+        def counting(self, other, original=cls.__eq__):
+            compares[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counting)
+    counts = []
+    for writes in (40, 1200):
+        replicas = forged_log_replicas(long_history_ledger(writes))
+        compares[0] = 0
+        report = repair_replicas(replicas)
+        counts.append(compares[0])
+        assert [e.action for e in report] == ["replaced"]
+        assert replicas["n3"].red[1] == replicas["n1"].red[1]
+    assert counts[0] == counts[1] <= 4
 
 
 @pytest.mark.parametrize("copies", ["clones", "loaded"])

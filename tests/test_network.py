@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from medledger import store
-from medledger.blocks import block_hash
+from medledger.blocks import block_hash, decode_record, encode_record
 from medledger.errors import LedgerError, NoSuchBlock, NotAuthorized, ReplicaDivergence, ScriptError
 from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
@@ -24,7 +24,7 @@ from medledger.network import (
     run_scenario,
 )
 
-from helpers import AUTHORITY, CATALOG
+from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, drive, every_position_repair_oracle, fresh_ledger
 from scenarios import golden_lines as scenario_golden_lines
 from scenarios import run as run_random_scenario
 from scenarios import scenario
@@ -209,6 +209,107 @@ def test_repair_past_an_unrepairable_position_heals_no_replica_across_the_gap():
     assert len(replicas["c"].main_chain) == 2
 
 
+def _some_chain(rng: random.Random, replica: Ledger, names=("main", "yellow", "red")) -> tuple[str, list]:
+    """One non-empty chain of the replica, by name: main, or a patient's
+    yellow or red subchain."""
+    name = rng.choice(names)
+    if name == "main":
+        return name, replica.main_chain
+    table = replica.yellow if name == "yellow" else replica.red
+    return name, table[rng.choice([p for p, chain in sorted(table.items()) if chain])]
+
+
+def _damage(rng: random.Random, replicas: dict[str, Ledger], kind: str) -> None:
+    """One seeded fault of this kind, made raw on the replicas' lists."""
+    nids = list(replicas)
+    if kind == "tamper":  # one field of one block, on one replica or two
+        first, *more = rng.sample(nids, rng.choice((1, 2)))
+        name, chain = _some_chain(rng, replicas[first])
+        pos = rng.randrange(len(chain))
+        forged = rng.choice(block_mutations(chain[pos]))[1]
+        for nid in (first, *more):
+            held = replicas[nid].chain(name, chain[pos].coord.patient)
+            if pos < len(held):
+                held[pos] = forged
+    elif kind == "equal_copy":  # a distinct object equal to the block it replaces, in a chain a tamper makes differ
+        name, chain = _some_chain(rng, replicas[rng.choice(nids)])
+        pos, other = rng.randrange(len(chain)), rng.randrange(len(chain))
+        chain[pos] = decode_record(encode_record(chain[pos]))
+        chain[other] = rng.choice(block_mutations(chain[other]))[1]
+    elif kind == "truncate":  # the newest 1-3 blocks of one chain lost
+        name, chain = _some_chain(rng, replicas[rng.choice(nids)], ("yellow", "red"))
+        del chain[-rng.randint(1, 3) :]
+    elif kind == "missing_patient":  # a patient onboarded on some replicas only, each sealing its own blocks
+        code = f"FCNEW{rng.randrange(10**6)}"
+        for nid in rng.sample(nids, rng.randint(1, len(nids) - 1)):
+            replica = replicas[nid]
+            p = replica.onboard_patient(AUTHORITY, code, {"name": "new"})
+            replica.write_record(DOCTOR, p, [("xray", b"v")])
+            replica.read_record(DOCTOR, p, "latest")
+    elif kind == "forged_pair":  # one forgery held by two replicas of three: no 51% version
+        a, b = rng.sample(nids, 2)
+        name, chain = _some_chain(rng, replicas[a])
+        pos = rng.randrange(len(chain))
+        forged = rng.choice(block_mutations(chain[pos])[1:])[1]  # any field but the coordinate
+        chain[pos] = replicas[b].chain(name, forged.coord.patient)[pos] = forged
+    else:
+        raise ValueError(kind)
+
+
+DAMAGE_KINDS = ("missing_patient", "tamper", "equal_copy", "truncate", "forged_pair")  # ops before raw edits
+
+
+def _damaged_replicas(seed: int, kinds: tuple[str, ...]) -> dict[str, Ledger]:
+    """Clones of one driven ledger, three (or five, without forged_pair),
+    each fault of kinds made once; equal seeds give equal sets, sharing
+    the same block objects between the same replicas."""
+    rng = random.Random(seed)
+    base = fresh_ledger()
+    drive(base, rng, 30)
+    count = 3 if "forged_pair" in kinds else rng.choice((3, 5))
+    replicas = {f"n{k}": base.clone() for k in range(1, count + 1)}
+    for kind in kinds:
+        _damage(rng, replicas, kind)
+    return replicas
+
+
+def _outcome(replicas: dict[str, Ledger], repair) -> tuple:
+    report = repair(replicas)
+    return report, [(nid, r.state_digest(), r.clock) for nid, r in replicas.items()]
+
+
+def _assert_repairs_as_the_oracle(make) -> list:
+    expected = _outcome(make(), every_position_repair_oracle)
+    got = _outcome(make(), repair_replicas)
+    assert got == expected
+    return [e.action for e in got[0]]
+
+
+@pytest.mark.parametrize(
+    "kinds", [(kind,) for kind in DAMAGE_KINDS] + [DAMAGE_KINDS[:4]], ids=[*DAMAGE_KINDS, "mixed"]
+)
+def test_repair_equals_the_every_position_vote(kinds):
+    """The vote limited to positions where replicas hold different block
+    objects, or lack one, reports, heals and clocks exactly as the vote at
+    every position of a differing chain."""
+    actions = Counter()
+    for seed in range(12):
+        actions.update(_assert_repairs_as_the_oracle(lambda: _damaged_replicas(seed, kinds)))
+    assert actions["replaced"] + actions["unrepairable"] > 0
+    if kinds == ("forged_pair",):
+        assert actions["unrepairable"] >= 12
+
+
+def test_repair_of_loaded_replicas_equals_the_every_position_vote(tmp_path):
+    """Replicas loaded from their own directories share no block object, so
+    every position of a chain that differs is voted on, as before."""
+    for seed in range(6):
+        for nid, replica in _damaged_replicas(seed, ("missing_patient", "tamper", "truncate")).items():
+            store.persist(replica, tmp_path / f"{seed}" / nid)
+        dirs = sorted((tmp_path / f"{seed}").iterdir())
+        _assert_repairs_as_the_oracle(lambda: {d.name: store.load_raw(d) for d in dirs})
+
+
 def test_drop_rate_zero_commits_every_valid_command():
     script = (GOLDEN / "lifecycle.script").read_text()
     transcript = run_scenario(SimConfig(node_count=5, seed=3), script, CATALOG)
@@ -303,6 +404,10 @@ def test_script_parsing_errors():
         parse_script("x n1 onboard code=X")
     with pytest.raises(ScriptError):
         parse_script("1 n1 onboard code")
+    for tick in ("0_1", "+1", "01", "\u0663"):  # int() reads each, and a transcript would show another number
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(f"# a comment\n{tick} n1 onboard code=X")
+        assert str(excinfo.value) == f"line 2: tick {tick!r} is not an integer"
     assert parse_script("# only a comment\n\n") == []
 
 
