@@ -171,7 +171,8 @@ class Ledger:
         drop every type index (each is built again on its first use).
 
         Tolerant of inconsistent chains (tampered replicas must still be
-        representable); verify_tree reports what is broken.
+        representable); verify_tree reports what is broken. A patient holds
+        both subchains or neither.
         """
         owners = _main_facts(self.main_chain, [cached_hash(blk) for blk in self.main_chain])[0]
         self._anchor: dict[int, IdentityBlock] = {}
@@ -180,6 +181,9 @@ class Ledger:
         self._catalog: dict[str, str] | None = None
         for block, p in zip(self.main_chain, owners):
             self._index(block, p)
+        if not len(self._anchor) == len(self.yellow) == len(self.red):  # else both hold just what _index anchored
+            for p in self.yellow.keys() ^ self.red.keys():
+                self.chain("yellow", p, create=True)
         self.closed: set[int] = {
             p for p, chain in self.yellow.items() if chain and chain[-1].is_final
         }
@@ -221,8 +225,10 @@ class Ledger:
             return self.main_chain
         if name not in ("yellow", "red"):
             raise ValueError(f"unknown chain {name!r}")
-        table = self.yellow if name == "yellow" else self.red
-        return table.setdefault(patient, []) if create else table.get(patient, [])
+        if create:  # a patient holds both subchains or neither
+            self.yellow.setdefault(patient, [])
+            self.red.setdefault(patient, [])
+        return (self.yellow if name == "yellow" else self.red).get(patient, [])
 
     def tamper(self, chain: str, patient: int, index: int, field_path: str, value) -> None:
         """Raw edit of one block, bypassing every check; for fault injection.
@@ -396,7 +402,7 @@ class Ledger:
         index = self._typed.get(p)
         if index is None:
             grouped: dict[str, list[tuple[MedicalBlock, RecordEntry]]] = {}
-            for blk in self.yellow.get(p, []):
+            for blk in self.yellow[p]:
                 for e in blk.entries:
                     grouped.setdefault(e.record_type, []).append((blk, e))
             index = self._typed[p] = {t: tuple(holders) for t, holders in grouped.items()}
@@ -483,7 +489,7 @@ class Ledger:
         tick = self._admit("read", cred, patient, place)
         matches: list[tuple[BlockCoord, RecordEntry]] = []
         if query == "latest":
-            for blk in reversed(self.yellow.get(patient, [])):
+            for blk in reversed(self.yellow[patient]):
                 if not blk.is_final:
                     matches = [(blk.coord, e) for e in blk.entries]
                     break
@@ -686,15 +692,12 @@ def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = No
     for p, h in zip(owners, main_hashes):
         if p is not None:
             lineages.setdefault(p, set()).add(h)
-    patient_set = set(lineages)
 
-    for p in sorted(set(ledger.yellow) | set(ledger.red)):
-        if p not in patient_set:
+    for p in sorted(ledger.yellow):
+        lineage_hashes = lineages.get(p, set())  # empty for no patient: nothing can match, keep checking
+        if not lineage_hashes:
             v.append(Violation("YELLOW", str(p), "structure", "subchain for unknown patient"))
-            lineage_hashes: set[Digest] = set()  # nothing can match, keep checking
-        else:
-            lineage_hashes = lineages[p]
-        yellow = ledger.yellow.get(p, [])
+        yellow = ledger.yellow[p]
         yellow_hashes = list(map(hash_of, yellow))
 
         broken = False
@@ -730,7 +733,7 @@ def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = No
         if (p in ledger.closed) != is_closed:
             v.append(Violation("YELLOW", str(p), "closed_flag", "closed set disagrees with final marker"))
 
-        red = ledger.red.get(p, [])
+        red = ledger.red[p]
         red_hashes = list(map(hash_of, red))
         broken = False
         for k, blk in enumerate(red):

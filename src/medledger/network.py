@@ -342,24 +342,23 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     A version qualifies only if it is held by at least 51% of replicas AND
     its stored self_hash recomputes with block_hash (no memo is read), so
     a raw tamper cannot vote itself into being the "right" version.
-    Replaced replicas get the winning block object itself, and their
-    logical clock is raised to the one a 51% majority holds, if one does,
-    so that their next op stamps what the others stamp; a clock is never
-    lowered, so no replica stamps a timestamp twice. Divergent positions
-    without a qualifying version are reported unrepairable.
+    Replaced replicas get the winning block object itself (a replica
+    without the patient gets both subchains), and their logical clock is
+    raised to the one a 51% majority holds, if one does, so that their
+    next op stamps what the others stamp; a clock is never lowered, so no
+    replica stamps a timestamp twice. Divergent positions without a
+    qualifying version are reported unrepairable.
     Replica order (dict order) fixes the report order.
     """
     total = len(replicas)
-    patients = sorted({p for r in replicas.values() for p in set(r.yellow) | set(r.red)})
-    chains = [("main", 0)] + [(name, p) for p in patients for name in ("yellow", "red")]
+    tables = {name: [getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")}
+    tables["main"] = [{None: r.main_chain} for r in replicas.values()]  # None: the chain of no patient
+    patients = sorted({p for table in tables["yellow"] for p in table})
+    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")]
     report: list[RepairEntry] = []
     touched: set[str] = set()
-    tables = {name: [getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")}
     for name, patient in chains:
-        if name == "main":
-            held = [r.main_chain for r in replicas.values()]
-        else:
-            held = [table.get(patient, []) for table in tables[name]]
+        held = [table.get(patient, []) for table in tables[name]]  # [] where a replica lacks the patient
         first = held[0]
         if held.count(first) == total:  # every replica's list equals the first's
             continue
@@ -380,7 +379,7 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
                     holders.append(nid)
             if len(versions) == 1:
                 continue
-            coord = str(pos) if name == "main" else f"{patient}.{pos + 1}"
+            coord = str(pos) if patient is None else f"{patient}.{pos + 1}"
             # at most one version can hold a majority; a missing one never qualifies
             good = next((blk for blk, holders in versions if repair_majority(len(holders), total)), None)
             if good is None or good.self_hash != block_hash(good):

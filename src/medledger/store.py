@@ -62,17 +62,13 @@ AUDIT_NAME = "audit.global"
 _MAGIC = b"MLG1"
 
 
-def _yellow_name(p: int) -> str:
-    return f"p{p}.yellow.chain"
-
-
-def _red_name(p: int) -> str:
-    return f"p{p}.red.chain"
+def _chain_name(p: int, subchain: str) -> str:
+    return f"p{p}.{subchain}.chain"
 
 
 def _expect_listed(counts: dict[str, int], patients) -> None:
     """Refuse a manifest that does not list exactly main.chain, audit.global and both files of each patient."""
-    expected = {MAIN_NAME, AUDIT_NAME} | {n for p in patients for n in (_yellow_name(p), _red_name(p))}
+    expected = {MAIN_NAME, AUDIT_NAME} | {_chain_name(p, c) for p in patients for c in ("yellow", "red")}
     if counts.keys() != expected:
         odd = sorted(counts.keys() ^ expected)
         raise CorruptChain(META_NAME, 0, f"manifest does not list exactly the chain files: {odd}")
@@ -119,8 +115,7 @@ def _files(ledger: Ledger) -> list[tuple[str, list, object]]:
     """(file name, items, encoder) of every file of the ledger's directory."""
     files = [(MAIN_NAME, ledger.main_chain, encode_record), (AUDIT_NAME, ledger.global_audit, encode_note)]
     for p in sorted(ledger.yellow):
-        files.append((_yellow_name(p), ledger.yellow[p], encode_record))
-        files.append((_red_name(p), ledger.red.get(p, []), encode_record))
+        files += [(_chain_name(p, c), ledger.chain(c, p), encode_record) for c in ("yellow", "red")]
     return files
 
 
@@ -205,14 +200,14 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     clock, counts = _decode_meta(meta_bytes)
     numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
     patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
-    _expect_listed(counts, patients)  # so each name is _yellow_name or _red_name of its number
+    _expect_listed(counts, patients)  # so each name is the _chain_name of its number
     main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed=True)
     notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
-        yellow[p] = _read_blocks(directory, _yellow_name(p), counts, MedicalBlock, hashed)
-        red[p] = _read_blocks(directory, _red_name(p), counts, LogBlock, hashed)
+        yellow[p] = _read_blocks(directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed)
+        red[p] = _read_blocks(directory, _chain_name(p, "red"), counts, LogBlock, hashed)
     ledger = Ledger(main, yellow, red, notes, clock)
     _expect_listed(counts, ledger.yellow)  # the lineage rule may anchor a patient the manifest does not name
     return ledger

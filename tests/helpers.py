@@ -51,6 +51,12 @@ def fresh_ledger() -> Ledger:
     return Ledger.genesis(CATALOG)
 
 
+def every_block(ledger: Ledger) -> list:
+    """Every block of the ledger, in the order persist writes them: the
+    main chain, then the medical and the log chain of each patient."""
+    return [*ledger.main_chain, *(blk for p in sorted(ledger.yellow) for blk in ledger.yellow[p] + ledger.red[p])]
+
+
 def drive(ledger: Ledger, rng: random.Random, n_ops: int, place: str = "test") -> list[str]:
     """Apply n_ops weighted random operations; domain errors are expected
     outcomes and are swallowed. Returns the verbs that were attempted."""
@@ -226,8 +232,8 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
     order, with no scan for the positions where replicas hold different
     block objects."""
     total = len(replicas)
-    patients = sorted({p for r in replicas.values() for p in set(r.yellow) | set(r.red)})
-    chains = [("main", 0)] + [(name, p) for p in patients for name in ("yellow", "red")]
+    patients = sorted({p for r in replicas.values() for p in r.yellow})
+    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")]
     report: list[RepairEntry] = []
     touched: set[str] = set()
     for name, patient in chains:
@@ -246,7 +252,7 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
                     holders.append(nid)
             if len(versions) == 1:
                 continue
-            coord = str(pos) if name == "main" else f"{patient}.{pos + 1}"
+            coord = str(pos) if patient is None else f"{patient}.{pos + 1}"
             good = next((blk for blk, holders in versions if repair_majority(len(holders), total)), None)
             if good is None or good.self_hash != block_hash(good):
                 report.append(RepairEntry("*", name, coord, "unrepairable"))
@@ -531,8 +537,8 @@ def record_shapes(ledger: Ledger) -> list[tuple[str, object]]:
     first genesis, patient, fiscal-change and catalog identity block,
     medical block with a prev_same_type entry, final medical block, log
     block and global audit note."""
-    yellow = [blk for p in ledger.patients() for blk in ledger.yellow[p]]
-    red = [blk for p in ledger.patients() for blk in ledger.red[p]]
+    held = every_block(ledger)
+    medical = [blk for blk in held if isinstance(blk, MedicalBlock)]
     by_variant = {}
     for blk in ledger.main_chain:
         by_variant.setdefault(blk.variant, blk)
@@ -541,9 +547,9 @@ def record_shapes(ledger: Ledger) -> list[tuple[str, object]]:
         ("patient", by_variant[IdentityVariant.PATIENT]),
         ("fiscal_change", by_variant[IdentityVariant.FISCAL_CHANGE]),
         ("catalog", by_variant[IdentityVariant.CATALOG]),
-        ("medical_prev_same_type", next(b for b in yellow if any(e.prev_same_type for e in b.entries))),
-        ("medical_final", next(b for b in yellow if b.is_final)),
-        ("log", red[0]),
+        ("medical_prev_same_type", next(b for b in medical if any(e.prev_same_type for e in b.entries))),
+        ("medical_final", next(b for b in medical if b.is_final)),
+        ("log", next(b for b in held if isinstance(b, LogBlock))),
     ]
     return picks + [("audit_note", ledger.global_audit[0])]
 

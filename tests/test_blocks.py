@@ -35,6 +35,7 @@ from helpers import (
     decode_outcome_digests,
     encode_outcome_lines,
     encode_pair_outcome_digests,
+    every_block,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,8 +157,7 @@ def test_every_field_mutation_changes_block_hash():
 
 def test_zero_digest_never_matches_a_real_parent():
     ledger = criterion7_ledger()
-    blocks = ledger.main_chain + [blk for p in ledger.patients() for blk in ledger.yellow[p] + ledger.red[p]]
-    assert all(block_hash(blk) != ZERO_DIGEST for blk in blocks)
+    assert all(block_hash(blk) != ZERO_DIGEST for blk in every_block(ledger))
 
 
 @pytest.mark.parametrize(

@@ -20,18 +20,12 @@ from helpers import (
     count_calls,
     counted,
     criterion7_ledger,
+    every_block,
     forged_log_replicas,
     long_history_ledger,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def every_block(ledger: Ledger):
-    yield from ledger.main_chain
-    for p in ledger.patients():
-        yield from ledger.yellow[p]
-        yield from ledger.red[p]
 
 
 def set_memo(block, digest: bytes) -> None:
@@ -263,7 +257,7 @@ def test_a_committed_proposal_seals_each_block_it_appends_once(nodes):
         ("report", ("type", "xray"), 1),
         ("write", ("entry", "unknown:v"), 1),
     ):
-        before = len(list(every_block(replica)))
+        before = len(every_block(replica))
         command = Command(verb, DOCTOR.actor_id, DOCTOR.role, True, (("patient", "1"), arg))
         assert counted(net.propose, blocks.block_hash, fresh=lambda: ("n1", command)) == {"blocks.block_hash": appended}
-        assert len(list(every_block(replica))) - before == appended
+        assert len(every_block(replica)) - before == appended

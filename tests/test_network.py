@@ -24,7 +24,8 @@ from medledger.network import (
     run_scenario,
 )
 
-from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, drive, every_position_repair_oracle, fresh_ledger
+from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, drive, every_block
+from helpers import every_position_repair_oracle, fresh_ledger
 from scenarios import golden_lines as scenario_golden_lines
 from scenarios import run as run_random_scenario
 from scenarios import scenario
@@ -556,12 +557,6 @@ def test_random_scenarios_match_the_pinned_digests():
 # --- one seal per committed block -------------------------------------------------
 
 
-def _blocks(ledger: Ledger) -> list:
-    """Every block of the ledger's chains."""
-    subchains = (blk for table in (ledger.yellow, ledger.red) for chain in table.values() for blk in chain)
-    return [*ledger.main_chain, *subchains]
-
-
 class Replay:
     """A Network and, beside it, one Ledger per node that takes every step
     on its own and is never offered a block: an independent apply."""
@@ -578,7 +573,7 @@ class Replay:
         commits; then each replica must equal its lone ledger and every memo
         must equal block_hash recomputed. Returns the blocks each node
         appended."""
-        before = {nid: {id(blk) for blk in _blocks(node.replica)} for nid, node in self.net.nodes.items()}
+        before = {nid: {id(blk) for blk in every_block(node.replica)} for nid, node in self.net.nodes.items()}
         try:
             committed = self.net.propose(proposer, command).committed
         except NotAuthorized:
@@ -595,8 +590,8 @@ class Replay:
         appended = {}
         for nid, node in self.net.nodes.items():
             assert node.replica.snapshot_bytes() == self.alone[nid].snapshot_bytes(), nid
-            assert all(blk.hash_memo in (None, block_hash(blk)) for blk in _blocks(node.replica)), nid
-            appended[nid] = [blk for blk in _blocks(node.replica) if id(blk) not in before[nid]]
+            assert all(blk.hash_memo in (None, block_hash(blk)) for blk in every_block(node.replica)), nid
+            appended[nid] = [blk for blk in every_block(node.replica) if id(blk) not in before[nid]]
         return appended
 
     def step(self, step) -> None:

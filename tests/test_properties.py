@@ -34,6 +34,7 @@ from helpers import (
     criterion7_ledger,
     criterion7_ledger_with_note,
     drive,
+    every_block,
     fresh_ledger,
     newest_with_type,
     per_block_read_oracle,
@@ -443,10 +444,7 @@ def test_verify_tree_and_repair_read_no_type_index():
 def test_every_block_record_round_trips(seed):
     ledger = fresh_ledger()
     drive(ledger, random.Random(seed), 12)
-    blocks = list(ledger.main_chain)
-    for p in ledger.patients():
-        blocks += ledger.yellow[p] + ledger.red[p]
-    for blk in blocks:
+    for blk in every_block(ledger):
         assert decode_record(encode_record(blk)) == blk
 
 
@@ -646,11 +644,8 @@ def _canonical(block) -> bool:
 
 def test_every_block_and_every_mutation_compares_as_its_bytes_do():
     ledger = criterion7_ledger(42)
-    blocks = list(ledger.main_chain)
-    for p in ledger.patients():
-        blocks += ledger.yellow[p] + ledger.red[p]
     checked = 0
-    for blk in blocks:
+    for blk in every_block(ledger):
         assert _canonical(blk), blk.coord
         for field_name, mutated in block_mutations(blk):
             assert _canonical(mutated), field_name

@@ -23,6 +23,7 @@ from helpers import (
     criterion7_ledger,
     criterion7_ledger_with_note,
     drive,
+    every_block,
     fresh_ledger,
     store_image,
 )
@@ -38,21 +39,30 @@ def small_fixture():
     return ledger
 
 
-def all_block_hashes(ledger):
-    hashes = [block_hash(blk) for blk in ledger.main_chain]
-    for p in sorted(ledger.yellow):
-        hashes += [block_hash(blk) for blk in ledger.yellow[p]]
-        hashes += [block_hash(blk) for blk in ledger.red[p]]
-    return hashes
-
-
 def test_round_trip_preserves_every_block_hash(tmp_path):
     ledger = small_fixture()
     persist(ledger, tmp_path)
     restored = load(tmp_path)
-    assert all_block_hashes(restored) == all_block_hashes(ledger)
+    assert list(map(block_hash, every_block(restored))) == list(map(block_hash, every_block(ledger)))
     assert restored.snapshot_bytes() == ledger.snapshot_bytes()
     assert restored.clock == ledger.clock
+
+
+@pytest.mark.parametrize("given", ["yellow", "red"])
+def test_a_patient_given_one_subchain_holds_both(tmp_path, given):
+    """A Ledger built from tables that give a patient only one subchain
+    holds both, so persist writes both files, snapshot_bytes covers the
+    chain it was given, and verify_tree reports the patient, who has no
+    identity block."""
+    ledger = small_fixture()
+    tables = {"yellow": dict(ledger.yellow), "red": dict(ledger.red)}
+    tables[given][9] = list(tables[given][1])
+    lonely = Ledger(list(ledger.main_chain), tables["yellow"], tables["red"], list(ledger.global_audit), ledger.clock)
+    assert lonely.yellow.keys() == lonely.red.keys() == {1, 9}
+    persist(lonely, tmp_path)
+    assert {"p9.yellow.chain", "p9.red.chain"} <= {f.name for f in tmp_path.iterdir()}
+    assert load_raw(tmp_path).snapshot_bytes() == lonely.snapshot_bytes() != ledger.snapshot_bytes()
+    assert "YELLOW 9 structure subchain for unknown patient" in map(str, verify_tree(lonely))
 
 
 def test_round_trip_after_random_operations(tmp_path):
@@ -274,7 +284,7 @@ def test_load_and_verify_hash_each_stored_block_once(tmp_path, monkeypatch, caps
     with hashlib directly, via note_hash."""
     ledger = criterion7_ledger_with_note(42)
     persist(ledger, tmp_path)
-    n_blocks = len(ledger.main_chain) + sum(len(ledger.yellow[p]) + len(ledger.red[p]) for p in ledger.patients())
+    n_blocks = len(every_block(ledger))
     block_hashes = count_calls(monkeypatch, blocks.block_hash)
     sha256_calls = count_calls(monkeypatch, merkle.sha256)
     decoded = count_calls(monkeypatch, blocks.decode_record)
@@ -284,13 +294,6 @@ def test_load_and_verify_hash_each_stored_block_once(tmp_path, monkeypatch, caps
         assert (block_hashes[0], sha256_calls[0]) == (0, 6 * n_blocks + 1)
         assert decoded[0] == n_blocks  # one decode per stored block record
     assert capsys.readouterr().out == "OK 0 violations\n"
-
-
-def _stored_blocks(ledger) -> list:
-    out = list(ledger.main_chain)
-    for p in ledger.patients():
-        out += ledger.yellow[p] + ledger.red[p]
-    return out
 
 
 def _driven_ledger():
@@ -312,12 +315,12 @@ def test_decoded_blocks_are_full_values(tmp_path, build):
     fills it with the block's hash."""
     ledger = build()
     persist(ledger, tmp_path)
-    raw = _stored_blocks(load_raw(tmp_path))
+    raw = every_block(load_raw(tmp_path))
     checked, violations = load_checked(tmp_path)
     assert violations == []
-    checked = _stored_blocks(checked)
+    checked = every_block(checked)
     infos = []
-    for original, *loaded in zip(_stored_blocks(ledger), raw, checked, strict=True):
+    for original, *loaded in zip(every_block(ledger), raw, checked, strict=True):
         for blk in loaded:
             assert _typed_vars(blk) == _typed_vars(original)
             assert _typed_vars(blk.coord) == _typed_vars(original.coord)
