@@ -2,11 +2,13 @@
 access-log subchain per patient.
 
 The identity block of a patient is the genesis anchor of both subchains;
-no placeholder blocks are materialized. Every access attempt, successful
-or not, appends exactly one log block to the patient's red chain, so the
-red chain only ever grows. Failed attempts that cannot be anchored to a
-patient (unknown index, denied onboarding) land in a ledger-level audit
-note chain instead.
+no placeholder blocks are materialized. A patient holds both subchains or
+neither (kept by _recompute_derived and Ledger.chain), so persist, the
+session image, snapshot_bytes, verify_tree and repair walk the same
+chains. Every access attempt, successful or not, appends exactly one log
+block to the patient's red chain, so the red chain only ever grows. Failed
+attempts that cannot be anchored to a patient (unknown index, denied
+onboarding) land in a ledger-level audit note chain instead.
 
 Besides the chains, a Ledger keeps derived state rebuilt from them: the
 anchors, active codes, catalog head and closed set, the active catalog,

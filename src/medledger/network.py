@@ -9,11 +9,11 @@ replica builds the blocks the command appends and takes the first
 replica's block, an immutable value, only after checking that it equals
 its own field for field; a replica that diverged seals its own.
 Byzantine nodes refuse confirmations; state divergence is injected only
-through tamper(). audit_and_repair replaces any block that differs from
-a valid version held by at least 51% of nodes; below a majority two
-versions could both qualify. It votes only where a replica holds a
-different block object than the first replica, or lacks a block, so a
-repair costs the damage, not the length of the chains.
+through tamper(). audit_and_repair replaces any block or audit note that
+differs from a valid version held by at least 51% of nodes; below a
+majority two versions could both qualify. It votes only where a replica
+holds a different block object than the first replica, or lacks a block,
+so a repair costs the damage, not the length of the chains.
 
 Everything is driven by a logical clock and one seeded RNG (message
 drops), so a (config, script) pair always yields the same transcript.
@@ -27,7 +27,7 @@ from itertools import compress, count
 from operator import is_not
 from typing import Any, Callable, NamedTuple
 
-from .blocks import Block, block_hash
+from .blocks import Block, block_hash, note_hash
 from .errors import (
     CommandError,
     ConfigError,
@@ -332,15 +332,17 @@ class Network:
 def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     """Per-position majority vote over block values, chain by chain.
 
-    Equal blocks encode to equal bytes, so this is a vote over stored
-    blocks. A chain whose block lists are equal on every replica is
-    skipped; clones share their blocks, so that costs almost nothing. In
-    a chain that differs, the vote runs only where some replica holds a
-    different block object than the first replica, and past the shortest
-    list: where every replica holds the same object there is one version,
-    so a forged block costs one vote, not one per block of its chain.
-    A version qualifies only if it is held by at least 51% of replicas AND
-    its stored self_hash recomputes with block_hash (no memo is read), so
+    The chains are the main chain, each patient's yellow and red
+    subchains, and last the global audit notes. Equal blocks encode to
+    equal bytes, so this is a vote over stored blocks. A chain whose block
+    lists are equal on every replica is skipped; clones share their
+    blocks, so that costs almost nothing. In a chain that differs, the
+    vote runs only where some replica holds a different block object than
+    the first replica, and past the shortest list: where every replica
+    holds the same object there is one version, so a forged block costs
+    one vote, not one per block of its chain. A version qualifies only if
+    it is held by at least 51% of replicas AND its stored self_hash
+    recomputes with block_hash (note_hash for a note; no memo is read), so
     a raw tamper cannot vote itself into being the "right" version.
     Replaced replicas get the winning block object itself (a replica
     without the patient gets both subchains), and their logical clock is
@@ -353,8 +355,9 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     total = len(replicas)
     tables = {name: [getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")}
     tables["main"] = [{None: r.main_chain} for r in replicas.values()]  # None: the chain of no patient
+    tables["audit"] = [{None: r.global_audit} for r in replicas.values()]
     patients = sorted({p for table in tables["yellow"] for p in table})
-    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")]
+    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")] + [("audit", None)]
     report: list[RepairEntry] = []
     touched: set[str] = set()
     for name, patient in chains:
@@ -382,14 +385,16 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
             coord = str(pos) if patient is None else f"{patient}.{pos + 1}"
             # at most one version can hold a majority; a missing one never qualifies
             good = next((blk for blk, holders in versions if repair_majority(len(holders), total)), None)
-            if good is None or good.self_hash != block_hash(good):
+            if good is None or good.self_hash != (note_hash if name == "audit" else block_hash)(good):
                 report.append(RepairEntry("*", name, coord, "unrepairable"))
                 continue
             for blk, holders in versions:
                 if blk is good:
                     continue
                 for nid in holders:
-                    blocks = lists[nid] = replicas[nid].chain(name, patient, create=True)
+                    blocks = lists[nid]
+                    if patient is not None:  # a replica without the patient gets both subchains
+                        blocks = lists[nid] = replicas[nid].chain(name, patient, create=True)
                     if pos < len(blocks):
                         blocks[pos] = good
                     elif pos == len(blocks):

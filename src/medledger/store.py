@@ -8,6 +8,10 @@ logical clock and the per-file record counts, guarded by a SHA-256
 checksum, so truncation at a record boundary is just as detectable as a
 flipped byte mid-record.
 
+Persist writes both files of every patient the ledger holds, and a
+ledger holds both subchains of a patient or neither, so a patient that a
+repair gives a block always gets both files.
+
 A session (store.session) is the single writer: it holds the directory's
 flock from its load through its commits, each of which appends only what
 the ledger appended since. A load opens what persist listed: main.chain,

@@ -29,6 +29,7 @@ from medledger.blocks import (
     encode_note,
     encode_record,
     mutate_block,
+    note_hash,
     sealed,
 )
 from medledger.errors import AccessDenied, LedgerError
@@ -230,14 +231,19 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
     """network.repair_replicas as it voted at every position of a chain
     that differs anywhere: the same vote, hash check, clock rule and report
     order, with no scan for the positions where replicas hold different
-    block objects."""
+    block objects. The audit notes are voted on last, as one more chain
+    whose versions must recompute with note_hash."""
+
+    def chain(replica: Ledger, name: str, patient: int | None, create: bool = False) -> list:
+        return replica.global_audit if name == "audit" else replica.chain(name, patient, create)
+
     total = len(replicas)
     patients = sorted({p for r in replicas.values() for p in r.yellow})
-    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")]
+    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")] + [("audit", None)]
     report: list[RepairEntry] = []
     touched: set[str] = set()
     for name, patient in chains:
-        lists = {nid: r.chain(name, patient) for nid, r in replicas.items()}
+        lists = {nid: chain(r, name, patient) for nid, r in replicas.items()}
         first = next(iter(lists.values()))
         if all(held == first for held in lists.values()):
             continue
@@ -254,14 +260,14 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
                 continue
             coord = str(pos) if patient is None else f"{patient}.{pos + 1}"
             good = next((blk for blk, holders in versions if repair_majority(len(holders), total)), None)
-            if good is None or good.self_hash != block_hash(good):
+            if good is None or good.self_hash != (note_hash if name == "audit" else block_hash)(good):
                 report.append(RepairEntry("*", name, coord, "unrepairable"))
                 continue
             for blk, holders in versions:
                 if blk is good:
                     continue
                 for nid in holders:
-                    held = lists[nid] = replicas[nid].chain(name, patient, create=True)
+                    held = lists[nid] = chain(replicas[nid], name, patient, create=True)
                     if pos < len(held):
                         held[pos] = good
                     elif pos == len(held):

@@ -461,21 +461,56 @@ def test_audit_repair_creates_the_subchains_of_a_missing_patient(tmp_path, capsy
     assert sorted(store.load(lag).yellow) == sorted(store.load(lag).red) == [1, 2]
 
 
-@pytest.mark.parametrize("read", [False, True], ids=["onboarded", "read"])
-def test_audit_repair_gives_a_missing_patient_with_no_record_both_subchains(tmp_path, capsys, read):
+@pytest.mark.parametrize("case", ["onboarded", "read", "forged"])
+def test_audit_repair_gives_a_missing_patient_with_no_record_both_subchains(tmp_path, capsys, case):
     """A patient onboarded on two of three fresh replicas, with no medical
     block and at most a read, is healed onto the third with both subchain
-    files, so the third loads, verifies and holds the same bytes."""
+    files, so the third loads, verifies and holds the same bytes. With the
+    onboarding forged alike on both, main 1 is unrepairable, yet the read's
+    log is appended to the third, which is given both files once."""
     dirs = [str(tmp_path / name) for name in "abc"]
     for d in dirs:
         assert run(capsys, "init", "--dir", d, "--catalog", "blood_test:Blood test")[0] == 0
     for d in dirs[:2]:
         run(capsys, "onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001")
-        if read:
+        if case != "onboarded":
             run(capsys, "read", "--dir", d, "--actor", "drb", "--role", "doctor",
                 "--patient", "1", "--query", "latest")
-    assert_repaired(capsys, dirs, [("main", "1")] + [("red", "1.1")] * read)
-    assert store_image(dirs[0]) == store_image(dirs[1]) == store_image(dirs[2])
+        if case == "forged":
+            run(capsys, "tamper", "--dir", d, "--chain", "main", "--index", "1",
+                "--field", "info.x", "--value", "forged")
+    if case != "forged":
+        assert_repaired(capsys, dirs, [("main", "1")] + [("red", "1.1")] * (case == "read"))
+        assert store_image(dirs[0]) == store_image(dirs[1]) == store_image(dirs[2])
+        return
+    unrepairable = "unrepairable\t*\tmain\t1\n"
+    first = unrepairable + f"replaced\t{dirs[2]}\tred\t1.1\nentries\t2\n"
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, first)
+    assert {"p1.yellow.chain", "p1.red.chain"} <= {f.name for f in Path(dirs[2]).iterdir()}
+    healed, good = store.load_raw(dirs[2]), store.load_raw(dirs[0])
+    assert (healed.yellow, healed.red) == (good.yellow, good.red) and len(healed.red[1]) == 1
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, unrepairable + "entries\t1\n")
+
+
+def test_audit_repair_heals_a_forged_audit_note(tmp_path, capsys):
+    """One byte of the actor of a refused onboard's audit note, flipped on
+    one replica of three, is located by verify and healed by audit-repair
+    from the note the other two hold, to the same bytes."""
+    dirs = [str(tmp_path / name) for name in "abc"]
+    for d in dirs:
+        assert run(capsys, "init", "--dir", d, "--catalog", "blood_test:Blood test")[0] == 0
+        assert run(capsys, "onboard", "--dir", d, "--actor", "mallory", "--role", "doctor", "--code", "FC001")[0] == 1
+    notes = Path(dirs[1]) / "audit.global"
+    data = bytearray(notes.read_bytes())
+    data[data.index(b"mallory")] ^= 1
+    notes.write_bytes(data)
+    assert run(capsys, "verify", "--dir", dirs[1]) == (1, "AUDIT 0 self_hash stored hash does not recompute\n"
+                                                       "FAIL 1 violations\n")
+    out = f"replaced\t{dirs[1]}\taudit\t0\nentries\t1\n"
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, out)
+    assert run(capsys, "verify", "--dir", dirs[1]) == (0, "OK 0 violations\n")
+    assert notes.read_bytes() == (Path(dirs[0]) / "audit.global").read_bytes()
+    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, "entries\t0\n")
 
 
 def lineage_replicas(tmp_path, capsys) -> list[str]:

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import tempfile
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 from medledger import store
 from medledger.blocks import block_hash, decode_record, encode_record
-from medledger.errors import LedgerError, NoSuchBlock, NotAuthorized, ReplicaDivergence, ScriptError
+from medledger.errors import AccessDenied, LedgerError, NoSuchBlock, NotAuthorized, ReplicaDivergence, ScriptError
 from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
     Command,
@@ -24,7 +26,7 @@ from medledger.network import (
     run_scenario,
 )
 
-from helpers import AUTHORITY, CATALOG, DOCTOR, block_mutations, drive, every_block
+from helpers import AUTHORITY, CATALOG, DOCTOR, INVALID, block_mutations, drive, every_block
 from helpers import every_position_repair_oracle, fresh_ledger
 from scenarios import golden_lines as scenario_golden_lines
 from scenarios import run as run_random_scenario
@@ -183,7 +185,9 @@ def test_three_identical_tampers_of_five_are_unrepairable():
 def test_repair_gives_a_replica_missing_a_patient_both_subchains(tmp_path):
     """An onboarding that two replicas of three applied is appended to the
     third together with the patient's empty subchains, so every replica
-    persists to a store that loads back to the same state."""
+    persists to a store that loads back to the same state. With the
+    onboarding forged alike on both, main 1 is unrepairable, yet the read's
+    log is appended to the third, which is given both subchains once."""
     base = Ledger.genesis(CATALOG)
     replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
     for nid in ("n1", "n2"):
@@ -193,6 +197,18 @@ def test_repair_gives_a_replica_missing_a_patient_both_subchains(tmp_path):
     for nid, replica in replicas.items():
         store.persist(replica, tmp_path / nid)
         assert store.load(tmp_path / nid).snapshot_bytes() == replicas["n1"].snapshot_bytes()
+
+    replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
+    for nid in ("n1", "n2"):
+        replicas[nid].onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+        replicas[nid].read_record(DOCTOR, 1, "latest")
+        replicas[nid].tamper("main", 0, 1, "info.x", "forged")
+    unrepairable = "unrepairable node=* chain=main coord=1"
+    assert [str(e) for e in repair_replicas(replicas)] == [unrepairable, "replaced node=n3 chain=red coord=1.1"]
+    assert (replicas["n3"].yellow, replicas["n3"].red) == ({1: []}, {1: replicas["n1"].red[1]})
+    store.persist(replicas["n3"], tmp_path / "forged")
+    assert store.load_raw(tmp_path / "forged").snapshot_bytes() == replicas["n3"].snapshot_bytes()
+    assert [str(e) for e in repair_replicas(replicas)] == [unrepairable]
 
 
 def test_repair_past_an_unrepairable_position_heals_no_replica_across_the_gap():
@@ -247,6 +263,18 @@ def _damage(rng: random.Random, replicas: dict[str, Ledger], kind: str) -> None:
             p = replica.onboard_patient(AUTHORITY, code, {"name": "new"})
             replica.write_record(DOCTOR, p, [("xray", b"v")])
             replica.read_record(DOCTOR, p, "latest")
+    elif kind == "forged_note":  # 1-3 refused onboards noted on every replica, then one note forged on one or two
+        for _ in range(rng.randint(1, 3)):
+            for replica in replicas.values():
+                with pytest.raises(AccessDenied):
+                    replica.onboard_patient(INVALID, "FCNOTE", {})
+        first, *more = rng.sample(nids, rng.choice((1, 2)))
+        notes = replicas[first].global_audit
+        pos = rng.randrange(len(notes))
+        field, value = rng.choice((("actor", "forged"), ("timestamp", notes[pos].timestamp + 1),
+                                   ("detail", "forged"), ("prev_hash", bytes(31) + b"\x01"), ("self_hash", bytes(32))))
+        for nid in (first, *more):
+            replicas[nid].global_audit[pos] = replace(notes[pos], **{field: value})
     elif kind == "forged_pair":  # one forgery held by two replicas of three: no 51% version
         a, b = rng.sample(nids, 2)
         name, chain = _some_chain(rng, replicas[a])
@@ -257,7 +285,8 @@ def _damage(rng: random.Random, replicas: dict[str, Ledger], kind: str) -> None:
         raise ValueError(kind)
 
 
-DAMAGE_KINDS = ("missing_patient", "tamper", "equal_copy", "truncate", "forged_pair")  # ops before raw edits
+# the kinds that run ops come first
+DAMAGE_KINDS = ("missing_patient", "forged_note", "tamper", "equal_copy", "truncate", "forged_pair")
 
 
 def _damaged_replicas(seed: int, kinds: tuple[str, ...]) -> dict[str, Ledger]:
@@ -279,23 +308,31 @@ def _outcome(replicas: dict[str, Ledger], repair) -> tuple:
     return report, [(nid, r.state_digest(), r.clock) for nid, r in replicas.items()]
 
 
-def _assert_repairs_as_the_oracle(make) -> list:
+def _assert_repairs_as_the_oracle(make, directory: Path) -> list:
+    """Repair and the oracle give the same report, states and clocks, and
+    every replica repair reports replaced holds only state the store can
+    hold: persisted to a fresh directory, it loads back the same."""
     expected = _outcome(make(), every_position_repair_oracle)
-    got = _outcome(make(), repair_replicas)
+    replicas = make()
+    got = _outcome(replicas, repair_replicas)
     assert got == expected
+    for nid in {e.node for e in got[0] if e.action == "replaced"}:
+        target = Path(tempfile.mkdtemp(dir=directory))
+        store.persist(replicas[nid], target)
+        assert store.load_raw(target).snapshot_bytes() == replicas[nid].snapshot_bytes(), nid
     return [e.action for e in got[0]]
 
 
 @pytest.mark.parametrize(
-    "kinds", [(kind,) for kind in DAMAGE_KINDS] + [DAMAGE_KINDS[:4]], ids=[*DAMAGE_KINDS, "mixed"]
+    "kinds", [(kind,) for kind in DAMAGE_KINDS] + [DAMAGE_KINDS[:5]], ids=[*DAMAGE_KINDS, "mixed"]
 )
-def test_repair_equals_the_every_position_vote(kinds):
+def test_repair_equals_the_every_position_vote(kinds, tmp_path):
     """The vote limited to positions where replicas hold different block
     objects, or lack one, reports, heals and clocks exactly as the vote at
     every position of a differing chain."""
     actions = Counter()
     for seed in range(12):
-        actions.update(_assert_repairs_as_the_oracle(lambda: _damaged_replicas(seed, kinds)))
+        actions.update(_assert_repairs_as_the_oracle(lambda: _damaged_replicas(seed, kinds), tmp_path))
     assert actions["replaced"] + actions["unrepairable"] > 0
     if kinds == ("forged_pair",):
         assert actions["unrepairable"] >= 12
@@ -305,10 +342,10 @@ def test_repair_of_loaded_replicas_equals_the_every_position_vote(tmp_path):
     """Replicas loaded from their own directories share no block object, so
     every position of a chain that differs is voted on, as before."""
     for seed in range(6):
-        for nid, replica in _damaged_replicas(seed, ("missing_patient", "tamper", "truncate")).items():
+        for nid, replica in _damaged_replicas(seed, ("missing_patient", "forged_note", "tamper", "truncate")).items():
             store.persist(replica, tmp_path / f"{seed}" / nid)
         dirs = sorted((tmp_path / f"{seed}").iterdir())
-        _assert_repairs_as_the_oracle(lambda: {d.name: store.load_raw(d) for d in dirs})
+        _assert_repairs_as_the_oracle(lambda: {d.name: store.load_raw(d) for d in dirs}, tmp_path)
 
 
 def test_drop_rate_zero_commits_every_valid_command():
