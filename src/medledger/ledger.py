@@ -3,9 +3,9 @@ access-log subchain per patient.
 
 The identity block of a patient is the genesis anchor of both subchains;
 no placeholder blocks are materialized. A patient holds both subchains or
-neither (kept by _recompute_derived and Ledger.chain), so persist, the
-session image, snapshot_bytes, verify_tree and repair walk the same
-chains. Every access attempt, successful or not, appends exactly one log
+neither: anchoring a patient creates both (_index), and a load reads both
+files of each patient. So persist, the session image, snapshot_bytes,
+verify_tree and repair walk the same chains. Every access attempt, successful or not, appends exactly one log
 block to the patient's red chain, so the red chain only ever grows. Failed
 attempts that cannot be anchored to a patient (unknown index, denied
 onboarding) land in a ledger-level audit note chain instead.
@@ -173,8 +173,7 @@ class Ledger:
         drop every type index (each is built again on its first use).
 
         Tolerant of inconsistent chains (tampered replicas must still be
-        representable); verify_tree reports what is broken. A patient holds
-        both subchains or neither.
+        representable); verify_tree reports what is broken.
         """
         owners = _main_facts(self.main_chain, [cached_hash(blk) for blk in self.main_chain])[0]
         self._anchor: dict[int, IdentityBlock] = {}
@@ -183,9 +182,6 @@ class Ledger:
         self._catalog: dict[str, str] | None = None
         for block, p in zip(self.main_chain, owners):
             self._index(block, p)
-        if not len(self._anchor) == len(self.yellow) == len(self.red):  # else both hold just what _index anchored
-            for p in self.yellow.keys() ^ self.red.keys():
-                self.chain("yellow", p, create=True)
         self.closed: set[int] = {
             p for p, chain in self.yellow.items() if chain and chain[-1].is_final
         }
@@ -221,15 +217,12 @@ class Ledger:
         dup._typed = dict(self._typed)
         return dup
 
-    def chain(self, name: str, patient: int, create: bool = False) -> list[b.Block]:
+    def chain(self, name: str, patient: int) -> list[b.Block]:
         """The main chain, or a patient's yellow or red subchain, by name."""
         if name == "main":
             return self.main_chain
         if name not in ("yellow", "red"):
             raise ValueError(f"unknown chain {name!r}")
-        if create:  # a patient holds both subchains or neither
-            self.yellow.setdefault(patient, [])
-            self.red.setdefault(patient, [])
         return (self.yellow if name == "yellow" else self.red).get(patient, [])
 
     def tamper(self, chain: str, patient: int, index: int, field_path: str, value) -> None:

@@ -344,12 +344,16 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     it is held by at least 51% of replicas AND its stored self_hash
     recomputes with block_hash (note_hash for a note; no memo is read), so
     a raw tamper cannot vote itself into being the "right" version.
-    Replaced replicas get the winning block object itself (a replica
-    without the patient gets both subchains), and their logical clock is
-    raised to the one a 51% majority holds, if one does, so that their
-    next op stamps what the others stamp; a clock is never lowered, so no
-    replica stamps a timestamp twice. Divergent positions without a
-    qualifying version are reported unrepairable.
+    Replaced replicas get the winning block object itself, and their
+    logical clock is raised to the one a 51% majority holds, if one does,
+    so that their next op stamps what the others stamp; a clock is never
+    lowered, so no replica stamps a timestamp twice. Divergent positions
+    without a qualifying version are reported unrepairable. The replicas
+    the main-chain vote changed are reindexed before the subchains are
+    voted on, so one given a patient's identity block holds both of its
+    subchains; a replica whose main chain still anchors no such patient
+    takes none of its subchain blocks, which are reported unrepairable
+    there, since no identity block would anchor them.
     Replica order (dict order) fixes the report order.
     """
     total = len(replicas)
@@ -360,6 +364,7 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")] + [("audit", None)]
     report: list[RepairEntry] = []
     touched: set[str] = set()
+    stale: set[str] = set()  # touched since the replica's last reindex
     for name, patient in chains:
         held = [table.get(patient, []) for table in tables[name]]  # [] where a replica lacks the patient
         first = held[0]
@@ -393,22 +398,27 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
                     continue
                 for nid in holders:
                     blocks = lists[nid]
-                    if patient is not None:  # a replica without the patient gets both subchains
-                        blocks = lists[nid] = replicas[nid].chain(name, patient, create=True)
-                    if pos < len(blocks):
-                        blocks[pos] = good
-                    elif pos == len(blocks):
-                        blocks.append(good)
-                    else:
+                    unanchored = name in ("yellow", "red") and patient not in replicas[nid]._anchor
+                    if unanchored or pos > len(blocks):
                         report.append(RepairEntry(nid, name, coord, "unrepairable"))
                         continue
+                    if pos < len(blocks):
+                        blocks[pos] = good
+                    else:
+                        blocks.append(good)
                     touched.add(nid)
+                    stale.add(nid)
                     report.append(RepairEntry(nid, name, coord, "replaced"))
+        if name == "main":  # the subchain votes read the anchors the repaired main chains give
+            for nid in stale:
+                replicas[nid]._recompute_derived()
+            stale.clear()
     clocks = [r.clock for r in replicas.values()]
     clock = next((c for c in clocks if repair_majority(clocks.count(c), total)), None)
     for nid in touched:
         if clock is not None:  # raised only: a replica ahead keeps the timestamps it used
             replicas[nid].clock = max(replicas[nid].clock, clock)
+    for nid in stale:
         replicas[nid]._recompute_derived()
     return report
 

@@ -119,7 +119,8 @@ def _files(ledger: Ledger) -> list[tuple[str, list, object]]:
     """(file name, items, encoder) of every file of the ledger's directory."""
     files = [(MAIN_NAME, ledger.main_chain, encode_record), (AUDIT_NAME, ledger.global_audit, encode_note)]
     for p in sorted(ledger.yellow):
-        files += [(_chain_name(p, c), ledger.chain(c, p), encode_record) for c in ("yellow", "red")]
+        files.append((_chain_name(p, "yellow"), ledger.yellow[p], encode_record))
+        files.append((_chain_name(p, "red"), ledger.red[p], encode_record))
     return files
 
 

@@ -232,10 +232,13 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
     that differs anywhere: the same vote, hash check, clock rule and report
     order, with no scan for the positions where replicas hold different
     block objects. The audit notes are voted on last, as one more chain
-    whose versions must recompute with note_hash."""
+    whose versions must recompute with note_hash. The replicas the main
+    chain vote changed are reindexed before the subchain votes, and a
+    replica that then anchors no patient of a subchain takes none of its
+    blocks."""
 
-    def chain(replica: Ledger, name: str, patient: int | None, create: bool = False) -> list:
-        return replica.global_audit if name == "audit" else replica.chain(name, patient, create)
+    def chain(replica: Ledger, name: str, patient: int | None) -> list:
+        return replica.global_audit if name == "audit" else replica.chain(name, patient)
 
     total = len(replicas)
     patients = sorted({p for r in replicas.values() for p in r.yellow})
@@ -267,7 +270,10 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
                 if blk is good:
                     continue
                 for nid in holders:
-                    held = lists[nid] = chain(replicas[nid], name, patient, create=True)
+                    held = lists[nid]
+                    if name in ("yellow", "red") and patient not in replicas[nid].patients():
+                        report.append(RepairEntry(nid, name, coord, "unrepairable"))
+                        continue
                     if pos < len(held):
                         held[pos] = good
                     elif pos == len(held):
@@ -277,6 +283,9 @@ def every_position_repair_oracle(replicas: dict[str, Ledger]) -> list[RepairEntr
                         continue
                     touched.add(nid)
                     report.append(RepairEntry(nid, name, coord, "replaced"))
+        if name == "main":
+            for nid in touched:
+                replicas[nid]._recompute_derived()
     clocks = [r.clock for r in replicas.values()]
     clock = next((c for c in clocks if repair_majority(clocks.count(c), total)), None)
     for nid in touched:

@@ -466,8 +466,9 @@ def test_audit_repair_gives_a_missing_patient_with_no_record_both_subchains(tmp_
     """A patient onboarded on two of three fresh replicas, with no medical
     block and at most a read, is healed onto the third with both subchain
     files, so the third loads, verifies and holds the same bytes. With the
-    onboarding forged alike on both, main 1 is unrepairable, yet the read's
-    log is appended to the third, which is given both files once."""
+    onboarding forged alike on both, main 1 is unrepairable, so the third
+    anchors no patient 1: the read's log is reported unrepairable there,
+    and the third keeps its files and still verifies."""
     dirs = [str(tmp_path / name) for name in "abc"]
     for d in dirs:
         assert run(capsys, "init", "--dir", d, "--catalog", "blood_test:Blood test")[0] == 0
@@ -483,13 +484,12 @@ def test_audit_repair_gives_a_missing_patient_with_no_record_both_subchains(tmp_
         assert_repaired(capsys, dirs, [("main", "1")] + [("red", "1.1")] * (case == "read"))
         assert store_image(dirs[0]) == store_image(dirs[1]) == store_image(dirs[2])
         return
-    unrepairable = "unrepairable\t*\tmain\t1\n"
-    first = unrepairable + f"replaced\t{dirs[2]}\tred\t1.1\nentries\t2\n"
-    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, first)
-    assert {"p1.yellow.chain", "p1.red.chain"} <= {f.name for f in Path(dirs[2]).iterdir()}
-    healed, good = store.load_raw(dirs[2]), store.load_raw(dirs[0])
-    assert (healed.yellow, healed.red) == (good.yellow, good.red) and len(healed.red[1]) == 1
-    assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, unrepairable + "entries\t1\n")
+    fresh = store_image(dirs[2])
+    out = f"unrepairable\t*\tmain\t1\nunrepairable\t{dirs[2]}\tred\t1.1\nentries\t2\n"
+    for _ in range(2):
+        assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, out)
+        assert store_image(dirs[2]) == fresh
+        assert run(capsys, "verify", "--dir", dirs[2]) == (0, "OK 0 violations\n")
 
 
 def test_audit_repair_heals_a_forged_audit_note(tmp_path, capsys):

@@ -186,8 +186,9 @@ def test_repair_gives_a_replica_missing_a_patient_both_subchains(tmp_path):
     """An onboarding that two replicas of three applied is appended to the
     third together with the patient's empty subchains, so every replica
     persists to a store that loads back to the same state. With the
-    onboarding forged alike on both, main 1 is unrepairable, yet the read's
-    log is appended to the third, which is given both subchains once."""
+    onboarding forged alike on both, main 1 is unrepairable, so the third
+    anchors no patient 1: it takes none of the read's log, which is
+    reported unrepairable there, and still verifies."""
     base = Ledger.genesis(CATALOG)
     replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
     for nid in ("n1", "n2"):
@@ -203,12 +204,12 @@ def test_repair_gives_a_replica_missing_a_patient_both_subchains(tmp_path):
         replicas[nid].onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
         replicas[nid].read_record(DOCTOR, 1, "latest")
         replicas[nid].tamper("main", 0, 1, "info.x", "forged")
-    unrepairable = "unrepairable node=* chain=main coord=1"
-    assert [str(e) for e in repair_replicas(replicas)] == [unrepairable, "replaced node=n3 chain=red coord=1.1"]
-    assert (replicas["n3"].yellow, replicas["n3"].red) == ({1: []}, {1: replicas["n1"].red[1]})
-    store.persist(replicas["n3"], tmp_path / "forged")
-    assert store.load_raw(tmp_path / "forged").snapshot_bytes() == replicas["n3"].snapshot_bytes()
-    assert [str(e) for e in repair_replicas(replicas)] == [unrepairable]
+    fresh = replicas["n3"].snapshot_bytes()
+    unrepairable = ["unrepairable node=* chain=main coord=1", "unrepairable node=n3 chain=red coord=1.1"]
+    for _ in range(2):
+        assert [str(e) for e in repair_replicas(replicas)] == unrepairable
+        assert (replicas["n3"].yellow, replicas["n3"].red) == ({}, {})
+        assert replicas["n3"].snapshot_bytes() == fresh and verify_tree(replicas["n3"]) == []
 
 
 def test_repair_past_an_unrepairable_position_heals_no_replica_across_the_gap():
@@ -308,18 +309,35 @@ def _outcome(replicas: dict[str, Ledger], repair) -> tuple:
     return report, [(nid, r.state_digest(), r.clock) for nid, r in replicas.items()]
 
 
+def _unit(chain: str, coord: str) -> str:
+    """What a violation or repair entry is in: the main chain, the audit
+    notes, or one patient's two subchains."""
+    return chain.lower() if chain.lower() in ("main", "audit") else coord.partition(".")[0]
+
+
 def _assert_repairs_as_the_oracle(make, directory: Path) -> list:
     """Repair and the oracle give the same report, states and clocks, and
     every replica repair reports replaced holds only state the store can
-    hold: persisted to a fresh directory, it loads back the same."""
+    hold: persisted to a fresh directory, it loads back the same. Nor does
+    verify_tree find more violations in it than before the repair, outside
+    the units that hold a position reported unrepairable (a replica given
+    the majority's blocks around such a position holds two histories
+    spliced there)."""
     expected = _outcome(make(), every_position_repair_oracle)
     replicas = make()
+    before = {nid: verify_tree(r) for nid, r in replicas.items()}
     got = _outcome(replicas, repair_replicas)
     assert got == expected
+    unrepaired = {_unit(e.chain, e.coord) for e in got[0] if e.action == "unrepairable"}
+
+    def counted(violations) -> int:
+        return sum(_unit(v.chain, v.coord) not in unrepaired for v in violations)
+
     for nid in {e.node for e in got[0] if e.action == "replaced"}:
         target = Path(tempfile.mkdtemp(dir=directory))
         store.persist(replicas[nid], target)
         assert store.load_raw(target).snapshot_bytes() == replicas[nid].snapshot_bytes(), nid
+        assert counted(verify_tree(replicas[nid])) <= counted(before[nid]), nid
     return [e.action for e in got[0]]
 
 

@@ -48,23 +48,6 @@ def test_round_trip_preserves_every_block_hash(tmp_path):
     assert restored.clock == ledger.clock
 
 
-@pytest.mark.parametrize("given", ["yellow", "red"])
-def test_a_patient_given_one_subchain_holds_both(tmp_path, given):
-    """A Ledger built from tables that give a patient only one subchain
-    holds both, so persist writes both files, snapshot_bytes covers the
-    chain it was given, and verify_tree reports the patient, who has no
-    identity block."""
-    ledger = small_fixture()
-    tables = {"yellow": dict(ledger.yellow), "red": dict(ledger.red)}
-    tables[given][9] = list(tables[given][1])
-    lonely = Ledger(list(ledger.main_chain), tables["yellow"], tables["red"], list(ledger.global_audit), ledger.clock)
-    assert lonely.yellow.keys() == lonely.red.keys() == {1, 9}
-    persist(lonely, tmp_path)
-    assert {"p9.yellow.chain", "p9.red.chain"} <= {f.name for f in tmp_path.iterdir()}
-    assert load_raw(tmp_path).snapshot_bytes() == lonely.snapshot_bytes() != ledger.snapshot_bytes()
-    assert "YELLOW 9 structure subchain for unknown patient" in map(str, verify_tree(lonely))
-
-
 def test_round_trip_after_random_operations(tmp_path):
     ledger = fresh_ledger()
     drive(ledger, random.Random(99), 25)
