@@ -13,7 +13,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import store
-from .errors import CommandError, ConfigError, LedgerError, NoSuchBlock, ScriptError, StorageError
+from .errors import CommandError, ConfigError, CorruptChain, LedgerError, NoSuchBlock, ScriptError, StorageError
 from .ledger import Ledger, Role, require_code
 from .network import (
     DEFAULT_CATALOG,
@@ -181,8 +181,12 @@ def _cmd_audit_repair(args) -> int:
             raise CommandError(f"replica directory {d!r} given more than once")
     with ExitStack() as stack:  # every replica's session open from its load through its commit
         replicas, commits = {}, {}
+        shared = {}  # a chain file's bytes, count and blocks, as the first replica that read it decoded them
         for path, d in sorted(zip(resolved, args.dirs)):  # locked in path order
-            replicas[d], commits[d] = stack.enter_context(store.session(path, raw=True))
+            try:
+                replicas[d], commits[d] = stack.enter_context(store.session(path, raw=True, shared=shared))
+            except CorruptChain as exc:  # name the replica, not only its file
+                raise CorruptChain(str(Path(d) / exc.filename), exc.offset, exc.reason) from None
         entries = repair_replicas({d: replicas[d] for d in args.dirs})
         replaced = {e.node for e in entries if e.action == "replaced"}
         for d in args.dirs:

@@ -336,14 +336,16 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     subchains, and last the global audit notes. Equal blocks encode to
     equal bytes, so this is a vote over stored blocks. A chain whose block
     lists are equal on every replica is skipped; clones share their
-    blocks, so that costs almost nothing. In a chain that differs, the
-    vote runs only where some replica holds a different block object than
-    the first replica, and past the shortest list: where every replica
-    holds the same object there is one version, so a forged block costs
-    one vote, not one per block of its chain. A version qualifies only if
-    it is held by at least 51% of replicas AND its stored self_hash
-    recomputes with block_hash (note_hash for a note; no memo is read), so
-    a raw tamper cannot vote itself into being the "right" version.
+    blocks, and so do replicas that audit-repair loaded from chain files
+    with equal bytes (store.load_raw's shared), so that costs almost
+    nothing. In a chain that differs, the vote runs only where some
+    replica holds a different block object than the first replica, and
+    past the shortest list: where every replica holds the same object
+    there is one version, so a forged block costs one vote, not one per
+    block of its chain. A version qualifies only if it is held by at
+    least 51% of replicas AND its stored self_hash recomputes with
+    block_hash (note_hash for a note; no memo is read), so a raw tamper
+    cannot vote itself into being the "right" version.
     Replaced replicas get the winning block object itself, and their
     logical clock is raised to the one a 51% majority holds, if one does,
     so that their next op stamps what the others stamp; a clock is never

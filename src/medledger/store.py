@@ -27,6 +27,15 @@ self_hash, and kept as the block's memo, which verify_tree then checks.
 The slices are the block's field groups because decoding is strict and
 canonical. load_raw decodes, and hashes the same way only the main chain,
 whose hashes the ledger's derived indexes need; nothing is re-encoded.
+
+Replicas share blocks on disk as clones do in memory. audit-repair
+passes one dict to the raw loads of all its replicas (load_raw's shared):
+the first load that reads a file keeps its bytes, manifest count and
+decoded blocks there, and a later load whose file has the same bytes and
+count takes a fresh list of those blocks, frozen values, without
+decoding or hashing it. So each distinct chain file is decoded once, and
+repair's identity skip passes over every chain whose files were equal.
+load, load_checked and every single-directory command pass no dict.
 """
 
 from __future__ import annotations
@@ -156,14 +165,21 @@ def persist(ledger: Ledger, directory: str | Path, held: dict[str, list] | None 
         raise StorageError(f"cannot persist to {directory}: {exc}") from exc
 
 
-def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> list:
+def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, shared: dict | None) -> list:
     """Read and unframe one chain file and decode each record, in one pass.
     A framing failure, a ValueError from decode, or bytes beyond the
-    manifest's count is CorruptChain at the offset of the record hit."""
+    manifest's count is CorruptChain at the offset of the record hit.
+
+    shared, if given, maps a file name to (bytes, count, items) of the
+    first load that decoded that file; a file whose bytes and count equal
+    those gets a fresh list of the same items, undecoded."""
     try:
         data = (directory / name).read_bytes()
     except OSError:
         raise StorageError(f"chain file {name} missing from {directory}") from None
+    first = None if shared is None else shared.get(name)
+    if first is not None and first[0] == data and first[1] == counts[name]:
+        return list(first[2])
     items = []
     offset = 0
     try:
@@ -174,12 +190,15 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode) -> l
         _expect_end(data, offset)
     except ValueError as exc:
         raise CorruptChain(name, offset, str(exc)) from None
+    if shared is not None:
+        shared.setdefault(name, (data, counts[name], tuple(items)))
     return items
 
 
-def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool) -> list:
+def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool, shared) -> list:
     """The blocks of one chain file, each of kind want. With hashed, each
-    block's memo is its hash recomputed from the record bytes just read."""
+    block's memo is its hash recomputed from the record bytes just read.
+    shared is _read_chain's."""
 
     def decode(record: bytes):
         block = decode_record(record)
@@ -189,15 +208,15 @@ def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type,
             object.__setattr__(block, "hash_memo", record_hash(record, block))  # as cached_hash keeps it
         return block
 
-    return _read_chain(directory, name, counts, decode)
+    return _read_chain(directory, name, counts, decode, shared)
 
 
-def _assemble(directory: Path, hashed: bool = False) -> Ledger:
+def _assemble(directory: Path, hashed: bool = False, shared: dict | None = None) -> Ledger:
     """Open the files persist wrote, as its manifest lists them; a patient
     listed but not anchored is verify_tree's to report. The memo of each
     main-chain block, and with hashed of every block, is its hash
     recomputed from the bytes read, so that building the Ledger re-encodes
-    nothing."""
+    nothing. shared is _read_chain's."""
     try:
         meta_bytes = (directory / META_NAME).read_bytes()
     except OSError:
@@ -206,13 +225,13 @@ def _assemble(directory: Path, hashed: bool = False) -> Ledger:
     numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
     patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
     _expect_listed(counts, patients)  # so each name is the _chain_name of its number
-    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed=True)
-    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note)
+    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed=True, shared=shared)
+    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note, shared)
     yellow: dict[int, list[MedicalBlock]] = {}
     red: dict[int, list[LogBlock]] = {}
     for p in patients:
-        yellow[p] = _read_blocks(directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed)
-        red[p] = _read_blocks(directory, _chain_name(p, "red"), counts, LogBlock, hashed)
+        yellow[p] = _read_blocks(directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed, shared)
+        red[p] = _read_blocks(directory, _chain_name(p, "red"), counts, LogBlock, hashed, shared)
     ledger = Ledger(main, yellow, red, notes, clock)
     _expect_listed(counts, ledger.yellow)  # the lineage rule may anchor a patient the manifest does not name
     return ledger
@@ -234,10 +253,13 @@ def load(directory: str | Path) -> Ledger:
     return ledger
 
 
-def load_raw(directory: str | Path) -> Ledger:
+def load_raw(directory: str | Path, shared: dict | None = None) -> Ledger:
     """Reconstruct without verification; for tamper tooling and repair.
-    Only the main chain is hashed, from its record bytes."""
-    return _assemble(Path(directory))
+    Only the main chain is hashed, from its record bytes. Loads of several
+    replicas that pass one shared dict, empty at the first, decode each
+    distinct chain file once: a file equal in bytes and manifest count to
+    the one a previous load decoded gets a fresh list of its blocks."""
+    return _assemble(Path(directory), shared=shared)
 
 
 @contextmanager
@@ -258,15 +280,15 @@ def _locked(directory: Path):
 
 
 @contextmanager
-def session(directory: str | Path, raw: bool = False):
+def session(directory: str | Path, raw: bool = False, shared: dict | None = None):
     """Yield (ledger, commit) under the directory's lock: the ledger loaded
-    verified (raw: not, for tamper tooling and repair), and a commit that
-    appends to the image of what each file holds, as the load read it or
-    the last commit wrote it. A failed commit leaves no image: the next
-    one writes whole."""
+    verified (raw: not, for tamper tooling and repair, with load_raw's
+    shared), and a commit that appends to the image of what each file
+    holds, as the load read it or the last commit wrote it. A failed
+    commit leaves no image: the next one writes whole."""
     directory = Path(directory)
     with _locked(directory):
-        ledger = (load_raw if raw else load)(directory)
+        ledger = load_raw(directory, shared) if raw else load(directory)
         held = [{name: list(items) for name, items, _ in _files(ledger)}]
 
         def commit() -> None:

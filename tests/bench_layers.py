@@ -5,9 +5,10 @@
 SRC is the `src` directory of the checkout to import medledger from. REPS
 (at least 2, default 15) is the number of samples per timing, each the
 mean time of a batch of calls; PATIENTS (default 200) sizes the store of
-the load section. Leading integers are REPS, then PATIENTS; the words
-after them name the sections to run, all four by default. One section
-prints its JSON object alone, several print one object keyed by section.
+the load and cli_repair sections. Leading integers are REPS, then
+PATIENTS; the words after them name the sections to run, all five by
+default. One section prints its JSON object alone, several print one
+object keyed by section.
 
 load (the figures of BENCH_decode.json) persists a seeded store of
 PATIENTS patients, each with six writes of 1-2 entries and three reads.
@@ -44,6 +45,12 @@ clones of long_history with one seeded raw tamper (a medical payload or
 a log's actor) and on 15 clones of replicated_sim with two, each tamper
 on its own clone, the last first; each sample makes its clones untimed.
 It counts the block_hash and merkle.sha256 calls of one repair.
+
+cli_repair (BENCH_audit_repair_share.json) persists three replica
+directories of the load section's store, the third with the middle log
+of patient 1 forged raw, and times one in-process CLI audit-repair over
+them; each sample first writes the three directories again, untimed. It
+counts the merkle.sha256 and decode_record calls of one audit-repair.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
 
-from helpers import AUTHORITY, DOCTOR, counted, rebuilt  # noqa: E402
+from helpers import AUTHORITY, DOCTOR, build_store, counted, forged_log_dirs, quiet_main, rebuilt  # noqa: E402
 from helpers import CATALOG as STORE_CATALOG  # noqa: E402
 from medledger import blocks, merkle, store  # noqa: E402
 from medledger.ledger import Ledger, verify_tree  # noqa: E402
@@ -92,20 +99,6 @@ def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict
 
 
 # -- load ----------------------------------------------------------------------
-
-
-def build_store(patients: int, seed: int = 1) -> Ledger:
-    """Onboard each patient, then six writes of 1-2 entries and three reads."""
-    rng = random.Random(seed)
-    ledger = Ledger.genesis(STORE_CATALOG)
-    for n in range(patients):
-        p = ledger.onboard_patient(AUTHORITY, f"FC{n:06d}", {"name": f"n{rng.randrange(10**6)}"})
-        for _ in range(6):
-            entries = [(rng.choice(TYPES), f"v{rng.randrange(1000)}".encode()) for _ in range(rng.randint(1, 2))]
-            ledger.write_record(DOCTOR, p, entries)
-        for _ in range(3):
-            ledger.read_record(DOCTOR, p, rng.choice(TYPES + ("latest",)))
-    return ledger
 
 
 def block_records(directory: Path) -> list[bytes]:
@@ -294,7 +287,36 @@ def repair_section(reps: int, patients: int) -> dict:
     }
 
 
-SECTIONS = {"load": load_section, "encode": encode_section, "access": access_section, "repair": repair_section}
+# -- cli_repair ------------------------------------------------------------------
+
+
+def cli_repair_section(reps: int, patients: int) -> dict:
+    ledger = build_store(patients)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = forged_log_dirs(ledger, Path(tmp))
+        argv = ["audit-repair", "--dirs", *dirs]
+
+        def forged() -> tuple:
+            forged_log_dirs(ledger, Path(tmp))  # each file written whole, the forged log back on n3
+            return (argv,)
+
+        if quiet_main(argv) != 0:
+            raise RuntimeError("audit-repair of the forged replicas failed")
+        return {
+            "patients": patients,
+            "reps": reps,
+            "ms": {"audit_repair": sampled(quiet_main, reps, fresh=forged, digits=2)},
+            "calls": counted(quiet_main, merkle.sha256, blocks.decode_record, fresh=forged),
+        }
+
+
+SECTIONS = {
+    "load": load_section,
+    "encode": encode_section,
+    "access": access_section,
+    "repair": repair_section,
+    "cli_repair": cli_repair_section,
+}
 
 
 def main(argv: list[str]) -> int:

@@ -4,15 +4,18 @@ generators. Kept independent of the assertions that use them."""
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
-from medledger import blocks, merkle
+from medledger import blocks, cli, merkle, store
 from medledger.blocks import (
     BlockCoord,
     CatalogUpdate,
@@ -164,6 +167,39 @@ def forged_log_replicas(history: Ledger) -> dict[str, Ledger]:
     return replicas
 
 
+def build_store(patients: int, seed: int = 1) -> Ledger:
+    """The seeded store of the load benchmarks: onboard each patient, then
+    six writes of 1-2 entries and three reads."""
+    rng = random.Random(seed)
+    types = tuple(code for code, _ in CATALOG)
+    ledger = Ledger.genesis(CATALOG)
+    for n in range(patients):
+        p = ledger.onboard_patient(AUTHORITY, f"FC{n:06d}", {"name": f"n{rng.randrange(10**6)}"})
+        for _ in range(6):
+            entries = [(rng.choice(types), f"v{rng.randrange(1000)}".encode()) for _ in range(rng.randint(1, 2))]
+            ledger.write_record(DOCTOR, p, entries)
+        for _ in range(3):
+            ledger.read_record(DOCTOR, p, rng.choice(types + ("latest",)))
+    return ledger
+
+
+def forged_log_dirs(ledger: Ledger, directory: Path) -> list[str]:
+    """forged_log_replicas of the ledger persisted to directory/n1..n3, in
+    path order: the third, last in the order audit-repair loads them, holds
+    the forged log."""
+    dirs = []
+    for nid, replica in forged_log_replicas(ledger).items():
+        store.persist(replica, directory / nid)
+        dirs.append(str(directory / nid))
+    return dirs
+
+
+def quiet_main(argv: list[str]) -> int:
+    """cli.main with its standard output dropped."""
+    with redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
 def _command(cred: Credential, verb: str, **args: str) -> Command:
     return Command(verb, cred.actor_id, cred.role, cred.valid, tuple(args.items()))
 
@@ -193,8 +229,10 @@ def cost_count_lines() -> list[str]:
     fresh Ledger rebuilt from its chains, its first typed op; of a repair
     of its forged_log_replicas; and of a Network.propose of a write, a
     typed read, a report and a write that the catalog refuses, in that
-    order, on one 3-node and one 15-node network. Counts only: they are
-    exact on any machine."""
+    order, on one 3-node and one 15-node network. Then the decode_record
+    and merkle.sha256 calls of one verified store.load of build_store(200),
+    and of one CLI audit-repair over its forged_log_dirs. Counts only: they
+    are exact on any machine."""
     counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
     ops = {
@@ -224,6 +262,12 @@ def cost_count_lines() -> list[str]:
             f"network{nodes}.propose_{name}": counted(net.propose, *counters, fresh=lambda c=command: ("n1", c))
             for name, command in proposals.items()
         }
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = forged_log_dirs(build_store(200), Path(tmp))
+        store_counters = (blocks.decode_record, merkle.sha256)
+        counts["store200.load"] = counted(store.load, *store_counters, fresh=lambda: (dirs[0],))
+        repair = ["audit-repair", "--dirs", *dirs]
+        counts["store200.audit_repair"] = counted(quiet_main, *store_counters, fresh=lambda: (repair,))
     return [f"{name} {counter} {calls}" for name, by_counter in counts.items() for counter, calls in by_counter.items()]
 
 

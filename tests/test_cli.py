@@ -13,6 +13,7 @@ import pytest
 from medledger import store
 from medledger.blocks import AccessEvent
 from medledger.cli import main
+from medledger.errors import CorruptChain
 from medledger.ledger import Credential, Ledger, Role
 
 from helpers import CATALOG, count_calls, empty_code_ledger, store_image
@@ -593,8 +594,8 @@ def test_audit_repair_locks_every_replica_from_load_to_persist(tmp_path, capsys,
     load_raw = store.load_raw
     racing_writes = []
 
-    def load_then_race(directory):
-        ledger = load_raw(directory)
+    def load_then_race(directory, shared):
+        ledger = load_raw(directory, shared)
         racing_writes.append(main(["write", "--dir", str(directory), "--actor", "drb",
                                    "--role", "doctor", "--patient", "1", "--entry", "xray:racing"]))
         return ledger
@@ -604,6 +605,52 @@ def test_audit_repair_locks_every_replica_from_load_to_persist(tmp_path, capsys,
     assert (code, out) == (0, f"replaced\t{dirs[2]}\tyellow\t1.1\nentries\t1\n")
     assert racing_writes == [2, 2, 2]
     assert len({store.load(d).snapshot_bytes() for d in dirs}) == 1
+    assert_unlocked(*dirs)
+
+
+def _kind_byte_7f(d: str) -> None:
+    """An unknown block kind at the first record of p1.yellow.chain."""
+    path = Path(d) / "p1.yellow.chain"
+    data = bytearray(path.read_bytes())
+    data[4] = 0x7F  # after the record's 4-byte length
+    path.write_bytes(data)
+
+
+def _red_count_one_below(d: str) -> None:
+    """meta rewritten to list one p1.red.chain record fewer; every chain
+    file keeps its bytes."""
+    clock, counts = store._decode_meta((Path(d) / "meta").read_bytes())
+    counts["p1.red.chain"] -= 1
+    (Path(d) / "meta").write_bytes(store._encode_meta(clock, list(counts.items())))
+
+
+@pytest.mark.parametrize("damage", [_kind_byte_7f, _red_count_one_below], ids=["kind-7f", "count-one-below"])
+@pytest.mark.parametrize("k", [0, 2], ids=["first", "later"])
+def test_audit_repair_names_the_replica_whose_load_failed(tmp_path, capsys, damage, k):
+    """A replica that does not load is named, with its file and offset, the
+    error verify gives for it alone; every tree is left as it was and every
+    lock released. A later replica whose chain files equal the first's
+    bytes but whose meta lists fewer records is refused as it is alone:
+    the first replica's decoded blocks are not handed to it."""
+    dirs = replica_dirs(tmp_path)
+    damage(dirs[k])
+    assert main(["verify", "--dir", dirs[k]]) == 2
+    alone = capsys.readouterr().err
+    assert alone.startswith("ERROR CorruptChain: p1.")
+    if damage is _kind_byte_7f:
+        assert alone == "ERROR CorruptChain: p1.yellow.chain @ 0: unknown block kind 0x7f\n"
+    shared = {}
+    for d in dirs[:k]:
+        store.load_raw(d, shared)
+    with pytest.raises(CorruptChain) as refused:
+        store.load_raw(dirs[k], shared)
+    exc = refused.value
+    assert alone == f"ERROR CorruptChain: {exc}\n"
+    before = _tree(dirs)
+    assert main(["audit-repair", "--dirs", *dirs]) == 2
+    named = f"ERROR CorruptChain: {Path(dirs[k]) / exc.filename} @ {exc.offset}: {exc.reason}\n"
+    assert capsys.readouterr() == ("", named)
+    assert _tree(dirs) == before
     assert_unlocked(*dirs)
 
 

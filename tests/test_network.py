@@ -4,6 +4,7 @@ import itertools
 import random
 import tempfile
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +27,8 @@ from medledger.network import (
     run_scenario,
 )
 
-from helpers import AUTHORITY, CATALOG, DOCTOR, INVALID, block_mutations, drive, every_block
-from helpers import every_position_repair_oracle, fresh_ledger
+from helpers import AUTHORITY, CATALOG, DOCTOR, INVALID, block_mutations, count_calls, drive, every_block
+from helpers import every_position_repair_oracle, fresh_ledger, store_image
 from scenarios import golden_lines as scenario_golden_lines
 from scenarios import run as run_random_scenario
 from scenarios import scenario
@@ -364,6 +365,42 @@ def test_repair_of_loaded_replicas_equals_the_every_position_vote(tmp_path):
             store.persist(replica, tmp_path / f"{seed}" / nid)
         dirs = sorted((tmp_path / f"{seed}").iterdir())
         _assert_repairs_as_the_oracle(lambda: {d.name: store.load_raw(d) for d in dirs}, tmp_path)
+
+
+def _repair_in_sessions(dirs: list[Path], shared: dict | None) -> tuple:
+    """audit-repair's path over the directories, in path order: a raw
+    session each, passing shared to every load; the repair; a commit of
+    each replica it replaced. The snapshots as loaded, the report, the
+    snapshots as repaired and every file's bytes."""
+    with ExitStack() as stack:
+        sessions = {d.name: stack.enter_context(store.session(d, raw=True, shared=shared)) for d in dirs}
+        replicas = {nid: ledger for nid, (ledger, _) in sessions.items()}
+        loaded = {nid: r.snapshot_bytes() for nid, r in replicas.items()}
+        report = repair_replicas(replicas)
+        for nid in {e.node for e in report if e.action == "replaced"}:
+            sessions[nid][1]()
+    repaired = {nid: r.snapshot_bytes() for nid, r in replicas.items()}
+    return loaded, report, repaired, {d.name: store_image(d) for d in dirs}
+
+
+@pytest.mark.parametrize("kind", DAMAGE_KINDS)
+def test_replicas_loaded_with_sharing_repair_as_replicas_loaded_one_by_one(kind, tmp_path, monkeypatch):
+    """Loads that pass one shared dict decode each distinct chain file
+    once; the replicas they give load, report, heal and persist exactly as
+    replicas loaded one by one."""
+    decodes = count_calls(monkeypatch, decode_record)
+    calls = {}
+    for seed in range(6):
+        outcomes = {}
+        for how, shared in (("alone", None), ("shared", {})):
+            for nid, replica in _damaged_replicas(seed, (kind,)).items():
+                store.persist(replica, tmp_path / f"{seed}" / how / nid)
+            dirs = sorted((tmp_path / f"{seed}" / how).iterdir())
+            decodes[0] = 0
+            outcomes[how] = _repair_in_sessions(dirs, shared)
+            calls[how] = calls.get(how, 0) + decodes[0]
+        assert outcomes["shared"] == outcomes["alone"], seed
+    assert calls["shared"] < calls["alone"]
 
 
 def test_drop_rate_zero_commits_every_valid_command():

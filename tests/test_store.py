@@ -1,6 +1,7 @@
 """Persistence round trips, framing fuzz, corruption refusal."""
 
 import hashlib
+import operator
 import random
 import struct
 from dataclasses import replace
@@ -334,6 +335,33 @@ def test_load_raw_hashes_the_main_chain_from_its_record_bytes(tmp_path, monkeypa
     assert (block_hashes[0], sha256_calls[0]) == (0, 6 * len(ledger.main_chain) + 1)
     assert [blk.hash_memo for blk in raw.main_chain] == [block_hash(blk) for blk in raw.main_chain]
     assert raw.snapshot_bytes() == ledger.snapshot_bytes()
+
+
+def test_raw_loads_that_share_decode_an_equal_file_once_into_lists_of_their_own(tmp_path, monkeypatch):
+    """A second load_raw passing the first's shared dict decodes and hashes
+    only the file that differs; every other chain holds the first load's
+    block objects, each in a list of its own, so ops on one replica leave
+    the other as it was loaded."""
+    ledger = criterion7_ledger_with_note(42)
+    persist(ledger, tmp_path / "a")
+    ledger.tamper("yellow", 1, 1, "entry.0.payload", "forged")
+    persist(ledger, tmp_path / "b")
+    decoded = count_calls(monkeypatch, blocks.decode_record)
+    sha256_calls = count_calls(monkeypatch, merkle.sha256)
+    shared = {}
+    first = load_raw(tmp_path / "a", shared)
+    decoded[0] = sha256_calls[0] = 0
+    second = load_raw(tmp_path / "b", shared)
+    assert (decoded[0], sha256_calls[0]) == (len(ledger.yellow[1]), 1)  # the differing file; the meta checksum
+    assert second.snapshot_bytes() == load_raw(tmp_path / "b").snapshot_bytes() == ledger.snapshot_bytes()
+    for (name, chain, _), (_, held, _) in zip(store._files(first), store._files(second), strict=True):
+        assert held is not chain, name
+        assert all(map(operator.is_, held, chain)) == (name != "p1.yellow.chain"), name
+    loaded = first.snapshot_bytes()
+    second.onboard_patient(AUTHORITY, "FC999", {"name": "new"})
+    for p in second.patients():
+        second.read_record(DOCTOR, p, "latest")
+    assert first.snapshot_bytes() == loaded
 
 
 def test_load_checked_reports_what_verify_tree_finds(tmp_path):
