@@ -15,8 +15,9 @@ anchors, active codes, catalog head and closed set, the active catalog,
 and a per-patient type index (record type -> its (block, entry) holders
 in chain order). It is built on a patient's first typed op (a write's
 backlink lookup, a typed read, a report), extended by each medical
-append, shared by clones, and dropped by a tamper and by every rebuild (a
-load, a repair). Derived state is never evidence: repair reads only the
+append, shared by clones, and dropped by a tamper, by every rebuild (a
+load, a repair of the main chain) and by a repair of the patient's
+subchains. Derived state is never evidence: repair reads only the
 chains, and verify_tree reads the chains and compares two derived facts
 with them, the catalog head (catalog_head) and the closed set
 (closed_flag). The typed backlinks are tamper evidence that verify_tree
@@ -186,6 +187,18 @@ class Ledger:
             p for p, chain in self.yellow.items() if chain and chain[-1].is_final
         }
         self._typed: dict[int, TypeIndex] = {}
+
+    def _recompute_patient(self, p: int) -> None:
+        """Rebuild the derived state of one patient's two subchains after
+        they changed in place (a repair): the closed flag from the last
+        medical block, and the type index, dropped as a tamper drops it.
+        Nothing else derived reads a subchain."""
+        chain = self.yellow[p]
+        if chain and chain[-1].is_final:
+            self.closed.add(p)
+        else:
+            self.closed.discard(p)
+        self._typed.pop(p, None)
 
     def _index(self, block: IdentityBlock, owner: int | None) -> None:
         """Apply one main-chain block, in chain order, to the anchor,

@@ -13,7 +13,8 @@ through tamper(). audit_and_repair replaces any block or audit note that
 differs from a valid version held by at least 51% of nodes; below a
 majority two versions could both qualify. It votes only where a replica
 holds a different block object than the first replica, or lacks a block,
-so a repair costs the damage, not the length of the chains.
+so a repair costs the damage, not the length or the number of the
+chains.
 
 Everything is driven by a logical clock and one seeded RNG (message
 drops), so a (config, script) pair always yields the same transcript.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import is_not
+from operator import is_not, ne
 from typing import Any, Callable, NamedTuple
 
 from .blocks import Block, block_hash, note_hash
@@ -338,35 +339,46 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     lists are equal on every replica is skipped; clones share their
     blocks, and so do replicas that audit-repair loaded from chain files
     with equal bytes (store.load_raw's shared), so that costs almost
-    nothing. In a chain that differs, the vote runs only where some
-    replica holds a different block object than the first replica, and
-    past the shortest list: where every replica holds the same object
-    there is one version, so a forged block costs one vote, not one per
-    block of its chain. A version qualifies only if it is held by at
-    least 51% of replicas AND its stored self_hash recomputes with
-    block_hash (note_hash for a note; no memo is read), so a raw tamper
-    cannot vote itself into being the "right" version.
+    nothing. The subchains are compared a column at a time: each
+    replica's lists of every patient against the first replica's, in C,
+    so only the patients whose lists differ somewhere enter the vote. In
+    a chain that differs, the vote runs only where some replica holds a
+    different block object than the first replica, and past the shortest
+    list: where every replica holds the same object there is one version,
+    so a forged block costs one vote, not one per block of its chain. A
+    version qualifies only if it is held by at least 51% of replicas AND
+    its stored self_hash recomputes with block_hash (note_hash for a note;
+    no memo is read), so a raw tamper cannot vote itself into being the
+    "right" version.
     Replaced replicas get the winning block object itself, and their
     logical clock is raised to the one a 51% majority holds, if one does,
     so that their next op stamps what the others stamp; a clock is never
     lowered, so no replica stamps a timestamp twice. Divergent positions
-    without a qualifying version are reported unrepairable. The replicas
-    the main-chain vote changed are reindexed before the subchains are
-    voted on, so one given a patient's identity block holds both of its
-    subchains; a replica whose main chain still anchors no such patient
-    takes none of its subchain blocks, which are reported unrepairable
-    there, since no identity block would anchor them.
+    without a qualifying version are reported unrepairable.
+    A repair rebuilds only the derived state its blocks change. A replica
+    given main-chain blocks is reindexed whole (Ledger._recompute_derived)
+    before the subchains are voted on, so one given a patient's identity
+    block holds both of its subchains; a replica whose main chain still
+    anchors no such patient takes none of its subchain blocks, which are
+    reported unrepairable there, since no identity block would anchor
+    them. A replica given a patient's subchain blocks updates that
+    patient alone (Ledger._recompute_patient: the closed flag, the type
+    index), and one given audit notes only needs no reindex.
     Replica order (dict order) fixes the report order.
     """
     total = len(replicas)
     tables = {name: [getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")}
+    patients = sorted(set().union(*tables["yellow"]))
+    differ: set[int] = set()  # the patients whose lists differ on some replica (get: None where one lacks them)
+    for table in tables.values():
+        column = list(map(table[0].get, patients))
+        for other in table[1:]:
+            differ.update(compress(patients, map(ne, column, map(other.get, patients))))
     tables["main"] = [{None: r.main_chain} for r in replicas.values()]  # None: the chain of no patient
     tables["audit"] = [{None: r.global_audit} for r in replicas.values()]
-    patients = sorted({p for table in tables["yellow"] for p in table})
-    chains = [("main", None)] + [(name, p) for p in patients for name in ("yellow", "red")] + [("audit", None)]
+    chains = [("main", None)] + [(name, p) for p in sorted(differ) for name in ("yellow", "red")] + [("audit", None)]
     report: list[RepairEntry] = []
     touched: set[str] = set()
-    stale: set[str] = set()  # touched since the replica's last reindex
     for name, patient in chains:
         held = [table.get(patient, []) for table in tables[name]]  # [] where a replica lacks the patient
         first = held[0]
@@ -377,6 +389,7 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
         candidates = set(range(min(lengths), max(lengths)))
         for blocks in held[1:]:
             candidates.update(compress(count(), map(is_not, first, blocks)))
+        subchain = name in ("yellow", "red")
         # ascending, so a replica short of the tail is appended to one position after another
         for pos in sorted(candidates):
             versions: list[tuple[Block | None, list[str]]] = []  # None: the replica lacks it
@@ -399,29 +412,26 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
                 if blk is good:
                     continue
                 for nid in holders:
-                    blocks = lists[nid]
-                    unanchored = name in ("yellow", "red") and patient not in replicas[nid]._anchor
-                    if unanchored or pos > len(blocks):
+                    blocks, replica = lists[nid], replicas[nid]
+                    if (subchain and patient not in replica._anchor) or pos > len(blocks):
                         report.append(RepairEntry(nid, name, coord, "unrepairable"))
                         continue
                     if pos < len(blocks):
                         blocks[pos] = good
                     else:
                         blocks.append(good)
+                    if subchain:
+                        replica._recompute_patient(patient)
                     touched.add(nid)
-                    stale.add(nid)
                     report.append(RepairEntry(nid, name, coord, "replaced"))
-        if name == "main":  # the subchain votes read the anchors the repaired main chains give
-            for nid in stale:
+        if name == "main":  # touched holds just the replicas given main blocks; the subchain votes read their anchors
+            for nid in touched:
                 replicas[nid]._recompute_derived()
-            stale.clear()
     clocks = [r.clock for r in replicas.values()]
     clock = next((c for c in clocks if repair_majority(clocks.count(c), total)), None)
     for nid in touched:
         if clock is not None:  # raised only: a replica ahead keeps the timestamps it used
             replicas[nid].clock = max(replicas[nid].clock, clock)
-    for nid in stale:
-        replicas[nid]._recompute_derived()
     return report
 
 

@@ -44,7 +44,8 @@ repair (BENCH_repair_scan.json) times network.repair_replicas on 3
 clones of long_history with one seeded raw tamper (a medical payload or
 a log's actor) and on 15 clones of replicated_sim with two, each tamper
 on its own clone, the last first; each sample makes its clones untimed.
-It counts the block_hash and merkle.sha256 calls of one repair.
+It counts the block_hash and merkle.sha256 calls of one repair, and its
+Ledger._recompute_derived calls: the replicas it reindexed whole.
 
 cli_repair (BENCH_audit_repair_share.json) persists three replica
 directories of the load section's store, the third with the middle log
@@ -71,6 +72,7 @@ if __name__ == "__main__":
     sys.path.insert(0, sys.argv[1])
 
 from helpers import AUTHORITY, DOCTOR, build_store, counted, forged_log_dirs, quiet_main, rebuilt  # noqa: E402
+from helpers import tampered_clones  # noqa: E402
 from helpers import CATALOG as STORE_CATALOG  # noqa: E402
 from medledger import blocks, merkle, store  # noqa: E402
 from medledger.ledger import Ledger, verify_tree  # noqa: E402
@@ -254,17 +256,6 @@ def forged(ledger: Ledger, rng: random.Random) -> tuple[str, int, int, str]:
     return "red", p, rng.randrange(len(ledger.red[p])), "actor"
 
 
-def tampered_clones(base: Ledger, count: int, tampers: list[tuple[str, int, int, str]]) -> dict[str, Ledger]:
-    """count clones of base, each tamper applied raw to its own clone, the
-    last clones first: the first replica, which repair scans against, is
-    honest."""
-    replicas = {f"n{k}": base.clone() for k in range(1, count + 1)}
-    for replica, (chain, p, pos, field) in zip(reversed(replicas.values()), tampers):
-        held = replica.chain(chain, p)
-        held[pos] = blocks.mutate_block(held[pos], field, "forged")
-    return replicas
-
-
 def repair_section(reps: int, patients: int) -> dict:
     rng = random.Random(1)
     long_history, sim = build(4, 1200), build(200, 2, close_every=25)
@@ -282,7 +273,8 @@ def repair_section(reps: int, patients: int) -> dict:
         },
         "ms": {name: sampled(repair_replicas, reps, fresh=make) for name, make in fresh.items()},
         "calls": {
-            name: counted(repair_replicas, blocks.block_hash, merkle.sha256, fresh=make) for name, make in fresh.items()
+            name: counted(repair_replicas, blocks.block_hash, merkle.sha256, Ledger._recompute_derived, fresh=make)
+            for name, make in fresh.items()
         },
     }
 

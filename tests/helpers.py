@@ -130,13 +130,18 @@ def empty_code_ledger() -> Ledger:
 
 def count_calls(monkeypatch, original) -> list[int]:
     """Count calls to a medledger function through every binding of it in
-    the loaded medledger modules; the count is the list's one element."""
+    the loaded medledger modules, or to a method of a medledger class; the
+    count is the list's one element."""
     calls = [0]
 
     def counting(*args):
         calls[0] += 1
         return original(*args)
 
+    owner, _, method = original.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(sys.modules[original.__module__], owner), method, counting)
+        return calls
     for name, module in list(sys.modules.items()):
         if name == "medledger" or name.startswith("medledger."):
             for bound, value in list(vars(module).items()):
@@ -164,6 +169,17 @@ def forged_log_replicas(history: Ledger) -> dict[str, Ledger]:
     replicas = {nid: history.clone() for nid in ("n1", "n2", "n3")}
     logs = replicas["n3"].red[1]
     logs[len(logs) // 2] = blocks.mutate_block(logs[len(logs) // 2], "actor", "forged")
+    return replicas
+
+
+def tampered_clones(base: Ledger, count: int, tampers: list[tuple[str, int, int, str]]) -> dict[str, Ledger]:
+    """count clones of base, each tamper (chain, patient, 0-based position,
+    field) applied raw to its own clone, the last clones first: the first
+    replica, which repair scans against, is honest."""
+    replicas = {f"n{k}": base.clone() for k in range(1, count + 1)}
+    for replica, (chain, p, pos, field) in zip(reversed(replicas.values()), tampers):
+        held = replica.chain(chain, p)
+        held[pos] = blocks.mutate_block(held[pos], field, "forged")
     return replicas
 
 
@@ -205,11 +221,12 @@ def _command(cred: Credential, verb: str, **args: str) -> Command:
 
 
 def counted(fn, *originals, fresh=tuple) -> dict[str, int]:
-    """The calls of each original, keyed "module.name", in one call of
-    fn(*fresh()); fresh() itself is not counted."""
+    """The calls of each original, keyed "module.name" ("module.Class.name"
+    for a method), in one call of fn(*fresh()); fresh() itself is not
+    counted."""
     args = fresh()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        counts = {f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}": count_calls(monkeypatch, f) for f in originals}
+        counts = {f"{f.__module__.rsplit('.', 1)[-1]}.{f.__qualname__}": count_calls(monkeypatch, f) for f in originals}
         fn(*args)
     return {name: calls[0] for name, calls in counts.items()}
 
@@ -229,10 +246,13 @@ def cost_count_lines() -> list[str]:
     fresh Ledger rebuilt from its chains, its first typed op; of a repair
     of its forged_log_replicas; and of a Network.propose of a write, a
     typed read, a report and a write that the catalog refuses, in that
-    order, on one 3-node and one 15-node network. Then the decode_record
-    and merkle.sha256 calls of one verified store.load of build_store(200),
-    and of one CLI audit-repair over its forged_log_dirs. Counts only: they
-    are exact on any machine."""
+    order, on one 3-node and one 15-node network. Then the same counts and
+    the Ledger._recompute_derived calls of one repair of 15 clones of
+    build_store(200), one with patient 1's second medical block forged and
+    one with patient 2's fourth log forged; the decode_record and
+    merkle.sha256 calls of one verified store.load of build_store(200), and
+    of one CLI audit-repair over its forged_log_dirs. Counts only: they are
+    exact on any machine."""
     counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
     ops = {
@@ -262,8 +282,13 @@ def cost_count_lines() -> list[str]:
             f"network{nodes}.propose_{name}": counted(net.propose, *counters, fresh=lambda c=command: ("n1", c))
             for name, command in proposals.items()
         }
+    store_ledger = build_store(200)
+    forged = [("yellow", 1, 1, "entry.0.payload"), ("red", 2, 3, "actor")]
+    counts["network15.repair"] = counted(
+        repair_replicas, *counters, Ledger._recompute_derived, fresh=lambda: (tampered_clones(store_ledger, 15, forged),)
+    )
     with tempfile.TemporaryDirectory() as tmp:
-        dirs = forged_log_dirs(build_store(200), Path(tmp))
+        dirs = forged_log_dirs(store_ledger, Path(tmp))
         store_counters = (blocks.decode_record, merkle.sha256)
         counts["store200.load"] = counted(store.load, *store_counters, fresh=lambda: (dirs[0],))
         repair = ["audit-repair", "--dirs", *dirs]

@@ -129,8 +129,29 @@ def test_repair_compares_values_and_hashes_only_the_candidate(monkeypatch):
     report = repair_replicas(replicas)
     assert [str(e) for e in report] == ["replaced node=n3 chain=yellow coord=1.1"]
     assert [c[0] for c in calls] == [0, 0, 1]
-    assert reindexed == [replicas["n3"]]
+    assert reindexed == []
     assert replicas["n3"].yellow[1][0] is replicas["n1"].yellow[1][0]
+
+
+def test_repair_reindexes_each_replica_given_main_blocks_once(monkeypatch):
+    """A replica given main-chain blocks is reindexed whole once, however
+    many other chains of it the repair heals; a replica given subchain
+    blocks alone is not reindexed."""
+    base = criterion7_ledger(42)
+    replicas = {f"n{k}": base.clone() for k in range(1, 6)}
+    for nid in ("n4", "n5"):
+        replicas[nid].tamper("main", 0, 1, "info.name", "forged")
+    for nid in ("n3", "n5"):
+        replicas[nid].tamper("yellow", 1, 1, "entry.0.payload", "forged")
+    reindexed = _count_reindexes(monkeypatch)
+    report = repair_replicas(replicas)
+    assert [str(e) for e in report] == [
+        "replaced node=n4 chain=main coord=1",
+        "replaced node=n5 chain=main coord=1",
+        "replaced node=n3 chain=yellow coord=1.1",
+        "replaced node=n5 chain=yellow coord=1.1",
+    ]
+    assert len(reindexed) == 2 and set(reindexed) == {replicas["n4"], replicas["n5"]}
 
 
 def test_repair_of_one_forged_log_compares_block_values_a_constant_number_of_times(monkeypatch):

@@ -7,12 +7,13 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from medledger import store
-from medledger.blocks import block_hash, decode_record, encode_record
+from medledger.blocks import block_hash, decode_record, encode_record, mutate_block
 from medledger.errors import AccessDenied, LedgerError, NoSuchBlock, NotAuthorized, ReplicaDivergence, ScriptError
 from medledger.ledger import Ledger, Role, verify_tree
 from medledger.network import (
@@ -28,7 +29,7 @@ from medledger.network import (
 )
 
 from helpers import AUTHORITY, CATALOG, DOCTOR, INVALID, block_mutations, count_calls, drive, every_block
-from helpers import every_position_repair_oracle, fresh_ledger, store_image
+from helpers import every_position_repair_oracle, fresh_ledger, rebuilt, store_image
 from scenarios import golden_lines as scenario_golden_lines
 from scenarios import run as run_random_scenario
 from scenarios import scenario
@@ -401,6 +402,91 @@ def test_replicas_loaded_with_sharing_repair_as_replicas_loaded_one_by_one(kind,
             calls[how] = calls.get(how, 0) + decodes[0]
         assert outcomes["shared"] == outcomes["alone"], seed
     assert calls["shared"] < calls["alone"]
+
+
+def _typed_results(ledger: Ledger, p: int) -> list:
+    """The typed read and the report of each catalog type on patient p, or
+    the error each raises, on a clone: it shares the ledger's type indexes,
+    and the logs they append do not reach the ledger."""
+    dup = ledger.clone()
+    results = []
+    for record_type, _ in CATALOG:
+        try:
+            results.append((dup.read_record(DOCTOR, p, record_type)[0], dup.assemble_report(DOCTOR, p, record_type)))
+        except LedgerError as exc:
+            results.append(type(exc).__name__)
+    return results
+
+
+def _assert_derived_state_as_rebuilt(replicas: dict[str, Ledger]) -> Counter:
+    """Build each replica's type indexes from its damaged chains, then
+    repair. Each replica the report names replaced on a patient's subchain
+    holds, for that patient, the closed flag and the typed reads and
+    reports of a Ledger rebuilt from its chains; one it names replaced on
+    the main chain also holds the rebuild's anchors, active codes, catalog
+    head and closed set. Counts the replicas and patients checked."""
+    for replica in replicas.values():
+        replica._typed.clear()
+        for p in replica.yellow:
+            replica._types(p)
+    report = repair_replicas(replicas)
+    checked = Counter()
+    for nid, replica in replicas.items():
+        replaced = [e for e in report if e.node == nid and e.action == "replaced"]
+        fresh = rebuilt(replica)
+        if any(e.chain == "main" for e in replaced):
+            checked["main"] += 1
+            derived = attrgetter("_anchor", "_active_codes", "catalog_head", "closed")
+            assert derived(replica) == derived(fresh), nid
+        for p in sorted({int(e.coord.partition(".")[0]) for e in replaced if e.chain in ("yellow", "red")}):
+            checked["patients"] += 1
+            assert (p in replica.closed) == (p in fresh.closed), (nid, p)
+            assert _typed_results(replica, p) == _typed_results(fresh, p), (nid, p)
+    return checked
+
+
+@pytest.mark.parametrize("copies", ["in_memory", "loaded"])
+@pytest.mark.parametrize(
+    "kinds", [(kind,) for kind in DAMAGE_KINDS] + [DAMAGE_KINDS[:5]], ids=[*DAMAGE_KINDS, "mixed"]
+)
+def test_repair_leaves_the_derived_state_of_a_rebuild(kinds, copies, tmp_path):
+    """A repair reindexes a replica whole only where it gave it main-chain
+    blocks, and updates one patient where it gave it only that patient's
+    subchain blocks; either way the replica answers as if rebuilt."""
+    checked = Counter()
+    for seed in range(12 if copies == "in_memory" else 6):
+        replicas = _damaged_replicas(seed, kinds)
+        if copies == "loaded":
+            for nid, replica in replicas.items():
+                store.persist(replica, tmp_path / f"{seed}" / nid)
+            replicas = {nid: store.load_raw(tmp_path / f"{seed}" / nid) for nid in replicas}
+        checked.update(_assert_derived_state_as_rebuilt(replicas))
+    assert checked["patients"] > 0 or kinds in (("forged_note",), ("forged_pair",))
+    assert checked["main"] > 0 or "missing_patient" not in kinds
+
+
+@pytest.mark.parametrize("closes", [True, False], ids=["closes", "reopens"])
+def test_repair_of_a_final_block_sets_the_closed_flag_either_way(closes):
+    """The third replica, rebuilt from its chains as a load leaves it,
+    lacks patient 1's final block (closes) or holds a forged one in place
+    of their last open block (reopens); the repair gives it the majority's
+    block and its closed flag follows."""
+    base = fresh_ledger()
+    p = base.onboard_patient(AUTHORITY, "FC001", {"name": "Mario"})
+    for payload in (b"v1", b"v2"):
+        base.write_record(DOCTOR, p, [("xray", payload)])
+    if closes:
+        base.close_subchain(AUTHORITY, p)
+    replicas = {nid: base.clone() for nid in ("n1", "n2", "n3")}
+    chain = replicas["n3"].yellow[p]
+    if closes:
+        del chain[-1]
+    else:
+        chain[-1] = mutate_block(chain[-1], "is_final", True)
+    replicas["n3"] = rebuilt(replicas["n3"])
+    assert (p in replicas["n3"].closed) != closes
+    assert _assert_derived_state_as_rebuilt(replicas) == Counter(patients=1)
+    assert (p in replicas["n3"].closed) == closes
 
 
 def test_drop_rate_zero_commits_every_valid_command():
