@@ -38,7 +38,9 @@ from medledger.blocks import (
 from medledger.errors import AccessDenied, LedgerError
 from medledger.ledger import Credential, Ledger, Role, Violation, verify_tree
 from medledger.merkle import ZERO_DIGEST
-from medledger.network import Command, Network, RepairEntry, SimConfig, repair_majority, repair_replicas
+from medledger.network import Command, Network, RepairEntry, SimConfig, repair_majority, repair_replicas, run_scenario
+
+from scenarios import golden_lines as scenario_golden_lines
 
 CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"), ("ecg", "ECG"))
 
@@ -251,8 +253,9 @@ def cost_count_lines() -> list[str]:
     build_store(200), one with patient 1's second medical block forged and
     one with patient 2's fourth log forged; the decode_record and
     merkle.sha256 calls of one verified store.load of build_store(200), and
-    of one CLI audit-repair over its forged_log_dirs. Counts only: they are
-    exact on any machine."""
+    of one CLI audit-repair over its forged_log_dirs; and those calls and
+    the block_hash calls of one CLI write on a fresh persist of it. Counts
+    only: they are exact on any machine."""
     counters = (blocks.cached_hash, blocks.block_hash, merkle.sha256)
     history = long_history_ledger()
     ops = {
@@ -293,6 +296,14 @@ def cost_count_lines() -> list[str]:
         counts["store200.load"] = counted(store.load, *store_counters, fresh=lambda: (dirs[0],))
         repair = ["audit-repair", "--dirs", *dirs]
         counts["store200.audit_repair"] = counted(quiet_main, *store_counters, fresh=lambda: (repair,))
+        write = ["write", "--dir", f"{tmp}/w", "--actor", "drb", "--role", "doctor", "--patient", "1"]
+        write += ["--entry", "xray:v"]
+
+        def persisted() -> tuple[list[str]]:
+            store.persist(store_ledger, f"{tmp}/w")
+            return (write,)
+
+        counts["store200.cli_write"] = counted(quiet_main, *store_counters, blocks.block_hash, fresh=persisted)
     return [f"{name} {counter} {calls}" for name, by_counter in counts.items() for counter, calls in by_counter.items()]
 
 
@@ -793,3 +804,63 @@ def encode_pair_outcome_digests(ledger: Ledger) -> list[str]:
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         lines.append(f"{shape} {digest}")
     return lines
+
+
+# --- the pinned files of tests/golden --------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+LIFECYCLE_CATALOG = (("blood_test", "Blood test"), ("xray", "X-ray"))
+
+
+def _text(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _proof_vectors() -> str:
+    leaves = [b"L1", b"L2", b"L3", b"L4", b"L5"]
+    tree = merkle.build_tree(leaves)
+    proofs = (f"proof {i} {merkle.serialize_proof(merkle.prove(tree, i)).hex()}" for i in range(len(leaves)))
+    return _text([f"root {tree.root.hex()}", *proofs])
+
+
+def _store_image() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        store.persist(criterion7_ledger(42), tmp)
+        return _text(store_image(tmp))
+
+
+# The one producer of each file of tests/golden but its input
+# lifecycle.script: file name -> its exact text. regenerate.py writes each
+# file from here, and test_golden compares each file with it byte for byte.
+GOLDEN_FILES = {
+    # the Merkle root and the proof wire format of five leaves
+    "proof_5leaf.txt": _proof_vectors,
+    # the wire bytes of the genesis record
+    "genesis_block.hex": lambda: _text([encode_record(Ledger.genesis(LIFECYCLE_CATALOG).main_chain[0]).hex()]),
+    # the 5-node transcript of lifecycle.script, byte for byte
+    "lifecycle_transcript.txt": lambda: run_scenario(
+        SimConfig(node_count=5, seed=7), (GOLDEN / "lifecycle.script").read_text(), LIFECYCLE_CATALOG
+    ),
+    # the violations and rebuilt indexes of every single-field mutation of
+    # every block of the criterion-7 ledger (tree_check_cases)
+    "tree_checks.txt": lambda: _text(line for line, _, _ in tree_check_cases(criterion7_ledger(42))),
+    # the directory format, meta included, file by file
+    "store_image.txt": _store_image,
+    # every truncation and single-byte substitution of one record of each
+    # shape decodes or fails as the pinned decoders did, with the same
+    # ValueError message and offset
+    "decode_outcomes.txt": lambda: _text(decode_outcome_digests(criterion7_ledger_with_note(42))),
+    # every field of each shape, given a value the encoding cannot hold,
+    # raises from encode_record/encode_note and mutate_block as the pinned
+    # encoders did: the same classes and medledger's own messages
+    "encode_outcomes.txt": lambda: _text(encode_outcome_lines(criterion7_ledger_with_note(42))),
+    # given two such fields, the encoders raise what the pinned encoders
+    # raised: the fields are read in the same order
+    "encode_pair_outcomes.txt": lambda: _text(encode_pair_outcome_digests(criterion7_ledger_with_note(42))),
+    # the exact hash, SHA-256 and decode calls of each op of
+    # cost_count_lines: a change that moves a count shows as a diff here
+    "cost_counts.txt": lambda: _text(cost_count_lines()),
+    # the differential of tests/scenarios.py as a gate: seeds 1 to 3, 300
+    # scenarios each, end with the pinned transcript or declared error
+    "scenario_digests.txt": lambda: _text(scenario_golden_lines()),
+}

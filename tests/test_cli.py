@@ -16,9 +16,8 @@ from medledger.cli import main
 from medledger.errors import CorruptChain
 from medledger.ledger import Credential, Ledger, Role
 
-from helpers import CATALOG, count_calls, empty_code_ledger, store_image
+from helpers import CATALOG, GOLDEN, count_calls, empty_code_ledger, store_image
 
-GOLDEN = Path(__file__).parent / "golden"
 NOT_CANONICAL = ("1_0", "+1", " 1", "01", "\u0663")
 
 
@@ -372,6 +371,32 @@ def test_sim_twice_yields_identical_transcripts(tmp_path, capsys):
     assert out1.read_text() == (GOLDEN / "lifecycle_transcript.txt").read_text()
 
 
+def test_the_module_entry_point_runs_on_the_standard_library_alone(tmp_path):
+    """python -S imports no site module, so no site-packages: a runtime
+    import of anything outside the standard library fails here. Through
+    python -m medledger (__main__.py), verify passes a fresh ledger and
+    locates a tampered main block."""
+    d = str(tmp_path / "ledger")
+    env = {**os.environ, "PYTHONPATH": str(Path(store.__file__).resolve().parents[1])}
+
+    def medledger(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-S", "-m", "medledger", *argv], env=env, capture_output=True, text=True)
+
+    for argv in (
+        ["init", "--dir", d, "--catalog", "general:General"],
+        ["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001"],
+        ["write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1", "--entry", "general:v1"],
+    ):
+        assert medledger(*argv).returncode == 0, argv
+    verified = medledger("verify", "--dir", d)
+    assert (verified.returncode, verified.stdout) == (0, "OK 0 violations\n")
+    tamper = ["tamper", "--dir", d, "--chain", "main", "--index", "1", "--field", "variant", "--value", "catalog"]
+    assert medledger(*tamper).returncode == 0
+    verified = medledger("verify", "--dir", d)
+    assert verified.returncode == 1
+    assert any(line.startswith("MAIN 1 self_hash") for line in verified.stdout.splitlines()), verified.stdout
+
+
 def replica_dirs(tmp_path) -> list[str]:
     base = Ledger.genesis(CATALOG)
     reg = Credential("reg", Role.AUTHORITY)
@@ -395,6 +420,18 @@ def test_audit_repair_across_replica_directories(tmp_path, capsys):
     assert code == 0
     assert "replaced" in out
     assert store.load(dirs[2]).snapshot_bytes() == store.load(dirs[0]).snapshot_bytes()
+
+
+def test_audit_repair_heals_a_forged_log_across_replica_directories(tmp_path, capsys):
+    """A log's actor forged on the middle replica of three is replaced by
+    the majority's block, and every replica then verifies."""
+    dirs = replica_dirs(tmp_path)
+    run(capsys, "tamper", "--dir", dirs[1], "--chain", "red", "--patient", "1",
+        "--index", "1", "--field", "actor", "--value", "forged")
+    repaired = f"replaced node={dirs[1]} chain=red coord=1.1\n1 repair entries\n"
+    assert run(capsys, "audit-repair", "--dirs", *dirs) == (0, repaired)
+    for d in dirs:
+        assert run(capsys, "verify", "--dir", d) == (0, "OK 0 violations\n")
 
 
 def test_audit_repair_rewrites_only_the_replaced_replicas(tmp_path, capsys):

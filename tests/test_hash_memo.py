@@ -1,22 +1,23 @@
 """The per-block hash memo: sound for every block object, never trusted by
 verification or repair, and the source of the per-operation hash counts."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-from medledger import blocks
+from medledger import blocks, merkle
 from medledger.blocks import IdentityBlock, LogBlock, MedicalBlock, block_hash, cached_hash, mutate_block
 from medledger.ledger import Ledger, verify_tree
 from medledger.network import Command, Network, SimConfig, repair_replicas
-from medledger.store import load_raw, persist
+from medledger.store import load, load_raw, persist
 
 from helpers import (
     AUTHORITY,
     CATALOG,
     DOCTOR,
     block_mutations,
-    cost_count_lines,
+    build_store,
     count_calls,
     counted,
     criterion7_ledger,
@@ -24,8 +25,6 @@ from helpers import (
     forged_log_replicas,
     long_history_ledger,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def set_memo(block, digest: bytes) -> None:
@@ -257,13 +256,6 @@ def test_a_report_and_a_typed_read_hash_only_their_log_links(monkeypatch, long_h
     assert len(matches) == holders
 
 
-def test_cost_counts_match_golden():
-    """The exact hash and SHA-256 calls of each op of cost_count_lines, as
-    tests/golden/cost_counts.txt pins them; a change that moves a count
-    shows the move as a diff of that file."""
-    assert cost_count_lines() == (GOLDEN / "cost_counts.txt").read_text().splitlines()
-
-
 @pytest.mark.parametrize("nodes", [1, 3, 5, 15])
 def test_a_committed_proposal_seals_each_block_it_appends_once(nodes):
     """Whatever the node count, the block_hash calls of a committed
@@ -282,3 +274,53 @@ def test_a_committed_proposal_seals_each_block_it_appends_once(nodes):
         command = Command(verb, DOCTOR.actor_id, DOCTOR.role, True, (("patient", "1"), arg))
         assert counted(net.propose, blocks.block_hash, fresh=lambda: ("n1", command)) == {"blocks.block_hash": appended}
         assert len(every_block(replica)) - before == appended
+
+
+# --- perfbench's tracer counts what counted counts ---------------------------------
+
+
+def perfbench_tracer():
+    """A Tracer of perfbench/tracing.py, imported by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def traced(fn, fresh) -> dict[str, int]:
+    """The decode_record and block_hash spans and the merkle.sha256 count of
+    perfbench's Tracer in one call of fn(*fresh()); fresh() is not traced."""
+    args = fresh()
+    tracer = perfbench_tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0, "op")
+        fn(*args)
+    finally:
+        tracer.uninstall()
+    spans = tracer.aggregate()
+    counts = {name: spans.get((name, "op"), [0])[0] for name in ("blocks.decode_record", "blocks.block_hash")}
+    return counts | {"merkle.sha256": tracer.counts[("merkle.sha256", "op")]}
+
+
+def test_perfbench_tracer_counts_the_calls_that_counted_counts(tmp_path):
+    """perfbench's Tracer and helpers.counted both replace every binding of
+    a function in medledger: on a verified load of a persisted
+    build_store(20) and on a 15-node propose of a write, they count the
+    same decode_record, block_hash and merkle.sha256 calls."""
+    persist(build_store(20), tmp_path)
+
+    def onboarded_network() -> tuple:
+        net = Network(SimConfig(15, seed=1), CATALOG)
+        net.propose("n1", Command("onboard", AUTHORITY.actor_id, AUTHORITY.role, True, (("code", "FC00001"),)))
+        return net, "n1", Command("write", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "1"), ("entry", "xray:v")))
+
+    originals = (blocks.decode_record, blocks.block_hash, merkle.sha256)
+    loaded = traced(load, lambda: (tmp_path,))
+    assert loaded == counted(load, *originals, fresh=lambda: (tmp_path,))
+    assert loaded == {"blocks.decode_record": 321, "blocks.block_hash": 0, "merkle.sha256": 1927}
+    proposed = traced(Network.propose, onboarded_network)
+    assert proposed == counted(Network.propose, *originals, fresh=onboarded_network)
+    assert proposed == {"blocks.decode_record": 0, "blocks.block_hash": 2, "merkle.sha256": 12}

@@ -29,12 +29,9 @@ from medledger.network import (
 )
 
 from helpers import AUTHORITY, CATALOG, DOCTOR, INVALID, block_mutations, count_calls, drive, every_block
-from helpers import every_position_repair_oracle, fresh_ledger, rebuilt, store_image
-from scenarios import golden_lines as scenario_golden_lines
+from helpers import GOLDEN, LIFECYCLE_CATALOG, every_position_repair_oracle, fresh_ledger, rebuilt, store_image
 from scenarios import run as run_random_scenario
 from scenarios import scenario
-
-GOLDEN = Path(__file__).parent / "golden"
 
 ONBOARD = Command("onboard", "registry", Role.AUTHORITY, True, (("code", "FC001"), ("info.name", "Mario")))
 WRITE = Command("write", "drb", Role.DOCTOR, True, (("patient", "1"), ("entry", "blood_test:v1")))
@@ -509,18 +506,9 @@ def test_different_seed_changes_drop_pattern():
     assert a != b
 
 
-def test_golden_lifecycle_transcript():
-    script = (GOLDEN / "lifecycle.script").read_text()
-    expected = (GOLDEN / "lifecycle_transcript.txt").read_text()
-    got = run_scenario(
-        SimConfig(node_count=5, seed=7), script, (("blood_test", "Blood test"), ("xray", "X-ray"))
-    )
-    assert got == expected
-
-
 def test_lifecycle_end_state_satisfies_tree_invariants():
     script = (GOLDEN / "lifecycle.script").read_text()
-    net = Network(SimConfig(node_count=5, seed=7), (("blood_test", "Blood test"), ("xray", "X-ray")))
+    net = Network(SimConfig(node_count=5, seed=7), LIFECYCLE_CATALOG)
     for step in parse_script(script):
         from medledger.network import _step_command
 
@@ -530,6 +518,34 @@ def test_lifecycle_end_state_satisfies_tree_invariants():
         assert verify_tree(replica) == []
         assert 1 in replica.closed
         assert len(replica.red[1]) > len(replica.yellow[1])
+
+
+def test_a_15_node_sim_of_the_lifecycle_script_ends_in_the_pinned_5_node_state():
+    """Replicas share the blocks of a commit; every one of 15 still ends in
+    the state digest that the 5-node golden transcript ends with."""
+    script = (GOLDEN / "lifecycle.script").read_text()
+    state = (GOLDEN / "lifecycle_transcript.txt").read_text().splitlines()[-1].split("state=")[1]
+    transcript = run_scenario(SimConfig(15, seed=7), script, LIFECYCLE_CATALOG)
+    finals = [line for line in transcript.splitlines() if line.startswith("FINAL ")]
+    assert finals == [f"FINAL node=n{k} state={state}" for k in range(1, 16)]
+
+
+def test_a_15_node_sim_heals_a_tampered_medical_block_with_audit_repair():
+    """The lifecycle script, then a tamper on one node, a typed read, a
+    repair and the read again: the tampered node takes the majority's
+    block, and all 15 nodes end in one state."""
+    script = (GOLDEN / "lifecycle.script").read_text() + """
+8 n7 tamper chain=yellow patient=1 index=1 field=entry.0.payload value=forged
+9 n3 read actor=drbianchi role=doctor valid=1 patient=1 query=blood_test
+10 n1 audit-repair
+11 n3 read actor=drbianchi role=doctor valid=1 patient=1 query=blood_test
+"""
+    lines = run_scenario(SimConfig(15, seed=7), script, LIFECYCLE_CATALOG).splitlines()
+    assert [line for line in lines if line.startswith("REPAIR ")] == [
+        "REPAIR node=n7 chain=yellow coord=1.1 action=replaced"
+    ]
+    finals = [line.split(" state=")[1] for line in lines if line.startswith("FINAL ")]
+    assert len(finals) == 15 and len(set(finals)) == 1
 
 
 def test_scripted_tamper_and_repair_round_trip():
@@ -722,14 +738,6 @@ def test_random_scenarios_end_in_a_transcript_or_a_declared_divergence():
     to seven nodes: a script yields its transcript or stops with ReplicaDivergence."""
     for i in range(300):
         assert run_random_scenario(0, i).startswith(("CONFIG ", "ERROR ReplicaDivergence: "))
-
-
-def test_random_scenarios_match_the_pinned_digests():
-    """The differential of tests/scenarios.py as a gate: seeds 1 to 3, 300
-    scenarios each, end with the pinned transcript or declared error."""
-    expected = (GOLDEN / "scenario_digests.txt").read_text().splitlines()
-    assert len(expected) == 900
-    assert scenario_golden_lines() == expected
 
 
 # --- one seal per committed block -------------------------------------------------

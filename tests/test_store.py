@@ -29,8 +29,6 @@ from helpers import (
     store_image,
 )
 
-GOLDEN = Path(__file__).parent / "golden"
-
 
 def small_fixture():
     ledger = fresh_ledger()
@@ -250,12 +248,6 @@ def test_a_log_file_copied_over_a_medical_file_is_refused_and_verify_exits_2(tmp
     assert str(refused.value) == "p1.yellow.chain @ 0: LogBlock record in a MedicalBlock file"
     assert main(["verify", "--dir", str(tmp_path)]) == 2
     assert "LogBlock record in a MedicalBlock file" in capsys.readouterr().err
-
-
-def test_store_image_matches_golden(tmp_path):
-    """The directory format, meta included, is pinned file by file."""
-    persist(criterion7_ledger(42), tmp_path)
-    assert store_image(tmp_path) == (GOLDEN / "store_image.txt").read_text().splitlines()
 
 
 # --- a verified load hashes each block once, from the bytes it read ------------------
