@@ -32,12 +32,13 @@ keys must be sorted and unique, and a record must be consumed exactly.
 Any deviation raises ValueError, which the store maps to CorruptChain.
 The store's framing and `meta` read with the same field readers.
 
-Each kind has one decoder that reads its record in one pass: field
-readers return a checked value and the offset after it, and precompiled
-structs unpack the fixed runs (the coordinate header, and the digests
-at fixed offsets from the record's end). Values are built without the
-dataclass __init__, but an identity block still gets a read-only
-personal_info of its own.
+Each kind has one reader that reads its record in one pass: the medical
+and log readers check each bound inline, the identity reader (maps,
+optional parts) and the audit note's use field readers that return a
+checked value and the offset after it, and precompiled structs unpack
+the fixed runs (the coordinate header, and the digests at fixed offsets
+from the record's end). Values are built without the dataclass __init__,
+but an identity block still gets a read-only personal_info of its own.
 
 Blocks are frozen values (an identity block's personal_info is a
 read-only mapping), so a block's hash is a pure function of its fields.
@@ -57,16 +58,18 @@ canonical, and a raw tamper (mutate_block) returns what its record
 decodes to, so a list given for a tuple or 2 for True compares as the
 bytes do. repair_replicas therefore compares blocks by value.
 
-A verified store load hashes the bytes it read instead: record_hash
-takes the three field groups as slices of the stored record, which are
-exactly field_groups of the decoded block because decoding is strict
-and canonical: a record decodes only if it is the encoding of its block.
-Both hash through three_leaf_root, so both make the same six SHA-256
-calls per block. The store keeps that recomputed hash as the block's
-memo, and verify_tree checks those memos; decode_record never fills the
-memo, and no hash is ever taken from a stored self_hash. The memo is not
-a field of the dataclass's __init__, so dataclasses.replace, and with it
-every raw tamper, makes a block with an empty memo.
+A verified store load hashes the bytes it read instead, in the same
+pass: decode_record(record, hashed=True) has the reader hash the three
+field groups as slices of the record, at the offsets it has just read,
+and keep that hash as the block's memo. The slices are exactly
+field_groups of the decoded block because decoding is strict and
+canonical: a record decodes only if it is the encoding of its block.
+block_hash and the reader both hash through three_leaf_root, so both
+make the same six SHA-256 calls per block. verify_tree checks those
+memos; an unhashed decode leaves the memo empty, and no hash is ever
+taken from a stored self_hash. The memo is not a field of the
+dataclass's __init__, so dataclasses.replace, and with it every raw
+tamper, makes a block with an empty memo.
 """
 
 from __future__ import annotations
@@ -437,23 +440,6 @@ def three_leaf_root(a: bytes, b: bytes, c: bytes) -> Digest:
     return sha256(sha256(ha + hb) + sha256(hc + hc))
 
 
-def record_hash(record: bytes, block: Block) -> Digest:
-    """block_hash(block) for the block that decode_record(record) returned,
-    hashed from the record's own bytes instead of a re-encoding.
-
-    The three field groups are contiguous slices of the record: the kind
-    and coordinates take 7 bytes plus 4 for each coordinate index present,
-    and the links are the one digest (three for a log block) before the
-    trailing self_hash, which is never read. This holds because decoding
-    is canonical: encode_record(decode_record(record)) == record.
-    """
-    coord = block.coord
-    head = 7 + (4 if coord.record is not None else 0) + (4 if coord.log is not None else 0)
-    tail = len(record) - DIGEST_SIZE
-    links = tail - (3 * DIGEST_SIZE if isinstance(block, LogBlock) else DIGEST_SIZE)
-    return three_leaf_root(record[:head], record[head:links], record[links:tail])
-
-
 def block_hash(block: Block) -> Digest:
     """Merkle root over the block's three field groups, recomputed."""
     return three_leaf_root(*field_groups(block))
@@ -487,7 +473,7 @@ def encode_record(block: Block) -> bytes:
 
 def _built(cls, attrs: dict):
     """A value of the frozen dataclass cls made without its __init__: the
-    decoders pass every field, a block's empty memo too. One update is the
+    decoders pass every field, a block's memo too. One update is the
     fastest fill; it gives the value a dict table of its own, larger than
     the key-sharing layout that per-field setattr keeps but slower to make."""
     value = object.__new__(cls)
@@ -495,22 +481,48 @@ def _built(cls, attrs: dict):
     return value
 
 
-def _coord(data: bytes) -> tuple[BlockCoord, int]:
-    """The coordinates after a block's kind byte, and the offset after them."""
-    if len(data) < 6:
-        raise _truncated(1, 4) if len(data) < 5 else _truncated(5, 1)
+def _coord(data: bytes, n: int) -> tuple[BlockCoord, int]:
+    """The coordinates after a block's kind byte, and the offset after them,
+    where the record's first field group ends; n is len(data)."""
+    if n < 6:
+        raise _truncated(1, 4) if n < 5 else _truncated(5, 1)
     _, patient, has_record = _HEAD(data, 0)
-    if has_record > 1:
+    if has_record == 1:
+        if n < 10:
+            raise _truncated(6, 4)
+        record, pos = _U32(data, 6)[0], 10
+    elif has_record:
         raise ValueError(f"non-canonical flag byte {has_record:#x} at offset 5")
-    record, pos = _u32_at(data, 6) if has_record else (None, 6)
-    has_log, pos = _flag(data, pos)
-    log, pos = _u32_at(data, pos) if has_log else (None, pos)
+    else:
+        record, pos = None, 6
+    if pos >= n:
+        raise _truncated(pos, 1)
+    has_log = data[pos]
+    if has_log == 1:
+        if pos + 5 > n:
+            raise _truncated(pos + 1, 4)
+        log, pos = _U32(data, pos + 1)[0], pos + 5
+    elif has_log:
+        raise ValueError(f"non-canonical flag byte {has_log:#x} at offset {pos}")
+    else:
+        log, pos = None, pos + 1
     return _built(BlockCoord, {"patient": patient, "record": record, "log": log}), pos
 
 
-def _decode_identity(data: bytes) -> IdentityBlock:
-    coord, pos = _coord(data)
-    fiscal_code, pos = _text(data, pos)
+# The reader of each kind. Each takes a record whose kind byte names its
+# kind, and returns the block or raises the ValueError of the first byte it
+# refuses. Given hashed, it sets the block's memo to the Merkle root of the
+# three field groups, sliced from the record at the offsets it has just read:
+# the coordinates end at head, the link digests start at links, and the
+# stored self_hash after them is never hashed. These slices are exactly
+# field_groups(block), because a record decodes only if it is the encoding
+# of its block.
+
+
+def _decode_identity(data: bytes, hashed: bool) -> IdentityBlock:
+    n = len(data)
+    coord, head = _coord(data, n)
+    fiscal_code, pos = _text(data, head)
     count, pos = _u32_at(data, pos)
     info: dict[str, str] = {}
     prev_key = None
@@ -540,45 +552,107 @@ def _decode_identity(data: bytes) -> IdentityBlock:
         prev_catalog, pos = _digest_at(data, pos) if present else (None, pos)
         cat = CatalogUpdate(tuple(entries), prev_catalog)
     prev_main, self_hash = _digests(data, pos, _TWO_DIGESTS)
+    memo = three_leaf_root(data[:head], data[head:pos], data[pos : n - DIGEST_SIZE]) if hashed else None
     return _built(IdentityBlock, {"coord": coord, "fiscal_code": fiscal_code, "personal_info": MappingProxyType(info),
                                   "prev_main": prev_main, "variant": variant, "fiscal_change": fc, "catalog": cat,
-                                  "self_hash": self_hash, "hash_memo": None})  # fmt: skip
+                                  "self_hash": self_hash, "hash_memo": memo})  # fmt: skip
 
 
-def _decode_medical(data: bytes) -> MedicalBlock:
-    coord, pos = _coord(data)
-    count, pos = _u32_at(data, pos)
+def _decode_medical(data: bytes, hashed: bool) -> MedicalBlock:
+    n = len(data)
+    coord, head = _coord(data, n)
+    pos = head + 4
+    if pos > n:
+        raise _truncated(head, 4)
     entries = []
-    for _ in range(count):
-        record_type, pos = _text(data, pos)
-        payload, pos = _blob_at(data, pos)
-        present, pos = _flag(data, pos)
-        prev, pos = _digest_at(data, pos) if present else (None, pos)
-        entries.append(_built(RecordEntry, {"record_type": record_type, "payload": payload, "prev_same_type": prev}))
-    if pos >= len(data):
+    try:
+        for _ in range(_U32(data, head)[0]):
+            start = pos + 4  # record_type: u32 length + UTF-8
+            if start > n:
+                raise _truncated(pos, 4)
+            end = start + _U32(data, pos)[0]
+            if end > n:
+                raise _truncated(start, end - start)
+            record_type = data[start:end].decode()
+            pos = end + 4  # payload: u32 length + bytes
+            if pos > n:
+                raise _truncated(end, 4)
+            end = pos + _U32(data, end)[0]
+            if end > n:
+                raise _truncated(pos, end - pos)
+            payload = data[pos:end]
+            if end >= n:  # prev_same_type: u8 flag + digest
+                raise _truncated(end, 1)
+            if data[end] == 0:
+                prev, pos = None, end + 1
+            elif data[end] == 1:
+                pos = end + 1 + DIGEST_SIZE
+                if pos > n:
+                    raise _truncated(end + 1, DIGEST_SIZE)
+                prev = data[end + 1 : pos]
+            else:
+                raise ValueError(f"non-canonical flag byte {data[end]:#x} at offset {end}")
+            entry = {"record_type": record_type, "payload": payload, "prev_same_type": prev}
+            entries.append(_built(RecordEntry, entry))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"string at offset {start} is not UTF-8: {exc}") from None
+    if pos >= n:
         raise _truncated(pos, 1)
     if data[pos] > 1:
         raise ValueError(f"non-canonical final flag {data[pos]:#x}")
-    prev_yellow, self_hash = _digests(data, pos + 1, _TWO_DIGESTS)
+    links = pos + 1
+    prev_yellow, self_hash = _digests(data, links, _TWO_DIGESTS)
+    memo = three_leaf_root(data[:head], data[head:links], data[links : n - DIGEST_SIZE]) if hashed else None
     return _built(MedicalBlock, {"coord": coord, "entries": tuple(entries), "prev_yellow": prev_yellow,
-                                 "is_final": data[pos] == 1, "self_hash": self_hash, "hash_memo": None})  # fmt: skip
+                                 "is_final": data[pos] == 1, "self_hash": self_hash, "hash_memo": memo})  # fmt: skip
 
 
-def _decode_log(data: bytes) -> LogBlock:
-    coord, pos = _coord(data)
-    event, pos = _member(data, pos, _EVENTS, "access event")
-    actor, pos = _text(data, pos)
-    timestamp, pos = _u64_at(data, pos)
-    place, pos = _text(data, pos)
-    viewed, pos = _text(data, pos)
+def _decode_log(data: bytes, hashed: bool) -> LogBlock:
+    n = len(data)
+    coord, head = _coord(data, n)
+    if head >= n:
+        raise _truncated(head, 1)
+    event = _EVENTS.get(data[head])
+    if event is None:
+        raise ValueError(f"unknown access event {data[head]:#x}")
+    pos = head + 1
+    try:
+        start = pos + 4  # actor: u32 length + UTF-8
+        if start > n:
+            raise _truncated(pos, 4)
+        pos = start + _U32(data, pos)[0]
+        if pos > n:
+            raise _truncated(start, pos - start)
+        actor = data[start:pos].decode()
+        if pos + 8 > n:  # timestamp: u64
+            raise _truncated(pos, 8)
+        timestamp = _U64(data, pos)[0]
+        pos += 8
+        start = pos + 4  # place
+        if start > n:
+            raise _truncated(pos, 4)
+        pos = start + _U32(data, pos)[0]
+        if pos > n:
+            raise _truncated(start, pos - start)
+        place = data[start:pos].decode()
+        start = pos + 4  # viewed
+        if start > n:
+            raise _truncated(pos, 4)
+        pos = start + _U32(data, pos)[0]
+        if pos > n:
+            raise _truncated(start, pos - start)
+        viewed = data[start:pos].decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"string at offset {start} is not UTF-8: {exc}") from None
     h_main, h_yellow, h_prev_red, self_hash = _digests(data, pos, _FOUR_DIGESTS)
+    memo = three_leaf_root(data[:head], data[head:pos], data[pos : n - DIGEST_SIZE]) if hashed else None
     return _built(LogBlock, {"coord": coord, "event": event, "actor": actor, "timestamp": timestamp,
                              "place": place, "viewed": viewed, "h_main": h_main, "h_yellow": h_yellow,
-                             "h_prev_red": h_prev_red, "self_hash": self_hash, "hash_memo": None})  # fmt: skip
+                             "h_prev_red": h_prev_red, "self_hash": self_hash, "hash_memo": memo})  # fmt: skip
 
 
 # each byte the decoder accepts for an enum or a block kind, mapped to its
-# member or to the decoder of that kind
+# member or to the reader of that kind
 _VARIANTS = {int(v): v for v in IdentityVariant}
 _EVENTS = {int(e): e for e in AccessEvent}
 _BLOCK_DECODERS = {
@@ -588,10 +662,17 @@ _BLOCK_DECODERS = {
 }
 
 
-def decode_record(data: bytes) -> Block:
-    """Inverse of encode_record; ValueError on any non-canonical byte."""
-    decode, _ = _member(data, 0, _BLOCK_DECODERS, "block kind")
-    return decode(data)
+def decode_record(data: bytes, hashed: bool = False) -> Block:
+    """Inverse of encode_record; ValueError on any non-canonical byte. With
+    hashed, the block's memo is its hash, taken from the record's own
+    bytes (block_hash of the block, by the same six SHA-256 calls);
+    without, the memo is empty."""
+    if not data:
+        raise _truncated(0, 1)
+    decode = _BLOCK_DECODERS.get(data[0])
+    if decode is None:
+        raise ValueError(f"unknown block kind {data[0]:#x}")
+    return decode(data, hashed)
 
 
 def note_canonical(note: GlobalAuditNote) -> bytes:

@@ -669,25 +669,27 @@ def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = No
     if main[0].catalog is None or not main[0].catalog.entries:
         v.append(Violation("MAIN", "0", "genesis", "genesis carries no catalog"))
     broken = False
+    # a block that passes costs its checks alone: coordinates compare field
+    # by field, and a coordinate label is built only for a violation
     for i, blk in enumerate(main):
-        coord = str(i)
         if blk.self_hash != main_hashes[i]:
-            v.append(Violation("MAIN", coord, "self_hash", "stored hash does not recompute"))
-        if blk.coord != BlockCoord(i):
-            v.append(Violation("MAIN", coord, "coord", f"coordinate {blk.coord.label()} at position {i}"))
+            v.append(Violation("MAIN", str(i), "self_hash", "stored hash does not recompute"))
+        c = blk.coord
+        if c.patient != i or c.record is not None or c.log is not None:
+            v.append(Violation("MAIN", str(i), "coord", f"coordinate {c.label()} at position {i}"))
         if i > 0:
             # once a link breaks, every later block sits on a broken suffix
             if broken:
-                v.append(Violation("MAIN", coord, "ancestry", "follows a broken link"))
+                v.append(Violation("MAIN", str(i), "ancestry", "follows a broken link"))
             elif blk.prev_main != main_hashes[i - 1]:
-                v.append(Violation("MAIN", coord, "link", "prev_main does not match previous block"))
+                v.append(Violation("MAIN", str(i), "link", "prev_main does not match previous block"))
                 broken = True
         if blk.variant == IdentityVariant.FISCAL_CHANGE:
             fc = blk.fiscal_change
             if fc is None or fc.old_code == fc.new_code:
-                v.append(Violation("MAIN", coord, "variant_payload", "bad fiscal-change payload"))
+                v.append(Violation("MAIN", str(i), "variant_payload", "bad fiscal-change payload"))
         if blk.variant == IdentityVariant.CATALOG and (blk.catalog is None or not blk.catalog.entries):
-            v.append(Violation("MAIN", coord, "variant_payload", "catalog block without entries"))
+            v.append(Violation("MAIN", str(i), "variant_payload", "catalog block without entries"))
     owners, catalogs, last_catalog, lineage_violations = _main_facts(main, main_hashes)
     if catalogs and ledger.catalog_head != last_catalog:
         v.append(Violation("MAIN", "-", "catalog_head", "head does not match last catalog block"))
@@ -711,30 +713,30 @@ def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = No
         broken = False
         newest_of_type: dict[str, Digest] = {}  # typed-backlink target of the next block
         for j, blk in enumerate(yellow):
-            coord = f"{p}.{j + 1}"
             if blk.self_hash != yellow_hashes[j]:
-                v.append(Violation("YELLOW", coord, "self_hash", "stored hash does not recompute"))
-            if blk.coord != BlockCoord(p, j + 1):
-                v.append(Violation("YELLOW", coord, "coord", f"coordinate {blk.coord.label()}"))
+                v.append(Violation("YELLOW", f"{p}.{j + 1}", "self_hash", "stored hash does not recompute"))
+            c = blk.coord
+            if c.patient != p or c.record != j + 1 or c.log is not None:
+                v.append(Violation("YELLOW", f"{p}.{j + 1}", "coord", f"coordinate {c.label()}"))
             if broken:
-                v.append(Violation("YELLOW", coord, "ancestry", "follows a broken link"))
+                v.append(Violation("YELLOW", f"{p}.{j + 1}", "ancestry", "follows a broken link"))
             elif j == 0:
                 if blk.prev_yellow not in lineage_hashes:
-                    v.append(Violation("YELLOW", coord, "link", "first block not anchored to an identity block"))
+                    detail = "first block not anchored to an identity block"
+                    v.append(Violation("YELLOW", f"{p}.{j + 1}", "link", detail))
                     broken = True
             elif blk.prev_yellow != yellow_hashes[j - 1]:
-                v.append(Violation("YELLOW", coord, "link", "prev_yellow does not match previous block"))
+                v.append(Violation("YELLOW", f"{p}.{j + 1}", "link", "prev_yellow does not match previous block"))
                 broken = True
             if blk.is_final:
                 if blk.entries:
-                    v.append(Violation("YELLOW", coord, "final", "final block carries entries"))
+                    v.append(Violation("YELLOW", f"{p}.{j + 1}", "final", "final block carries entries"))
                 if j != len(yellow) - 1:
-                    v.append(Violation("YELLOW", coord, "final", "final block is not last"))
+                    v.append(Violation("YELLOW", f"{p}.{j + 1}", "final", "final block is not last"))
             for e in blk.entries:
                 if e.prev_same_type != newest_of_type.get(e.record_type):
-                    v.append(
-                        Violation("YELLOW", coord, "entry_backlink", f"bad typed backlink for {e.record_type!r}")
-                    )
+                    detail = f"bad typed backlink for {e.record_type!r}"
+                    v.append(Violation("YELLOW", f"{p}.{j + 1}", "entry_backlink", detail))
             for e in blk.entries:
                 newest_of_type[e.record_type] = yellow_hashes[j]
         is_closed = bool(yellow) and yellow[-1].is_final
@@ -745,29 +747,30 @@ def verify_tree(ledger: Ledger, hash_of: Callable[[b.Block], Digest] | None = No
         red_hashes = list(map(hash_of, red))
         broken = False
         for k, blk in enumerate(red):
-            coord = blk.coord.label()
+            c = blk.coord
             if blk.self_hash != red_hashes[k]:
-                v.append(Violation("RED", coord, "self_hash", "stored hash does not recompute"))
-            if blk.coord.patient != p or blk.coord.log != k + 1:
-                v.append(Violation("RED", coord, "coord", f"expected log index {p}.*.{k + 1}"))
+                v.append(Violation("RED", c.label(), "self_hash", "stored hash does not recompute"))
+            if c.patient != p or c.log != k + 1:
+                v.append(Violation("RED", c.label(), "coord", f"expected log index {p}.*.{k + 1}"))
             if broken:
-                v.append(Violation("RED", coord, "ancestry", "follows a broken link"))
+                v.append(Violation("RED", c.label(), "ancestry", "follows a broken link"))
             elif k == 0:
                 if blk.h_prev_red not in lineage_hashes:
-                    v.append(Violation("RED", coord, "cross_prev_red", "first log not anchored to an identity block"))
+                    detail = "first log not anchored to an identity block"
+                    v.append(Violation("RED", c.label(), "cross_prev_red", detail))
                     broken = True
             elif blk.h_prev_red != red_hashes[k - 1]:
-                v.append(Violation("RED", coord, "cross_prev_red", "h_prev_red does not match previous log"))
+                v.append(Violation("RED", c.label(), "cross_prev_red", "h_prev_red does not match previous log"))
                 broken = True
             if blk.h_main not in lineage_hashes:
-                v.append(Violation("RED", coord, "cross_main", "h_main matches no identity block of this patient"))
-            if blk.coord.record is None:
+                v.append(Violation("RED", c.label(), "cross_main", "h_main matches no identity block of this patient"))
+            if c.record is None:
                 if blk.h_yellow != ZERO_DIGEST:
-                    v.append(Violation("RED", coord, "cross_yellow", "no record index but h_yellow set"))
-            elif not 1 <= blk.coord.record <= len(yellow):
-                v.append(Violation("RED", coord, "cross_yellow", f"record index {blk.coord.record} out of range"))
-            elif blk.h_yellow != yellow_hashes[blk.coord.record - 1]:
-                v.append(Violation("RED", coord, "cross_yellow", "h_yellow does not match the referenced block"))
+                    v.append(Violation("RED", c.label(), "cross_yellow", "no record index but h_yellow set"))
+            elif not 1 <= c.record <= len(yellow):
+                v.append(Violation("RED", c.label(), "cross_yellow", f"record index {c.record} out of range"))
+            elif blk.h_yellow != yellow_hashes[c.record - 1]:
+                v.append(Violation("RED", c.label(), "cross_yellow", "h_yellow does not match the referenced block"))
 
     # ledger-level audit note chain
     prev = ZERO_DIGEST

@@ -13,16 +13,21 @@ ledger holds both subchains of a patient or neither, so a patient that a
 repair gives a block always gets both files.
 
 A session (store.session) is the single writer: it holds the directory's
-flock from its load through its commits, each of which appends only what
-the ledger appended since. A load opens what persist listed: main.chain,
-audit.global and both files of each patient the manifest names; it
-refuses any other listing, and a ledger that anchors an unlisted patient.
+flock, exclusive, from its load through its commits, each of which
+appends only what the ledger appended since. load_checked, the load of
+`verify`, takes the flock shared, so verifies run together but never
+while a command writes. A load opens the directory once and reads `meta`
+and every file through that fd: main.chain, audit.global and both files
+of each patient the manifest names; it refuses any other listing, and a
+ledger that anchors an unlisted patient. A file that is not a regular
+one (a FIFO, a directory) is refused by name as soon as it is opened,
+without waiting on it; a name that does not exist is reported missing.
 Each stored record is decoded once, in one pass (blocks.decode_record:
-strict field readers and precompiled structs, blocks built without their
-dataclass __init__ but with a read-only personal_info of their own). A verified
-load (load_checked, and load, which refuses any violation) also hashes
-the bytes it read: each block's hash is recomputed from the slices of
-its stored record (blocks.record_hash), never taken from the stored
+one strict reader per block kind, blocks built without their dataclass
+__init__ but with a read-only personal_info of their own). A verified
+load (load_checked, and load, which refuses any violation) also has the
+reader hash the bytes it has just read: each block's hash is recomputed
+from the slices of its stored record, never taken from the stored
 self_hash, and kept as the block's memo, which verify_tree then checks.
 The slices are the block's field groups because decoding is strict and
 canonical. load_raw decodes, and hashes the same way only the main chain,
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import fcntl
 import os
+import stat
 from contextlib import contextmanager
 from operator import attrgetter
 from pathlib import Path
@@ -63,7 +69,6 @@ from .blocks import (
     decode_record,
     encode_note,
     encode_record,
-    record_hash,
 )
 from .errors import CorruptChain, StorageError, TamperedStore
 from .ledger import Ledger, Violation, verify_tree
@@ -165,7 +170,32 @@ def persist(ledger: Ledger, directory: str | Path, held: dict[str, list] | None 
         raise StorageError(f"cannot persist to {directory}: {exc}") from exc
 
 
-def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, shared: dict | None) -> list:
+def _read_file(fd: int, directory: Path, name: str, missing: str) -> bytes:
+    """Every byte of the file name in the directory open as fd. A name that
+    does not exist is StorageError(missing). A file that is not a regular
+    one (a FIFO, a directory, a device) is refused once opened: the open
+    does not wait for a FIFO's writer, and nothing is read from it."""
+    try:
+        f = os.open(name, os.O_RDONLY | os.O_NONBLOCK, dir_fd=fd)
+    except FileNotFoundError:
+        raise StorageError(missing) from None
+    except OSError as exc:
+        raise StorageError(f"cannot open {name} in {directory}: {exc.strerror}") from None
+    try:
+        info = os.fstat(f)
+        if not stat.S_ISREG(info.st_mode):
+            raise StorageError(f"{name} in {directory} is not a regular file")
+        data = b""  # one read of a regular file, unless it is over 2 GiB
+        while len(data) < info.st_size and (chunk := os.read(f, info.st_size - len(data))):
+            data += chunk
+        return data
+    except OSError as exc:
+        raise StorageError(f"cannot read {name} in {directory}: {exc.strerror}") from None
+    finally:
+        os.close(f)
+
+
+def _read_chain(fd: int, directory: Path, name: str, counts: dict[str, int], decode, shared: dict | None) -> list:
     """Read and unframe one chain file and decode each record, in one pass.
     A framing failure, a ValueError from decode, or bytes beyond the
     manifest's count is CorruptChain at the offset of the record hit.
@@ -173,10 +203,7 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, shar
     shared, if given, maps a file name to (bytes, count, items) of the
     first load that decoded that file; a file whose bytes and count equal
     those gets a fresh list of the same items, undecoded."""
-    try:
-        data = (directory / name).read_bytes()
-    except OSError:
-        raise StorageError(f"chain file {name} missing from {directory}") from None
+    data = _read_file(fd, directory, name, f"chain file {name} missing from {directory}")
     first = None if shared is None else shared.get(name)
     if first is not None and first[0] == data and first[1] == counts[name]:
         return list(first[2])
@@ -195,86 +222,96 @@ def _read_chain(directory: Path, name: str, counts: dict[str, int], decode, shar
     return items
 
 
-def _read_blocks(directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool, shared) -> list:
+def _read_blocks(fd: int, directory: Path, name: str, counts: dict[str, int], want: type, hashed: bool, shared) -> list:
     """The blocks of one chain file, each of kind want. With hashed, each
-    block's memo is its hash recomputed from the record bytes just read.
-    shared is _read_chain's."""
+    block's memo is its hash, which decode_record takes from the record
+    bytes just read. shared is _read_chain's."""
 
     def decode(record: bytes):
-        block = decode_record(record)
+        block = decode_record(record, hashed)
         if not isinstance(block, want):
             raise ValueError(f"{type(block).__name__} record in a {want.__name__} file")
-        if hashed:
-            object.__setattr__(block, "hash_memo", record_hash(record, block))  # as cached_hash keeps it
         return block
 
-    return _read_chain(directory, name, counts, decode, shared)
+    return _read_chain(fd, directory, name, counts, decode, shared)
 
 
-def _assemble(directory: Path, hashed: bool = False, shared: dict | None = None) -> Ledger:
-    """Open the files persist wrote, as its manifest lists them; a patient
-    listed but not anchored is verify_tree's to report. The memo of each
-    main-chain block, and with hashed of every block, is its hash
-    recomputed from the bytes read, so that building the Ledger re-encodes
-    nothing. shared is _read_chain's."""
-    try:
-        meta_bytes = (directory / META_NAME).read_bytes()
-    except OSError:
-        raise StorageError(f"no ledger at {directory} ({META_NAME} missing)") from None
-    clock, counts = _decode_meta(meta_bytes)
-    numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
-    patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
-    _expect_listed(counts, patients)  # so each name is the _chain_name of its number
-    main = _read_blocks(directory, MAIN_NAME, counts, IdentityBlock, hashed=True, shared=shared)
-    notes = _read_chain(directory, AUDIT_NAME, counts, decode_note, shared)
-    yellow: dict[int, list[MedicalBlock]] = {}
-    red: dict[int, list[LogBlock]] = {}
-    for p in patients:
-        yellow[p] = _read_blocks(directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed, shared)
-        red[p] = _read_blocks(directory, _chain_name(p, "red"), counts, LogBlock, hashed, shared)
+def _assemble(directory: Path, hashed: bool = False, shared: dict | None = None, how: int = 0) -> Ledger:
+    """Open the files persist wrote, as its manifest lists them, each
+    through one fd of the directory, flocked by how (_locked's) while they
+    are read; a patient listed but not anchored is verify_tree's to
+    report. The memo of each main-chain block, and with hashed of every
+    block, is its hash recomputed from the bytes read, so that building the
+    Ledger re-encodes nothing. shared is _read_chain's."""
+    with _locked(directory, how) as fd:
+        meta = _read_file(fd, directory, META_NAME, f"no ledger at {directory} ({META_NAME} missing)")
+        clock, counts = _decode_meta(meta)
+        numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
+        patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
+        _expect_listed(counts, patients)  # so each name is the _chain_name of its number
+        main = _read_blocks(fd, directory, MAIN_NAME, counts, IdentityBlock, hashed=True, shared=shared)
+        notes = _read_chain(fd, directory, AUDIT_NAME, counts, decode_note, shared)
+        yellow: dict[int, list[MedicalBlock]] = {}
+        red: dict[int, list[LogBlock]] = {}
+        for p in patients:
+            yellow[p] = _read_blocks(fd, directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed, shared)
+            red[p] = _read_blocks(fd, directory, _chain_name(p, "red"), counts, LogBlock, hashed, shared)
     ledger = Ledger(main, yellow, red, notes, clock)
     _expect_listed(counts, ledger.yellow)  # the lineage rule may anchor a patient the manifest does not name
     return ledger
 
 
-def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:
-    """Reconstruct and verify; the ledger and its violations. verify_tree
-    checks the memos, which hold the hashes recomputed from the bytes just
-    read."""
-    ledger = _assemble(Path(directory), hashed=True)
+def _verified(directory: Path, how: int) -> tuple[Ledger, list[Violation]]:
+    """The hashed load, flocked by how, and verify_tree over its memos."""
+    ledger = _assemble(directory, hashed=True, how=how)
     return ledger, verify_tree(ledger, attrgetter("hash_memo"))
 
 
+def load_checked(directory: str | Path) -> tuple[Ledger, list[Violation]]:
+    """Reconstruct and verify; the ledger and its violations. verify_tree
+    checks the memos, which hold the hashes recomputed from the bytes just
+    read. The files are read under the directory's lock, shared, so that
+    verifies run together but never beside a command that writes."""
+    return _verified(Path(directory), fcntl.LOCK_SH)
+
+
 def load(directory: str | Path) -> Ledger:
-    """Reconstruct and verify; a state with violations is refused."""
-    ledger, violations = load_checked(directory)
+    """Reconstruct and verify; a state with violations is refused. It takes
+    no lock: a session holds the directory's lock around it."""
+    ledger, violations = _verified(Path(directory), 0)
     if violations:
         raise TamperedStore(violations)
     return ledger
 
 
 def load_raw(directory: str | Path, shared: dict | None = None) -> Ledger:
-    """Reconstruct without verification; for tamper tooling and repair.
-    Only the main chain is hashed, from its record bytes. Loads of several
-    replicas that pass one shared dict, empty at the first, decode each
-    distinct chain file once: a file equal in bytes and manifest count to
-    the one a previous load decoded gets a fresh list of its blocks."""
+    """Reconstruct without verification or lock; for tamper tooling and
+    repair, in a session. Only the main chain is hashed, from its record
+    bytes. Loads of several replicas that pass one shared dict, empty at
+    the first, decode each distinct chain file once: a file equal in bytes
+    and manifest count to the one a previous load decoded gets a fresh
+    list of its blocks."""
     return _assemble(Path(directory), shared=shared)
 
 
 @contextmanager
-def _locked(directory: Path):
-    """One command at a time per existing directory: flock(2), dropped when the process exits."""
+def _locked(directory: Path, how: int = fcntl.LOCK_EX):
+    """The directory's fd, open for the with block and flocked by how:
+    LOCK_EX, one command at a time, by default; LOCK_SH for a verify,
+    which other verifies share; 0 for a load in a session, which holds the
+    lock already. The lock is dropped when the fd closes or the process
+    exits."""
     try:
         fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise StorageError(f"no ledger at {directory} (no such directory)") from None
     try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise StorageError(f"ledger directory {directory} is locked by another command") from None
-        yield
+        if how:
+            try:
+                fcntl.flock(fd, how | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StorageError(f"ledger directory {directory} is locked by another command") from None
+        yield fd
     finally:
         os.close(fd)
 

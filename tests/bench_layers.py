@@ -12,11 +12,13 @@ object keyed by section.
 
 load (the figures of BENCH_decode.json) persists a seeded store of
 PATIENTS patients, each with six writes of 1-2 entries and three reads.
-It times store.load (read, decode, hash each record, verify_tree),
+It counts the merkle.sha256 and decode_record calls of one store.load,
+then times store.load (read, decode, hash each record, verify_tree),
 store.load_raw (read and decode only), decode_record over every stored
-block record already in memory, and verify_tree over the memos a verified
-load left; it counts the merkle.sha256 and decode_record calls of one
-store.load.
+block record already in memory, verify_tree over the memos a verified
+load left, and two in-process --porcelain CLI ops on the store, the path
+perfbench's clinic_cli times: cli_verify, and cli_read, a doctor's read
+of patient 1's latest record, which commits a log each call.
 
 encode (BENCH_encode.json) and access (BENCH_access.json) build two
 in-memory ledgers: long_history, 4 patients each with 1200 one-entry
@@ -124,12 +126,20 @@ def load_section(reps: int, patients: int) -> dict:
         decode = blocks.decode_record
         loaded = store.load(directory)
         memo = attrgetter("hash_memo")
+        verify = ["--porcelain", "verify", "--dir", str(directory)]
+        read = ["--porcelain", "read", "--dir", str(directory), "--actor", DOCTOR.actor_id, "--role", "doctor"]
+        read += ["--patient", str(PATIENT), "--query", "latest"]
         timings = {
             "store.load": lambda: store.load(directory),
             "store.load_raw": lambda: store.load_raw(directory),
             "decode_record_all": lambda: [decode(r) for r in records],
             "verify_tree_memos": lambda: verify_tree(loaded, memo),
+            "cli_verify": lambda: quiet_main(verify),
+            "cli_read": lambda: quiet_main(read),  # last: each read appends a log to the store
         }
+        per_load = counted(lambda: store.load(directory), merkle.sha256, blocks.decode_record)
+        if quiet_main(verify) != 0:
+            raise RuntimeError("verify of the load section's store failed")
         return {
             "patients": patients,
             "files": sum(1 for _ in directory.iterdir()),
@@ -137,7 +147,7 @@ def load_section(reps: int, patients: int) -> dict:
             "block_records": len(records),
             "reps": reps,
             "ms": {name: sampled(fn, reps, digits=2) for name, fn in timings.items()},
-            "per_load": counted(lambda: store.load(directory), merkle.sha256, blocks.decode_record),
+            "per_load": per_load,
         }
 
 

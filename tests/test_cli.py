@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output stability, differential
 equivalence with the library, lock behavior."""
 
+import fcntl
 import os
 import select
 import subprocess
@@ -189,6 +190,44 @@ def test_a_held_lock_blocks_concurrent_use(tmp_path, capsys):
         assert code == 2
         assert "is locked" in capsys.readouterr().err
         assert _tree([d]) == before
+
+
+def test_verify_shares_the_lock_with_other_verifies_only(tmp_path, capsys):
+    """verify reads under the directory's lock, taken shared: a held
+    exclusive lock refuses it, and a held shared lock refuses a writer but
+    not another verify."""
+    d = init_ledger(tmp_path, capsys)
+    with store._locked(Path(d)):
+        assert main(["verify", "--dir", d]) == 2
+        assert "is locked" in capsys.readouterr().err
+    with store._locked(Path(d), fcntl.LOCK_SH):
+        assert run(capsys, "verify", "--dir", d) == (0, "OK 0 violations\n")
+        before = _tree([d])
+        assert main(["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC1"]) == 2
+        assert "is locked" in capsys.readouterr().err
+        assert _tree([d]) == before
+    assert_unlocked(d)
+
+
+def test_a_verify_while_a_commit_writes_is_refused_as_locked_not_corrupt(tmp_path, capsys, monkeypatch):
+    """A commit appends to the chain files before it rewrites meta; a verify
+    that read in between would take the appended records for trailing
+    bytes."""
+    d = init_ledger(tmp_path, capsys)
+    encode_meta = store._encode_meta
+    verified = []
+
+    def verify_then_encode(*args):
+        verified.append(main(["verify", "--dir", d]))
+        return encode_meta(*args)
+
+    monkeypatch.setattr(store, "_encode_meta", verify_then_encode)
+    assert main(["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC1"]) == 0
+    assert verified == [2]
+    err = capsys.readouterr().err
+    assert "is locked" in err and "CorruptChain" not in err
+    monkeypatch.undo()
+    assert run(capsys, "verify", "--dir", d) == (0, "OK 0 violations\n")
 
 
 def assert_unlocked(*dirs) -> None:

@@ -17,7 +17,6 @@ from medledger.blocks import (
     decode_record,
     encode_note,
     encode_record,
-    record_hash,
     three_leaf_root,
 )
 from medledger.errors import CorruptChain, LedgerError, ScriptError, SubchainClosed
@@ -598,32 +597,41 @@ def test_parse_script_raises_only_script_error_on_edited_scripts(edits):
 
 # --- a stored record hashes from its own bytes ----------------------------------------
 #
-# For every record decode_record accepts, the hash taken from the record's
-# byte slices equals block_hash of the decoded block.
+# For every record decode_record accepts, the memo of its hashed decode,
+# taken from the record's byte slices, equals block_hash of the block; on
+# every input, the hashed and the unhashed decode return equal blocks or
+# raise the same ValueError.
 
 BLOCK_RECORDS = [record for record in RECORDS if record[0] != BlockKind.AUDIT_NOTE]
 
 
-def _check_record_hash(data: bytes) -> None:
+def _outcome(data: bytes, hashed: bool):
     try:
-        block = decode_record(data)
-    except ValueError:
-        return
-    assert record_hash(data, block) == block_hash(block)
+        return decode_record(data, hashed)
+    except ValueError as exc:
+        return str(exc)
 
 
-def test_record_hash_is_block_hash_under_every_single_byte_substitution():
+def _check_hashed_decode(data: bytes) -> None:
+    block, plain = _outcome(data, True), _outcome(data, False)
+    assert block == plain
+    if not isinstance(block, str):
+        assert plain.hash_memo is None
+        assert block.hash_memo == block_hash(block)
+
+
+def test_hashed_decode_memo_is_block_hash_under_every_single_byte_substitution():
     for record in BLOCK_RECORDS:
-        _check_record_hash(record)
+        _check_hashed_decode(record)
         for i, old in enumerate(record):
             for value in {0, 1, 2, 0xFF, old ^ 1} - {old}:
-                _check_record_hash(record[:i] + bytes([value]) + record[i + 1 :])
+                _check_hashed_decode(record[:i] + bytes([value]) + record[i + 1 :])
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(BLOCK_RECORDS), EDITS)
-def test_record_hash_is_block_hash_on_edited_records(record, edits):
-    _check_record_hash(_edited(record, edits))
+def test_hashed_decode_memo_is_block_hash_on_edited_records(record, edits):
+    _check_hashed_decode(_edited(record, edits))
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,8 +2,13 @@
 
 import hashlib
 import operator
+import os
 import random
+import signal
 import struct
+import subprocess
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
@@ -108,6 +113,95 @@ def test_missing_chain_file_is_storage_error(tmp_path):
     (tmp_path / "p1.red.chain").unlink()
     with pytest.raises(StorageError):
         load(tmp_path)
+
+
+# a file of another kind than a regular one, made in the place of a store file
+NOT_REGULAR = {"fifo": os.mkfifo, "directory": os.mkdir}
+
+
+@pytest.mark.parametrize("kind", NOT_REGULAR)
+@pytest.mark.parametrize("name", ["meta", "main.chain", "p1.red.chain"])
+def test_a_file_that_is_not_regular_is_refused_at_once_and_verify_exits_2(tmp_path, name, kind):
+    """A FIFO is not waited on, and a directory is not reported missing:
+    every load refuses either by name, and the CLI exits 2 well within the
+    time bound."""
+    persist(small_fixture(), tmp_path)
+    (tmp_path / name).unlink()
+    NOT_REGULAR[kind](tmp_path / name)
+    env = {**os.environ, "PYTHONPATH": str(Path(store.__file__).resolve().parents[1])}
+    verify = [sys.executable, "-m", "medledger", "verify", "--dir", str(tmp_path)]
+    done = subprocess.run(verify, env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert f"{name} in {tmp_path} is not a regular file" in done.stderr
+    for loader in (load, load_checked, load_raw):
+        with _within(5), pytest.raises(StorageError, match=f"^{name} in .* is not a regular file$"):
+            loader(tmp_path)
+
+
+class Overran(Exception):
+    """Not an OSError, so that no handler of the store maps it to a refusal."""
+
+
+@contextmanager
+def _within(seconds: float):
+    """Fail the block with Overran if it runs longer than seconds, a
+    blocked open or read included."""
+
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _break_record(d: Path) -> None:
+    data = bytearray((d / "p1.yellow.chain").read_bytes())
+    data[4] = 0x7F  # the kind byte of the first record
+    (d / "p1.yellow.chain").write_bytes(bytes(data))
+
+
+def _break_meta(d: Path) -> None:
+    data = bytearray((d / "meta").read_bytes())
+    data[-1] ^= 1
+    (d / "meta").write_bytes(bytes(data))
+
+
+# how each case breaks a persisted store, and what its loads raise (None: nothing)
+LOAD_OUTCOMES = {
+    "intact": (lambda d: None, None),
+    "missing": (lambda d: (d / "p1.red.chain").unlink(), StorageError),
+    "bad_record": (_break_record, CorruptChain),
+    "fifo": (lambda d: ((d / "p1.red.chain").unlink(), os.mkfifo(d / "p1.red.chain")), StorageError),
+    "bad_meta": (_break_meta, CorruptChain),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the entries of /proc/self/fd")
+@pytest.mark.parametrize("case", LOAD_OUTCOMES)
+def test_a_load_closes_every_fd_it_opened(tmp_path, case):
+    """On success and on each refusal: the directory's fd and each file's.
+    ResourceWarning cannot see a raw os.open, so the open fds are counted."""
+    persist(small_fixture(), tmp_path)
+    breaks, raises = LOAD_OUTCOMES[case]
+    breaks(tmp_path)
+    before = _open_fds()
+    for loader in (load, load_checked, load_raw):
+        with _within(5):
+            if raises is None:
+                loader(tmp_path)
+            else:
+                with pytest.raises(raises):
+                    loader(tmp_path)
+        assert _open_fds() == before, loader.__name__
 
 
 def test_load_raw_accepts_what_load_refuses(tmp_path):
