@@ -56,7 +56,9 @@ differ.
 Equal blocks are exactly the blocks with equal records: decoding is
 canonical, and a raw tamper (mutate_block) returns what its record
 decodes to, so a list given for a tuple or 2 for True compares as the
-bytes do. repair_replicas therefore compares blocks by value.
+bytes do. repair_replicas therefore compares blocks by value. Operator
+text names an integer only as str writes it (canonical_int): the CLI,
+the sim scripts and the tamper tooling read every integer with it.
 
 A verified store load hashes the bytes it read instead, in the same
 pass: decode_record(record, hashed=True) has the reader hash the three
@@ -298,17 +300,11 @@ def _blob_at(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _text(data: bytes, pos: int) -> tuple[str, int]:
-    # _blob_at's checks, inlined: strings are most of a record's fields
-    start = pos + 4
-    if start > len(data):
-        raise _truncated(pos, 4)
-    end = start + _U32(data, pos)[0]
-    if end > len(data):
-        raise _truncated(start, end - start)
+    raw, end = _blob_at(data, pos)
     try:
-        return data[start:end].decode(), end
+        return raw.decode(), end
     except UnicodeDecodeError as exc:
-        raise ValueError(f"string at offset {start} is not UTF-8: {exc}") from None
+        raise ValueError(f"string at offset {pos + 4} is not UTF-8: {exc}") from None
 
 
 def _digest_at(data: bytes, pos: int) -> tuple[Digest, int]:
@@ -708,7 +704,17 @@ def decode_note(data: bytes) -> GlobalAuditNote:
     return GlobalAuditNote(actor, timestamp, place, detail, prev_hash, self_hash)
 
 
-# --- targeted field edits (tamper tooling) ------------------------------------
+# --- operator text and targeted field edits (tamper tooling) ------------------
+
+
+def canonical_int(text: str) -> int:
+    """The integer text names, or ValueError: only the text str() writes
+    for an integer names one, so "1_0", "+1", " 1", "01" and digits of
+    other scripts, which int() reads, name none."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not an integer")
+    return value
 
 
 # the fields whose tamper value is a digest in hex
@@ -738,7 +744,7 @@ def _parse_value(name: str, current, text: str):
         except KeyError:
             raise ValueError(f"unknown {_ENUM_NAMES[type(current)]} {text!r}") from None
     if isinstance(current, int):
-        return int(text)
+        return canonical_int(text)
     raise ValueError(f"cannot parse a value for field of type {type(current).__name__}")
 
 
@@ -777,7 +783,7 @@ def mutate_block(block: Block, field_path: str, value) -> Block:
         return _encodable(replace(block, personal_info={**block.personal_info, parts[1]: value}))
     entry_path = len(parts) == 3 and parts[0] == "entry" and parts[2] in {f.name for f in fields(RecordEntry)}
     if entry_path and isinstance(block, MedicalBlock):
-        idx = int(parts[1])
+        idx = canonical_int(parts[1])
         if not 0 <= idx < len(block.entries):
             raise NoSuchBlock(f"no entry {idx} in block {block.coord.label()}")
         entries = list(block.entries)

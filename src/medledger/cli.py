@@ -13,13 +13,13 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import store
+from .blocks import canonical_int
 from .errors import CommandError, ConfigError, CorruptChain, LedgerError, NoSuchBlock, ScriptError, StorageError
 from .ledger import Ledger, Role, require_code
 from .network import (
     DEFAULT_CATALOG,
     Command,
     SimConfig,
-    canonical_int,
     repair_replicas,
     require_utf8,
     run_scenario,

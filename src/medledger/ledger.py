@@ -183,16 +183,16 @@ class Ledger:
         self._catalog: dict[str, str] | None = None
         for block, p in zip(self.main_chain, owners):
             self._index(block, p)
-        self.closed: set[int] = {
-            p for p, chain in self.yellow.items() if chain and chain[-1].is_final
-        }
+        self.closed: set[int] = set()
         self._typed: dict[int, TypeIndex] = {}
+        for p in self.yellow:
+            self._recompute_patient(p)
 
     def _recompute_patient(self, p: int) -> None:
-        """Rebuild the derived state of one patient's two subchains after
-        they changed in place (a repair): the closed flag from the last
-        medical block, and the type index, dropped as a tamper drops it.
-        Nothing else derived reads a subchain."""
+        """Rebuild the derived state of one patient's two subchains, at a
+        rebuild or after they changed in place (a repair): the closed flag
+        from the last medical block, and the type index, dropped as a
+        tamper drops it. Nothing else derived reads a subchain."""
         chain = self.yellow[p]
         if chain and chain[-1].is_final:
             self.closed.add(p)

@@ -28,7 +28,7 @@ from itertools import compress, count
 from operator import is_not, ne
 from typing import Any, Callable, NamedTuple
 
-from .blocks import Block, block_hash, note_hash
+from .blocks import Block, block_hash, canonical_int, note_hash
 from .errors import (
     CommandError,
     ConfigError,
@@ -54,9 +54,8 @@ class SimConfig:
 
 @dataclass
 class NodeState:
-    """One simulated node: its id and its replica."""
+    """One simulated node: its replica."""
 
-    node_id: str
     replica: Ledger
 
 
@@ -71,16 +70,6 @@ def split_token(token: str, sep: str, shape: str) -> tuple[str, str]:
         raise CommandError(f"{token!r} is not {shape}")
     left, right = token.split(sep, 1)
     return left, right
-
-
-def canonical_int(text: str) -> int:
-    """The integer text names, or ValueError: only the text str() writes
-    for an integer names one, so "1_0", "+1", " 1", "01" and digits of
-    other scripts, which int() reads, name none."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not an integer")
-    return value
 
 
 def require_utf8(texts) -> None:
@@ -246,7 +235,7 @@ class Network:
         self.config = config
         self.approved = approved
         self.nodes = {
-            nid: NodeState(nid, Ledger.genesis(catalog_entries)) for nid in approved
+            nid: NodeState(Ledger.genesis(catalog_entries)) for nid in approved
         }
         self.rng = random.Random(config.seed)
         self.seq = 0

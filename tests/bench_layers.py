@@ -62,7 +62,6 @@ import itertools
 import json
 import random
 import statistics
-import struct
 import sys
 import tempfile
 import time
@@ -106,15 +105,15 @@ def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict
 
 
 def block_records(directory: Path) -> list[bytes]:
-    """Every record of the store's block files, unframed."""
+    """Every record of the store's block files, unframed as the store
+    unframes them."""
     records = []
     for path in sorted(directory.glob("*.chain")):
         data = path.read_bytes()
         pos = 0
         while pos < len(data):
-            (n,) = struct.unpack_from(">I", data, pos)
-            records.append(data[pos + 4 : pos + 4 + n])
-            pos += 4 + n
+            record, pos = blocks._blob_at(data, pos)
+            records.append(record)
     return records
 
 

@@ -194,3 +194,7 @@ def test_mutate_block_parses_string_values():
     for field, value in (("timestamp", "-1"), ("timestamp", str(1 << 64)), ("actor", "\udcff")):
         with pytest.raises(ValueError):  # the block encoding cannot hold it
             mutate_block(log, field, value)
+    with pytest.raises(ValueError, match="'1_0' is not an integer"):
+        mutate_block(log, "timestamp", "1_0")
+    with pytest.raises(ValueError, match=r"'\+0' is not an integer"):
+        mutate_block(medical, "entry.+0.payload", "evil")

@@ -143,6 +143,10 @@ TAMPERS = {
     "bad-variant": ("main variant bogus", 2, "unknown identity variant 'bogus'"),
     "short-digest": ("yellow prev_yellow 00", 2, "digest value must be 32 hex bytes"),
     "coord": ("yellow coord 1", 2, "cannot parse a value for field of type BlockCoord"),
+    "signed-entry": ("yellow entry.+0.payload forged", 2, "'+0' is not an integer"),
+    "padded-entry": ("yellow entry.00.payload forged", 2, "'00' is not an integer"),
+    "underscored-int": ("red timestamp 1_0", 2, "'1_0' is not an integer"),
+    "signed-int": ("red timestamp +5", 2, "'+5' is not an integer"),
 }
 
 

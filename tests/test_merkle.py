@@ -74,24 +74,6 @@ def test_five_leaf_proof_replays_to_root():
     assert replay(b"L5", proof) == tree.root
 
 
-def test_round_trip_every_index():
-    tree = build_tree(FIVE)
-    for i, payload in enumerate(FIVE):
-        assert verify(payload, prove(tree, i), tree.root)
-
-
-def test_flipped_payload_bit_fails():
-    tree = build_tree(FOUR)
-    proof = prove(tree, 0)
-    assert not verify(bytes([FOUR[0][0] ^ 0x01]) + FOUR[0][1:], proof, tree.root)
-
-
-def test_wire_size_five_leaves():
-    tree = build_tree(FIVE)
-    wire = serialize_proof(prove(tree, 0))
-    assert len(wire) == 4 + 3 * 33 == 103
-
-
 def test_empty_leaves_rejected():
     with pytest.raises(EmptyLeafSet):
         build_tree([])

@@ -22,7 +22,6 @@ from medledger.network import (
     SimConfig,
     _step_command,
     parse_script,
-    quorum_commits,
     repair_majority,
     repair_replicas,
     run_scenario,
@@ -69,13 +68,11 @@ def test_unlisted_proposer_not_authorized_changes_nothing():
 
 
 def test_quorum_law_exhaustive_against_rational_oracle():
-    """Oracle in exact rational arithmetic for N=2..9, every count."""
+    """The repair share, against an oracle in exact rational arithmetic
+    for N=2..9 and every count (criterion 04 checks the commit share)."""
     for n in range(2, 10):
         for c in range(0, n + 1):
-            expected_commit = Fraction(c, n) > Fraction(51, 100)
-            assert quorum_commits(c, n) == expected_commit, (c, n)
-            expected_repair = Fraction(c, n) >= Fraction(51, 100)
-            assert repair_majority(c, n) == expected_repair, (c, n)
+            assert repair_majority(c, n) == (Fraction(c, n) >= Fraction(51, 100)), (c, n)
 
 
 def test_quorum_via_propose_matches_oracle():
@@ -493,12 +490,6 @@ def test_drop_rate_zero_commits_every_valid_command():
     assert transcript.count("REJECT ") == 0
 
 
-def test_same_seed_same_transcript_bytes():
-    script = (GOLDEN / "lifecycle.script").read_text()
-    config = SimConfig(node_count=5, seed=7, drop_rate=0.2)
-    assert run_scenario(config, script, CATALOG) == run_scenario(config, script, CATALOG)
-
-
 def test_different_seed_changes_drop_pattern():
     script = (GOLDEN / "lifecycle.script").read_text()
     a = run_scenario(SimConfig(node_count=5, seed=1, drop_rate=0.4), script, CATALOG)
@@ -672,6 +663,20 @@ def test_only_the_text_str_writes_names_a_patient():
         assert "REJECT seq=2 yes=1 n=3" in lines
         assert [line.rsplit(" ", 1)[1] for line in lines if line.startswith("TAMPER")] == ["status=error:ValueError"] * 2
         assert len({line.split("state=")[1] for line in lines if line.startswith("FINAL")}) == 1
+
+
+def test_a_tamper_directive_whose_entry_index_is_not_canonical_changes_nothing():
+    script = (
+        "1 n1 onboard actor=reg role=authority code=FC001\n"
+        "2 n1 write actor=drb role=doctor patient=1 entry=blood_test:v\n"
+        "{}4 n1 read actor=drb role=doctor patient=1 query=latest\n"
+    )
+    tamper = "3 n2 tamper chain=yellow patient=1 index=1 field=entry.+0.payload value=forged\n"
+    lines = run_scenario(SimConfig(node_count=3, seed=1), script.format(tamper), CATALOG).splitlines()
+    assert "TAMPER tick=3 node=n2 chain=yellow patient=1 index=1 field=entry.+0.payload status=error:ValueError" in lines
+    untampered = run_scenario(SimConfig(node_count=3, seed=1), script.format(""), CATALOG).splitlines()
+    finals = [line for line in lines if line.startswith("FINAL")]
+    assert finals == [line for line in untampered if line.startswith("FINAL")] and len(finals) == 3
 
 
 def test_a_commit_applies_once_per_replica_and_clones_nothing(monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from medledger.blocks import (
     AccessEvent,
-    BlockKind,
     IdentityVariant,
     block_hash,
     cached_hash,
@@ -177,18 +176,6 @@ def test_closed_chain_law(seed):
             except SubchainClosed:
                 pass
             assert len(ledger.yellow[p]) == yellow_len
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_report_equals_linear_scan_for_all_patients_and_types(seed):
-    ledger = fresh_ledger()
-    drive(ledger, random.Random(seed), 15)
-    for p in ledger.patients():
-        types = {e.record_type for blk in ledger.yellow[p] for e in blk.entries}
-        for record_type in sorted(types | {"never_recorded"}):
-            expected = scan_report_oracle(ledger, p, record_type)
-            assert ledger.assemble_report(DOCTOR, p, record_type) == expected
 
 
 def test_reads_and_reports_equal_the_per_block_and_scan_oracles_on_tampered_chains():
@@ -518,13 +505,31 @@ def _edited(data: bytes, edits) -> bytes:
     return bytes(out)
 
 
+def _outcome(data: bytes, hashed: bool):
+    try:
+        return decode_record(data, hashed)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _check_record_decoders(data: bytes) -> None:
-    for decode, encode in ((decode_record, encode_record), (decode_note, encode_note)):
-        try:
-            value = decode(data)
-        except ValueError:
-            continue
-        assert encode(value) == data
+    """Each decoder returns a value that encodes back to data, or raises
+    ValueError. A block record decodes hashed exactly as it decodes plain
+    (the same block, or a ValueError with the same text); the hashed
+    memo, taken from the record's byte slices, is block_hash, and the
+    plain memo is empty."""
+    try:
+        note = decode_note(data)
+    except ValueError:
+        pass
+    else:
+        assert encode_note(note) == data
+    block, plain = _outcome(data, True), _outcome(data, False)
+    assert block == plain
+    if not isinstance(block, str):
+        assert encode_record(block) == data
+        assert plain.hash_memo is None
+        assert block.hash_memo == block_hash(block)
 
 
 def _check_meta_decoder(body: bytes) -> None:
@@ -593,45 +598,6 @@ def test_meta_and_proof_decoders_are_total_and_canonical_on_edits(meta_edits, pr
 @given(EDITS)
 def test_parse_script_raises_only_script_error_on_edited_scripts(edits):
     _check_script_parser(_edited(SCRIPT.encode(), edits).decode("utf-8", "replace"))
-
-
-# --- a stored record hashes from its own bytes ----------------------------------------
-#
-# For every record decode_record accepts, the memo of its hashed decode,
-# taken from the record's byte slices, equals block_hash of the block; on
-# every input, the hashed and the unhashed decode return equal blocks or
-# raise the same ValueError.
-
-BLOCK_RECORDS = [record for record in RECORDS if record[0] != BlockKind.AUDIT_NOTE]
-
-
-def _outcome(data: bytes, hashed: bool):
-    try:
-        return decode_record(data, hashed)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _check_hashed_decode(data: bytes) -> None:
-    block, plain = _outcome(data, True), _outcome(data, False)
-    assert block == plain
-    if not isinstance(block, str):
-        assert plain.hash_memo is None
-        assert block.hash_memo == block_hash(block)
-
-
-def test_hashed_decode_memo_is_block_hash_under_every_single_byte_substitution():
-    for record in BLOCK_RECORDS:
-        _check_hashed_decode(record)
-        for i, old in enumerate(record):
-            for value in {0, 1, 2, 0xFF, old ^ 1} - {old}:
-                _check_hashed_decode(record[:i] + bytes([value]) + record[i + 1 :])
-
-
-@settings(max_examples=600, deadline=None)
-@given(st.sampled_from(BLOCK_RECORDS), EDITS)
-def test_hashed_decode_memo_is_block_hash_on_edited_records(record, edits):
-    _check_hashed_decode(_edited(record, edits))
 
 
 @settings(max_examples=200, deadline=None)

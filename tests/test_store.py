@@ -88,17 +88,6 @@ def test_truncated_store_file_fails_at_every_offset(tmp_path, name):
     load(tmp_path)
 
 
-def test_single_byte_edit_is_tamper_or_corruption(tmp_path):
-    ledger = small_fixture()
-    persist(ledger, tmp_path)
-    target = tmp_path / "p1.yellow.chain"
-    data = bytearray(target.read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    target.write_bytes(bytes(data))
-    with pytest.raises((TamperedStore, CorruptChain)):
-        load(tmp_path)
-
-
 def test_load_of_empty_directory_is_storage_error(tmp_path):
     with pytest.raises(StorageError):
         load(tmp_path / "nothing_here")
