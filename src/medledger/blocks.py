@@ -710,11 +710,15 @@ def decode_note(data: bytes) -> GlobalAuditNote:
 def canonical_int(text: str) -> int:
     """The integer text names, or ValueError: only the text str() writes
     for an integer names one, so "1_0", "+1", " 1", "01" and digits of
-    other scripts, which int() reads, name none."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not an integer")
-    return value
+    other scripts, which int() reads, name none. Every text that names
+    none, int() refusing it or not, gets the same refusal."""
+    try:
+        value = int(text)
+        if str(value) == text:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{text!r} is not an integer")
 
 
 # the fields whose tamper value is a digest in hex

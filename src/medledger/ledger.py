@@ -12,16 +12,18 @@ onboarding) land in a ledger-level audit note chain instead.
 
 Besides the chains, a Ledger keeps derived state rebuilt from them: the
 anchors, active codes, catalog head and closed set, the active catalog,
-and a per-patient type index (record type -> its (block, entry) holders
-in chain order). It is built on a patient's first typed op (a write's
-backlink lookup, a typed read, a report), extended by each medical
-append, shared by clones, and dropped by a tamper, by every rebuild (a
-load, a repair of the main chain) and by a repair of the patient's
-subchains. Derived state is never evidence: repair reads only the
-chains, and verify_tree reads the chains and compares two derived facts
-with them, the catalog head (catalog_head) and the closed set
-(closed_flag). The typed backlinks are tamper evidence that verify_tree
-checks; reads and reports list the index's holders and never follow them.
+and a per-patient type index (record type -> its newest holder block,
+and the results a typed read and a report of it return, as tuples of
+(coord, entry) pairs oldest first and of (coord, payload) pairs newest
+first). It is built on a patient's first typed op (a write's backlink
+lookup, a typed read, a report), extended by each medical append, shared
+by clones, and dropped by a tamper, by every rebuild (a load, a repair of
+the main chain) and by a repair of the patient's subchains. Derived
+state is never evidence: repair reads only the chains, and verify_tree
+reads the chains and compares two derived facts with them, the catalog
+head (catalog_head) and the closed set (closed_flag). The typed
+backlinks are tamper evidence that verify_tree checks; reads and reports
+copy the index's results and never follow them.
 """
 
 from __future__ import annotations
@@ -87,8 +89,14 @@ def require_code(code: str, catalog: bool = False) -> str:
     return code
 
 
-# a patient's type index: record type -> its (block, entry) holders, oldest first
-TypeIndex = dict[str, tuple[tuple[MedicalBlock, RecordEntry], ...]]
+# a patient's type index: record type -> (its newest holder block, the
+# (coord, entry) pairs a typed read returns, oldest first, the (coord,
+# payload) pairs a report returns, newest first)
+TypeIndex = dict[
+    str, tuple[MedicalBlock, tuple[tuple[BlockCoord, RecordEntry], ...], tuple[tuple[BlockCoord, bytes], ...]]
+]
+# what the index holds for a type that no entry has
+_NO_HOLDERS: tuple = (None, (), ())
 
 # looked up once: every index rebuild (a load, a repair, a clone) tests
 # each main-chain block, and an enum member lookup is slow
@@ -405,22 +413,34 @@ class Ledger:
 
     def _types(self, p: int) -> TypeIndex:
         """The patient's type index, built on first use by one pass over
-        their medical chain that groups its entries by record type; it
+        their medical chain that groups its entries by record type, into
+        the newest holder and the read and report pairs of each type; it
         hashes nothing. It is never changed in place: clones share it."""
         index = self._typed.get(p)
         if index is None:
-            grouped: dict[str, list[tuple[MedicalBlock, RecordEntry]]] = {}
+            grouped: dict[str, list] = {}  # type -> [newest block, read pairs, report pairs oldest first]
             for blk in self.yellow[p]:
+                coord = blk.coord
                 for e in blk.entries:
-                    grouped.setdefault(e.record_type, []).append((blk, e))
-            index = self._typed[p] = {t: tuple(holders) for t, holders in grouped.items()}
+                    try:
+                        parts = grouped[e.record_type]
+                    except KeyError:
+                        parts = grouped[e.record_type] = [blk, [], []]
+                    parts[0] = blk
+                    parts[1].append((coord, e))
+                    parts[2].append((coord, e.payload))
+            index = self._typed[p] = {
+                t: (newest, tuple(reads), tuple(report[::-1])) for t, (newest, reads, report) in grouped.items()
+            }
         return index
 
     def _append_medical(self, p: int, entries: tuple[RecordEntry, ...], is_final: bool) -> MedicalBlock:
         """Seal, link and append one block to the patient's medical chain.
-        If their type index is built, replace it with a copy that lists
-        the block as the newest holder of each of its entries' types; a
-        clone sharing the old index keeps it."""
+        If their type index is built, replace it with a copy that gives
+        each of its entries' types the block as newest holder and new
+        tuples of read and report pairs, each entry's pair appended to the
+        reads and put first in the report; a clone sharing the old index
+        keeps it, and its tuples."""
         chain = self.yellow[p]
         block = self._seal(
             MedicalBlock(
@@ -434,8 +454,10 @@ class Ledger:
         index = self._typed.get(p)
         if index is not None and entries:
             index = self._typed[p] = dict(index)
+            coord = block.coord
             for e in entries:
-                index[e.record_type] = index.get(e.record_type, ()) + ((block, e),)
+                _, reads, report = index.get(e.record_type, _NO_HOLDERS)
+                index[e.record_type] = (block, reads + ((coord, e),), ((coord, e.payload),) + report)
         return block
 
     # -- public operations -----------------------------------------------------
@@ -476,7 +498,7 @@ class Ledger:
         # write, so entries of one type in one block share their backlink
         index = self._types(patient)
         built = tuple(
-            RecordEntry(t, payload, cached_hash(index[t][-1][0]) if t in index else None)
+            RecordEntry(t, payload, cached_hash(index[t][0]) if t in index else None)
             for t, payload in entries
         )
         medical = self._append_medical(patient, built, is_final=False)
@@ -490,9 +512,10 @@ class Ledger:
         """Return matching entries; the read itself appends a log block.
 
         query is a record type, or "latest" for the newest non-final
-        block's entries. Works on closed patients. A typed read lists the
-        holders of its type from the patient's type index, so it costs the
-        size of its result, and hashes only what its log block links.
+        block's entries. Works on closed patients. A typed read copies the
+        read pairs of its type from the patient's type index into a list
+        the caller owns, one C-level copy, and hashes only what its log
+        block links.
         """
         tick = self._admit("read", cred, patient, place)
         matches: list[tuple[BlockCoord, RecordEntry]] = []
@@ -502,7 +525,7 @@ class Ledger:
                     matches = [(blk.coord, e) for e in blk.entries]
                     break
         else:
-            matches = [(blk.coord, e) for blk, e in self._types(patient).get(query, ())]
+            matches = list(self._types(patient).get(query, _NO_HOLDERS)[1])
         log = self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"READ:{query}"
         )
@@ -574,14 +597,14 @@ class Ledger:
         medical chain, newest first, with its block's coordinate. One log
         block total.
 
-        The report lists the type's holders from the patient's type index,
-        so it costs the size of its result. On every chain verify_tree
-        accepts, these are exactly the entries the typed backlinks reach
-        from the newest one; a tampered link hides none of them.
+        The report copies the type's report pairs from the patient's type
+        index into a list the caller owns, one C-level copy. On every chain
+        verify_tree accepts, these are exactly the entries the typed
+        backlinks reach from the newest one; a tampered link hides none of
+        them.
         """
         tick = self._admit("report", cred, patient, place)
-        holders = self._types(patient).get(record_type, ())
-        report = [(blk.coord, e.payload) for blk, e in reversed(holders)]
+        report = list(self._types(patient).get(record_type, _NO_HOLDERS)[2])
         self._append_log(
             patient, AccessEvent.READ, cred, tick, place, f"REPORT:{record_type}"
         )

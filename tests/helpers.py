@@ -399,24 +399,36 @@ def per_block_read_oracle(ledger: Ledger, p: int, query: str) -> list[tuple[Bloc
     return matches
 
 
-def grouped_scan(chain: list[MedicalBlock]) -> dict[str, list[tuple[int, int]]]:
-    """Each record type of a medical chain -> the ids of its (block, entry)
-    holders in chain order: a type index as a fresh pass builds it, by
-    identity, so an index that kept a replaced block never equals it."""
-    grouped: dict[str, list[tuple[int, int]]] = {}
+def grouped_scan(chain: list[MedicalBlock]) -> dict[str, tuple[int, list, list]]:
+    """Each record type of a medical chain -> the three parts of a type
+    index as a fresh pass builds them, by identity: the id of the newest
+    holder block, the ids in each (coord, entry) read pair, oldest first,
+    and in each (coord, payload) report pair, newest first. An index that
+    kept a replaced block, or a pair of one, never equals it."""
+    grouped: dict[str, list[tuple[MedicalBlock, RecordEntry]]] = {}
     for blk in chain:
         for e in blk.entries:
-            grouped.setdefault(e.record_type, []).append((id(blk), id(e)))
-    return grouped
+            grouped.setdefault(e.record_type, []).append((blk, e))
+    return {
+        t: (
+            id(holders[-1][0]),
+            [(id(blk.coord), id(e)) for blk, e in holders],
+            [(id(blk.coord), id(e.payload)) for blk, e in reversed(holders)],
+        )
+        for t, holders in grouped.items()
+    }
 
 
 def stale_type_indexes(ledger: Ledger) -> list[int]:
     """The patients whose built type index differs from a fresh grouping
-    scan of their medical chain."""
+    scan of their medical chain, in any of its three parts."""
     return [
         p
         for p, index in ledger._typed.items()
-        if {t: [(id(blk), id(e)) for blk, e in typed] for t, typed in index.items()}
+        if {
+            t: (id(newest), [tuple(map(id, pair)) for pair in reads], [tuple(map(id, pair)) for pair in report])
+            for t, (newest, reads, report) in index.items()
+        }
         != grouped_scan(ledger.yellow.get(p, []))
     ]
 

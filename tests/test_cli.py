@@ -147,6 +147,8 @@ TAMPERS = {
     "padded-entry": ("yellow entry.00.payload forged", 2, "'00' is not an integer"),
     "underscored-int": ("red timestamp 1_0", 2, "'1_0' is not an integer"),
     "signed-int": ("red timestamp +5", 2, "'+5' is not an integer"),
+    "unreadable-int": ("red timestamp x", 2, "'x' is not an integer"),
+    "unreadable-entry": ("yellow entry.x.payload forged", 2, "'x' is not an integer"),
 }
 
 
@@ -170,6 +172,16 @@ def test_tamper_parses_each_field_type_or_leaves_the_store_as_it_was(tmp_path, c
     else:
         assert captured.err == f"ERROR StorageError: cannot tamper with {d}: {outcome}\n"
         assert store_image(d) == before
+
+
+@pytest.mark.parametrize("index", ["x", "01"])
+def test_a_tamper_index_that_names_no_integer_has_one_refusal_text(tmp_path, capsys, index):
+    """int() refuses "x" and reads "01"; both are refused alike."""
+    d = init_ledger(tmp_path, capsys)
+    before = store_image(d)
+    assert main(["tamper", "--dir", d, "--chain", "main", "--index", index, "--field", "place", "--value", "x"]) == 2
+    assert capsys.readouterr().err == f"ERROR CommandError: tamper {index!r} is not an integer\n"
+    assert store_image(d) == before
 
 
 def test_porcelain_output_is_tab_separated(tmp_path, capsys):

@@ -288,9 +288,18 @@ def _random_tamper(ledger, p: int, rng: random.Random, seen: Counter) -> None:
 
 def _typed_op(ledger, p: int, query: str, seen: Counter) -> None:
     """A read of query, or for a record type also a report, checked
-    against the per-block read and the scan report."""
+    against the per-block read and the scan report. The caller owns each
+    result: emptied and refilled, it changes no later read or report."""
+    matches = ledger.read_record(DOCTOR, p, query)[0]
+    assert matches == per_block_read_oracle(ledger, p, query)
+    matches.clear()
+    matches.append(("owned", query))
     assert ledger.read_record(DOCTOR, p, query)[0] == per_block_read_oracle(ledger, p, query)
     if query != "latest":
+        report = ledger.assemble_report(DOCTOR, p, query)
+        assert report == scan_report_oracle(ledger, p, query)
+        report.clear()
+        report.append(("owned", query))
         assert ledger.assemble_report(DOCTOR, p, query) == scan_report_oracle(ledger, p, query)
         seen["report"] += 1
 
@@ -382,13 +391,14 @@ def test_a_clone_and_its_source_never_see_each_others_writes_closes_or_tampers()
 
 def _corrupted_type_indexes(ledger, how: str) -> None:
     """Replace every patient's type index with a wrong one: empty, each
-    type's holders reversed, or each type given another type's holders."""
+    type's read and report pairs reversed, or each type given another
+    type's newest holder and pairs."""
     for p in ledger.patients():
         index = ledger._types(p)
         if how == "empty":
             ledger._typed[p] = {}
         elif how == "reversed":
-            ledger._typed[p] = {t: holders[::-1] for t, holders in index.items()}
+            ledger._typed[p] = {t: (newest, reads[::-1], report[::-1]) for t, (newest, reads, report) in index.items()}
         else:
             types = sorted(index)
             ledger._typed[p] = {t: index[types[n - 1]] for n, t in enumerate(types)}
