@@ -721,6 +721,17 @@ def canonical_int(text: str) -> int:
     raise ValueError(f"{text!r} is not an integer")
 
 
+def boolean_word(text: str) -> bool:
+    """The truth value text names, or ValueError: "true", "1" and "yes"
+    name True, "false", "0" and "no" name False, in any case."""
+    word = text.lower()
+    if word in ("true", "1", "yes"):
+        return True
+    if word in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
 # the fields whose tamper value is a digest in hex
 _DIGEST_FIELDS = {"prev_main", "prev_yellow", "prev_same_type", "h_main", "h_yellow", "h_prev_red", "self_hash"}
 _ENUM_NAMES = {AccessEvent: "access event", IdentityVariant: "identity variant"}
@@ -737,11 +748,7 @@ def _parse_value(name: str, current, text: str):
     if name == "payload":
         return text.encode("utf-8")
     if isinstance(current, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
+        return boolean_word(text)
     if isinstance(current, IntEnum):
         try:
             return type(current)[text.upper()]

@@ -295,6 +295,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

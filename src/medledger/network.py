@@ -28,7 +28,7 @@ from itertools import compress, count
 from operator import is_not, ne
 from typing import Any, Callable, NamedTuple
 
-from .blocks import Block, block_hash, canonical_int, note_hash
+from .blocks import Block, block_hash, boolean_word, canonical_int, note_hash
 from .errors import (
     CommandError,
     ConfigError,
@@ -105,11 +105,10 @@ class Command:
         return val
 
     def patient(self) -> int:
-        text = self.need("patient")
         try:
-            return canonical_int(text)
-        except ValueError:
-            raise CommandError(f"patient {text!r} is not an integer") from None
+            return canonical_int(self.need("patient"))
+        except ValueError as exc:
+            raise CommandError(f"patient {exc}") from None
 
     def entries(self, shape: str) -> tuple[tuple[str, str], ...]:
         tokens = [val for k, val in self.args if k == "entry"]
@@ -356,20 +355,19 @@ def repair_replicas(replicas: dict[str, Ledger]) -> list[RepairEntry]:
     Replica order (dict order) fixes the report order.
     """
     total = len(replicas)
-    tables = {name: [getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")}
-    patients = sorted(set().union(*tables["yellow"]))
+    tables = [[getattr(r, name) for r in replicas.values()] for name in ("yellow", "red")]
+    patients = sorted(set().union(*tables[0]))
     differ: set[int] = set()  # the patients whose lists differ on some replica (get: None where one lacks them)
-    for table in tables.values():
+    for table in tables:
         column = list(map(table[0].get, patients))
         for other in table[1:]:
             differ.update(compress(patients, map(ne, column, map(other.get, patients))))
-    tables["main"] = [{None: r.main_chain} for r in replicas.values()]  # None: the chain of no patient
-    tables["audit"] = [{None: r.global_audit} for r in replicas.values()]
     chains = [("main", None)] + [(name, p) for p in sorted(differ) for name in ("yellow", "red")] + [("audit", None)]
     report: list[RepairEntry] = []
     touched: set[str] = set()
     for name, patient in chains:
-        held = [table.get(patient, []) for table in tables[name]]  # [] where a replica lacks the patient
+        # Ledger.chain: [] where a replica lacks the patient
+        held = [r.global_audit if name == "audit" else r.chain(name, patient) for r in replicas.values()]
         first = held[0]
         if held.count(first) == total:  # every replica's list equals the first's
             continue
@@ -457,8 +455,8 @@ def parse_script(text: str) -> list[ScriptStep]:
             raise ScriptError(line_no, "expected: tick node verb [key=value ...]")
         try:
             tick = canonical_int(fields[0])
-        except ValueError:
-            raise ScriptError(line_no, f"tick {fields[0]!r} is not an integer") from None
+        except ValueError as exc:
+            raise ScriptError(line_no, f"tick {exc}") from None
         if tick <= last_tick:
             raise ScriptError(line_no, f"tick {tick} does not increase (previous {last_tick})")
         last_tick = tick
@@ -479,7 +477,10 @@ def _step_command(step: ScriptStep) -> Command:
         role = Role(role_name) if role_name else Role.DOCTOR
     except ValueError:
         raise ScriptError(step.line_no, f"unknown role {role_name!r}") from None
-    valid = _first(step.params, "valid", "1") in ("1", "true", "yes")
+    try:
+        valid = boolean_word(_first(step.params, "valid", "1"))
+    except ValueError as exc:
+        raise ScriptError(step.line_no, f"valid= {exc}") from None
     cred_keys = {"actor", "role", "valid"}
     args = tuple((k, v) for k, v in step.params if k not in cred_keys)
     return Command(step.verb, _first(step.params, "actor", "anonymous"), role, valid, args)

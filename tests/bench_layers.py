@@ -4,11 +4,11 @@
 
 SRC is the `src` directory of the checkout to import medledger from. REPS
 (at least 2, default 15) is the number of samples per timing, each the
-mean time of a batch of calls; PATIENTS (default 200) sizes the store of
-the load and cli_repair sections. Leading integers are REPS, then
-PATIENTS; the words after them name the sections to run, all five by
-default. One section prints its JSON object alone, several print one
-object keyed by section.
+mean time of a batch of calls; PATIENTS (at least 1, default 200) sizes
+the store of the load and cli_repair sections. Leading integers, written
+as str writes them, are REPS, then PATIENTS; the words after them name
+the sections to run, all five by default. One section prints its JSON
+object alone, several print one object keyed by section.
 
 load (the figures of BENCH_decode.json) persists a seeded store of
 PATIENTS patients, each with six writes of 1-2 entries and three reads.
@@ -83,7 +83,7 @@ CATALOG = STORE_CATALOG + (("mri", "MRI"),)
 TYPES = tuple(code for code, _ in STORE_CATALOG)
 NODES = 15
 PATIENT, TYPE, NEW_TYPE = 1, "xray", "mri"
-USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2"
+USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2, PATIENTS at least 1"
 
 
 def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict[str, float]:
@@ -322,10 +322,15 @@ SECTIONS = {
 
 def main(argv: list[str]) -> int:
     """argv: the arguments after SRC."""
-    numbers = [int(arg) for arg in itertools.takewhile(str.isdigit, argv[:2])]
+    numbers: list[int] = []
+    for arg in argv[:2]:  # an integer only as str writes one: any other word names a section
+        try:
+            numbers.append(blocks.canonical_int(arg))
+        except ValueError:
+            break
     reps, patients = numbers + [15, 200][len(numbers) :]
     sections = argv[len(numbers) :] or list(SECTIONS)
-    if reps < 2 or not set(sections) <= SECTIONS.keys():
+    if reps < 2 or patients < 1 or not set(sections) <= SECTIONS.keys():
         print(f"{USAGE}, and each SECTION one of {', '.join(SECTIONS)}", file=sys.stderr)
         return 2
     results = {name: SECTIONS[name](reps, patients) for name in sections}

@@ -17,6 +17,7 @@ from medledger.cli import main
 from medledger.errors import CorruptChain
 from medledger.ledger import Credential, Ledger, Role
 
+import bench_layers
 from helpers import CATALOG, GOLDEN, count_calls, empty_code_ledger, store_image
 
 NOT_CANONICAL = ("1_0", "+1", " 1", "01", "\u0663")
@@ -452,6 +453,23 @@ def test_the_module_entry_point_runs_on_the_standard_library_alone(tmp_path):
     assert any(line.startswith("MAIN 1 self_hash") for line in verified.stdout.splitlines()), verified.stdout
 
 
+def test_a_module_import_loads_only_the_modules_it_needs():
+    """The package re-exports nothing, so import medledger loads none of
+    its modules, and import medledger.blocks loads blocks and what it
+    imports: not the ledger, the network or the random the network
+    seeds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(store.__file__).resolve().parents[1])}
+
+    def loaded(module: str) -> list[str]:
+        names = "sorted(n for n in sys.modules if n.partition('.')[0] in ('medledger', 'random'))"
+        code = f"import sys, {module}; print(*{names})"
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        return done.stdout.split()
+
+    assert loaded("medledger") == ["medledger"]
+    assert loaded("medledger.blocks") == ["medledger", "medledger.blocks", "medledger.errors", "medledger.merkle"]
+
+
 def replica_dirs(tmp_path) -> list[str]:
     base = Ledger.genesis(CATALOG)
     reg = Credential("reg", Role.AUTHORITY)
@@ -880,6 +898,16 @@ def test_a_sim_integer_not_written_as_str_writes_one_is_a_usage_error(tmp_path, 
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith(f"error: argument {flag}: invalid canonical_int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("word", [*NOT_CANONICAL, "\u00b2"])
+def test_bench_layers_reads_a_word_not_written_as_str_writes_an_integer_as_a_section(capsys, word):
+    """REPS and PATIENTS are integers only as str writes them, so any other
+    word, a superscript two too, which str.isdigit passes and int()
+    refuses, names an unknown section: the script prints its usage line
+    and exits 2."""
+    assert bench_layers.main([word, "50"]) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
 
 
 @pytest.mark.parametrize("verb", ["init", "sim"])

@@ -597,6 +597,22 @@ def test_script_parsing_errors():
     assert parse_script("# only a comment\n\n") == []
 
 
+def test_a_script_credential_is_valid_by_one_boolean_word_rule():
+    """valid= reads true, 1 and yes as valid and false, 0 and no as
+    invalid, in any case, as a tamper reads a boolean field; any other
+    word is refused with its line, as an unknown role is."""
+    onboard = "1 n1 onboard actor=reg role=authority valid={} code=FC001\n"
+    outcomes = {"True": "ok result=patient:1", "YES": "ok result=patient:1"}
+    outcomes["No"] = "AccessDenied result=invalid credential for reg"
+    for word, outcome in outcomes.items():
+        transcript = run_scenario(SimConfig(node_count=3, seed=1), onboard.format(word), CATALOG)
+        assert f"APPLY seq=1 outcome={outcome}" in transcript, transcript
+    for word in ("ture", "2", ""):
+        with pytest.raises(ScriptError) as excinfo:
+            run_scenario(SimConfig(node_count=3, seed=1), "# a comment\n" + onboard.format(word), CATALOG)
+        assert str(excinfo.value) == f"line 2: valid= not a boolean: {word!r}"
+
+
 def test_byzantine_must_be_subset_of_approved():
     with pytest.raises(ValueError):
         Network(SimConfig(node_count=3, byzantine=frozenset({"n9"})), CATALOG)
