@@ -76,7 +76,6 @@ tamper, makes a block with an empty memo.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
@@ -680,11 +679,13 @@ def note_canonical(note: GlobalAuditNote) -> bytes:
 
 
 def note_hash(note: GlobalAuditNote) -> Digest:
-    return hashlib.sha256(note_canonical(note)).digest()
+    return sha256(note_canonical(note))
 
 
 def sealed_note(note: GlobalAuditNote) -> GlobalAuditNote:
-    return replace(note, self_hash=note_hash(note))
+    """Seal, in place, a note just built that nothing else holds yet, as sealed does."""
+    object.__setattr__(note, "self_hash", note_hash(note))
+    return note
 
 
 def encode_note(note: GlobalAuditNote) -> bytes:

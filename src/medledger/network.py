@@ -59,11 +59,6 @@ class NodeState:
     replica: Ledger
 
 
-def _first(pairs: tuple[tuple[str, str], ...], key: str, default: str | None = None) -> str | None:
-    """The value of the first (key, value) pair with this key."""
-    return next((val for k, val in pairs if k == key), default)
-
-
 def split_token(token: str, sep: str, shape: str) -> tuple[str, str]:
     """Split one TYPE:PAYLOAD, CODE:LABEL or KEY=VALUE token at its first separator."""
     if sep not in token:
@@ -81,12 +76,21 @@ def require_utf8(texts) -> None:
             raise CommandError(f"{text!r} does not encode as UTF-8") from None
 
 
+def require_unique_keys(pairs: tuple[tuple[str, str], ...]) -> None:
+    """Refuse with CommandError a key given more than once; only entry repeats."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen and key != "entry":
+            raise CommandError(f"key {key!r} given more than once")
+        seen.add(key)
+
+
 @dataclass(frozen=True)
 class Command:
     """One ledger operation as carried by a proposal.
 
-    args is an ordered tuple of (key, value) pairs; repeated keys are
-    allowed (multiple entry= items).
+    args is an ordered tuple of (key, value) pairs; only entry may repeat
+    (require_unique_keys).
     """
 
     verb: str
@@ -99,7 +103,7 @@ class Command:
         return Credential(self.actor, self.role, self.valid)
 
     def need(self, key: str) -> str:
-        val = _first(self.args, key)
+        val = next((v for k, v in self.args if k == key), None)
         if val is None:
             raise CommandError(f"command {self.verb!r} missing {key}=")
         return val
@@ -123,7 +127,7 @@ class Command:
         """All the arguments of the verb's Ledger method: the credential,
         the typed arguments, and the place.
 
-        Refuses with CommandError an unknown verb, a missing key, a
+        Refuses with CommandError an unknown verb, a repeated key, a missing key, a
         patient not written as str writes an integer, a token without its separator, an empty entry
         list, a string that does not encode as UTF-8 and a reserved code
         (require_code); nothing that depends on the ledger's state is checked here. The arguments may be
@@ -131,6 +135,7 @@ class Command:
         """
         if self.verb not in VERBS:
             raise CommandError(f"unknown command verb {self.verb!r}")
+        require_unique_keys(self.args)
         require_utf8((self.actor, place, *(s for pair in self.args for s in pair)))
         return (self.cred(), *VERBS[self.verb].parse(self), place)
 
@@ -191,13 +196,10 @@ class Proposal:
     proposer: str
     command: Command
     votes: tuple[tuple[str, str], ...]  # (node, yes|no|drop) in membership order
+    confirmations: int  # the yes votes
     committed: bool
     outcome: str  # "ok" or the domain error class name
     result: str
-
-    @property
-    def confirmations(self) -> int:
-        return sum(vote == "yes" for _, vote in self.votes)
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,7 @@ class Network:
         if committed:
             outcome, result = self._apply_everywhere(command, parsed)
         return Proposal(
-            self.seq, node_id, command, tuple(votes), committed, outcome, result
+            self.seq, node_id, command, tuple(votes), confirmations, committed, outcome, result
         )
 
     def _apply_everywhere(self, command: Command, parsed: tuple) -> tuple[str, str]:
@@ -432,6 +434,7 @@ class ScriptStep:
     node: str
     verb: str
     params: tuple[tuple[str, str], ...]
+    command: Command | None  # a ledger verb's command; None for a directive
 
 
 _DIRECTIVE_VERBS = {"tamper", "audit-repair"}
@@ -442,7 +445,8 @@ def parse_script(text: str) -> list[ScriptStep]:
 
     Blank lines and #-comments are skipped; a tick is written as str
     writes an integer (canonical_int), and ticks must be strictly
-    increasing.
+    increasing; only entry repeats a key. Each ledger-verb line is
+    compiled here, so a malformed line fails before any line runs.
     """
     steps: list[ScriptStep] = []
     last_tick = 0
@@ -465,25 +469,28 @@ def parse_script(text: str) -> list[ScriptStep]:
             raise ScriptError(line_no, f"unknown verb {verb!r}")
         try:
             params = tuple(split_token(token, "=", "key=value") for token in fields[3:])
+            require_unique_keys(params)
         except CommandError as exc:
             raise ScriptError(line_no, f"argument {exc}") from None
-        steps.append(ScriptStep(line_no, tick, node, verb, params))
+        command = None if verb in _DIRECTIVE_VERBS else _compile(line_no, verb, params)
+        steps.append(ScriptStep(line_no, tick, node, verb, params, command))
     return steps
 
 
-def _step_command(step: ScriptStep) -> Command:
-    role_name = _first(step.params, "role")
+def _compile(line_no: int, verb: str, params: tuple[tuple[str, str], ...]) -> Command:
+    arg = dict(params)  # the credential keys are unique
+    role_name = arg.get("role")
     try:
         role = Role(role_name) if role_name else Role.DOCTOR
     except ValueError:
-        raise ScriptError(step.line_no, f"unknown role {role_name!r}") from None
+        raise ScriptError(line_no, f"unknown role {role_name!r}") from None
     try:
-        valid = boolean_word(_first(step.params, "valid", "1"))
+        valid = boolean_word(arg.get("valid", "1"))
     except ValueError as exc:
-        raise ScriptError(step.line_no, f"valid= {exc}") from None
+        raise ScriptError(line_no, f"valid= {exc}") from None
     cred_keys = {"actor", "role", "valid"}
-    args = tuple((k, v) for k, v in step.params if k not in cred_keys)
-    return Command(step.verb, _first(step.params, "actor", "anonymous"), role, valid, args)
+    args = tuple((k, v) for k, v in params if k not in cred_keys)
+    return Command(verb, arg.get("actor", "anonymous"), role, valid, args)
 
 
 def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG) -> str:
@@ -493,10 +500,6 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
     (config, script) pairs produce byte-identical output.
     """
     steps = parse_script(script)
-    # compile commands up front so a malformed line fails before execution
-    compiled = {
-        step.line_no: _step_command(step) for step in steps if step.verb in VERBS
-    }
     net = Network(config, catalog_entries)
     lines = [
         "CONFIG nodes={} seed={} drop={} byzantine={} confirm>{} repair>={} catalog={}".format(
@@ -511,7 +514,7 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
     ]
     for step in steps:
         if step.verb == "tamper":
-            arg = dict(reversed(step.params))  # the first value of each key
+            arg = dict(step.params)
             chain, field = arg.get("chain"), arg.get("field")
             patient, index = arg.get("patient", "0"), arg.get("index", "0")
             try:
@@ -533,7 +536,7 @@ def run_scenario(config: SimConfig, script: str, catalog_entries=DEFAULT_CATALOG
                 for e in entries
             ]
             continue
-        command = compiled[step.line_no]
+        command = step.command
         try:
             proposal = net.propose(step.node, command)
         except NotAuthorized:

@@ -69,7 +69,12 @@ import tracemalloc
 from operator import attrgetter
 from pathlib import Path
 
+USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2, PATIENTS at least 1"
+
 if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     sys.path.insert(0, sys.argv[1])
 
 from helpers import AUTHORITY, DOCTOR, build_store, counted, forged_log_dirs, quiet_main, rebuilt  # noqa: E402
@@ -83,7 +88,6 @@ CATALOG = STORE_CATALOG + (("mri", "MRI"),)
 TYPES = tuple(code for code, _ in STORE_CATALOG)
 NODES = 15
 PATIENT, TYPE, NEW_TYPE = 1, "xray", "mri"
-USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2, PATIENTS at least 1"
 
 
 def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict[str, float]:

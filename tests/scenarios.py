@@ -9,7 +9,10 @@ can be compared line by line:
 
     python tests/scenarios.py SRC SEED COUNT
 
-SRC is the `src` directory of the checkout to import medledger from.
+SRC is the `src` directory of the checkout to import medledger from;
+SEED and COUNT are integers written as str writes them (canonical_int),
+COUNT at least 0. On any other arguments it prints its usage line and
+exits 2.
 tests/golden/scenario_digests.txt holds these lines for seeds 1 to 3 and
 300 scenarios each, every line prefixed with its seed (golden_lines);
 tests/golden/regenerate.py writes it and a tier-1 test compares it.
@@ -21,9 +24,15 @@ import hashlib
 import random
 import sys
 
+USAGE = "usage: python tests/scenarios.py SRC SEED COUNT; SEED and COUNT integers as str writes them, COUNT at least 0"
+
 if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     sys.path.insert(0, sys.argv[1])
 
+from medledger.blocks import canonical_int  # noqa: E402
 from medledger.errors import ReplicaDivergence  # noqa: E402
 from medledger.network import SimConfig, run_scenario  # noqa: E402
 
@@ -132,7 +141,20 @@ def golden_lines() -> list[str]:
     return [f"{seed} {i} {digest(seed, i)}" for seed in (1, 2, 3) for i in range(300)]
 
 
-if __name__ == "__main__":
-    seed, count = int(sys.argv[2]), int(sys.argv[3])
+def main(argv: list[str]) -> int:
+    """argv: the arguments after SRC. Prints "INDEX DIGEST" for the first
+    COUNT scenarios of SEED."""
+    try:
+        seed, count = map(canonical_int, argv)  # ValueError also unless two arguments
+    except ValueError:
+        count = -1
+    if count < 0:
+        print(USAGE, file=sys.stderr)
+        return 2
     for i in range(count):
         print(i, digest(seed, i))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[2:]))

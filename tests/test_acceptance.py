@@ -128,10 +128,10 @@ def test_criterion_06_lifecycle_conformance():
     )
     assert "outcome=SubchainClosed" in transcript  # the post-close write was refused
     net = Network(SimConfig(node_count=5, seed=7), (("blood_test", "Blood test"), ("xray", "X-ray")))
-    from medledger.network import _step_command, parse_script
+    from medledger.network import parse_script
 
     for step in parse_script(script):
-        net.propose(step.node, _step_command(step))
+        net.propose(step.node, step.command)
     for node in net.nodes.values():
         replica = node.replica
         assert verify_tree(replica) == []

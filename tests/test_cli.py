@@ -70,6 +70,15 @@ def test_invalid_credential_exits_1(tmp_path, capsys):
     assert code == 1 and "AccessDenied" in out
 
 
+def test_a_repeated_info_key_exits_2_and_changes_nothing(tmp_path, capsys):
+    d = init_ledger(tmp_path, capsys)
+    before = store_image(d)
+    assert main(["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", "FC001",
+                 "--info", "name=a", "--info", "name=b"]) == 2
+    assert capsys.readouterr().err == "ERROR CommandError: key 'info.name' given more than once\n"
+    assert store_image(d) == before
+
+
 def test_the_empty_actor_never_reads_a_stored_record_kept_under_the_empty_code(tmp_path, capsys):
     d = tmp_path / "ledger"
     store.create(empty_code_ledger(), d)
@@ -89,17 +98,13 @@ def test_unknown_arguments_exit_2(tmp_path, capsys):
         assert excinfo.value.code == 2
 
 
-def test_missing_ledger_dir_exits_2(tmp_path, capsys):
-    code = main(["verify", "--dir", str(tmp_path / "void")])
-    assert code == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["write", "--dir", "void", "--actor", "drb", "--role", "doctor", "--patient", "1",
      "--entry", "blood_test:v1"],
     ["tamper", "--dir", "void", "--chain", "main", "--index", "0", "--field", "place",
      "--value", "x"],
     ["audit-repair", "--dirs", "void", "void2", "void3"],
+    ["verify", "--dir", "void"],
 ])
 def test_a_missing_ledger_dir_is_refused_and_not_created(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -484,17 +489,6 @@ def replica_dirs(tmp_path) -> list[str]:
     return dirs
 
 
-def test_audit_repair_across_replica_directories(tmp_path, capsys):
-    dirs = replica_dirs(tmp_path)
-    code, _ = run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
-                  "--index", "1", "--field", "entry.0.payload", "--value", "forged")
-    assert code == 0
-    code, out = run(capsys, "audit-repair", "--dirs", *dirs)
-    assert code == 0
-    assert "replaced" in out
-    assert store.load(dirs[2]).snapshot_bytes() == store.load(dirs[0]).snapshot_bytes()
-
-
 def test_audit_repair_heals_a_forged_log_across_replica_directories(tmp_path, capsys):
     """A log's actor forged on the middle replica of three is replaced by
     the majority's block, and every replica then verifies."""
@@ -520,6 +514,7 @@ def test_audit_repair_rewrites_only_the_replaced_replicas(tmp_path, capsys):
             os.utime(f, ns=(10**9, 10**9))
         assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, expected_out)
         assert {f.parent.name for f in files if f.stat().st_mtime_ns != 10**9} == expected_rewritten
+    assert store.load(dirs[2]).snapshot_bytes() == store.load(dirs[0]).snapshot_bytes()
 
 
 def test_audit_repair_refuses_a_directory_given_twice(tmp_path, capsys):
@@ -908,6 +903,12 @@ def test_bench_layers_reads_a_word_not_written_as_str_writes_an_integer_as_a_sec
     and exits 2."""
     assert bench_layers.main([word, "50"]) == 2
     assert capsys.readouterr().err.startswith("usage: ")
+
+
+def test_bench_layers_without_src_prints_its_usage_line():
+    script = Path(bench_layers.__file__)
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", bench_layers.USAGE + "\n")
 
 
 @pytest.mark.parametrize("verb", ["init", "sim"])

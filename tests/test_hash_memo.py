@@ -308,8 +308,10 @@ def traced(fn, fresh) -> dict[str, int]:
 def test_perfbench_tracer_counts_the_calls_that_counted_counts(tmp_path):
     """perfbench's Tracer and helpers.counted both replace every binding of
     a function in medledger: on a verified load of a persisted
-    build_store(20) and on a 15-node propose of a write, they count the
-    same decode_record, block_hash and merkle.sha256 calls."""
+    build_store(20), on a 15-node propose of a write and on one of an
+    onboard with an invalid credential, they count the same decode_record,
+    block_hash and merkle.sha256 calls. The refused onboard hashes one audit
+    note per replica: each replica seals its own note."""
     persist(build_store(20), tmp_path)
 
     def onboarded_network() -> tuple:
@@ -324,3 +326,11 @@ def test_perfbench_tracer_counts_the_calls_that_counted_counts(tmp_path):
     proposed = traced(Network.propose, onboarded_network)
     assert proposed == counted(Network.propose, *originals, fresh=onboarded_network)
     assert proposed == {"blocks.decode_record": 0, "blocks.block_hash": 2, "merkle.sha256": 12}
+
+    def refused_onboard() -> tuple:
+        invalid = Command("onboard", "eve", AUTHORITY.role, False, (("code", "FC00001"),))
+        return Network(SimConfig(15, seed=1), CATALOG), "n1", invalid
+
+    noted = traced(Network.propose, refused_onboard)
+    assert noted == counted(Network.propose, *originals, fresh=refused_onboard)
+    assert noted == {"blocks.decode_record": 0, "blocks.block_hash": 0, "merkle.sha256": 15}

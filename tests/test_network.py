@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from contextlib import ExitStack
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import medledger
 from medledger import store
 from medledger.blocks import block_hash, decode_record, encode_record, mutate_block
 from medledger.errors import AccessDenied, LedgerError, NoSuchBlock, NotAuthorized, ReplicaDivergence, ScriptError
@@ -20,7 +23,6 @@ from medledger.network import (
     Command,
     Network,
     SimConfig,
-    _step_command,
     parse_script,
     repair_majority,
     repair_replicas,
@@ -501,9 +503,7 @@ def test_lifecycle_end_state_satisfies_tree_invariants():
     script = (GOLDEN / "lifecycle.script").read_text()
     net = Network(SimConfig(node_count=5, seed=7), LIFECYCLE_CATALOG)
     for step in parse_script(script):
-        from medledger.network import _step_command
-
-        net.propose(step.node, _step_command(step))
+        net.propose(step.node, step.command)
     for node in net.nodes.values():
         replica = node.replica
         assert verify_tree(replica) == []
@@ -594,6 +594,14 @@ def test_script_parsing_errors():
         with pytest.raises(ScriptError) as excinfo:
             parse_script(f"# a comment\n{tick} n1 onboard code=X")
         assert str(excinfo.value) == f"line 2: tick {tick!r} is not an integer"
+    for line, key in (  # only entry repeats a key
+        ("2 n1 write patient=1 patient=2 entry=xray:v1", "patient"),
+        ("2 n1 read actor=a actor=b patient=1 query=latest", "actor"),
+        ("2 n1 tamper chain=main patient=1 index=0 field=place value=a value=b", "value"),
+    ):
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script(f"1 n1 onboard code=X\n{line}")
+        assert str(excinfo.value) == f"line 2: argument key {key!r} given more than once"
     assert parse_script("# only a comment\n\n") == []
 
 
@@ -640,6 +648,7 @@ MALFORMED = {
     "empty-new-code": Command("change-code", "reg", Role.AUTHORITY, True, (("patient", "1"), ("new_code", ""))),
     "empty-catalog-code": Command("catalog-add", "reg", Role.AUTHORITY, True, (("entry", ":Empty"),)),
     "latest-catalog-code": Command("catalog-add", "reg", Role.AUTHORITY, True, (("entry", "latest:Latest"),)),
+    "repeated-key": Command("read", "drb", Role.DOCTOR, True, (("patient", "1"), ("patient", "2"), ("query", "latest"))),
 } | {
     # int() reads each of these, but only the text str() writes names an index
     f"patient-{text!r}": Command("read", "drb", Role.DOCTOR, True, (("patient", text), ("query", "latest")))
@@ -761,6 +770,30 @@ def test_random_scenarios_end_in_a_transcript_or_a_declared_divergence():
         assert run_random_scenario(0, i).startswith(("CONFIG ", "ERROR ReplicaDivergence: "))
 
 
+def _scenarios_script(*argv: str) -> subprocess.CompletedProcess:
+    script = Path(__file__).parent / "scenarios.py"
+    return subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True, timeout=60)
+
+
+def test_the_scenarios_script_prints_the_golden_digests_of_a_seed():
+    """SRC SEED COUNT prints the first COUNT lines of the seed in
+    scenario_digests.txt, without the seed prefix."""
+    done = _scenarios_script(str(Path(medledger.__file__).parents[1]), "1", "5")
+    golden = (GOLDEN / "scenario_digests.txt").read_text().splitlines()[:5]
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [line.removeprefix("1 ") for line in golden]
+
+
+@pytest.mark.parametrize("argv", [(), ("SRC",), ("SRC", "01", "5"), ("SRC", "x", "5"), ("SRC", "1", "-1"), ("SRC", "1", "5", "6")])
+def test_the_scenarios_script_refuses_bad_arguments_with_its_usage_line(argv):
+    """A missing argument, an integer not written as str writes it, a
+    negative COUNT or an extra argument: usage line, exit 2, no traceback."""
+    src = str(Path(medledger.__file__).parents[1])
+    done = _scenarios_script(*(src if arg == "SRC" else arg for arg in argv))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: python tests/scenarios.py SRC SEED COUNT") and "Traceback" not in done.stderr
+
+
 # --- one seal per committed block -------------------------------------------------
 
 
@@ -804,7 +837,7 @@ class Replay:
     def step(self, step) -> None:
         """One step of a scenario script."""
         if step.verb == "tamper":
-            arg = dict(reversed(step.params))
+            arg = dict(step.params)
             where = (arg["chain"], int(arg["patient"]), int(arg["index"]), arg["field"], arg["value"])
             for ledger in self.ledgers(step.node) if step.node in self.alone else ():
                 try:
@@ -814,7 +847,7 @@ class Replay:
         elif step.verb == "audit-repair":
             assert self.net.audit_and_repair() == repair_replicas(self.alone)
         else:
-            self.propose(step.node, _step_command(step))
+            self.propose(step.node, step.command)
 
 
 def _raw_tamper(node: str, *where):

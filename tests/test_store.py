@@ -337,20 +337,21 @@ def test_a_log_file_copied_over_a_medical_file_is_refused_and_verify_exits_2(tmp
 
 
 def test_load_and_verify_hash_each_stored_block_once(tmp_path, monkeypatch, capsys):
-    """Six SHA-256 calls per block (a three-leaf Merkle root) plus one for
-    the meta checksum, no block_hash call, and one decode_record call per
-    block record: every hash comes from the record bytes. Audit notes hash
-    with hashlib directly, via note_hash."""
+    """Six SHA-256 calls per block (a three-leaf Merkle root), one per
+    audit note and one for the meta checksum, no block_hash call, and one
+    decode_record call per block record: every hash comes from the record
+    bytes."""
     ledger = criterion7_ledger_with_note(42)
     persist(ledger, tmp_path)
-    n_blocks = len(every_block(ledger))
+    n_blocks, n_notes = len(every_block(ledger)), len(ledger.global_audit)
+    assert n_notes > 0
     block_hashes = count_calls(monkeypatch, blocks.block_hash)
     sha256_calls = count_calls(monkeypatch, merkle.sha256)
     decoded = count_calls(monkeypatch, blocks.decode_record)
     for run in (lambda: load(tmp_path), lambda: main(["verify", "--dir", str(tmp_path)])):
         block_hashes[0] = sha256_calls[0] = decoded[0] = 0
         run()
-        assert (block_hashes[0], sha256_calls[0]) == (0, 6 * n_blocks + 1)
+        assert (block_hashes[0], sha256_calls[0]) == (0, 6 * n_blocks + n_notes + 1)
         assert decoded[0] == n_blocks  # one decode per stored block record
     assert capsys.readouterr().out == "OK 0 violations\n"
 
