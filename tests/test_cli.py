@@ -489,6 +489,17 @@ def replica_dirs(tmp_path) -> list[str]:
     return dirs
 
 
+def test_audit_repair_across_replica_directories(tmp_path, capsys):
+    dirs = replica_dirs(tmp_path)
+    code, _ = run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
+                  "--index", "1", "--field", "entry.0.payload", "--value", "forged")
+    assert code == 0
+    code, out = run(capsys, "audit-repair", "--dirs", *dirs)
+    assert code == 0
+    assert "replaced" in out
+    assert store.load(dirs[2]).snapshot_bytes() == store.load(dirs[0]).snapshot_bytes()
+
+
 def test_audit_repair_heals_a_forged_log_across_replica_directories(tmp_path, capsys):
     """A log's actor forged on the middle replica of three is replaced by
     the majority's block, and every replica then verifies."""
@@ -514,7 +525,6 @@ def test_audit_repair_rewrites_only_the_replaced_replicas(tmp_path, capsys):
             os.utime(f, ns=(10**9, 10**9))
         assert run(capsys, "--porcelain", "audit-repair", "--dirs", *dirs) == (0, expected_out)
         assert {f.parent.name for f in files if f.stat().st_mtime_ns != 10**9} == expected_rewritten
-    assert store.load(dirs[2]).snapshot_bytes() == store.load(dirs[0]).snapshot_bytes()
 
 
 def test_audit_repair_refuses_a_directory_given_twice(tmp_path, capsys):
