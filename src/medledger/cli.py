@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (AccessDenied, SubchainClosed, ...),
 2 usage or storage error. Output is line-oriented; --porcelain switches to
-tab-separated fields for scripting.
+tab-separated fields for scripting. A flag that takes one value, and
+--valid/--no-valid, is given at most once: a second occurrence is a usage
+error; --entry, --info, --catalog and --dirs repeat.
 """
 
 from __future__ import annotations
@@ -198,6 +200,41 @@ def _cmd_audit_repair(args) -> int:
     return 0
 
 
+def _refuse_repeat(action: argparse.Action, namespace) -> None:
+    """Refuse with CommandError a second occurrence of a single-valued flag
+    (either form of --valid/--no-valid), as require_unique_keys refuses a
+    repeated key: the last value would otherwise win silently."""
+    given = vars(namespace).setdefault("flags_given", set())
+    if action.dest in given:
+        raise CommandError(f"flag {'/'.join(action.option_strings)!r} given more than once")
+    given.add(action.dest)
+
+
+class _Once(argparse.Action):
+    """Store the value of a flag that may be given once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _refuse_repeat(self, namespace)
+        setattr(namespace, self.dest, values)
+
+
+class _OnceBool(argparse.BooleanOptionalAction):
+    """--X/--no-X, either of them given once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _refuse_repeat(self, namespace)
+        super().__call__(parser, namespace, values, option_string)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers each subcommand's, whose flags
+    store with _Once unless they name another action (append, extend)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+
+
 def _ledger_verb(sub, verb: str, help_text: str, patient: bool = True) -> argparse.ArgumentParser:
     """Subcommand of one ledger verb, with the store and credential flags."""
     parser = sub.add_parser(verb, help=help_text)
@@ -208,7 +245,7 @@ def _ledger_verb(sub, verb: str, help_text: str, patient: bool = True) -> argpar
     )
     parser.add_argument(
         "--valid",
-        action=argparse.BooleanOptionalAction,
+        action=_OnceBool,
         default=True,
         help="credential validity (stubbed authentication)",
     )
@@ -220,7 +257,7 @@ def _ledger_verb(sub, verb: str, help_text: str, patient: bool = True) -> argpar
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="medledger",
         description="Tamper-evident patient record ledger with audited access",
     )
@@ -277,16 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sim)
 
     p = sub.add_parser("audit-repair", help="majority repair across replica directories")
-    p.add_argument("--dirs", nargs="+", required=True)
+    p.add_argument("--dirs", nargs="+", action="extend", required=True)
     p.set_defaults(fn=_cmd_audit_repair)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # a repeated flag raises CommandError here
         return args.fn(args)
     except LedgerError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}")

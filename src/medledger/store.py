@@ -41,11 +41,21 @@ count takes a fresh list of those blocks, frozen values, without
 decoding or hashing it. So each distinct chain file is decoded once, and
 repair's identity skip passes over every chain whose files were equal.
 load, load_checked and every single-directory command pass no dict.
+
+Every load runs with Python's cyclic garbage collector paused. A load
+allocates thousands of blocks, so the collector would otherwise scan them,
+and whatever a caller already holds (audit-repair's earlier replicas and
+shared), pass after pass. But a load builds no reference cycle: blocks,
+lists, dicts and the Ledger only point down, and reference counting frees
+them all (a test pins this). The pause is process-wide state: the load
+takes whether the collector was enabled on entry and, in a finally,
+enables it again only if it was, whether the load returns or raises.
 """
 
 from __future__ import annotations
 
 import fcntl
+import gc
 import os
 import stat
 from contextlib import contextmanager
@@ -242,23 +252,30 @@ def _assemble(directory: Path, hashed: bool = False, shared: dict | None = None,
     are read; a patient listed but not anchored is verify_tree's to
     report. The memo of each main-chain block, and with hashed of every
     block, is its hash recomputed from the bytes read, so that building the
-    Ledger re-encodes nothing. shared is _read_chain's."""
-    with _locked(directory, how) as fd:
-        meta = _read_file(fd, directory, META_NAME, f"no ledger at {directory} ({META_NAME} missing)")
-        clock, counts = _decode_meta(meta)
-        numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
-        patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
-        _expect_listed(counts, patients)  # so each name is the _chain_name of its number
-        main = _read_blocks(fd, directory, MAIN_NAME, counts, IdentityBlock, hashed=True, shared=shared)
-        notes = _read_chain(fd, directory, AUDIT_NAME, counts, decode_note, shared)
-        yellow: dict[int, list[MedicalBlock]] = {}
-        red: dict[int, list[LogBlock]] = {}
-        for p in patients:
-            yellow[p] = _read_blocks(fd, directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed, shared)
-            red[p] = _read_blocks(fd, directory, _chain_name(p, "red"), counts, LogBlock, hashed, shared)
-    ledger = Ledger(main, yellow, red, notes, clock)
-    _expect_listed(counts, ledger.yellow)  # the lineage rule may anchor a patient the manifest does not name
-    return ledger
+    Ledger re-encodes nothing. shared is _read_chain's. The cyclic
+    collector is paused throughout, and enabled again only if it was."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with _locked(directory, how) as fd:
+            meta = _read_file(fd, directory, META_NAME, f"no ledger at {directory} ({META_NAME} missing)")
+            clock, counts = _decode_meta(meta)
+            numbers = {name[1:].partition(".")[0] for name in counts}  # p<N>.yellow.chain gives N
+            patients = sorted(int(n) for n in numbers if n.isdecimal() and len(n) <= 10)  # at most a u32's 10 digits
+            _expect_listed(counts, patients)  # so each name is the _chain_name of its number
+            main = _read_blocks(fd, directory, MAIN_NAME, counts, IdentityBlock, hashed=True, shared=shared)
+            notes = _read_chain(fd, directory, AUDIT_NAME, counts, decode_note, shared)
+            yellow: dict[int, list[MedicalBlock]] = {}
+            red: dict[int, list[LogBlock]] = {}
+            for p in patients:
+                yellow[p] = _read_blocks(fd, directory, _chain_name(p, "yellow"), counts, MedicalBlock, hashed, shared)
+                red[p] = _read_blocks(fd, directory, _chain_name(p, "red"), counts, LogBlock, hashed, shared)
+        ledger = Ledger(main, yellow, red, notes, clock)
+        _expect_listed(counts, ledger.yellow)  # the lineage rule may anchor a patient the manifest does not name
+        return ledger
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _verified(directory: Path, how: int) -> tuple[Ledger, list[Violation]]:

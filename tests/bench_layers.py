@@ -2,23 +2,26 @@
 
     python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]
 
-SRC is the `src` directory of the checkout to import medledger from. REPS
-(at least 2, default 15) is the number of samples per timing, each the
-mean time of a batch of calls; PATIENTS (at least 1, default 200) sizes
-the store of the load and cli_repair sections. Leading integers, written
+SRC is the `src` directory of the checkout to import medledger from; with
+no SRC, or one that holds no medledger package, the script prints its
+usage line and exits 2. REPS (at least 2, default 15) is the number of
+samples per timing, each the mean time of a batch of calls; PATIENTS (at
+least 1, default 200) sizes the store of the load and cli_repair sections. Leading integers, written
 as str writes them, are REPS, then PATIENTS; the words after them name
 the sections to run, all five by default. One section prints its JSON
 object alone, several print one object keyed by section.
 
 load (the figures of BENCH_decode.json) persists a seeded store of
 PATIENTS patients, each with six writes of 1-2 entries and three reads.
-It counts the merkle.sha256 and decode_record calls of one store.load,
-then times store.load (read, decode, hash each record, verify_tree),
-store.load_raw (read and decode only), decode_record over every stored
-block record already in memory, verify_tree over the memos a verified
-load left, and two in-process --porcelain CLI ops on the store, the path
-perfbench's clinic_cli times: cli_verify, and cli_read, a doctor's read
-of patient 1's latest record, which commits a log each call.
+It counts the merkle.sha256 and decode_record calls of one store.load
+and the collections the cyclic collector makes in each generation during
+one (collections_per_load), then times store.load (read, decode, hash
+each record, verify_tree), store.load_raw (read and decode only),
+decode_record over every stored block record already in memory,
+verify_tree over the memos a verified load left, and two in-process
+--porcelain CLI ops on the store, the path perfbench's clinic_cli times:
+cli_verify, and cli_read, a doctor's read of patient 1's latest record,
+which commits a log each call.
 
 encode (BENCH_encode.json) and access (BENCH_access.json) build two
 in-memory ledgers: long_history, 4 patients each with 1200 one-entry
@@ -53,11 +56,16 @@ cli_repair (BENCH_audit_repair_share.json) persists three replica
 directories of the load section's store, the third with the middle log
 of patient 1 forged raw, and times one in-process CLI audit-repair over
 them; each sample first writes the three directories again, untimed. It
-counts the merkle.sha256 and decode_record calls of one audit-repair.
+counts the merkle.sha256 and decode_record calls of one audit-repair and
+its collections per generation (collections).
+
+The collection counts are gc.get_stats() deltas from a gc.collect(): they
+hold for one Python build only, so no golden file pins them.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
@@ -72,7 +80,7 @@ from pathlib import Path
 USAGE = "usage: python tests/bench_layers.py SRC [REPS] [PATIENTS] [SECTION ...]; REPS must be at least 2, PATIENTS at least 1"
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if len(sys.argv) < 2 or not (Path(sys.argv[1]) / "medledger").is_dir():
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     sys.path.insert(0, sys.argv[1])
@@ -88,6 +96,17 @@ CATALOG = STORE_CATALOG + (("mri", "MRI"),)
 TYPES = tuple(code for code, _ in STORE_CATALOG)
 NODES = 15
 PATIENT, TYPE, NEW_TYPE = 1, "xray", "mri"
+
+
+def collections(fn, fresh=tuple) -> dict[str, int]:
+    """The collections the cyclic collector starts in each generation
+    during one call of fn(*fresh()), as gc.get_stats() counts them from a
+    gc.collect() made after fresh(); exact only for one Python build."""
+    args = fresh()
+    gc.collect()
+    before = [gen["collections"] for gen in gc.get_stats()]
+    fn(*args)
+    return {f"gen{g}": gen["collections"] - n for g, (gen, n) in enumerate(zip(gc.get_stats(), before))}
 
 
 def sampled(fn, reps: int, batch: int = 1, fresh=tuple, digits: int = 5) -> dict[str, float]:
@@ -141,6 +160,7 @@ def load_section(reps: int, patients: int) -> dict:
             "cli_read": lambda: quiet_main(read),  # last: each read appends a log to the store
         }
         per_load = counted(lambda: store.load(directory), merkle.sha256, blocks.decode_record)
+        per_load_collections = collections(lambda: store.load(directory))
         if quiet_main(verify) != 0:
             raise RuntimeError("verify of the load section's store failed")
         return {
@@ -151,6 +171,7 @@ def load_section(reps: int, patients: int) -> dict:
             "reps": reps,
             "ms": {name: sampled(fn, reps, digits=2) for name, fn in timings.items()},
             "per_load": per_load,
+            "collections_per_load": per_load_collections,
         }
 
 
@@ -312,6 +333,7 @@ def cli_repair_section(reps: int, patients: int) -> dict:
             "reps": reps,
             "ms": {"audit_repair": sampled(quiet_main, reps, fresh=forged, digits=2)},
             "calls": counted(quiet_main, merkle.sha256, blocks.decode_record, fresh=forged),
+            "collections": collections(quiet_main, fresh=forged),
         }
 
 

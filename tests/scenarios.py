@@ -11,8 +11,8 @@ can be compared line by line:
 
 SRC is the `src` directory of the checkout to import medledger from;
 SEED and COUNT are integers written as str writes them (canonical_int),
-COUNT at least 0. On any other arguments it prints its usage line and
-exits 2.
+COUNT at least 0. On any other arguments, a SRC that holds no medledger
+package too, it prints its usage line and exits 2.
 tests/golden/scenario_digests.txt holds these lines for seeds 1 to 3 and
 300 scenarios each, every line prefixed with its seed (golden_lines);
 tests/golden/regenerate.py writes it and a tier-1 test compares it.
@@ -21,13 +21,14 @@ tests/golden/regenerate.py writes it and a tier-1 test compares it.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import sys
 
 USAGE = "usage: python tests/scenarios.py SRC SEED COUNT; SEED and COUNT integers as str writes them, COUNT at least 0"
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if len(sys.argv) < 2 or not os.path.isdir(os.path.join(sys.argv[1], "medledger")):
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     sys.path.insert(0, sys.argv[1])

@@ -79,6 +79,42 @@ def test_a_repeated_info_key_exits_2_and_changes_nothing(tmp_path, capsys):
     assert store_image(d) == before
 
 
+# a command with one single-valued flag given twice, and the flag its error names; {d} is the store
+REPEATED_FLAGS = {
+    "onboard": ("onboard --dir {d} --actor reg --role authority --code FC3 --code FC4", "--code"),
+    "write": ("write --dir {d} --actor drb --role doctor --patient 1 --patient 2 --entry xray:v", "--patient"),
+    "read": ("read --dir {d} --actor drb --role doctor --patient 1 --query latest --query xray", "--query"),
+    "report": ("report --dir {d} --actor drb --role doctor --patient 1 --type xray --type=ecg", "--type"),
+    "close": ("close --dir {d} --actor reg --role authority --valid --patient 1 --no-valid", "--valid/--no-valid"),
+    "change-code": ("change-code --dir {d} --actor reg --role authority --patient 1 --new-code A --new-code B",
+                    "--new-code"),
+    "catalog-add": ("catalog-add --dir {d} --actor reg --role authority --role doctor --entry mri:MRI", "--role"),
+    "tamper": ("tamper --dir {d} --chain red --patient 1 --index 1 --field actor --value x --value y", "--value"),
+    "sim": ("sim --nodes 3 --script {d}/../s.script --seed 1 --seed 2 --out {d}/../t.txt", "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_FLAGS)
+def test_a_single_valued_flag_given_twice_exits_2_and_changes_nothing(tmp_path, capsys, case):
+    """A flag that takes one value, or --valid/--no-valid, given a second
+    time is refused with one line that names it, as a repeated key is,
+    instead of the last value winning; no store byte moves and sim writes
+    no transcript."""
+    d = init_ledger(tmp_path, capsys)
+    for code in ("FC1", "FC2"):
+        assert main(["onboard", "--dir", d, "--actor", "reg", "--role", "authority", "--code", code]) == 0
+    assert main(["write", "--dir", d, "--actor", "drb", "--role", "doctor", "--patient", "1",
+                 "--entry", "xray:v1"]) == 0
+    (tmp_path / "s.script").write_text("1 n1 onboard actor=reg role=authority code=FC001\n")
+    capsys.readouterr()
+    before = store_image(d)
+    argv, flag = REPEATED_FLAGS[case]
+    assert main(argv.format(d=d).split()) == 2
+    assert capsys.readouterr() == ("", f"ERROR CommandError: flag {flag!r} given more than once\n")
+    assert store_image(d) == before
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_the_empty_actor_never_reads_a_stored_record_kept_under_the_empty_code(tmp_path, capsys):
     d = tmp_path / "ledger"
     store.create(empty_code_ledger(), d)
@@ -512,6 +548,16 @@ def test_audit_repair_heals_a_forged_log_across_replica_directories(tmp_path, ca
         assert run(capsys, "verify", "--dir", d) == (0, "OK 0 violations\n")
 
 
+def test_dirs_given_twice_name_every_replica(tmp_path, capsys):
+    """--dirs repeats: each occurrence adds its replicas, so the forged log
+    is outvoted by the replica named first, not dropped with it."""
+    dirs = replica_dirs(tmp_path)
+    run(capsys, "tamper", "--dir", dirs[1], "--chain", "red", "--patient", "1",
+        "--index", "1", "--field", "actor", "--value", "forged")
+    repaired = f"replaced node={dirs[1]} chain=red coord=1.1\n1 repair entries\n"
+    assert run(capsys, "audit-repair", "--dirs", dirs[0], "--dirs", *dirs[1:]) == (0, repaired)
+
+
 def test_audit_repair_rewrites_only_the_replaced_replicas(tmp_path, capsys):
     dirs = replica_dirs(tmp_path)
     run(capsys, "tamper", "--dir", dirs[2], "--chain", "yellow", "--patient", "1",
@@ -886,7 +932,8 @@ def test_sim_script_error_exits_2(tmp_path, capsys):
 def test_sim_usage_errors_exit_2_with_an_error_line(tmp_path, capsys, flags, script, error):
     path = tmp_path / "s.script"
     path.write_bytes(script)
-    argv = ["sim", "--nodes", "3", "--script", str(path), *flags]
+    nodes = [] if "--nodes" in flags else ["--nodes", "3"]  # --nodes is given once
+    argv = ["sim", *nodes, "--script", str(path), *flags]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", error + "\n")
@@ -918,6 +965,13 @@ def test_bench_layers_reads_a_word_not_written_as_str_writes_an_integer_as_a_sec
 def test_bench_layers_without_src_prints_its_usage_line():
     script = Path(bench_layers.__file__)
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", bench_layers.USAGE + "\n")
+
+
+def test_bench_layers_with_a_src_that_holds_no_medledger_prints_its_usage_line(tmp_path):
+    script = Path(bench_layers.__file__)
+    argv = [sys.executable, str(script), str(tmp_path), "2", "1", "load"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", bench_layers.USAGE + "\n")
 
 

@@ -784,6 +784,13 @@ def test_the_scenarios_script_prints_the_golden_digests_of_a_seed():
     assert done.stdout.splitlines() == [line.removeprefix("1 ") for line in golden]
 
 
+def test_the_scenarios_script_refuses_a_src_that_holds_no_medledger(tmp_path):
+    """The usage line and exit 2, not an import traceback."""
+    done = _scenarios_script(str(tmp_path), "1", "5")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: python tests/scenarios.py SRC SEED COUNT") and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("argv", [(), ("SRC",), ("SRC", "01", "5"), ("SRC", "x", "5"), ("SRC", "1", "-1"), ("SRC", "1", "5", "6")])
 def test_the_scenarios_script_refuses_bad_arguments_with_its_usage_line(argv):
     """A missing argument, an integer not written as str writes it, a

@@ -1,5 +1,6 @@
 """Persistence round trips, framing fuzz, corruption refusal."""
 
+import gc
 import hashlib
 import operator
 import os
@@ -8,7 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
@@ -25,6 +26,7 @@ from medledger.store import load, load_checked, load_raw, persist
 from helpers import (
     AUTHORITY,
     DOCTOR,
+    build_store,
     count_calls,
     criterion7_ledger,
     criterion7_ledger_with_note,
@@ -191,6 +193,97 @@ def test_a_load_closes_every_fd_it_opened(tmp_path, case):
                 with pytest.raises(raises):
                     loader(tmp_path)
         assert _open_fds() == before, loader.__name__
+
+
+def _shared_raw(directory: Path):
+    """load_raw of the directory after a load of an intact store of the
+    same ledger into the same shared dict, as audit-repair loads its
+    second replica."""
+    twin = directory.parent / "twin"
+    persist(small_fixture(), twin)
+    shared = {}
+    load_raw(twin, shared)
+    return load_raw(directory, shared)
+
+
+LOADERS = {"load": load, "load_checked": load_checked, "load_raw": load_raw, "load_raw_shared": _shared_raw}
+
+
+def _truncated(d: Path) -> Path:
+    data = (d / "p1.yellow.chain").read_bytes()
+    (d / "p1.yellow.chain").write_bytes(data[:-1])
+    return d
+
+
+# what each case loads, given a persisted store, and what its load raises (None: nothing)
+COLLECTOR_CASES = {
+    "loads": (lambda d: d, None),
+    "truncated": (_truncated, CorruptChain),
+    "no_directory": (lambda d: d / "absent", StorageError),
+}
+
+
+@contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector enabled or disabled for the with block, and as
+    it was afterwards."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", COLLECTOR_CASES)
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_load_leaves_the_collector_as_it_found_it(tmp_path, loader, case, enabled):
+    """A load pauses the collector; whether it returns or raises, the
+    collector is enabled afterwards exactly if it was before."""
+    persist(small_fixture(), tmp_path / "store")
+    locate, raises = COLLECTOR_CASES[case]
+    directory = locate(tmp_path / "store")
+    with _collector(enabled):
+        with pytest.raises(raises) if raises else nullcontext():
+            LOADERS[loader](directory)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("hashed", [False, True], ids=["raw", "hashed"])
+def test_no_collection_runs_while_a_load_reads_and_builds(tmp_path, hashed):
+    """The collector is paused from the first read of a load to its Ledger
+    (store._assemble, the whole of load_raw; load and load_checked then run
+    verify_tree with it as it was): reading 40 patients, thousands of
+    objects, starts no collection."""
+    persist(build_store(40), tmp_path / "store")
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        with _collector(True):
+            store._assemble(tmp_path / "store", hashed)
+    finally:
+        gc.callbacks.remove(record)
+    assert started == []
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_load_builds_no_reference_cycle(tmp_path, loader):
+    """What the pause rests on: once its result is dropped, a load leaves
+    nothing that only the cyclic collector could free. A change that puts
+    a cycle into loaded objects fails here instead of leaking under the
+    pause."""
+    persist(criterion7_ledger_with_note(42), tmp_path / "store")
+    with _collector(False):
+        gc.collect()
+        loaded = LOADERS[loader](tmp_path / "store")
+        del loaded
+        assert gc.collect() == 0
 
 
 def test_load_raw_accepts_what_load_refuses(tmp_path):
