@@ -44,14 +44,15 @@ Blocks are frozen values (an identity block's personal_info is a
 read-only mapping), so a block's hash is a pure function of its fields.
 cached_hash computes it once per block object and keeps it in the
 block's hash_memo field. A seal hashes once and fills the memo with that
-hash too: the ledger's append paths build each block and its BlockCoord
-once, with __init__, and sealed seals it in place, since nothing else
-holds it yet; while the network applies a commit, a replica takes instead
-the equal block the first replica sealed (Ledger._seal). The ledger's
-operations and its derived indexes use cached_hash. block_hash always
-recomputes from the fields; verify_tree uses it by default, and
-repair_replicas on the one candidate version at a position where replicas
-differ.
+hash too: every block a ledger keeps is built once, with __init__, and
+sealed seals it in place, since nothing else holds it yet. While the
+network applies a commit, a replica builds no block of its own where the
+first replica sealed an equal one: Ledger._seal checks the first
+replica's block against a copy built with _built, which it then drops,
+and takes that block. The ledger's operations and its derived indexes
+use cached_hash. block_hash always recomputes from the fields;
+verify_tree uses it by default, and repair_replicas on the one candidate
+version at a position where replicas differ.
 
 Equal blocks are exactly the blocks with equal records: decoding is
 canonical, and a raw tamper (mutate_block) returns what its record
@@ -467,10 +468,14 @@ def encode_record(block: Block) -> bytes:
 
 
 def _built(cls, attrs: dict):
-    """A value of the frozen dataclass cls made without its __init__: the
-    decoders pass every field, a block's memo too. One update is the
-    fastest fill; it gives the value a dict table of its own, larger than
-    the key-sharing layout that per-field setattr keeps but slower to make."""
+    """A value of the frozen dataclass cls made without its __init__ or
+    __post_init__: the decoders pass every field, a block's memo too, and
+    Ledger._seal builds with it the comparison copy it checks the first
+    replica's block against and drops, with the memo left empty. One update
+    is the fastest fill. It gives the value a dict table of its own: faster
+    to make than the key-sharing layout that per-field setattr keeps, but
+    larger and slower to read, so a block an append keeps is built with
+    __init__."""
     value = object.__new__(cls)
     value.__dict__.update(attrs)
     return value

@@ -135,9 +135,9 @@ class Ledger:
     or a store.session); blocks themselves are immutable values.
     """
 
-    # (blocks offered, blocks sealed so far) while the network applies a
+    # (values offered, values sealed so far) while the network applies a
     # committed command on this replica, else None; see _seal
-    _seal_share: tuple[Sequence[b.Block], list[b.Block]] | None = None
+    _seal_share: tuple[Sequence[b.Block | GlobalAuditNote], list[b.Block | GlobalAuditNote]] | None = None
 
     def __init__(
         self,
@@ -297,31 +297,41 @@ class Ledger:
 
     # -- internal helpers ----------------------------------------------------
 
-    def _seal(self, block: b.Block) -> b.Block:
-        """The one seal step of every append: seal a block just built.
+    def _seal(self, cls: type, fields: dict):
+        """The one seal step of every append and audit note: the sealed
+        value of class cls (a block kind or GlobalAuditNote) with the
+        fields, all but self_hash, that its __init__ takes.
 
         While the network applies a committed command, _seal_share holds
-        the blocks the first replica sealed, in seal order, and the blocks
-        this apply has sealed so far. The k-th block sealed here is then
-        the first replica's k-th block if that is of the same type and
-        equal to it in every field but self_hash: it was sealed by
-        block_hash in this process, and equal blocks encode to equal bytes,
-        so its seal and memo are the ones this block would get. Any other
-        block, as a replica that diverged builds, is sealed here.
+        the values the first replica sealed, in seal order, and the values
+        this apply has sealed so far. The k-th value sealed here is then
+        the first replica's k-th value if that is of class cls and equal to
+        a comparison copy in every field but self_hash: it was sealed by
+        block_hash (note_hash) in this process, and equal values encode to
+        equal bytes, so its seal and memo are the ones this value would
+        get. The copy takes the offered self_hash, the one field left out
+        of the comparison, and an empty memo; it is built by blocks._built,
+        without __init__, so an identity copy skips __post_init__ and keeps
+        the caller's personal_info dict, not a read-only one of its own.
+        That is safe only because the copy is compared and dropped, never
+        kept. Any other value, on a lone ledger, on the first replica or on
+        a replica that diverged, is built with __init__ and sealed here, so
+        every value a ledger keeps is built the one way.
         """
         share = self._seal_share
-        if share is None:
-            return sealed(block)
-        offered, done = share
-        hint = offered[len(done)] if len(done) < len(offered) else None
-        if type(hint) is type(block):
-            object.__setattr__(block, "self_hash", hint.self_hash)  # the one field left out of ==
-            if block == hint:
-                done.append(hint)
-                return hint
-        block = sealed(block)
-        done.append(block)
-        return block
+        if share is not None:
+            offered, done = share
+            hint = offered[len(done)] if len(done) < len(offered) else None
+            if type(hint) is cls:
+                fields["self_hash"] = hint.self_hash
+                if b._built(cls, fields) == hint:
+                    done.append(hint)
+                    return hint
+        value = cls(**fields)
+        value = sealed_note(value) if cls is GlobalAuditNote else sealed(value)
+        if share is not None:
+            share[1].append(value)
+        return value
 
     def _tick(self) -> int:
         t = self.clock
@@ -335,9 +345,8 @@ class Ledger:
 
     def _note(self, actor: str, tick: int, place: str, detail: str) -> None:
         prev = self.global_audit[-1].self_hash if self.global_audit else ZERO_DIGEST
-        self.global_audit.append(
-            sealed_note(GlobalAuditNote(actor, tick, place, detail, prev))
-        )
+        fields = {"actor": actor, "timestamp": tick, "place": place, "detail": detail, "prev_hash": prev}
+        self.global_audit.append(self._seal(GlobalAuditNote, fields))
 
     def _append_log(
         self,
@@ -353,17 +362,18 @@ class Ledger:
         chain, medical = self.red[p], self.yellow[p]
         latest = medical[-1] if medical else None
         log = self._seal(
-            LogBlock(
-                coord=BlockCoord(p, None if latest is None else latest.coord.record, len(chain) + 1),
-                event=event,
-                actor=cred.actor_id,
-                timestamp=tick,
-                place=place,
-                viewed=viewed,
-                h_main=cached_hash(self._anchor[p]),
-                h_yellow=ZERO_DIGEST if latest is None else cached_hash(latest),
-                h_prev_red=self._tip(chain, p),
-            )
+            LogBlock,
+            {
+                "coord": BlockCoord(p, None if latest is None else latest.coord.record, len(chain) + 1),
+                "event": event,
+                "actor": cred.actor_id,
+                "timestamp": tick,
+                "place": place,
+                "viewed": viewed,
+                "h_main": cached_hash(self._anchor[p]),
+                "h_yellow": ZERO_DIGEST if latest is None else cached_hash(latest),
+                "h_prev_red": self._tip(chain, p),
+            },
         )
         chain.append(log)
         return log
@@ -402,11 +412,8 @@ class Ledger:
     def _append_main(self, owner: int | None, **fields) -> IdentityBlock:
         """Seal, link, append and index one main-chain block; it keeps a
         read-only copy of the personal_info it is given."""
-        block = self._seal(
-            IdentityBlock(
-                coord=BlockCoord(len(self.main_chain)), prev_main=cached_hash(self.main_chain[-1]), **fields
-            )
-        )
+        fields |= {"coord": BlockCoord(len(self.main_chain)), "prev_main": cached_hash(self.main_chain[-1])}
+        block = self._seal(IdentityBlock, fields)
         self.main_chain.append(block)
         self._index(block, owner)
         return block
@@ -443,12 +450,13 @@ class Ledger:
         keeps it, and its tuples."""
         chain = self.yellow[p]
         block = self._seal(
-            MedicalBlock(
-                coord=BlockCoord(p, len(chain) + 1),
-                entries=entries,
-                prev_yellow=self._tip(chain, p),
-                is_final=is_final,
-            )
+            MedicalBlock,
+            {
+                "coord": BlockCoord(p, len(chain) + 1),
+                "entries": entries,
+                "prev_yellow": self._tip(chain, p),
+                "is_final": is_final,
+            },
         )
         chain.append(block)
         index = self._typed.get(p)

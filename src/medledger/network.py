@@ -5,9 +5,9 @@ nodes may propose. A proposal commits when strictly more than 51% of all
 approved nodes confirm it (exact integer arithmetic, the proposer
 counts); committed commands apply to every replica in the same order, so
 honest replicas stay bit-identical. A commit is sealed once: each
-replica builds the blocks the command appends and takes the first
-replica's block, an immutable value, only after checking that it equals
-its own field for field; a replica that diverged seals its own.
+replica takes the first replica's block or audit note, an immutable
+value, only after checking that it equals, field for field, the one it
+would append; a replica that diverged builds and seals its own.
 Byzantine nodes refuse confirmations; state divergence is injected only
 through tamper(). audit_and_repair replaces any block or audit note that
 differs from a valid version held by at least 51% of nodes; below a
@@ -280,12 +280,13 @@ class Network:
         outcome that differs from the first replica's, naming the first
         node that diverged.
 
-        The first replica seals the blocks it appends. They are offered, in
-        seal order, to each other replica while it applies, and a replica
-        takes one only where it built a block equal to it field for field
-        (Ledger._seal); a replica that diverged seals its own. So a commit
-        costs one seal per appended block, whatever the node count, and
-        honest replicas share each committed block object."""
+        The first replica builds and seals the blocks and audit notes it
+        appends. They are offered, in seal order, to each other replica
+        while it applies, and a replica takes one only where it equals, field
+        for field, the value the replica would append (Ledger._seal); a
+        replica that diverged builds and seals its own. So a commit costs
+        one __init__ and one seal per appended value, whatever the node
+        count, and honest replicas share each committed object."""
         outcomes: list[tuple[str, str]] = []
         offered: list[Block] = []  # the first replica's seals, once it has applied
         for nid in self.approved:

@@ -31,8 +31,13 @@ each block kind, block_hash over every block of long_history, its
 default verify_tree (recomputing every hash), and a Network.propose of a
 write and of a read on 15 replicas (propose_write, propose_read), on 3
 (propose_write_3, propose_read_3) and on 5 (propose_write_5,
-propose_read_5); it counts their block_hash and merkle.sha256 calls and
-reports the tracemalloc size of long_history.
+propose_read_5), and of a report and of an onboard with an invalid
+credential, which seals one audit note, on 15 (propose_report,
+propose_refused_onboard). It counts their block_hash and merkle.sha256
+calls and the __init__ calls of the three block kinds and of the audit
+note: a commit builds each value it appends once, on the first replica,
+and each other replica checks it against a copy built without __init__
+(Ledger._seal). It also reports the tracemalloc size of long_history.
 access times read_record of one type and of "latest", assemble_report,
 write_record of a type already written and write_record of mri, a catalog
 type never written, on patient 1 of each ledger, each sample on a fresh
@@ -96,6 +101,8 @@ CATALOG = STORE_CATALOG + (("mri", "MRI"),)
 TYPES = tuple(code for code, _ in STORE_CATALOG)
 NODES = 15
 PATIENT, TYPE, NEW_TYPE = 1, "xray", "mri"
+# the classes whose __init__ calls encode counts: what an append builds and seals
+INITIALISED = (blocks.IdentityBlock, blocks.MedicalBlock, blocks.LogBlock, blocks.GlobalAuditNote)
 
 
 def collections(fn, fresh=tuple) -> dict[str, int]:
@@ -210,6 +217,8 @@ def encode_section(reps: int, patients: int) -> dict:
     base = build(200, 2, close_every=25)
     write = Command("write", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("entry", "xray:v1")))
     read = Command("read", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("query", "latest")))
+    report = Command("report", DOCTOR.actor_id, DOCTOR.role, True, (("patient", "3"), ("type", "xray")))
+    refused_onboard = Command("onboard", "eve", AUTHORITY.role, False, (("code", "FC999999"),))
 
     ops = {f"sealed_{kind}": (lambda blk=blk: blocks.sealed(blk), 2000) for kind, blk in by_kind.items()}
     ops["block_hash_all"] = (lambda: [blocks.block_hash(blk) for blk in history_blocks], 1)
@@ -220,14 +229,18 @@ def encode_section(reps: int, patients: int) -> dict:
         for node in net.nodes.values():
             node.replica = base.clone()
         proposer = itertools.cycle(net.approved)  # round robin, as every sample shares it
-        for name, command in (("write", write), ("read", read)):
+        commands = {"write": write, "read": read}
+        if nodes == NODES:
+            commands |= {"report": report, "refused_onboard": refused_onboard}
+        for name, command in commands.items():
             ops[f"propose_{name}{suffix}"] = (lambda n=net, p=proposer, c=command: n.propose(next(p), c), 20)
+    counters = (blocks.block_hash, merkle.sha256, *(cls.__init__ for cls in INITIALISED))
     return {
         "reps": reps,
         "long_history_blocks": len(history_blocks),
         "long_history_tracemalloc_mb": round(long_history_bytes / 1e6, 3),
         "ms": {name: sampled(fn, reps, batch) for name, (fn, batch) in ops.items()},
-        "calls": {name: counted(fn, blocks.block_hash, merkle.sha256) for name, (fn, _) in ops.items()},
+        "calls": {name: counted(fn, *counters) for name, (fn, _) in ops.items()},
     }
 
 

@@ -136,9 +136,9 @@ def count_calls(monkeypatch, original) -> list[int]:
     count is the list's one element."""
     calls = [0]
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     owner, _, method = original.__qualname__.rpartition(".")
     if owner:
@@ -248,7 +248,9 @@ def cost_count_lines() -> list[str]:
     fresh Ledger rebuilt from its chains, its first typed op; of a repair
     of its forged_log_replicas; and of a Network.propose of a write, a
     typed read, a report and a write that the catalog refuses, in that
-    order, on one 3-node and one 15-node network. Then the same counts and
+    order, on one 3-node and one 15-node network; on the 15-node one, then
+    the merkle.sha256 calls of an onboard with an invalid credential, the
+    one audit note it seals. Then the same counts and
     the Ledger._recompute_derived calls of one repair of 15 clones of
     build_store(200), one with patient 1's second medical block forged and
     one with patient 2's fourth log forged; the decode_record and
@@ -285,6 +287,9 @@ def cost_count_lines() -> list[str]:
             f"network{nodes}.propose_{name}": counted(net.propose, *counters, fresh=lambda c=command: ("n1", c))
             for name, command in proposals.items()
         }
+        if nodes == 15:
+            invalid = Command("onboard", "eve", AUTHORITY.role, False, (("code", "FC00002"),))
+            counts["network15.propose_refused_onboard"] = counted(net.propose, merkle.sha256, fresh=lambda: ("n1", invalid))
     store_ledger = build_store(200)
     forged = [("yellow", 1, 1, "entry.0.payload"), ("red", 2, 3, "actor")]
     counts["network15.repair"] = counted(

@@ -11,6 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -817,9 +818,13 @@ class Replay:
 
     def propose(self, proposer: str, command: Command) -> dict[str, list]:
         """Propose the command and apply it on the lone ledgers if it
-        commits; then each replica must equal its lone ledger and every memo
-        must equal block_hash recomputed. Returns the blocks each node
-        appended."""
+        commits; then each replica must equal its lone ledger. Every memo
+        must be empty or equal block_hash recomputed, and the memo of each
+        block the proposal appended must be set: only a raw tamper leaves a
+        block with an empty memo. Every identity block's personal_info must
+        be read-only. So no comparison copy that Ledger._seal builds, with
+        an empty memo and, for an identity block, a plain dict, lands in a
+        chain. Returns the blocks each node appended."""
         before = {nid: {id(blk) for blk in every_block(node.replica)} for nid, node in self.net.nodes.items()}
         try:
             committed = self.net.propose(proposer, command).committed
@@ -837,8 +842,11 @@ class Replay:
         appended = {}
         for nid, node in self.net.nodes.items():
             assert node.replica.snapshot_bytes() == self.alone[nid].snapshot_bytes(), nid
-            assert all(blk.hash_memo in (None, block_hash(blk)) for blk in every_block(node.replica)), nid
-            appended[nid] = [blk for blk in every_block(node.replica) if id(blk) not in before[nid]]
+            held = every_block(node.replica)
+            appended[nid] = [blk for blk in held if id(blk) not in before[nid]]
+            assert all(blk.hash_memo in (None, block_hash(blk)) for blk in held), nid
+            assert all(blk.hash_memo is not None for blk in appended[nid]), nid
+            assert all(type(blk.personal_info) is MappingProxyType for blk in node.replica.main_chain), nid
         return appended
 
     def step(self, step) -> None:
